@@ -3,16 +3,14 @@ automata under discrete time sampling, exact to the rational."""
 
 __version__ = "0.1.0"
 
-from .core import ModelError, ModelWarning, Rat, TimedTransitionSystem, as_time, monus, parse_rational, rational_str
+from .core import ModelError, ModelWarning, TimedTransitionSystem, as_time, monus, parse_rational
 
 __all__ = [
     "ModelError",
     "ModelWarning",
-    "Rat",
     "TimedTransitionSystem",
     "as_time",
     "monus",
     "parse_rational",
-    "rational_str",
     "__version__",
 ]

@@ -15,16 +15,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional
 
-from .core import ONE, ModelError, TimedTransitionSystem, as_time, parse_rational, rational_str
-from .explore import (
-    ReservoirPattern,
-    SearchPattern,
-    build_kripke,
-    search,
-)
+from .core import ONE, ModelError, TimedTransitionSystem, as_time, parse_rational
+from .explore import build_kripke, search
 from .lha import LhaSystem, lha_from_json
 from .ltl import Counterexample, model_check, parse_formula
-from .reservoir import NResState, NResSystem, above_upper, nres_from_json
+from .reservoir import (
+    NResState,
+    NResSystem,
+    ReservoirPattern,
+    SearchPattern,
+    above_upper,
+    nres_from_json,
+    validate_pattern,
+)
 from .syncprod import (
     Component,
     component_from_json,
@@ -106,7 +109,7 @@ def parse_pattern(text: str) -> SearchPattern:
 
 
 def _state_line(system: TimedTransitionSystem, state: Any, elapsed: Fraction) -> str:
-    line = f"{{{system.serialize(state)}}} in time {rational_str(elapsed)}"
+    line = f"{{{system.serialize(state)}}} in time {elapsed}"
     enabled = sorted({label for label, _ in system.discrete_successors(state)})
     if enabled:
         line += "  enabled: " + ",".join(enabled)
@@ -138,7 +141,7 @@ def run_simulate(config: RunConfig) -> int:
         for s, t in trace:
             entry: dict[str, Any] = {
                 "state": system.serialize(s),
-                "elapsed": rational_str(t),
+                "elapsed": str(t),
                 "enabled": sorted({label for label, _ in system.discrete_successors(s)}),
             }
             if isinstance(s, NResState):
@@ -158,15 +161,16 @@ def run_simulate(config: RunConfig) -> int:
 def run_search(config: RunConfig) -> int:
     system = load_model(config.model)
     pattern = parse_pattern(config.pattern)
+    validate_pattern(pattern, system)
     solutions = search(system, pattern, config.time_bound, config.increment)
     if config.format == "json":
         print(json.dumps({"kind": "search", "count": len(solutions), "solutions": [
             {
                 "state": sol.text,
-                "elapsed": rational_str(sol.elapsed),
+                "elapsed": str(sol.elapsed),
                 "bindings": {k: sol.bindings[k] for k in sorted(sol.bindings)},
                 "path": [
-                    {"label": st.label, "duration": rational_str(st.duration), "state": st.text}
+                    {"label": st.label, "duration": str(st.duration), "state": st.text}
                     for st in sol.path
                 ],
             }
@@ -178,7 +182,7 @@ def run_search(config: RunConfig) -> int:
         else:
             for i, sol in enumerate(solutions, start=1):
                 print(f"Solution {i}")
-                print(f"S:System --> {sol.text}; TIME_ELAPSED:Time --> {rational_str(sol.elapsed)}")
+                print(f"S:System --> {sol.text}; TIME_ELAPSED:Time --> {sol.elapsed}")
                 for key in sorted(sol.bindings):
                     print(f"{key} --> {sol.bindings[key]}")
             print("No more solutions")
@@ -191,7 +195,7 @@ def run_search(config: RunConfig) -> int:
 def format_counterexample(ce: Counterexample, timed: bool) -> str:
     def step_text(step) -> str:
         if timed:
-            return f"    {{{step.text} in time {rational_str(step.elapsed)},'{step.label}}}"
+            return f"    {{{step.text} in time {step.elapsed},'{step.label}}}"
         return f"    {{{step.text},'{step.label}}}"
 
     lines = ["Result ModelCheckResult :", "  counterexample("]
@@ -205,7 +209,7 @@ def format_counterexample(ce: Counterexample, timed: bool) -> str:
 def _ce_json(ce: Counterexample) -> dict:
     def block(steps) -> list:
         return [
-            {"state": s.text, "elapsed": rational_str(s.elapsed), "label": s.label}
+            {"state": s.text, "elapsed": str(s.elapsed), "label": s.label}
             for s in steps
         ]
 

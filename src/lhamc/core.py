@@ -11,9 +11,7 @@ from __future__ import annotations
 import re
 from abc import ABC, abstractmethod
 from fractions import Fraction
-from typing import Any, Iterable
-
-Rat = Fraction
+from typing import Any
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -54,9 +52,17 @@ def parse_rational(value: Any) -> Fraction:
     raise ModelError(f"not a rational: {value!r} (expected 'p' or 'p/q')")
 
 
-def rational_str(value: Fraction) -> str:
-    """Canonical text for a rational: lowest terms, ``p`` or ``p/q``."""
-    return str(value)
+def json_shape(value: Any, shape: type, where: str) -> Any:
+    """``value`` if it is a JSON object (``dict``) or list (``list``) as
+    ``shape`` says; model loaders check document shapes with it."""
+    if not isinstance(value, shape):
+        raise ModelError(f"{where} must be a JSON {'object' if shape is dict else 'list'}, got {value!r}")
+    return value
+
+
+def json_objects(value: Any, where: str) -> list[dict]:
+    """``value`` if it is a JSON list of objects."""
+    return [json_shape(item, dict, f"each entry of {where}") for item in json_shape(value, list, where)]
 
 
 def as_time(value: Any) -> Fraction:
@@ -119,9 +125,3 @@ class TimedTransitionSystem(ABC):
     def propositions(self) -> frozenset[str]:
         """The atomic propositions this model can evaluate."""
         return frozenset()
-
-    def sort_successors(
-        self, successors: Iterable[tuple[str, Any]]
-    ) -> list[tuple[str, Any]]:
-        """Default successor order: by rule label, then serialized state."""
-        return sorted(successors, key=lambda ls: (ls[0], self.serialize(ls[1])))

@@ -1,20 +1,20 @@
 """Breadth-first exploration of timed models and Kripke construction.
 
-Time advances in fixed sampling increments and total elapsed time stays
-strictly below the given bound.  Every visited configuration is a state
-paired with its elapsed time; the canonical state text plus elapsed time is
-the dedup key.
+Every visited configuration is a state paired with its elapsed time, and the
+canonical state text plus elapsed time is its identity.  With a time bound,
+time advances in the given durations and total elapsed time stays strictly
+below the bound.  Without one the structure is time-abstract: elapsed time
+stays 0 and ticks are edges annotated with their duration, so runs may loop
+through them.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, Callable, Iterable, Optional
 
-from .core import ZERO, ModelError, TimedTransitionSystem, as_time, rational_str
-from .reservoir import NResState, Reservoir
+from .core import ZERO, ModelError, TimedTransitionSystem, as_time
 
 TICK = "tick"
 STUTTER = "stutter"
@@ -37,97 +37,13 @@ class Step:
 
 @dataclass
 class Solution:
-    """A state matching the search pattern, with how it was reached."""
+    """A state the search predicate accepted, with how it was reached."""
 
     state: Any
     elapsed: Fraction
     text: str
     bindings: dict[str, str]
     path: tuple[Step, ...]
-
-
-@dataclass(frozen=True)
-class ReservoirPattern:
-    lower: Optional[Fraction] = None
-    upper: Optional[Fraction] = None
-    level: Optional[Fraction] = None
-    leak: Optional[Fraction] = None
-
-    def is_free(self) -> bool:
-        return self.lower is None and self.upper is None and self.level is None and self.leak is None
-
-
-@dataclass(frozen=True)
-class SearchPattern:
-    """What to look for: optional hose position, per-reservoir attribute pins.
-
-    The empty pattern is the wildcard; it matches every state of every model.
-    Any reservoir-specific content restricts matching to reservoir models.
-    """
-
-    hose: Optional[int] = None
-    reservoirs: tuple[tuple[int, ReservoirPattern], ...] = ()
-
-    def is_wildcard(self) -> bool:
-        return self.hose is None and not self.reservoirs
-
-
-def _unconstrained_text(tank: Reservoir, pat: ReservoirPattern) -> str:
-    parts = []
-    if pat.lower is None and pat.upper is None:
-        parts.append(f"thr:({rational_str(tank.lower)},{rational_str(tank.upper)})")
-    elif pat.lower is None:
-        parts.append(f"thr_low: {rational_str(tank.lower)}")
-    elif pat.upper is None:
-        parts.append(f"thr_up: {rational_str(tank.upper)}")
-    if pat.level is None:
-        parts.append(f"hth: {rational_str(tank.level)}")
-    if pat.leak is None:
-        parts.append(f"rte: {rational_str(tank.leak)}")
-    return ", ".join(parts)
-
-
-def match(pattern: SearchPattern, state: Any) -> Optional[dict[str, str]]:
-    """Bindings if ``state`` fits the pattern, else None.
-
-    The wildcard matches anything with empty bindings.  A reservoir-specific
-    pattern only applies to reservoir states; each listed reservoir binds
-    "R<id>" to the text of the attributes the pattern left unconstrained.
-    """
-    if pattern.is_wildcard():
-        return {}
-    if not isinstance(state, NResState):
-        raise ModelError("reservoir-specific patterns only apply to reservoir models")
-    if pattern.hose is not None and state.hose.position != pattern.hose:
-        return None
-    bindings: dict[str, str] = {}
-    for rid, pat in pattern.reservoirs:
-        tank = state.reservoir(rid)
-        if pat.lower is not None and tank.lower != pat.lower:
-            return None
-        if pat.upper is not None and tank.upper != pat.upper:
-            return None
-        if pat.level is not None and tank.level != pat.level:
-            return None
-        if pat.leak is not None and tank.leak != pat.leak:
-            return None
-        bindings[f"R{rid}"] = _unconstrained_text(tank, pat)
-    return bindings
-
-
-def validate_pattern(pattern: SearchPattern, system: TimedTransitionSystem) -> None:
-    """Reject patterns that can never apply to this model."""
-    if pattern.is_wildcard():
-        return
-    initial = system.initial_state()
-    if not isinstance(initial, NResState):
-        raise ModelError("reservoir-specific patterns only apply to reservoir models")
-    known = {r.id for r in initial.reservoirs}
-    if pattern.hose is not None and pattern.hose not in known:
-        raise ModelError(f"pattern mentions unknown reservoir id {pattern.hose}")
-    for rid, _ in pattern.reservoirs:
-        if rid not in known:
-            raise ModelError(f"pattern mentions unknown reservoir id {rid}")
 
 
 @dataclass(frozen=True)
@@ -185,18 +101,22 @@ class Kripke:
 
 def _explore(
     system: TimedTransitionSystem,
-    time_bound: Fraction,
-    increment: Fraction,
-    pattern: Optional[SearchPattern],
+    durations: Iterable[Fraction],
+    time_bound: Optional[Fraction],
+    match: Optional[Callable[[Any], Optional[dict[str, str]]]],
     max_states: int,
 ):
-    """Shared BFS: returns (timed states, texts, edges, parent links, hits)."""
-    time_bound = as_time(time_bound)
-    increment = as_time(increment)
-    if increment == 0:
+    """Shared BFS: returns (timed states, texts, edges, parent links, hits).
+
+    ``time_bound`` None explores time-abstractly.  ``match`` maps a state to
+    its bindings, or None when the state is not a hit.
+    """
+    timed = time_bound is not None
+    if timed:
+        time_bound = as_time(time_bound)
+    durations = tuple(as_time(d) for d in durations)
+    if ZERO in durations:
         raise ModelError("the sampling increment must be positive")
-    if pattern is not None:
-        validate_pattern(pattern, system)
 
     initial = TimedState(system.initial_state(), ZERO)
     states: list[TimedState] = [initial]
@@ -206,24 +126,27 @@ def _explore(
     parents: list[Optional[tuple[int, str, Fraction]]] = [None]
     hits: list[tuple[int, dict[str, str]]] = []
 
-    if pattern is not None:
-        bindings = match(pattern, initial.state)
+    if match is not None:
+        bindings = match(initial.state)
         if bindings is not None:
             hits.append((0, bindings))
 
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
+    i = 0
+    while i < len(states):
         current = states[i]
-        moves: list[tuple[str, Any, Fraction]] = [
-            (label, succ, current.elapsed)
-            for label, succ in system.discrete_successors(current.state)
+        now = current.elapsed
+        # (label, successor, its elapsed time, edge duration)
+        moves: list[tuple[str, Any, Fraction, Fraction]] = [
+            (label, succ, now, ZERO) for label, succ in system.discrete_successors(current.state)
         ]
-        if current.elapsed + increment < time_bound:
-            after = system.timed_successor(current.state, increment)
+        for d in durations:
+            later = now + d if timed else now
+            if timed and later >= time_bound:
+                continue
+            after = system.timed_successor(current.state, d)
             if after is not None:
-                moves.append((TICK, after, current.elapsed + increment))
-        for label, succ, elapsed in moves:
+                moves.append((TICK, after, later, d))
+        for label, succ, elapsed, duration in moves:
             text = system.serialize(succ)
             key = (text, elapsed)
             j = index.get(key)
@@ -234,14 +157,13 @@ def _explore(
                 index[key] = j
                 states.append(TimedState(succ, elapsed))
                 texts.append(text)
-                duration = elapsed - current.elapsed
                 parents.append((i, label, duration))
-                if pattern is not None:
-                    bindings = match(pattern, succ)
+                if match is not None:
+                    bindings = match(succ)
                     if bindings is not None:
                         hits.append((j, bindings))
-                queue.append(j)
-            edges.append(KripkeEdge(i, j, label, elapsed - current.elapsed))
+            edges.append(KripkeEdge(i, j, label, duration))
+        i += 1
     return states, texts, edges, parents, hits
 
 
@@ -257,16 +179,17 @@ def _path_to(parents, texts, i: int) -> tuple[Step, ...]:
 
 def search(
     system: TimedTransitionSystem,
-    pattern: SearchPattern,
+    match: Callable[[Any], Optional[dict[str, str]]],
     time_bound: Fraction,
     increment: Fraction = Fraction(1),
     max_states: int = MAX_STATES,
 ) -> list[Solution]:
-    """All distinct reachable states matching ``pattern`` within the bound.
+    """All distinct reachable states within the bound that ``match`` maps to
+    bindings rather than None.
 
     Ordered by elapsed time, ties by discovery order.
     """
-    states, texts, _, parents, hits = _explore(system, time_bound, increment, pattern, max_states)
+    states, texts, _, parents, hits = _explore(system, (increment,), time_bound, match, max_states)
     solutions = [
         Solution(states[i].state, states[i].elapsed, texts[i], bindings, _path_to(parents, texts, i))
         for i, bindings in hits
@@ -275,14 +198,18 @@ def search(
     return solutions
 
 
-def build_kripke(
+def kripke_structure(
     system: TimedTransitionSystem,
-    time_bound: Fraction,
-    increment: Fraction = Fraction(1),
+    durations: Iterable[Fraction],
+    time_bound: Optional[Fraction],
     max_states: int = MAX_STATES,
 ) -> Kripke:
-    """Reachable timed states as a total Kripke structure."""
-    states, texts, edges, _, _ = _explore(system, time_bound, increment, None, max_states)
+    """Reachable states as a total, labeled Kripke structure.
+
+    Explores as :func:`_explore` does; deadlocked states get a zero-duration
+    stutter self-loop.
+    """
+    states, texts, edges, _, _ = _explore(system, durations, time_bound, None, max_states)
     with_out = {e.source for e in edges}
     for i in range(len(states)):
         if i not in with_out:
@@ -292,3 +219,14 @@ def build_kripke(
         frozenset(p for p in props if system.prop_holds(ts.state, p)) for ts in states
     ]
     return Kripke(states, texts, edges, labeling, props)
+
+
+def build_kripke(
+    system: TimedTransitionSystem,
+    time_bound: Fraction,
+    increment: Fraction = Fraction(1),
+    max_states: int = MAX_STATES,
+) -> Kripke:
+    """Reachable timed states, sampled every ``increment``, as a total Kripke
+    structure."""
+    return kripke_structure(system, (increment,), time_bound, max_states)

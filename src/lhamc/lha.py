@@ -17,8 +17,9 @@ from .core import (
     ModelError,
     TimedTransitionSystem,
     as_time,
+    json_objects,
+    json_shape,
     parse_rational,
-    rational_str,
 )
 
 RELATIONS = ("<", "<=", "=", ">=", ">")
@@ -119,6 +120,10 @@ class Lha:
             raise ModelError(f"unknown initial location {self.initial_location!r}")
         if set(self.initial_valuation) != declared:
             raise ModelError("initial valuation must cover exactly the declared variables")
+        # The endpoint-only invariant check in timed_successor is sound only
+        # for segments that start inside the invariant.
+        if not holds_all(by_name[self.initial_location].invariant, self.initial_valuation):
+            raise ModelError(f"initial valuation violates the invariant of location {self.initial_location!r}")
 
     def location_named(self, name: str) -> Location:
         for loc in self.locations:
@@ -205,7 +210,7 @@ def discrete_successors(lha: Lha, state: LhaState) -> list[tuple[str, LhaState]]
 
 
 def render_state(lha: Lha, state: LhaState) -> str:
-    values = ",".join(rational_str(state.valuation[v]) for v in lha.variables)
+    values = ",".join(str(state.valuation[v]) for v in lha.variables)
     return f"{state.location},{values}"
 
 
@@ -298,10 +303,11 @@ def _constraints_from_json(doc: Any, where: str) -> tuple[AffineConstraint, ...]
 
 def lha_from_json(doc: dict) -> Lha:
     try:
-        variables = tuple(str(v) for v in doc["variables"])
+        variables = tuple(str(v) for v in json_shape(doc["variables"], list, "variables"))
         locations = []
-        for loc in doc["locations"]:
-            rates = {str(v): parse_rational(r) for v, r in loc.get("rates", {}).items()}
+        for loc in json_objects(doc["locations"], "locations"):
+            rates = json_shape(loc.get("rates", {}), dict, "rates")
+            rates = {str(v): parse_rational(r) for v, r in rates.items()}
             locations.append(
                 Location(
                     str(loc["name"]),
@@ -311,10 +317,10 @@ def lha_from_json(doc: dict) -> Lha:
                 )
             )
         edges = []
-        for e in doc.get("edges", []):
+        for e in json_objects(doc.get("edges", []), "edges"):
             assignments = tuple(
                 Assignment(str(a["var"]), _expr_from_json(a["expr"]))
-                for a in e.get("assignments", [])
+                for a in json_objects(e.get("assignments", []), "assignments")
             )
             edges.append(
                 Edge(
@@ -325,8 +331,9 @@ def lha_from_json(doc: dict) -> Lha:
                     assignments,
                 )
             )
-        initial = doc["initial"]
-        valuation = {str(v): parse_rational(x) for v, x in initial["valuation"].items()}
+        initial = json_shape(doc["initial"], dict, "initial")
+        valuation = json_shape(initial["valuation"], dict, "initial valuation")
+        valuation = {str(v): parse_rational(x) for v, x in valuation.items()}
         return Lha(variables, tuple(locations), tuple(edges), str(initial["location"]), valuation)
     except KeyError as missing:
         raise ModelError(f"automaton document is missing {missing}") from None
@@ -334,8 +341,8 @@ def lha_from_json(doc: dict) -> Lha:
 
 def _expr_to_json(expr: AffineExpr) -> dict:
     return {
-        "coeffs": {v: rational_str(c) for v, c in sorted(expr.coeffs.items())},
-        "const": rational_str(expr.const),
+        "coeffs": {v: str(c) for v, c in sorted(expr.coeffs.items())},
+        "const": str(expr.const),
     }
 
 
@@ -350,7 +357,7 @@ def lha_to_json(lha: Lha) -> dict:
         "locations": [
             {
                 "name": loc.name,
-                "rates": {v: rational_str(r) for v, r in sorted(loc.rates.items())},
+                "rates": {v: str(r) for v, r in sorted(loc.rates.items())},
                 "invariant": _constraints_to_json(loc.invariant),
                 "tick_guard": _constraints_to_json(loc.tick_guard),
             }
@@ -370,6 +377,6 @@ def lha_to_json(lha: Lha) -> dict:
         ],
         "initial": {
             "location": lha.initial_location,
-            "valuation": {v: rational_str(x) for v, x in sorted(lha.initial_valuation.items())},
+            "valuation": {v: str(x) for v, x in sorted(lha.initial_valuation.items())},
         },
     }

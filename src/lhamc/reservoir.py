@@ -12,16 +12,17 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Optional
 
 from .core import (
     ModelError,
     ModelWarning,
     TimedTransitionSystem,
     as_time,
+    json_objects,
+    json_shape,
     monus,
     parse_rational,
-    rational_str,
 )
 
 PROPOSITIONS = frozenset({"one-down", "macondo"})
@@ -91,12 +92,6 @@ def fill(tank: Reservoir, rate: Fraction, t: Fraction) -> Reservoir:
     return replace(tank, level=tank.level + (rate - tank.leak) * t)
 
 
-def drain(tanks: Sequence[Reservoir], t: Fraction) -> tuple[Reservoir, ...]:
-    """Levels after t time units of unattended leaking, floored at zero."""
-    t = as_time(t)
-    return tuple(replace(r, level=monus(r.level, r.leak * t)) for r in tanks)
-
-
 def needs_refill(tanks: Iterable[Reservoir]) -> bool:
     return any(r.level <= r.lower for r in tanks)
 
@@ -104,7 +99,8 @@ def needs_refill(tanks: Iterable[Reservoir]) -> bool:
 def tick(state: NResState, t: Fraction) -> NResState | None:
     """Let t time units pass, or None if some unattended tank is already low.
 
-    A zero step always succeeds.
+    Unattended tanks leak, their levels floored at zero.  A zero step always
+    succeeds.
     """
     t = as_time(t)
     if t == 0:
@@ -151,13 +147,82 @@ def above_upper(state: NResState) -> tuple[int, ...]:
 
 
 def render_state(state: NResState) -> str:
-    parts = [f"hose({rational_str(state.hose.rate)},{state.hose.position})"]
+    parts = [f"hose({state.hose.rate},{state.hose.position})"]
     for r in state.reservoirs:
-        parts.append(
-            f"< {r.id} | thr:({rational_str(r.lower)},{rational_str(r.upper)}),"
-            f" hth: {rational_str(r.level)}, rte: {rational_str(r.leak)} >"
-        )
+        parts.append(f"< {r.id} | thr:({r.lower},{r.upper}), hth: {r.level}, rte: {r.leak} >")
     return " ".join(parts)
+
+
+@dataclass(frozen=True)
+class ReservoirPattern:
+    """Pin on one reservoir's level; None leaves the level free."""
+
+    level: Optional[Fraction] = None
+
+
+@dataclass(frozen=True)
+class SearchPattern:
+    """What to look for: optional hose position, per-reservoir level pins.
+
+    The empty pattern is the wildcard; it matches every state of every model.
+    Any reservoir-specific content restricts matching to reservoir models.
+    Calling a pattern on a state is :func:`match`, so a pattern is a search
+    predicate.
+    """
+
+    hose: Optional[int] = None
+    reservoirs: tuple[tuple[int, ReservoirPattern], ...] = ()
+
+    def is_wildcard(self) -> bool:
+        return self.hose is None and not self.reservoirs
+
+    def __call__(self, state: Any) -> Optional[dict[str, str]]:
+        return match(self, state)
+
+
+def _unconstrained_text(tank: Reservoir, pat: ReservoirPattern) -> str:
+    parts = [f"thr:({tank.lower},{tank.upper})"]
+    if pat.level is None:
+        parts.append(f"hth: {tank.level}")
+    parts.append(f"rte: {tank.leak}")
+    return ", ".join(parts)
+
+
+def match(pattern: SearchPattern, state: Any) -> Optional[dict[str, str]]:
+    """Bindings if ``state`` fits the pattern, else None.
+
+    The wildcard matches anything with empty bindings.  A reservoir-specific
+    pattern only applies to reservoir states; each listed reservoir binds
+    "R<id>" to the text of the attributes the pattern left unconstrained.
+    """
+    if pattern.is_wildcard():
+        return {}
+    if not isinstance(state, NResState):
+        raise ModelError("reservoir-specific patterns only apply to reservoir models")
+    if pattern.hose is not None and state.hose.position != pattern.hose:
+        return None
+    bindings: dict[str, str] = {}
+    for rid, pat in pattern.reservoirs:
+        tank = state.reservoir(rid)
+        if pat.level is not None and tank.level != pat.level:
+            return None
+        bindings[f"R{rid}"] = _unconstrained_text(tank, pat)
+    return bindings
+
+
+def validate_pattern(pattern: SearchPattern, system: TimedTransitionSystem) -> None:
+    """Reject patterns that can never apply to this model."""
+    if pattern.is_wildcard():
+        return
+    initial = system.initial_state()
+    if not isinstance(initial, NResState):
+        raise ModelError("reservoir-specific patterns only apply to reservoir models")
+    known = {r.id for r in initial.reservoirs}
+    if pattern.hose is not None and pattern.hose not in known:
+        raise ModelError(f"pattern mentions unknown reservoir id {pattern.hose}")
+    for rid, _ in pattern.reservoirs:
+        if rid not in known:
+            raise ModelError(f"pattern mentions unknown reservoir id {rid}")
 
 
 class NResSystem(TimedTransitionSystem):
@@ -172,8 +237,8 @@ class NResSystem(TimedTransitionSystem):
         total_leak = sum((r.leak for r in initial.reservoirs), Fraction(0))
         if total_leak != initial.hose.rate:
             warnings.warn(
-                f"total leak rate {rational_str(total_leak)} differs from hose rate "
-                f"{rational_str(initial.hose.rate)}; the system cannot stay balanced",
+                f"total leak rate {total_leak} differs from hose rate "
+                f"{initial.hose.rate}; the system cannot stay balanced",
                 ModelWarning,
                 stacklevel=2,
             )
@@ -199,13 +264,13 @@ class NResSystem(TimedTransitionSystem):
 
 def nres_from_json(doc: dict) -> NResState:
     try:
-        hose_doc = doc["hose"]
+        hose_doc = json_shape(doc["hose"], dict, "hose")
         position = hose_doc["position"]
         if not isinstance(position, int) or isinstance(position, bool):
             raise ModelError(f"hose position must be an integer id, got {position!r}")
         hose = Hose(parse_rational(hose_doc["rate"]), position)
         tanks = []
-        for r in doc["reservoirs"]:
+        for r in json_objects(doc["reservoirs"], "reservoirs"):
             rid = r["id"]
             if not isinstance(rid, int) or isinstance(rid, bool):
                 raise ModelError(f"reservoir id must be an integer, got {rid!r}")
@@ -226,14 +291,14 @@ def nres_from_json(doc: dict) -> NResState:
 def nres_to_json(state: NResState) -> dict:
     return {
         "kind": "nres",
-        "hose": {"rate": rational_str(state.hose.rate), "position": state.hose.position},
+        "hose": {"rate": str(state.hose.rate), "position": state.hose.position},
         "reservoirs": [
             {
                 "id": r.id,
-                "lower": rational_str(r.lower),
-                "upper": rational_str(r.upper),
-                "level": rational_str(r.level),
-                "leak": rational_str(r.leak),
+                "lower": str(r.lower),
+                "upper": str(r.upper),
+                "level": str(r.level),
+                "leak": str(r.leak),
             }
             for r in state.reservoirs
         ],

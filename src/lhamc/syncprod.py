@@ -13,15 +13,15 @@ from typing import Any, Iterable, Optional
 
 from .core import (
     ONE,
-    ZERO,
     ModelError,
     TimedTransitionSystem,
     as_time,
     check_prop_name,
+    json_objects,
+    json_shape,
     parse_rational,
-    rational_str,
 )
-from .explore import STUTTER, TICK, Kripke, KripkeEdge, TimedState
+from .explore import Kripke, kripke_structure
 
 Rule = tuple[str, Any, Any]  # (label, source, target)
 Tick = tuple[Any, Any, Fraction]  # (source, target, duration)
@@ -39,7 +39,8 @@ class Component(TimedTransitionSystem):
 
     ``ticks`` lists timed transitions (source, target, duration); at most one
     tick per (source, duration) pair so timed evolution stays deterministic.
-    A component with no ticks is simply untimed.
+    A component with no ticks is simply untimed.  Distinct states must
+    render as distinct text, since text is their identity in exploration.
     """
 
     def __init__(
@@ -56,6 +57,11 @@ class Component(TimedTransitionSystem):
         if len(set(self.states)) != len(self.states):
             raise ModelError("duplicate component states")
         member = set(self.states)
+        self._text = {s: render_component_state(s) for s in self.states}
+        by_text = {text: s for s, text in self._text.items()}
+        if len(by_text) != len(self.states):
+            clash = next(text for s, text in self._text.items() if by_text[text] != s)
+            raise ModelError(f"two component states render as {clash!r}")
         if initial not in member:
             raise ModelError(f"initial state {initial!r} is not a component state")
         self.initial = initial
@@ -88,7 +94,7 @@ class Component(TimedTransitionSystem):
 
     def discrete_successors(self, state: Any) -> list[tuple[str, Any]]:
         out = [(label, t) for label, s, t in self.rules if s == state]
-        out.sort(key=lambda lt: (lt[0], render_component_state(lt[1])))
+        out.sort(key=lambda lt: (lt[0], self._text[lt[1]]))
         return out
 
     def timed_successor(self, state: Any, delta: Fraction) -> Any | None:
@@ -107,7 +113,7 @@ class Component(TimedTransitionSystem):
             raise ModelError(f"unknown proposition {prop!r}") from None
 
     def serialize(self, state: Any) -> str:
-        return render_component_state(state)
+        return self._text[state]
 
     def propositions(self) -> frozenset[str]:
         return frozenset(self.props)
@@ -225,56 +231,27 @@ def safe_prop(component: Component) -> Component:
 def component_kripke(component: Component) -> Kripke:
     """Kripke structure over the component's reachable states.
 
-    Unlike timed exploration, elapsed time is not part of state identity:
-    ticks are ordinary edges annotated with their duration, so runs may loop
-    through them.  Deadlocked states get a stutter self-loop.
+    Time-abstract: ticks are ordinary edges annotated with their duration,
+    so runs may loop through them.  Deadlocked states get a stutter self-loop.
     """
-    initial = component.initial_state()
-    order: list[Any] = [initial]
-    index: dict[Any, int] = {initial: 0}
-    edges: list[KripkeEdge] = []
-    pos = 0
-    while pos < len(order):
-        state = order[pos]
-        moves: list[tuple[str, Any, Fraction]] = [
-            (label, target, ZERO) for label, target in component.discrete_successors(state)
-        ]
-        for d in component.tick_durations():
-            target = component.timed_successor(state, d)
-            if target is not None:
-                moves.append((TICK, target, d))
-        for label, target, duration in moves:
-            j = index.get(target)
-            if j is None:
-                j = len(order)
-                index[target] = j
-                order.append(target)
-            edges.append(KripkeEdge(pos, j, label, duration))
-        pos += 1
-    with_out = {e.source for e in edges}
-    for i in range(len(order)):
-        if i not in with_out:
-            edges.append(KripkeEdge(i, i, STUTTER, ZERO))
-    states = [TimedState(s, ZERO) for s in order]
-    texts = [component.serialize(s) for s in order]
-    props = component.propositions()
-    labeling = [
-        frozenset(p for p in props if component.prop_holds(s, p)) for s in order
-    ]
-    return Kripke(states, texts, edges, labeling, props)
+    return kripke_structure(component, component.tick_durations(), None)
 
 
 def component_from_json(doc: dict) -> Component:
     try:
-        states = [str(s) for s in doc["states"]]
+        states = [str(s) for s in json_shape(doc["states"], list, "states")]
         initial = str(doc["initial"])
         rules = [
-            (str(r["label"]), str(r["source"]), str(r["target"])) for r in doc.get("rules", [])
+            (str(r["label"]), str(r["source"]), str(r["target"]))
+            for r in json_objects(doc.get("rules", []), "rules")
         ]
-        props = {str(name): [str(s) for s in holds] for name, holds in doc.get("props", {}).items()}
+        props = {
+            str(name): [str(s) for s in json_shape(holds, list, f"proposition {name}")]
+            for name, holds in json_shape(doc.get("props", {}), dict, "props").items()
+        }
         ticks = [
             (str(t["source"]), str(t["target"]), parse_rational(t["duration"]))
-            for t in doc.get("ticks", [])
+            for t in json_objects(doc.get("ticks", []), "ticks")
         ]
     except KeyError as missing:
         raise ModelError(f"component document is missing {missing}") from None
@@ -302,7 +279,7 @@ def component_to_json(component: Component) -> dict:
             {
                 "source": render_component_state(s),
                 "target": render_component_state(t),
-                "duration": rational_str(d),
+                "duration": str(d),
             }
             for s, t, d in component.ticks
         ],

@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from lhamc.core import ZERO, ModelError
-from lhamc.explore import SearchPattern, build_kripke, search
+from lhamc.explore import build_kripke, search
 from lhamc.lha import LhaSystem, Location, flow, two_reservoir
 from lhamc.ltl import (
     Counterexample,
@@ -23,7 +23,7 @@ from lhamc.ltl import (
     parse_formula,
     validate_counterexample,
 )
-from lhamc.reservoir import Hose, NResState, NResSystem, Reservoir, tick
+from lhamc.reservoir import Hose, NResState, NResSystem, Reservoir, SearchPattern, tick
 from lhamc.syncprod import (
     Component,
     abstract_reservoir,

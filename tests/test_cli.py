@@ -8,9 +8,9 @@ import pytest
 
 from lhamc.cli import main, parse_pattern
 from lhamc.core import ModelError
-from lhamc.explore import ReservoirPattern, SearchPattern, build_kripke
+from lhamc.explore import build_kripke
 from lhamc.ltl import Counterexample, CounterexampleStep, parse_formula, validate_counterexample
-from lhamc.reservoir import NResSystem, nres_from_json
+from lhamc.reservoir import NResSystem, ReservoirPattern, SearchPattern, nres_from_json
 from lhamc.syncprod import component_from_json, component_kripke, rt_sync_product, safe_prop
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -357,6 +357,83 @@ class TestErrors:
         code = main(["product-check", "--left", INIT2, "--right", RES2, "--formula", "[] safe"])
         assert code == 2
         assert "component" in capsys.readouterr().err
+
+
+LHA_DOC = {
+    "kind": "lha",
+    "variables": ["x"],
+    "locations": [{"name": "l", "rates": {"x": "10"}}],
+    "initial": {"location": "l", "valuation": {"x": "0"}},
+}
+NRES_DOC = {
+    "kind": "nres",
+    "hose": {"rate": "10", "position": 0},
+    "reservoirs": [{"id": 0, "lower": "15", "upper": "50", "level": "30", "leak": "10"}],
+}
+COMPONENT_DOC = {
+    "kind": "component",
+    "states": ["a", "b"],
+    "initial": "a",
+    "rules": [{"label": "go", "source": "a", "target": "b"}],
+    "ticks": [{"source": "a", "target": "b", "duration": "1"}],
+}
+AT_LEAST_5 = [{"expr": {"coeffs": {"x": "1"}, "const": "-5"}, "rel": ">="}]
+
+
+def write_doc(path: Path, doc: dict) -> str:
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+class TestMalformedModels:
+    def test_well_formed_documents_load(self, tmp_path, capsys):
+        for i, doc in enumerate((LHA_DOC, NRES_DOC, COMPONENT_DOC)):
+            path = write_doc(tmp_path / f"doc{i}.json", doc)
+            assert main(["simulate", "--model", path, "--time-bound", "3"]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {**LHA_DOC, "locations": ["a"]},
+            {**LHA_DOC, "initial": "l"},
+            {**LHA_DOC, "locations": [{"name": "l", "rates": {"x": "10"}, "invariant": AT_LEAST_5}]},
+            {**NRES_DOC, "reservoirs": {"a": 1}},
+            {**NRES_DOC, "hose": 10},
+            {**COMPONENT_DOC, "rules": [1]},
+            {**COMPONENT_DOC, "states": "ab"},
+            {**COMPONENT_DOC, "ticks": ["t"]},
+        ],
+    )
+    def test_exit_two_with_one_error_line(self, tmp_path, capsys, doc):
+        path = write_doc(tmp_path / "bad.json", doc)
+        assert main(["simulate", "--model", path, "--time-bound", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:")
+
+    def test_product_states_rendering_alike(self, tmp_path, capsys):
+        left = write_doc(tmp_path / "left.json", {
+            "kind": "component",
+            "states": ["a,b", "a"],
+            "initial": "a,b",
+            "rules": [{"label": "go1", "source": "a,b", "target": "a"}],
+            "props": {"p": ["a"]},
+        })
+        right = write_doc(tmp_path / "right.json", {
+            "kind": "component",
+            "states": ["c", "b,c"],
+            "initial": "c",
+            "rules": [{"label": "go2", "source": "c", "target": "b,c"}],
+            "props": {"q": ["b,c"]},
+        })
+        code = main(["product-check", "--left", left, "--right", right, "--formula", "[] ~ (p /\\ ~ q)"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:")
 
 
 class TestModuleInvocation:

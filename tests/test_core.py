@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from lhamc.core import ModelError, as_time, monus, parse_rational, rational_str
+from lhamc.core import ModelError, as_time, monus, parse_rational
 
 
 class TestParseRational:
@@ -30,7 +30,7 @@ class TestParseRational:
         rng = random.Random(20260814)
         for _ in range(300):
             value = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
-            assert parse_rational(rational_str(value)) == value
+            assert parse_rational(str(value)) == value
 
 
 class TestMonus:

@@ -3,14 +3,9 @@ from fractions import Fraction
 import pytest
 
 from lhamc.core import ModelError
-from lhamc.explore import (
-    ReservoirPattern,
-    SearchPattern,
-    build_kripke,
-    match,
-    search,
-)
+from lhamc.explore import build_kripke, search
 from lhamc.lha import LhaSystem, two_reservoir
+from lhamc.reservoir import ReservoirPattern, SearchPattern, match
 from lhamc.syncprod import Component
 
 F = Fraction

@@ -195,3 +195,8 @@ class TestValidation:
     def test_initial_valuation_must_cover_variables(self):
         with pytest.raises(ModelError):
             Lha(("x", "y"), (Location("a", {}),), (), "a", val(x=0))
+
+    def test_initial_valuation_must_satisfy_the_invariant(self):
+        at_least_5 = AffineConstraint(AffineExpr.make({"x": 1}, -5), ">=")
+        with pytest.raises(ModelError):
+            Lha(("x",), (Location("l", {"x": F(10)}, invariant=(at_least_5,)),), (), "l", val(x=0))

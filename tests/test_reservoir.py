@@ -10,7 +10,6 @@ from lhamc.reservoir import (
     NResSystem,
     Reservoir,
     above_upper,
-    drain,
     fill,
     move_hose_successors,
     needs_refill,
@@ -42,9 +41,9 @@ class TestFillDrain:
             fill(tank(0, 30, leak=12), F(10), F(1))
 
     def test_drain_saturates_at_zero(self):
-        tanks = (tank(0, 3), tank(1, 30))
-        drained = drain(tanks, F(1))
-        assert [r.level for r in drained] == [F(0), F(25)]
+        start = NResState.make(Hose(F(10), 1), [tank(0, 3, lower=0), tank(1, 30)])
+        after = tick(start, F(1))
+        assert [r.level for r in after.reservoirs] == [F(0), F(35)]
 
     def test_needs_refill_at_the_threshold(self):
         assert needs_refill([tank(0, 15)])

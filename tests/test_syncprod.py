@@ -95,6 +95,7 @@ class TestComponent:
                 props={},
                 ticks=(("a", "b", Fraction(1)), ("a", "a", Fraction(1))),
             ),
+            dict(states=(("a", "b"), "< a,b >"), initial="< a,b >", rules=(), props={}),
         ],
     )
     def test_validation_errors(self, kwargs):
@@ -191,6 +192,14 @@ class TestSyncProduct:
         )
         p = rt_sync_product(slow, fast)
         assert p.ticks == ()
+
+
+    def test_product_states_must_render_distinctly(self):
+        # ("a,b", "c") and ("a", "b,c") would both be the state "< a,b,c >"
+        left = Component(("a,b", "a"), "a,b", (("go1", "a,b", "a"),), props={"p": ("a",)})
+        right = Component(("c", "b,c"), "c", (("go2", "c", "b,c"),), props={"q": ("b,c",)})
+        with pytest.raises(ModelError, match="two component states render as"):
+            sync_product(left, right)
 
 
 class TestSafeProp:
