@@ -11,6 +11,7 @@ import argparse
 import json
 import re
 import sys
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional
@@ -330,14 +331,24 @@ def run(config: RunConfig) -> int:
     raise ModelError(f"unknown command {config.command!r}")
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return run(config_from_args(args))
-    except (ModelError, OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            return run(config_from_args(args))
+        except (ModelError, OSError, ValueError) as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
+        except RecursionError:
+            # deeply nested formulas and JSON documents
+            print("error: input nests too deeply", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -124,12 +124,13 @@ class Lha:
         # for segments that start inside the invariant.
         if not holds_all(by_name[self.initial_location].invariant, self.initial_valuation):
             raise ModelError(f"initial valuation violates the invariant of location {self.initial_location!r}")
+        object.__setattr__(self, "_by_name", by_name)  # not a field: no part of eq or hash
 
     def location_named(self, name: str) -> Location:
-        for loc in self.locations:
-            if loc.name == name:
-                return loc
-        raise ModelError(f"unknown location {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise ModelError(f"unknown location {name!r}") from None
 
 
 def eval_affine(expr: AffineExpr, valuation: Mapping[str, Fraction]) -> Fraction:

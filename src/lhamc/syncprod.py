@@ -77,15 +77,21 @@ class Component(TimedTransitionSystem):
                 raise ModelError(f"proposition {name!r} marks unknown states")
             self.props[name] = holds
         self.ticks = tuple((s, t, as_time(d)) for s, t, d in ticks)
-        seen_ticks = set()
+        # successor indexes, so that a state's successors cost its out-degree
+        self._tick_target: dict[tuple[Any, Fraction], Any] = {}
         for s, t, d in self.ticks:
             if s not in member or t not in member:
                 raise ModelError("tick uses unknown states")
             if d == 0:
                 raise ModelError("tick durations must be positive")
-            if (s, d) in seen_ticks:
+            if (s, d) in self._tick_target:
                 raise ModelError(f"two ticks of duration {d} from state {s!r}")
-            seen_ticks.add((s, d))
+            self._tick_target[s, d] = t
+        self._moves: dict[Any, list[tuple[str, Any]]] = {s: [] for s in self.states}
+        for label, s, t in self.rules:
+            self._moves[s].append((label, t))
+        for moves in self._moves.values():
+            moves.sort(key=lambda lt: (lt[0], self._text[lt[1]]))
 
     # model contract
 
@@ -93,18 +99,13 @@ class Component(TimedTransitionSystem):
         return self.initial
 
     def discrete_successors(self, state: Any) -> list[tuple[str, Any]]:
-        out = [(label, t) for label, s, t in self.rules if s == state]
-        out.sort(key=lambda lt: (lt[0], self._text[lt[1]]))
-        return out
+        return list(self._moves.get(state, ()))
 
     def timed_successor(self, state: Any, delta: Fraction) -> Any | None:
         delta = as_time(delta)
         if delta == 0:
             return state
-        for s, t, d in self.ticks:
-            if s == state and d == delta:
-                return t
-        return None
+        return self._tick_target.get((state, delta))
 
     def prop_holds(self, state: Any, prop: str) -> bool:
         try:
@@ -143,24 +144,28 @@ def _product_core(c1: Component, c2: Component) -> tuple[list, Any, list[Rule], 
         for s2 in c2.states
         if compatible(c1, s1, c2, s2, shared_props)
     ]
+    member = set(states)
     initial = (c1.initial, c2.initial)
-    if initial not in set(states):
+    if initial not in member:
         raise ModelError("the initial states disagree on a shared proposition")
 
-    shared_labels = {l for l, _, _ in c1.rules} & {l for l, _, _ in c2.rules}
-    member = set(states)
+    # a label on both sides is shared: its rules fire jointly
+    right_by_label: dict[str, list[Rule]] = {}
+    for rule in c2.rules:
+        right_by_label.setdefault(rule[0], []).append(rule)
+    left_labels = {l for l, _, _ in c1.rules}
     rules: list[Rule] = []
     for label, s1, t1 in c1.rules:
-        if label in shared_labels:
-            for label2, s2, t2 in c2.rules:
-                if label2 == label and (s1, s2) in member and (t1, t2) in member:
+        if label in right_by_label:
+            for _, s2, t2 in right_by_label[label]:
+                if (s1, s2) in member and (t1, t2) in member:
                     rules.append((label, (s1, s2), (t1, t2)))
         else:
             for s2 in c2.states:
                 if (s1, s2) in member and (t1, s2) in member:
                     rules.append((label, (s1, s2), (t1, s2)))
     for label, s2, t2 in c2.rules:
-        if label not in shared_labels:
+        if label not in left_labels:
             for s1 in c1.states:
                 if (s1, s2) in member and (s1, t2) in member:
                     rules.append((label, (s1, s2), (s1, t2)))

@@ -358,6 +358,22 @@ class TestErrors:
         assert code == 2
         assert "component" in capsys.readouterr().err
 
+    def test_deeply_nested_formula(self, capsys):
+        formula = "X " * 3000 + "safe"
+        code = main(["product-check", "--left", RES1, "--right", RES2, "--formula", formula])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "error: input nests too deeply\n"
+
+    def test_deeply_nested_document(self, tmp_path, capsys):
+        doc = tmp_path / "deep.json"
+        doc.write_text('{"kind": "component", "states": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+        assert main(["simulate", "--model", str(doc), "--time-bound", "4"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: input nests too deeply\n"
+
 
 LHA_DOC = {
     "kind": "lha",
@@ -458,3 +474,11 @@ class TestModuleInvocation:
     def test_missing_time_bound_is_usage_error(self):
         done = self.run_module("search", "--model", INIT2)
         assert done.returncode == 2
+
+    def test_model_warning_is_one_line_before_the_error(self):
+        done = self.run_module("search", "--model", INIT2, "--time-bound", "5", "--pattern", "hose=9")
+        assert done.returncode == 2
+        assert done.stderr == (
+            "warning: total leak rate 15 differs from hose rate 10; the system cannot stay balanced\n"
+            "error: pattern mentions unknown reservoir id 9\n"
+        )

@@ -73,6 +73,12 @@ class TestTwoReservoir:
         right = lha.location_named("right")
         assert right.rates == {"x1": F(-5), "x2": F(5)}
 
+    def test_unknown_location_name(self):
+        lha = two_reservoir(10, 5, 5, 15, 15, 30, 30)
+        with pytest.raises(ModelError, match="unknown location 'middle'"):
+            lha.location_named("middle")
+        assert lha == two_reservoir(10, 5, 5, 15, 15, 30, 30)
+
     def test_timed_step_one_unit(self):
         # hand-computed: filling tank 1 at 10-5 while tank 2 leaks 5
         lha = two_reservoir(10, 5, 5, 15, 15, 30, 30)

@@ -1,9 +1,12 @@
+import random
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from lhamc.core import ModelError
-from lhamc.explore import STUTTER, TICK
+from lhamc.explore import STUTTER, TICK, kripke_structure
 from lhamc.ltl import (
     Counterexample,
     CounterexampleStep,
@@ -286,3 +289,129 @@ class TestJson:
         doc["ticks"][0]["duration"] = "1/0"
         with pytest.raises(Exception):
             component_from_json(doc)
+
+
+# The successor indexes against a scan over every rule and tick.
+
+DURATIONS = (Fraction(1), Fraction(1, 2), Fraction(3))
+
+
+def random_component(rng: random.Random, name: str) -> Component:
+    """1-6 states, labels partly shared with other components, some ticks.
+
+    The shared proposition ``p`` never holds initially, so any two of these
+    components have compatible initial states.
+    """
+    states = [f"{name}{i}" for i in range(rng.randint(1, 6))]
+    initial = rng.choice(states)
+    labels = ["a", "b", f"own{name}"]
+    rules = [
+        (rng.choice(labels), rng.choice(states), rng.choice(states))
+        for _ in range(rng.randint(0, 10))
+    ]
+    props = {
+        "p": [s for s in states if s != initial and rng.random() < 0.5],
+        f"q{name}": [s for s in states if rng.random() < 0.5],
+    }
+    ticks = [
+        (s, rng.choice(states), d)
+        for s in states
+        for d in DURATIONS[:2]
+        if rng.random() < 0.4
+    ]
+    return Component(states, initial, rules, props, ticks)
+
+
+def scanned_successors(c: Component, state) -> list:
+    out = [(label, t) for label, s, t in c.rules if s == state]
+    out.sort(key=lambda lt: (lt[0], c.serialize(lt[1])))
+    return out
+
+
+def scanned_tick(c: Component, state, delta: Fraction):
+    if delta == 0:
+        return state
+    for s, t, d in c.ticks:
+        if s == state and d == delta:
+            return t
+    return None
+
+
+class Scanned(Component):
+    """A component whose successors are found by scanning rules and ticks."""
+
+    def discrete_successors(self, state):
+        return scanned_successors(self, state)
+
+    def timed_successor(self, state, delta):
+        return scanned_tick(self, state, delta)
+
+
+def defined_rules(c1: Component, c2: Component, states: list) -> Counter:
+    """Product rules as the definition states them: joint steps on shared
+    labels, interleaving on the rest, both endpoints in the product."""
+    member = set(states)
+    shared = {l for l, _, _ in c1.rules} & {l for l, _, _ in c2.rules}
+    rules = [
+        (l1, (s1, s2), (t1, t2))
+        for l1, s1, t1 in c1.rules
+        for l2, s2, t2 in c2.rules
+        if l1 == l2 and l1 in shared
+    ]
+    rules += [(l, (s1, s2), (t1, s2)) for l, s1, t1 in c1.rules if l not in shared for s2 in c2.states]
+    rules += [(l, (s1, s2), (s1, t2)) for l, s2, t2 in c2.rules if l not in shared for s1 in c1.states]
+    return Counter(r for r in rules if r[1] in member and r[2] in member)
+
+
+def random_components(seed: int) -> list[Component]:
+    rng = random.Random(seed)
+    left, right = random_component(rng, "x"), random_component(rng, "y")
+    return [left, right, sync_product(left, right), rt_sync_product(left, right)]
+
+
+class TestSuccessorIndexes:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_lookups_match_a_scan(self, seed):
+        for c in random_components(seed):
+            for state in c.states:
+                assert c.discrete_successors(state) == scanned_successors(c, state)
+                for d in (Fraction(0), *DURATIONS):
+                    assert c.timed_successor(state, d) == scanned_tick(c, state, d)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_products_pair_rules_as_defined(self, seed):
+        left, right, untimed, timed = random_components(seed)
+        for product in (untimed, timed):
+            assert Counter(product.rules) == defined_rules(left, right, list(product.states))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_kripke_matches_the_scanned_kripke(self, seed):
+        for c in random_components(seed):
+            got = component_kripke(c)
+            scanned = Scanned(c.states, c.initial, c.rules, c.props, c.ticks)
+            want = kripke_structure(scanned, c.tick_durations(), None)
+            assert got.texts == want.texts
+            assert got.edges == want.edges
+            assert got.labeling == want.labeling
+
+    def test_the_returned_successor_list_is_fresh(self):
+        c = Component(("a", "b"), "a", (("go", "a", "b"),), props={})
+        c.discrete_successors("a").clear()
+        assert c.discrete_successors("a") == [("go", "b")]
+
+
+PRODUCT_BUDGET_SECONDS = 10.0
+
+
+class TestScaling:
+    def test_twelve_fold_product_checks_within_budget(self):
+        started = time.perf_counter()
+        product = abstract_reservoir(1)
+        for i in range(2, 13):
+            product = rt_sync_product(product, abstract_reservoir(i))
+        kripke = component_kripke(safe_prop(product))
+        ce = model_check(kripke, parse_formula("[] <> safe"))
+        took = time.perf_counter() - started
+        assert len(kripke) == 4096
+        assert ce is None
+        assert took < PRODUCT_BUDGET_SECONDS
