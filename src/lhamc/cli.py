@@ -12,11 +12,10 @@ import json
 import re
 import sys
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional
 
-from .core import ONE, ModelError, TimedTransitionSystem, as_time, parse_rational
+from .core import ModelError, TimedTransitionSystem, as_time, parse_rational
 from .explore import build_kripke, search
 from .lha import LhaSystem, lha_from_json
 from .ltl import Counterexample, model_check, parse_formula
@@ -35,22 +34,7 @@ from .syncprod import (
     component_kripke,
     rt_sync_product,
     safe_prop,
-    sync_product,
 )
-
-
-@dataclass
-class RunConfig:
-    command: str
-    model: Optional[str] = None
-    left: Optional[str] = None
-    right: Optional[str] = None
-    formula: Optional[str] = None
-    pattern: str = "*"
-    time_bound: Fraction = ONE
-    increment: Fraction = ONE
-    expect_none: bool = False
-    format: str = "text"
 
 
 def load_model(path: str) -> TimedTransitionSystem:
@@ -121,23 +105,33 @@ def _state_line(system: TimedTransitionSystem, state: Any, elapsed: Fraction) ->
     return line
 
 
-def run_simulate(config: RunConfig) -> int:
-    system = load_model(config.model)
+def _sampling(args: argparse.Namespace) -> tuple[Fraction, Fraction]:
+    """The time bound and the sampling increment of a timed subcommand."""
+    time_bound = as_time(args.time_bound)
+    increment = as_time(args.increment)
+    if increment == 0:
+        raise ModelError("the sampling increment must be positive")
+    return time_bound, increment
+
+
+def run_simulate(args: argparse.Namespace) -> int:
+    time_bound, increment = _sampling(args)
+    system = load_model(args.model)
     state = system.initial_state()
     elapsed = Fraction(0)
     trace: list[tuple[Any, Fraction]] = [(state, elapsed)]
     while True:
-        if elapsed + config.increment >= config.time_bound:
+        if elapsed + increment >= time_bound:
             stopped = "bound"
             break
-        succ = system.timed_successor(state, config.increment)
+        succ = system.timed_successor(state, increment)
         if succ is None:
             stopped = "blocked"
             break
         state = succ
-        elapsed = elapsed + config.increment
+        elapsed = elapsed + increment
         trace.append((state, elapsed))
-    if config.format == "json":
+    if args.format == "json":
         entries = []
         for s, t in trace:
             entry: dict[str, Any] = {
@@ -159,12 +153,13 @@ def run_simulate(config: RunConfig) -> int:
     return 0
 
 
-def run_search(config: RunConfig) -> int:
-    system = load_model(config.model)
-    pattern = parse_pattern(config.pattern)
+def run_search(args: argparse.Namespace) -> int:
+    time_bound, increment = _sampling(args)
+    system = load_model(args.model)
+    pattern = parse_pattern(args.pattern)
     validate_pattern(pattern, system)
-    solutions = search(system, pattern, config.time_bound, config.increment)
-    if config.format == "json":
+    solutions = search(system, pattern, time_bound, increment)
+    if args.format == "json":
         print(json.dumps({"kind": "search", "count": len(solutions), "solutions": [
             {
                 "state": sol.text,
@@ -188,7 +183,7 @@ def run_search(config: RunConfig) -> int:
                     print(f"{key} --> {sol.bindings[key]}")
             print("No more solutions")
     found = bool(solutions)
-    if config.expect_none:
+    if args.expect_none:
         return 1 if found else 0
     return 0 if found else 1
 
@@ -217,8 +212,8 @@ def _ce_json(ce: Counterexample) -> dict:
     return {"prefix": block(ce.prefix), "cycle": block(ce.cycle)}
 
 
-def _report_check(ce: Optional[Counterexample], config: RunConfig, timed: bool) -> int:
-    if config.format == "json":
+def _report_check(ce: Optional[Counterexample], args: argparse.Namespace, timed: bool) -> int:
+    if args.format == "json":
         doc: dict[str, Any] = {"kind": "check", "holds": ce is None}
         if ce is not None:
             doc["counterexample"] = _ce_json(ce)
@@ -232,12 +227,13 @@ def _report_check(ce: Optional[Counterexample], config: RunConfig, timed: bool) 
     return 0 if ce is None else 1
 
 
-def run_check(config: RunConfig) -> int:
-    system = load_model(config.model)
-    formula = parse_formula(config.formula)
-    kripke = build_kripke(system, config.time_bound, config.increment)
+def run_check(args: argparse.Namespace) -> int:
+    time_bound, increment = _sampling(args)
+    system = load_model(args.model)
+    formula = parse_formula(args.formula)
+    kripke = build_kripke(system, time_bound, increment)
     ce = model_check(kripke, formula)
-    return _report_check(ce, config, timed=True)
+    return _report_check(ce, args, timed=True)
 
 
 def _load_component(path: str) -> Component:
@@ -247,20 +243,18 @@ def _load_component(path: str) -> Component:
     return system
 
 
-def run_product_check(config: RunConfig) -> int:
-    left = _load_component(config.left)
-    right = _load_component(config.right)
-    if left.ticks and right.ticks:
-        product = rt_sync_product(left, right)
-    else:
-        product = sync_product(left, right)
+def run_product_check(args: argparse.Namespace) -> int:
+    left = _load_component(args.left)
+    right = _load_component(args.right)
+    # when either side has no ticks none pair up, and this equals sync_product
+    product = rt_sync_product(left, right)
     refills = [p for p in product.props if p.startswith("refill") and p.endswith("?")]
     if refills and "safe" not in product.props:
         product = safe_prop(product)
-    formula = parse_formula(config.formula)
+    formula = parse_formula(args.formula)
     kripke = component_kripke(product)
     ce = model_check(kripke, formula)
-    return _report_check(ce, config, timed=False)
+    return _report_check(ce, args, timed=False)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -277,58 +271,30 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("simulate", help="deterministic tick-only trace")
+    p.set_defaults(handler=run_simulate)
     p.add_argument("--model", required=True)
     add_shared(p, with_time=True)
 
     p = sub.add_parser("search", help="reachable states matching a pattern")
+    p.set_defaults(handler=run_search)
     p.add_argument("--model", required=True)
     p.add_argument("--pattern", default="*", help="'*', 'hose=N', 'R<id>.hth=<rational or *>'")
     p.add_argument("--expect-none", action="store_true", help="succeed only if nothing matches")
     add_shared(p, with_time=True)
 
     p = sub.add_parser("check", help="LTL model check of one model")
+    p.set_defaults(handler=run_check)
     p.add_argument("--model", required=True)
     p.add_argument("--formula", required=True)
     add_shared(p, with_time=True)
 
     p = sub.add_parser("product-check", help="LTL model check of a synchronous product")
+    p.set_defaults(handler=run_product_check)
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--formula", required=True)
     add_shared(p, with_time=False)
     return parser
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command, format=args.format)
-    if args.command in ("simulate", "search", "check"):
-        config.model = args.model
-        config.time_bound = as_time(args.time_bound)
-        config.increment = as_time(args.increment)
-        if config.increment == 0:
-            raise ModelError("the sampling increment must be positive")
-    if args.command == "search":
-        config.pattern = args.pattern
-        config.expect_none = args.expect_none
-    if args.command == "check":
-        config.formula = args.formula
-    if args.command == "product-check":
-        config.left = args.left
-        config.right = args.right
-        config.formula = args.formula
-    return config
-
-
-def run(config: RunConfig) -> int:
-    if config.command == "simulate":
-        return run_simulate(config)
-    if config.command == "search":
-        return run_search(config)
-    if config.command == "check":
-        return run_check(config)
-    if config.command == "product-check":
-        return run_product_check(config)
-    raise ModelError(f"unknown command {config.command!r}")
 
 
 def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
@@ -341,7 +307,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     with warnings.catch_warnings():
         warnings.showwarning = _print_warning
         try:
-            return run(config_from_args(args))
+            return args.handler(args)
         except (ModelError, OSError, ValueError) as err:
             print(f"error: {err}", file=sys.stderr)
             return 2

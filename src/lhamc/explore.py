@@ -10,7 +10,7 @@ through them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Optional
 
@@ -35,6 +35,11 @@ class Step:
     text: str
 
 
+# A state's link to the initial state: (parent's link, label, duration, text),
+# or None for the initial state itself.
+Link = Optional[tuple]
+
+
 @dataclass
 class Solution:
     """A state the search predicate accepted, with how it was reached."""
@@ -43,7 +48,18 @@ class Solution:
     elapsed: Fraction
     text: str
     bindings: dict[str, str]
-    path: tuple[Step, ...]
+    link: Link = field(repr=False, compare=False)
+
+    @property
+    def path(self) -> tuple[Step, ...]:
+        """The steps from the initial state, built afresh on every read."""
+        steps = []
+        link = self.link
+        while link is not None:
+            link, label, duration, text = link
+            steps.append(Step(label, duration, text))
+        steps.reverse()
+        return tuple(steps)
 
 
 @dataclass(frozen=True)
@@ -103,13 +119,12 @@ def _explore(
     system: TimedTransitionSystem,
     durations: Iterable[Fraction],
     time_bound: Optional[Fraction],
-    match: Optional[Callable[[Any], Optional[dict[str, str]]]],
     max_states: int,
 ):
-    """Shared BFS: returns (timed states, texts, edges, parent links, hits).
+    """Shared BFS: returns (timed states, texts, edges, links), each list in
+    discovery order.
 
-    ``time_bound`` None explores time-abstractly.  ``match`` maps a state to
-    its bindings, or None when the state is not a hit.
+    ``time_bound`` None explores time-abstractly.
     """
     timed = time_bound is not None
     if timed:
@@ -123,13 +138,7 @@ def _explore(
     texts: list[str] = [system.serialize(initial.state)]
     index: dict[tuple[str, Fraction], int] = {(texts[0], ZERO): 0}
     edges: list[KripkeEdge] = []
-    parents: list[Optional[tuple[int, str, Fraction]]] = [None]
-    hits: list[tuple[int, dict[str, str]]] = []
-
-    if match is not None:
-        bindings = match(initial.state)
-        if bindings is not None:
-            hits.append((0, bindings))
+    links: list[Link] = [None]
 
     i = 0
     while i < len(states):
@@ -157,24 +166,10 @@ def _explore(
                 index[key] = j
                 states.append(TimedState(succ, elapsed))
                 texts.append(text)
-                parents.append((i, label, duration))
-                if match is not None:
-                    bindings = match(succ)
-                    if bindings is not None:
-                        hits.append((j, bindings))
+                links.append((links[i], label, duration, text))
             edges.append(KripkeEdge(i, j, label, duration))
         i += 1
-    return states, texts, edges, parents, hits
-
-
-def _path_to(parents, texts, i: int) -> tuple[Step, ...]:
-    steps = []
-    while parents[i] is not None:
-        parent, label, duration = parents[i]
-        steps.append(Step(label, duration, texts[i]))
-        i = parent
-    steps.reverse()
-    return tuple(steps)
+    return states, texts, edges, links
 
 
 def search(
@@ -189,11 +184,12 @@ def search(
 
     Ordered by elapsed time, ties by discovery order.
     """
-    states, texts, _, parents, hits = _explore(system, (increment,), time_bound, match, max_states)
-    solutions = [
-        Solution(states[i].state, states[i].elapsed, texts[i], bindings, _path_to(parents, texts, i))
-        for i, bindings in hits
-    ]
+    states, texts, _, links = _explore(system, (increment,), time_bound, max_states)
+    solutions = []
+    for ts, text, link in zip(states, texts, links):
+        bindings = match(ts.state)
+        if bindings is not None:
+            solutions.append(Solution(ts.state, ts.elapsed, text, bindings, link))
     solutions.sort(key=lambda s: s.elapsed)  # stable: discovery order within a time
     return solutions
 
@@ -209,7 +205,7 @@ def kripke_structure(
     Explores as :func:`_explore` does; deadlocked states get a zero-duration
     stutter self-loop.
     """
-    states, texts, edges, _, _ = _explore(system, durations, time_bound, None, max_states)
+    states, texts, edges, _ = _explore(system, durations, time_bound, max_states)
     with_out = {e.source for e in edges}
     for i in range(len(states)):
         if i not in with_out:

@@ -215,7 +215,10 @@ def parse_formula(text: str) -> Formula:
     if not tokens:
         raise ModelError("empty formula")
     parser = _Parser(tokens)
-    formula = parser.implication()
+    try:
+        formula = parser.implication()
+    except RecursionError:
+        raise ModelError("input nests too deeply") from None
     if parser.pos != len(tokens):
         raise ModelError(f"trailing input after formula: {tokens[parser.pos][1]!r}")
     return formula

@@ -6,12 +6,24 @@ from pathlib import Path
 
 import pytest
 
-from lhamc.cli import main, parse_pattern
+from lhamc.cli import format_counterexample, main, parse_pattern
 from lhamc.core import ModelError
 from lhamc.explore import build_kripke
-from lhamc.ltl import Counterexample, CounterexampleStep, parse_formula, validate_counterexample
+from lhamc.ltl import (
+    Counterexample,
+    CounterexampleStep,
+    model_check,
+    parse_formula,
+    validate_counterexample,
+)
 from lhamc.reservoir import NResSystem, ReservoirPattern, SearchPattern, nres_from_json
-from lhamc.syncprod import component_from_json, component_kripke, rt_sync_product, safe_prop
+from lhamc.syncprod import (
+    component_from_json,
+    component_kripke,
+    rt_sync_product,
+    safe_prop,
+    sync_product,
+)
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 INIT2 = str(MODELS / "init2.json")
@@ -271,6 +283,31 @@ class TestProductCheck:
         )
         assert capsys.readouterr().out == "Result Bool :\n  true\n"
         assert code == 0
+
+    @pytest.mark.parametrize("formula", ["[] ~ busy", "[] safe"])
+    def test_untimed_operand_gives_the_untimed_product(self, tmp_path, capsys, formula):
+        pump = {
+            "kind": "component",
+            "states": ["idle", "busy"],
+            "initial": "idle",
+            "rules": [
+                {"label": "start", "source": "idle", "target": "busy"},
+                {"label": "fill1", "source": "busy", "target": "idle"},
+            ],
+            "props": {"busy": ["busy"]},
+        }
+        right = tmp_path / "pump.json"
+        right.write_text(json.dumps(pump), encoding="utf-8")
+        code = main(["product-check", "--left", RES1, "--right", str(right), "--formula", formula])
+        out = capsys.readouterr().out
+        with open(RES1, encoding="utf-8") as fh:
+            left = component_from_json(json.load(fh))
+        kripke = component_kripke(safe_prop(sync_product(left, component_from_json(pump))))
+        ce = model_check(kripke, parse_formula(formula))
+        if ce is None:
+            assert (code, out) == (0, "Result Bool :\n  true\n")
+        else:
+            assert (code, out) == (1, format_counterexample(ce, False) + "\n")
 
     def test_json_counterexample_replays(self, capsys):
         code = main(

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,26 @@ from lhamc.syncprod import Component
 F = Fraction
 
 WILD = SearchPattern()
+
+
+def replay(system, sol) -> None:
+    """Step a solution's path through the model and check where it ends."""
+    current = system.initial_state()
+    elapsed = F(0)
+    for step in sol.path:
+        if step.label == "tick":
+            current = system.timed_successor(current, step.duration)
+            elapsed += step.duration
+        else:
+            targets = [
+                s for label, s in system.discrete_successors(current)
+                if label == step.label and system.serialize(s) == step.text
+            ]
+            assert len(targets) == 1
+            current = targets[0]
+        assert system.serialize(current) == step.text
+    assert system.serialize(current) == sol.text
+    assert elapsed == sol.elapsed
 
 
 def pattern(hose=None, **levels) -> SearchPattern:
@@ -53,22 +74,24 @@ class TestSearch:
 
     def test_paths_replay(self, init2_system):
         for sol in search(init2_system, WILD, F(5), F(1)):
-            current = init2_system.initial_state()
-            elapsed = F(0)
-            for step in sol.path:
-                if step.label == "tick":
-                    current = init2_system.timed_successor(current, step.duration)
-                    elapsed += step.duration
-                else:
-                    targets = [
-                        s for label, s in init2_system.discrete_successors(current)
-                        if label == step.label and init2_system.serialize(s) == step.text
-                    ]
-                    assert len(targets) == 1
-                    current = targets[0]
-                assert init2_system.serialize(current) == step.text
-            assert init2_system.serialize(current) == sol.text
-            assert elapsed == sol.elapsed
+            replay(init2_system, sol)
+
+    def test_fine_sampling_within_budget(self):
+        # every solution's path used to be built during the search, which
+        # made it quadratic in the solution count: about 8 s here
+        system = LhaSystem(two_reservoir(2, 1, 1, 1, 1, 5, 3))
+        start = time.perf_counter()
+        sols = search(system, WILD, F(100), F(1, 25))
+        assert time.perf_counter() - start < 3
+        assert len(sols) == 2517
+        assert len(sols[-1].path) == 2516
+        replay(system, sols[-1])
+
+    def test_path_reads_are_equal(self, init2_system):
+        sol = search(init2_system, WILD, F(5), F(1))[-1]
+        first = sol.path
+        assert [step.label for step in first] == ["tick", "tick", "tick", "move-hose"]
+        assert sol.path == first
 
     def test_wildcard_works_on_any_model(self):
         system = LhaSystem(two_reservoir(10, 5, 5, 15, 15, 30, 30))

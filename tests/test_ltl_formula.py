@@ -72,6 +72,10 @@ class TestParser:
         with pytest.raises(ModelError):
             parse_formula(bad)
 
+    def test_deep_nesting_fails_closed(self):
+        with pytest.raises(ModelError, match="^input nests too deeply$"):
+            parse_formula("X " * 3000 + "p")
+
     def test_render_round_trip(self):
         rng = random.Random(424242)
         for _ in range(300):
