@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import warnings
 from fractions import Fraction
 from typing import Any, Optional
 
-from .core import ModelError, TimedTransitionSystem, as_time, parse_rational
+from .core import ModelError, TimedTransitionSystem, as_time, fraction_text, parse_rational
 from .explore import build_kripke, search
 from .lha import LhaSystem, lha_from_json
 from .ltl import Counterexample, model_check, parse_formula
@@ -93,7 +94,7 @@ def parse_pattern(text: str) -> SearchPattern:
 # output formatting
 
 
-def _state_line(system: TimedTransitionSystem, state: Any, elapsed: Fraction) -> str:
+def _state_line(system: TimedTransitionSystem, state: Any, elapsed: str) -> str:
     line = f"{{{system.serialize(state)}}} in time {elapsed}"
     enabled = sorted({label for label, _ in system.discrete_successors(state)})
     if enabled:
@@ -117,26 +118,26 @@ def _sampling(args: argparse.Namespace) -> tuple[Fraction, Fraction]:
 def run_simulate(args: argparse.Namespace) -> int:
     time_bound, increment = _sampling(args)
     system = load_model(args.model)
+    # trace[k] is at k increments; the step from k to k + 1 is taken while
+    # (k + 1) * increment < time_bound, that is while k < last
+    last = math.ceil(time_bound / increment) - 1
     state = system.initial_state()
-    elapsed = Fraction(0)
-    trace: list[tuple[Any, Fraction]] = [(state, elapsed)]
-    while True:
-        if elapsed + increment >= time_bound:
-            stopped = "bound"
-            break
-        succ = system.timed_successor(state, increment)
-        if succ is None:
+    trace = [state]
+    stopped = "bound"
+    while len(trace) <= last:
+        state = system.timed_successor(state, increment)
+        if state is None:
             stopped = "blocked"
             break
-        state = succ
-        elapsed = elapsed + increment
-        trace.append((state, elapsed))
+        trace.append(state)
+    num, den = increment.numerator, increment.denominator
+    trace_times = [(s, fraction_text(k * num, den)) for k, s in enumerate(trace)]
     if args.format == "json":
         entries = []
-        for s, t in trace:
+        for s, t in trace_times:
             entry: dict[str, Any] = {
                 "state": system.serialize(s),
-                "elapsed": str(t),
+                "elapsed": t,
                 "enabled": sorted({label for label, _ in system.discrete_successors(s)}),
             }
             if isinstance(s, NResState):
@@ -144,7 +145,7 @@ def run_simulate(args: argparse.Namespace) -> int:
             entries.append(entry)
         print(json.dumps({"kind": "simulation", "trace": entries, "stopped": stopped}, indent=2))
     else:
-        for s, t in trace:
+        for s, t in trace_times:
             print(_state_line(system, s, t))
         if stopped == "bound":
             print("Time bound reached")

@@ -1,9 +1,12 @@
 """Exact arithmetic, the time domain, and the contract every model implements.
 
-All quantities in the engine are exact rationals (``fractions.Fraction``).
-Durations ("time") are nonnegative rationals validated by :func:`as_time`;
-atomic propositions are plain nonempty strings.  Floating point never enters
-any semantic computation.
+All quantities in the engine are exact rationals, and every API takes and
+returns them as ``fractions.Fraction``.  Internally, linear hybrid automaton
+states hold integer numerators over one common positive denominator (see
+:class:`lhamc.lha.LhaSystem`), and :func:`fraction_text` renders such a pair
+exactly as ``str(Fraction)`` would.  Durations ("time") are nonnegative
+rationals validated by :func:`as_time`; atomic propositions are plain
+nonempty strings.  Floating point never enters any semantic computation.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import re
 from abc import ABC, abstractmethod
 from fractions import Fraction
+from math import gcd
 from typing import Any
 
 ZERO = Fraction(0)
@@ -71,6 +75,14 @@ def as_time(value: Any) -> Fraction:
     if t < 0:
         raise ModelError(f"negative duration: {t}")
     return t
+
+
+def fraction_text(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for a positive ``den``, with one gcd."""
+    g = gcd(num, den)
+    if g == den:
+        return str(num // den)
+    return f"{num // g}/{den // g}"
 
 
 def monus(a: Fraction, b: Fraction) -> Fraction:

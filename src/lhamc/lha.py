@@ -4,19 +4,30 @@ Flows are linear (constant rate per location), so along any timed step each
 affine constraint is monotone in time and checking the step's endpoint is
 sound.  Discrete jumps are guarded by affine constraints and reset variables
 through simultaneous affine assignments.
+
+The module-level functions (:func:`flow`, :func:`timed_successor`,
+:func:`jump`, :func:`discrete_successors`, :func:`render_state`) are the
+plain ``Fraction`` reference semantics.  :class:`LhaSystem` computes the same
+states on integers: it compiles the automaton once into integer rows, and its
+states hold integer numerators over one common denominator behind a
+read-only mapping whose values read as ``Fraction``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Mapping
+from math import gcd, lcm
+from operator import add
+from typing import Any
 
 from .core import (
     ZERO,
     ModelError,
     TimedTransitionSystem,
     as_time,
+    fraction_text,
     json_objects,
     json_shape,
     parse_rational,
@@ -109,13 +120,17 @@ class Lha:
             extra = set(loc.rates) - declared
             if extra:
                 raise ModelError(f"location {loc.name}: rates for unknown variables {sorted(extra)}")
+            _check_variables(loc.invariant, declared, f"location {loc.name}: invariant")
+            _check_variables(loc.tick_guard, declared, f"location {loc.name}: tick guard")
         by_name = {loc.name: loc for loc in self.locations}
         for edge in self.edges:
             if edge.source not in by_name or edge.target not in by_name:
                 raise ModelError(f"edge {edge.label}: unknown location {edge.source!r} or {edge.target!r}")
+            _check_variables(edge.guard, declared, f"edge {edge.label}: guard")
             for a in edge.assignments:
                 if a.var not in declared:
                     raise ModelError(f"edge {edge.label}: assignment to unknown variable {a.var!r}")
+                _check_variables((a,), declared, f"edge {edge.label}: assignment to {a.var}")
         if self.initial_location not in by_name:
             raise ModelError(f"unknown initial location {self.initial_location!r}")
         if set(self.initial_valuation) != declared:
@@ -131,6 +146,16 @@ class Lha:
             return self._by_name[name]
         except KeyError:
             raise ModelError(f"unknown location {name!r}") from None
+
+
+def _check_variables(
+    items: tuple[AffineConstraint | Assignment, ...], declared: set[str], where: str
+) -> None:
+    """Reject constraints or assignments whose expression has an undeclared variable."""
+    for item in items:
+        for var in item.expr.coeffs:
+            if var not in declared:
+                raise ModelError(f"{where} mentions unknown variable {var!r}")
 
 
 def eval_affine(expr: AffineExpr, valuation: Mapping[str, Fraction]) -> Fraction:
@@ -257,26 +282,205 @@ def two_reservoir(
     return Lha(("x1", "x2"), (left, right), edges, "left", {"x1": x1, "x2": x2})
 
 
+class ScaledValuation(Mapping):
+    """A read-only valuation: integer numerators over one positive denominator.
+
+    Reads return ``Fraction`` values, and it compares equal to any mapping of
+    the same variables to the same values, a plain ``dict`` included.
+    """
+
+    __slots__ = ("index", "nums", "den")
+
+    def __init__(self, index: dict[str, int], nums: tuple[int, ...], den: int):
+        self.index = index  # variable -> position in nums, in declaration order
+        self.nums = nums
+        self.den = den
+
+    def __getitem__(self, var: str) -> Fraction:
+        return Fraction(self.nums[self.index[var]], self.den)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.index)
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ScaledValuation) and other.index == self.index:
+            d, e = self.den, other.den
+            return all(m * e == n * d for m, n in zip(self.nums, other.nums))
+        return Mapping.__eq__(self, other)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+# An affine constraint compiled to integers: (terms, const, signs) holds on
+# numerators n over denominator d when the sign of
+# sum(c * n[i] for i, c in terms) + const * d is in signs.
+Row = tuple[tuple[tuple[int, int], ...], int, tuple[int, ...]]
+
+_SIGNS = {"<": (-1,), "<=": (-1, 0), "=": (0,), ">=": (0, 1), ">": (1,)}
+
+
+def _scaled_terms(
+    expr: AffineExpr, index: dict[str, int]
+) -> tuple[int, tuple[tuple[int, int], ...], int]:
+    """(scale, integer terms, integer constant): expr times the lcm of its
+    denominators."""
+    coeffs = [parse_rational(c) for c in expr.coeffs.values()]
+    const = parse_rational(expr.const)
+    scale = lcm(const.denominator, *(c.denominator for c in coeffs))
+    terms = tuple((index[var], int(c * scale)) for var, c in zip(expr.coeffs, coeffs))
+    return scale, terms, int(const * scale)
+
+
+def _row(constraint: AffineConstraint, index: dict[str, int]) -> Row:
+    _, terms, const = _scaled_terms(constraint.expr, index)
+    return terms, const, _SIGNS[constraint.rel]
+
+
+def _satisfied(rows: tuple[Row, ...], nums: tuple[int, ...], den: int) -> bool:
+    for terms, const, signs in rows:
+        value = const * den
+        for i, c in terms:
+            value += c * nums[i]
+        if (value > 0) - (value < 0) not in signs:
+            return False
+    return True
+
+
 class LhaSystem(TimedTransitionSystem):
-    """Adapter exposing an Lha through the shared model contract."""
+    """Adapter exposing an Lha through the shared model contract.
+
+    The automaton is compiled once to integer rows, and states carry a
+    :class:`ScaledValuation`; the results equal those of the module-level
+    ``Fraction`` functions.
+    """
 
     def __init__(self, lha: Lha):
         self.lha = lha
+        index = self._index = {var: i for i, var in enumerate(lha.variables)}
+        self._invariants = {loc.name: tuple(_row(c, index) for c in loc.invariant) for loc in lha.locations}
+        # source -> [(label, target, guard rows, scale, assignments, target
+        # invariant rows)], in edge order; an assignment (i, terms, const) sets
+        # value i to (sum(c * n[j] for j, c in terms) + const * d) / (scale * d)
+        self._jumps: dict[str, list[tuple]] = {loc.name: [] for loc in lha.locations}
+        for edge in lha.edges:
+            assignments = [(index[a.var], *_scaled_terms(a.expr, index)) for a in edge.assignments]
+            scale = lcm(*(s for _, s, _, _ in assignments))
+            self._jumps[edge.source].append((
+                edge.label,
+                edge.target,
+                tuple(_row(c, index) for c in edge.guard),
+                scale,
+                tuple(
+                    (i, tuple((j, c * (scale // s)) for j, c in terms), const * (scale // s))
+                    for i, s, terms, const in assignments
+                ),
+                self._invariants[edge.target],
+            ))
+        # duration -> location -> (tick guard rows, invariant rows, vector,
+        # den): the step adds vector / den; None for a zero duration
+        self._by_delta: dict[Fraction, dict[str, tuple] | None] = {}
+        self._delta: Any = ZERO  # the last duration, and its steps
+        self._ticks = self._ticks_for(ZERO)
+        self._initial = self._scaled(lha.initial_valuation)
+
+    def _scaled(self, valuation: Mapping[str, Any]) -> ScaledValuation:
+        if type(valuation) is ScaledValuation and valuation.index is self._index:
+            return valuation
+        if set(valuation) != set(self._index):
+            raise ModelError("a valuation must cover exactly the declared variables")
+        values = [parse_rational(valuation[var]) for var in self._index]
+        den = lcm(*(v.denominator for v in values))
+        return ScaledValuation(self._index, tuple(int(v * den) for v in values), den)
+
+    def _ticks_for(self, delta: Any) -> dict[str, tuple] | None:
+        """Each location's integer step for ``delta``; a ``Fraction`` duration
+        is validated and compiled once."""
+        if type(delta) is not Fraction:
+            delta = as_time(delta)
+        if delta not in self._by_delta:
+            ticks = None
+            if as_time(delta) != 0:
+                ticks = {}
+                for loc in self.lha.locations:
+                    steps = [parse_rational(loc.rates.get(var, ZERO)) * delta for var in self._index]
+                    den = lcm(*(s.denominator for s in steps))
+                    guard = tuple(_row(c, self._index) for c in loc.tick_guard)
+                    vector = tuple(int(s * den) for s in steps)
+                    ticks[loc.name] = (guard, self._invariants[loc.name], vector, den)
+            self._by_delta[delta] = ticks
+        return self._by_delta[delta]
 
     def initial_state(self) -> LhaState:
-        return LhaState(self.lha.initial_location, dict(self.lha.initial_valuation))
+        return LhaState(self.lha.initial_location, self._initial)
 
     def discrete_successors(self, state: LhaState) -> list[tuple[str, LhaState]]:
-        return discrete_successors(self.lha, state)
+        valuation = self._scaled(state.valuation)
+        nums, den = valuation.nums, valuation.den
+        out = []
+        for label, target, guard, scale, assignments, invariant in self._jumps.get(state.location, ()):
+            if not _satisfied(guard, nums, den):
+                continue
+            after = self._assign(scale, assignments, nums, den) if assignments else valuation
+            if _satisfied(invariant, after.nums, after.den):
+                out.append((label, LhaState(target, after)))
+        if len(out) > 1:
+            out.sort(key=lambda ls: (ls[0], self.serialize(ls[1])))
+        return out
+
+    def _assign(self, scale: int, assignments: tuple, nums: tuple[int, ...], den: int) -> ScaledValuation:
+        after = [n * scale for n in nums]
+        for i, terms, const in assignments:
+            value = const * den
+            for j, c in terms:
+                value += c * nums[j]
+            after[i] = value
+        den *= scale
+        if scale != 1:
+            g = gcd(den, *after)
+            den //= g
+            after = [n // g for n in after]
+        return ScaledValuation(self._index, tuple(after), den)
 
     def timed_successor(self, state: LhaState, delta: Fraction) -> LhaState | None:
-        return timed_successor(self.lha, state, delta)
+        if delta is not self._delta:
+            self._delta, self._ticks = delta, self._ticks_for(delta)
+        if self._ticks is None:
+            return state
+        tick = self._ticks.get(state.location)
+        if tick is None:
+            self.lha.location_named(state.location)  # raises: unknown location
+        guard, invariant, vector, step_den = tick
+        valuation = self._scaled(state.valuation)
+        nums, den = valuation.nums, valuation.den
+        if not _satisfied(guard, nums, den):
+            return None
+        if den % step_den:
+            grown = lcm(den, step_den)
+            nums = tuple(n * (grown // den) for n in nums)
+            den = grown
+        k = den // step_den
+        if k != 1:
+            vector = tuple(k * s for s in vector)
+        after = tuple(map(add, nums, vector))
+        if not _satisfied(invariant, after, den):
+            return None
+        return LhaState(state.location, ScaledValuation(self._index, after, den))
 
     def prop_holds(self, state: LhaState, prop: str) -> bool:
         raise ModelError(f"this automaton defines no propositions, got {prop!r}")
 
     def serialize(self, state: LhaState) -> str:
-        return render_state(self.lha, state)
+        valuation = self._scaled(state.valuation)
+        den = valuation.den
+        if den == 1:
+            values = ",".join(map(str, valuation.nums))
+        else:
+            values = ",".join(fraction_text(n, den) for n in valuation.nums)
+        return f"{state.location},{values}"
 
 
 def _expr_from_json(doc: Any) -> AffineExpr:

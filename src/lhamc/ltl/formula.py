@@ -210,6 +210,11 @@ class _Parser:
         raise ModelError(f"expected a formula but found {got!r}")
 
 
+# Parsing and the public walks below recurse once per nesting level; past
+# Python's recursion limit each fails closed with this ModelError.
+TOO_DEEP = "input nests too deeply"
+
+
 def parse_formula(text: str) -> Formula:
     tokens = _tokenize(text)
     if not tokens:
@@ -218,7 +223,7 @@ def parse_formula(text: str) -> Formula:
     try:
         formula = parser.implication()
     except RecursionError:
-        raise ModelError("input nests too deeply") from None
+        raise ModelError(TOO_DEEP) from None
     if parser.pos != len(tokens):
         raise ModelError(f"trailing input after formula: {tokens[parser.pos][1]!r}")
     return formula
@@ -226,6 +231,13 @@ def parse_formula(text: str) -> Formula:
 
 def render(f: Formula) -> str:
     """Reparseable text; binary subterms are parenthesized."""
+    try:
+        return _render(f)
+    except RecursionError:
+        raise ModelError(TOO_DEEP) from None
+
+
+def _render(f: Formula) -> str:
     match f:
         case Top():
             return "true"
@@ -234,49 +246,56 @@ def render(f: Formula) -> str:
         case Prop(name):
             return name
         case Not(sub):
-            return f"~ {render(sub)}"
+            return f"~ {_render(sub)}"
         case Next(sub):
-            return f"X {render(sub)}"
+            return f"X {_render(sub)}"
         case Always(sub):
-            return f"[] {render(sub)}"
+            return f"[] {_render(sub)}"
         case Eventually(sub):
-            return f"<> {render(sub)}"
+            return f"<> {_render(sub)}"
         case And(a, b):
-            return f"({render(a)} /\\ {render(b)})"
+            return f"({_render(a)} /\\ {_render(b)})"
         case Or(a, b):
-            return f"({render(a)} \\/ {render(b)})"
+            return f"({_render(a)} \\/ {_render(b)})"
         case Implies(a, b):
-            return f"({render(a)} -> {render(b)})"
+            return f"({_render(a)} -> {_render(b)})"
         case Until(a, b):
-            return f"({render(a)} U {render(b)})"
+            return f"({_render(a)} U {_render(b)})"
         case Release(a, b):
-            return f"({render(a)} R {render(b)})"
+            return f"({_render(a)} R {_render(b)})"
     raise ModelError(f"not a formula: {f!r}")
 
 
 def to_nnf(f: Formula) -> Formula:
     """Push negations down to propositions and expand implications."""
+    try:
+        return _nnf(f)
+    except RecursionError:
+        raise ModelError(TOO_DEEP) from None
+
+
+def _nnf(f: Formula) -> Formula:
     match f:
         case Top() | Bottom() | Prop(_):
             return f
         case Not(sub):
             return _negate(sub)
         case And(a, b):
-            return And(to_nnf(a), to_nnf(b))
+            return And(_nnf(a), _nnf(b))
         case Or(a, b):
-            return Or(to_nnf(a), to_nnf(b))
+            return Or(_nnf(a), _nnf(b))
         case Implies(a, b):
-            return Or(_negate(a), to_nnf(b))
+            return Or(_negate(a), _nnf(b))
         case Next(a):
-            return Next(to_nnf(a))
+            return Next(_nnf(a))
         case Always(a):
-            return Always(to_nnf(a))
+            return Always(_nnf(a))
         case Eventually(a):
-            return Eventually(to_nnf(a))
+            return Eventually(_nnf(a))
         case Until(a, b):
-            return Until(to_nnf(a), to_nnf(b))
+            return Until(_nnf(a), _nnf(b))
         case Release(a, b):
-            return Release(to_nnf(a), to_nnf(b))
+            return Release(_nnf(a), _nnf(b))
     raise ModelError(f"not a formula: {f!r}")
 
 
@@ -290,13 +309,13 @@ def _negate(f: Formula) -> Formula:
         case Prop(_):
             return Not(f)
         case Not(sub):
-            return to_nnf(sub)
+            return _nnf(sub)
         case And(a, b):
             return Or(_negate(a), _negate(b))
         case Or(a, b):
             return And(_negate(a), _negate(b))
         case Implies(a, b):
-            return And(to_nnf(a), _negate(b))
+            return And(_nnf(a), _negate(b))
         case Next(a):
             return Next(_negate(a))
         case Always(a):
@@ -312,33 +331,50 @@ def _negate(f: Formula) -> Formula:
 
 def negated_nnf(f: Formula) -> Formula:
     """NNF of the negation of f."""
-    return _negate(f)
+    try:
+        return _negate(f)
+    except RecursionError:
+        raise ModelError(TOO_DEEP) from None
 
 
 def props_of(f: Formula) -> frozenset[str]:
+    try:
+        return _props(f)
+    except RecursionError:
+        raise ModelError(TOO_DEEP) from None
+
+
+def _props(f: Formula) -> frozenset[str]:
     match f:
         case Prop(name):
             return frozenset({name})
         case Top() | Bottom():
             return frozenset()
         case Not(sub) | Next(sub) | Always(sub) | Eventually(sub):
-            return props_of(sub)
+            return _props(sub)
         case And(a, b) | Or(a, b) | Implies(a, b) | Until(a, b) | Release(a, b):
-            return props_of(a) | props_of(b)
+            return _props(a) | _props(b)
     raise ModelError(f"not a formula: {f!r}")
 
 
 def temporal_count(f: Formula) -> int:
     """Number of temporal operator occurrences (bounds oracle search depth)."""
+    try:
+        return _temporal_count(f)
+    except RecursionError:
+        raise ModelError(TOO_DEEP) from None
+
+
+def _temporal_count(f: Formula) -> int:
     match f:
         case Top() | Bottom() | Prop(_):
             return 0
         case Not(sub):
-            return temporal_count(sub)
+            return _temporal_count(sub)
         case Next(sub) | Always(sub) | Eventually(sub):
-            return 1 + temporal_count(sub)
+            return 1 + _temporal_count(sub)
         case And(a, b) | Or(a, b) | Implies(a, b):
-            return temporal_count(a) + temporal_count(b)
+            return _temporal_count(a) + _temporal_count(b)
         case Until(a, b) | Release(a, b):
-            return 1 + temporal_count(a) + temporal_count(b)
+            return 1 + _temporal_count(a) + _temporal_count(b)
     raise ModelError(f"not a formula: {f!r}")

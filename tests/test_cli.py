@@ -9,6 +9,7 @@ import pytest
 from lhamc.cli import format_counterexample, main, parse_pattern
 from lhamc.core import ModelError
 from lhamc.explore import build_kripke
+from lhamc.lha import LhaState, discrete_successors, lha_from_json, render_state, timed_successor
 from lhamc.ltl import (
     Counterexample,
     CounterexampleStep,
@@ -29,6 +30,7 @@ MODELS = Path(__file__).resolve().parent.parent / "models"
 INIT2 = str(MODELS / "init2.json")
 RES1 = str(MODELS / "reservoir1.json")
 RES2 = str(MODELS / "reservoir2.json")
+TWO_RES = str(MODELS / "two_reservoir.json")
 
 TANKS_30 = (
     "hose(10,0) < 0 | thr:(15,50), hth: 30, rte: 5 > "
@@ -98,6 +100,60 @@ class TestSimulate:
         assert [e["elapsed"] for e in doc["trace"]] == ["0", "1", "2", "3"]
         assert doc["trace"][3]["enabled"] == ["move-hose"]
         assert doc["trace"][0]["above_upper"] == []
+
+
+class TestSimulateAgainstFractions:
+    """simulate on the two-tank automaton, against a plain Fraction loop."""
+
+    @staticmethod
+    def reference(bound: Fraction, increment: Fraction):
+        with open(TWO_RES, encoding="utf-8") as fh:
+            lha = lha_from_json(json.load(fh))
+        state = LhaState(lha.initial_location, dict(lha.initial_valuation))
+        elapsed = Fraction(0)
+        trace = [(state, elapsed)]
+        stopped = "bound"
+        while elapsed + increment < bound:
+            state = timed_successor(lha, state, increment)
+            if state is None:
+                stopped = "blocked"
+                break
+            elapsed += increment
+            trace.append((state, elapsed))
+        rows = [
+            (render_state(lha, s), str(t), sorted({label for label, _ in discrete_successors(lha, s)}))
+            for s, t in trace
+        ]
+        return rows, stopped
+
+    @pytest.mark.parametrize(
+        "bound,increment,length,stopped",
+        [
+            ("0", "1", 1, "bound"),
+            ("1/2", "1/2", 1, "bound"),
+            ("7/3", "1/2", 5, "bound"),
+            ("10", "1", 4, "blocked"),
+        ],
+    )
+    def test_text_and_json(self, capsys, bound, increment, length, stopped):
+        rows, expected_stop = self.reference(Fraction(bound), Fraction(increment))
+        assert (len(rows), expected_stop) == (length, stopped)
+        argv = ["simulate", "--model", TWO_RES, "--time-bound", bound, "--increment", increment]
+
+        assert main(argv) == 0
+        lines = [
+            f"{{{text}}} in time {t}" + ("  enabled: " + ",".join(labels) if labels else "")
+            for text, t, labels in rows
+        ]
+        lines.append("Time bound reached" if stopped == "bound" else "Timed evolution blocked")
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+        assert main([*argv, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "kind": "simulation",
+            "trace": [{"state": text, "elapsed": t, "enabled": labels} for text, t, labels in rows],
+            "stopped": stopped,
+        }
 
 
 class TestSearch:
@@ -431,6 +487,7 @@ COMPONENT_DOC = {
     "ticks": [{"source": "a", "target": "b", "duration": "1"}],
 }
 AT_LEAST_5 = [{"expr": {"coeffs": {"x": "1"}, "const": "-5"}, "rel": ">="}]
+OVER_Y = [{"expr": {"coeffs": {"y": "1"}}, "rel": ">="}]  # y is undeclared
 
 
 def write_doc(path: Path, doc: dict) -> str:
@@ -456,6 +513,7 @@ class TestMalformedModels:
             {**COMPONENT_DOC, "rules": [1]},
             {**COMPONENT_DOC, "states": "ab"},
             {**COMPONENT_DOC, "ticks": ["t"]},
+            {**LHA_DOC, "locations": [*LHA_DOC["locations"], {"name": "b", "invariant": OVER_Y}]},
         ],
     )
     def test_exit_two_with_one_error_line(self, tmp_path, capsys, doc):

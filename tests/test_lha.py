@@ -5,6 +5,7 @@ import pytest
 
 from lhamc.core import ModelError
 from lhamc.lha import (
+    RELATIONS,
     AffineConstraint,
     AffineExpr,
     Assignment,
@@ -206,3 +207,134 @@ class TestValidation:
         at_least_5 = AffineConstraint(AffineExpr.make({"x": 1}, -5), ">=")
         with pytest.raises(ModelError):
             Lha(("x",), (Location("l", {"x": F(10)}, invariant=(at_least_5,)),), (), "l", val(x=0))
+
+    @pytest.mark.parametrize("where", ["invariant", "tick_guard", "guard", "assignment"])
+    def test_expressions_over_undeclared_variables(self, where):
+        over_y = AffineConstraint(AffineExpr.make({"y": 1}), ">=")
+        location = Location("b", {}, **{where: (over_y,)} if where in ("invariant", "tick_guard") else {})
+        edge = Edge(
+            "a", "b", "go",
+            guard=(over_y,) if where == "guard" else (),
+            assignments=(Assignment("x", over_y.expr),) if where == "assignment" else (),
+        )
+        with pytest.raises(ModelError, match="unknown variable 'y'"):
+            Lha(("x",), (Location("a", {}), location), (edge,), "a", val(x=0))
+
+
+def random_rational(rng, bound):
+    return F(rng.randint(-bound, bound), rng.choice((1, 1, 2, 3, 4, 6)))
+
+
+def random_expr(rng, names):
+    coeffs = {v: random_rational(rng, 4) for v in rng.sample(names, rng.randint(1, len(names)))}
+    return AffineExpr.make(coeffs, random_rational(rng, 30))
+
+
+def random_constraints(rng, names, most):
+    return tuple(
+        AffineConstraint(random_expr(rng, names), rng.choice(RELATIONS)) for _ in range(rng.randint(0, most))
+    )
+
+
+def random_automaton(rng):
+    """1-3 variables, fractional rates and constraints, and assignments with
+    non-integer coefficients; retried until the initial state is admissible."""
+    names = ["x", "y", "z"][: rng.randint(1, 3)]
+    while True:
+        locations = tuple(
+            Location(
+                f"l{i}",
+                {v: random_rational(rng, 6) for v in names if rng.random() < 0.8},
+                invariant=random_constraints(rng, names, 2),
+                tick_guard=random_constraints(rng, names, 1),
+            )
+            for i in range(rng.randint(1, 3))
+        )
+        edges = tuple(
+            Edge(
+                rng.choice(locations).name,
+                rng.choice(locations).name,
+                rng.choice(("a", "b", "c")),
+                guard=random_constraints(rng, names, 1),
+                assignments=tuple(
+                    Assignment(v, random_expr(rng, names)) for v in rng.sample(names, rng.randint(0, len(names)))
+                ),
+            )
+            for _ in range(rng.randint(0, 5))
+        )
+        valuation = {v: random_rational(rng, 10) for v in names}
+        try:
+            return Lha(tuple(names), locations, edges, "l0", valuation)
+        except ModelError:
+            continue
+
+
+class TestScaledSystem:
+    """LhaSystem computes on integers; the module functions are the Fraction
+    reference it must agree with, step for step."""
+
+    INCREMENTS = (F(1), F(1, 2), F(1, 3), F(0))
+
+    def assert_same(self, system, lha, fast, ref):
+        assert fast == ref and ref == fast
+        assert system.serialize(fast) == render_state(lha, ref) == render_state(lha, fast)
+        assert system.serialize(ref) == render_state(lha, ref)
+
+    def test_walks_agree_with_the_fraction_reference(self):
+        rng = random.Random(2024)
+        steps = jumps = 0
+        for _ in range(150):
+            lha = random_automaton(rng)
+            system = LhaSystem(lha)
+            initial = (system.initial_state(), LhaState(lha.initial_location, dict(lha.initial_valuation)))
+            fast, ref = initial
+            for _ in range(30):
+                self.assert_same(system, lha, fast, ref)
+                moves = []
+                fast_jumps = system.discrete_successors(fast)
+                ref_jumps = discrete_successors(lha, ref)
+                assert [(label, system.serialize(s)) for label, s in fast_jumps] == [
+                    (label, render_state(lha, s)) for label, s in ref_jumps
+                ]
+                assert fast_jumps == ref_jumps
+                moves += [(a, b) for (_, a), (_, b) in zip(fast_jumps, ref_jumps)]
+                jumps += len(fast_jumps)
+                delta = rng.choice(self.INCREMENTS)
+                fast_after = system.timed_successor(fast, delta)
+                ref_after = timed_successor(lha, ref, delta)
+                assert (fast_after is None) == (ref_after is None)
+                if fast_after is not None:
+                    self.assert_same(system, lha, fast_after, ref_after)
+                    moves.append((fast_after, ref_after))
+                    steps += delta != 0
+                fast, ref = rng.choice(moves) if moves else initial
+        assert steps > 1000 and jumps > 300
+
+    def test_valuation_reads_as_fractions(self):
+        system = LhaSystem(two_reservoir(10, 5, 5, 15, 15, 30, 30))
+        after = system.timed_successor(system.initial_state(), F(1, 2))
+        assert after.valuation["x1"] == F(65, 2)
+        assert dict(after.valuation) == val(x1=F(65, 2), x2=F(55, 2))
+        assert len(after.valuation) == 2 and list(after.valuation) == ["x1", "x2"]
+        with pytest.raises(KeyError):
+            after.valuation["x3"]
+
+    def test_plain_states_are_accepted(self):
+        system = LhaSystem(two_reservoir(10, 5, 5, 15, 15, 30, 30))
+        plain = LhaState("left", val(x1=30, x2=F(61, 2)))
+        assert system.serialize(plain) == "left,30,61/2"
+        assert system.timed_successor(plain, F(1, 2)) == LhaState("left", val(x1=F(65, 2), x2=28))
+        with pytest.raises(ModelError):
+            system.serialize(LhaState("left", val(x1=30)))
+
+    @pytest.mark.parametrize("delta", [F(-1), -1, 1.0, True, "x"])
+    def test_durations_are_validated(self, delta):
+        system = LhaSystem(two_reservoir(10, 5, 5, 15, 15, 30, 30))
+        system.timed_successor(system.initial_state(), F(1))
+        with pytest.raises(ModelError):
+            system.timed_successor(system.initial_state(), delta)
+
+    def test_unknown_location(self):
+        system = LhaSystem(two_reservoir(10, 5, 5, 15, 15, 30, 30))
+        with pytest.raises(ModelError, match="unknown location 'middle'"):
+            system.timed_successor(LhaState("middle", val(x1=30, x2=30)), F(1))

@@ -76,6 +76,24 @@ class TestParser:
         with pytest.raises(ModelError, match="^input nests too deeply$"):
             parse_formula("X " * 3000 + "p")
 
+    @pytest.mark.parametrize(
+        "walk,shallow",
+        [
+            (to_nnf, Next(Not(p))),
+            (negated_nnf, Next(p)),
+            (render, "X ~ p"),
+            (props_of, frozenset({"p"})),
+            (temporal_count, 1),
+        ],
+    )
+    def test_walks_of_deep_formulas_fail_closed(self, walk, shallow):
+        deep = p
+        for _ in range(3000):
+            deep = Next(deep)
+        with pytest.raises(ModelError, match="^input nests too deeply$"):
+            walk(deep)
+        assert walk(Next(Not(p))) == shallow
+
     def test_render_round_trip(self):
         rng = random.Random(424242)
         for _ in range(300):
