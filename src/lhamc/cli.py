@@ -20,15 +20,7 @@ from .core import ModelError, TimedTransitionSystem, as_time, fraction_text, par
 from .explore import build_kripke, search
 from .lha import LhaSystem, lha_from_json
 from .ltl import Counterexample, model_check, parse_formula
-from .reservoir import (
-    NResState,
-    NResSystem,
-    ReservoirPattern,
-    SearchPattern,
-    above_upper,
-    nres_from_json,
-    validate_pattern,
-)
+from .reservoir import NResSystem, ReservoirPattern, SearchPattern, nres_from_json, validate_pattern
 from .syncprod import (
     Component,
     component_from_json,
@@ -96,13 +88,12 @@ def parse_pattern(text: str) -> SearchPattern:
 
 def _state_line(system: TimedTransitionSystem, state: Any, elapsed: str) -> str:
     line = f"{{{system.serialize(state)}}} in time {elapsed}"
-    enabled = sorted({label for label, _ in system.discrete_successors(state)})
+    enabled = system.enabled_labels(state)
     if enabled:
         line += "  enabled: " + ",".join(enabled)
-    if isinstance(state, NResState):
-        over = above_upper(state)
-        if over:
-            line += "  above-upper: " + ",".join(str(i) for i in over)
+    for name, facts in system.annotations(state).items():
+        if facts:
+            line += f"  {name.replace('_', '-')}: " + ",".join(map(str, facts))
     return line
 
 
@@ -133,24 +124,20 @@ def run_simulate(args: argparse.Namespace) -> int:
     num, den = increment.numerator, increment.denominator
     trace_times = [(s, fraction_text(k * num, den)) for k, s in enumerate(trace)]
     if args.format == "json":
-        entries = []
-        for s, t in trace_times:
-            entry: dict[str, Any] = {
+        entries = [
+            {
                 "state": system.serialize(s),
                 "elapsed": t,
-                "enabled": sorted({label for label, _ in system.discrete_successors(s)}),
+                "enabled": system.enabled_labels(s),
+                **system.annotations(s),
             }
-            if isinstance(s, NResState):
-                entry["above_upper"] = list(above_upper(s))
-            entries.append(entry)
+            for s, t in trace_times
+        ]
         print(json.dumps({"kind": "simulation", "trace": entries, "stopped": stopped}, indent=2))
     else:
-        for s, t in trace_times:
-            print(_state_line(system, s, t))
-        if stopped == "bound":
-            print("Time bound reached")
-        else:
-            print("Timed evolution blocked")
+        lines = [_state_line(system, s, t) for s, t in trace_times]
+        lines.append("Time bound reached" if stopped == "bound" else "Timed evolution blocked")
+        print("\n".join(lines))
     return 0
 
 

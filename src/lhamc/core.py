@@ -2,11 +2,14 @@
 
 All quantities in the engine are exact rationals, and every API takes and
 returns them as ``fractions.Fraction``.  Internally, linear hybrid automaton
-states hold integer numerators over one common positive denominator (see
-:class:`lhamc.lha.LhaSystem`), and :func:`fraction_text` renders such a pair
-exactly as ``str(Fraction)`` would.  Durations ("time") are nonnegative
-rationals validated by :func:`as_time`; atomic propositions are plain
-nonempty strings.  Floating point never enters any semantic computation.
+and reservoir ring states hold integer numerators over one common positive
+denominator (see :class:`lhamc.lha.LhaSystem` and
+:class:`lhamc.reservoir.NResSystem`), the explorer counts elapsed time as an
+integer numerator over the lcm of the durations' denominators, and
+:func:`fraction_text` renders such a pair exactly as ``str(Fraction)`` would.
+Durations ("time") are nonnegative rationals validated by :func:`as_time`;
+atomic propositions are plain nonempty strings.  Floating point never enters
+any semantic computation.
 """
 
 from __future__ import annotations
@@ -137,3 +140,11 @@ class TimedTransitionSystem(ABC):
     def propositions(self) -> frozenset[str]:
         """The atomic propositions this model can evaluate."""
         return frozenset()
+
+    def enabled_labels(self, state: Any) -> list[str]:
+        """The sorted distinct labels of the discrete steps from ``state``."""
+        return sorted({label for label, _ in self.discrete_successors(state)})
+
+    def annotations(self, state: Any) -> dict[str, list]:
+        """Named lists of facts about ``state`` that a simulation reports."""
+        return {}

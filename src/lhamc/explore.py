@@ -5,13 +5,16 @@ canonical state text plus elapsed time is its identity.  With a time bound,
 time advances in the given durations and total elapsed time stays strictly
 below the bound.  Without one the structure is time-abstract: elapsed time
 stays 0 and ticks are edges annotated with their duration, so runs may loop
-through them.
+through them.  The explorer counts elapsed time as an integer numerator
+over the lcm of the durations' denominators, and builds a ``Fraction`` only
+for each state's :class:`TimedState`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import ceil, lcm
 from typing import Any, Callable, Iterable, Optional
 
 from .core import ZERO, ModelError, TimedTransitionSystem, as_time
@@ -95,9 +98,7 @@ class Kripke:
         self.adjacency: list[list[KripkeEdge]] = [[] for _ in states]
         for e in edges:
             self.adjacency[e.source].append(e)
-        self._index: dict[tuple[str, Fraction], int] = {
-            (texts[i], states[i].elapsed): i for i in range(len(states))
-        }
+        self._index: Optional[dict[tuple[str, Fraction], int]] = None  # built on the first lookup
         for out in self.adjacency:
             if not out:
                 raise ModelError("every state must have a successor")
@@ -109,6 +110,8 @@ class Kripke:
         return self.adjacency[i]
 
     def index_of(self, text: str, elapsed: Fraction) -> Optional[int]:
+        if self._index is None:
+            self._index = {(t, ts.elapsed): i for i, (t, ts) in enumerate(zip(self.texts, self.states))}
         return self._index.get((text, elapsed))
 
     def has_edge(self, source: int, target: int, label: str) -> bool:
@@ -124,7 +127,8 @@ def _explore(
     """Shared BFS: returns (timed states, texts, edges, links), each list in
     discovery order.
 
-    ``time_bound`` None explores time-abstractly.
+    ``time_bound`` None explores time-abstractly.  Elapsed time is counted
+    as an integer numerator over the lcm of the durations' denominators.
     """
     timed = time_bound is not None
     if timed:
@@ -132,40 +136,46 @@ def _explore(
     durations = tuple(as_time(d) for d in durations)
     if ZERO in durations:
         raise ModelError("the sampling increment must be positive")
+    scale = lcm(*(d.denominator for d in durations))
+    # (duration, its numerator over scale); 0 when time-abstract
+    ticks = [(d, d.numerator * (scale // d.denominator) if timed else 0) for d in durations]
+    limit = ceil(time_bound * scale) if timed else 0  # elapsed numerators stay below
 
-    initial = TimedState(system.initial_state(), ZERO)
-    states: list[TimedState] = [initial]
-    texts: list[str] = [system.serialize(initial.state)]
-    index: dict[tuple[str, Fraction], int] = {(texts[0], ZERO): 0}
+    initial = system.initial_state()
+    states: list[TimedState] = [TimedState(initial, ZERO)]
+    texts: list[str] = [system.serialize(initial)]
+    clock: list[int] = [0]  # elapsed numerators over scale
+    index: dict[tuple[str, int], int] = {(texts[0], 0): 0}
     edges: list[KripkeEdge] = []
     links: list[Link] = [None]
 
     i = 0
     while i < len(states):
-        current = states[i]
-        now = current.elapsed
-        # (label, successor, its elapsed time, edge duration)
-        moves: list[tuple[str, Any, Fraction, Fraction]] = [
-            (label, succ, now, ZERO) for label, succ in system.discrete_successors(current.state)
+        state = states[i].state
+        now = clock[i]
+        # (label, successor, its elapsed numerator, edge duration)
+        moves: list[tuple[str, Any, int, Fraction]] = [
+            (label, succ, now, ZERO) for label, succ in system.discrete_successors(state)
         ]
-        for d in durations:
-            later = now + d if timed else now
-            if timed and later >= time_bound:
+        for d, step in ticks:
+            later = now + step
+            if timed and later >= limit:
                 continue
-            after = system.timed_successor(current.state, d)
+            after = system.timed_successor(state, d)
             if after is not None:
                 moves.append((TICK, after, later, d))
-        for label, succ, elapsed, duration in moves:
+        for label, succ, n, duration in moves:
             text = system.serialize(succ)
-            key = (text, elapsed)
+            key = (text, n)
             j = index.get(key)
             if j is None:
                 j = len(states)
                 if j >= max_states:
                     raise ModelError(f"state space exceeds {max_states} states")
                 index[key] = j
-                states.append(TimedState(succ, elapsed))
+                states.append(TimedState(succ, Fraction(n, scale)))
                 texts.append(text)
+                clock.append(n)
                 links.append((links[i], label, duration, text))
             edges.append(KripkeEdge(i, j, label, duration))
         i += 1

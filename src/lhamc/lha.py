@@ -417,7 +417,7 @@ class LhaSystem(TimedTransitionSystem):
     def initial_state(self) -> LhaState:
         return LhaState(self.lha.initial_location, self._initial)
 
-    def discrete_successors(self, state: LhaState) -> list[tuple[str, LhaState]]:
+    def _jumps_from(self, state: LhaState) -> list[tuple[str, LhaState]]:
         valuation = self._scaled(state.valuation)
         nums, den = valuation.nums, valuation.den
         out = []
@@ -427,9 +427,16 @@ class LhaSystem(TimedTransitionSystem):
             after = self._assign(scale, assignments, nums, den) if assignments else valuation
             if _satisfied(invariant, after.nums, after.den):
                 out.append((label, LhaState(target, after)))
+        return out
+
+    def discrete_successors(self, state: LhaState) -> list[tuple[str, LhaState]]:
+        out = self._jumps_from(state)
         if len(out) > 1:
             out.sort(key=lambda ls: (ls[0], self.serialize(ls[1])))
         return out
+
+    def enabled_labels(self, state: LhaState) -> list[str]:
+        return sorted({label for label, _ in self._jumps_from(state)})
 
     def _assign(self, scale: int, assignments: tuple, nums: tuple[int, ...], den: int) -> ScaledValuation:
         after = [n * scale for n in nums]

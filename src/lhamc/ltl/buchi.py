@@ -14,6 +14,7 @@ from typing import Iterable
 
 from ..core import ModelError
 from .formula import (
+    TOO_DEEP,
     And,
     Always,
     Bottom,
@@ -222,6 +223,13 @@ def to_buchi(f: Formula) -> BuchiAutomaton:
 
     The input must be in negation normal form (see to_nnf).
     """
+    try:
+        return _to_buchi(f)
+    except RecursionError:
+        raise ModelError(TOO_DEEP) from None
+
+
+def _to_buchi(f: Formula) -> BuchiAutomaton:
     f = to_nnf(f)  # idempotent; also expands implications defensively
     nodes = _expand(f)
     dense = {node.id: i for i, node in enumerate(nodes)}

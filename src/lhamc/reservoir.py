@@ -5,6 +5,13 @@ the hose rate minus its leak.  Time passes in sampled steps and is allowed
 only while no reservoir away from the hose has fallen to its lower
 threshold; once one has, the only discrete move is to carry the hose to a
 reservoir that needs it.
+
+The module-level functions (:func:`tick`, :func:`fill`,
+:func:`move_hose_successors`, :func:`valuation`, :func:`render_state`) and
+:class:`NResState` are the plain ``Fraction`` reference semantics.
+:class:`NResSystem` computes the same states on integers: it compiles the
+ring once, and its :class:`RingState`s hold the hosed tank's index and
+integer level numerators over one common denominator.
 """
 
 from __future__ import annotations
@@ -12,13 +19,17 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
+from operator import le
 from typing import Any, Iterable, Optional
 
 from .core import (
+    ZERO,
     ModelError,
     ModelWarning,
     TimedTransitionSystem,
     as_time,
+    fraction_text,
     json_objects,
     json_shape,
     monus,
@@ -197,6 +208,8 @@ def match(pattern: SearchPattern, state: Any) -> Optional[dict[str, str]]:
     """
     if pattern.is_wildcard():
         return {}
+    if isinstance(state, RingState):
+        state = state.plain()
     if not isinstance(state, NResState):
         raise ModelError("reservoir-specific patterns only apply to reservoir models")
     if pattern.hose is not None and state.hose.position != pattern.hose:
@@ -215,7 +228,7 @@ def validate_pattern(pattern: SearchPattern, system: TimedTransitionSystem) -> N
     if pattern.is_wildcard():
         return
     initial = system.initial_state()
-    if not isinstance(initial, NResState):
+    if not isinstance(initial, (NResState, RingState)):
         raise ModelError("reservoir-specific patterns only apply to reservoir models")
     known = {r.id for r in initial.reservoirs}
     if pattern.hose is not None and pattern.hose not in known:
@@ -225,38 +238,184 @@ def validate_pattern(pattern: SearchPattern, system: TimedTransitionSystem) -> N
             raise ModelError(f"pattern mentions unknown reservoir id {rid}")
 
 
+class RingState:
+    """A state of a compiled ring: the hosed tank's index and integer level
+    numerators over one positive denominator (see :class:`NResSystem`).
+
+    ``hose``, ``reservoirs`` and ``reservoir(rid)`` read it as the matching
+    :class:`NResState`, levels as ``Fraction``s, and it compares equal to
+    that state.
+    """
+
+    __slots__ = ("ring", "pos", "nums", "den")
+
+    def __init__(self, ring: "NResSystem", pos: int, nums: tuple[int, ...], den: int):
+        self.ring, self.pos, self.nums, self.den = ring, pos, nums, den
+
+    def plain(self) -> NResState:
+        hose, tanks = self.ring.initial.hose, self.ring.initial.reservoirs
+        return NResState(
+            Hose(hose.rate, tanks[self.pos].id),
+            tuple(replace(r, level=Fraction(n, self.den)) for r, n in zip(tanks, self.nums)),
+        )
+
+    @property
+    def hose(self) -> Hose:
+        return self.plain().hose
+
+    @property
+    def reservoirs(self) -> tuple[Reservoir, ...]:
+        return self.plain().reservoirs
+
+    def reservoir(self, rid: int) -> Reservoir:
+        return self.plain().reservoir(rid)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, RingState):
+            other = other.plain()
+        return self.plain() == other if isinstance(other, NResState) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.plain())
+
+    def __repr__(self) -> str:
+        return repr(self.plain())
+
+
 class NResSystem(TimedTransitionSystem):
     """Reservoir-ring model driven from a start state.
 
-    Discrete successors are the hose moves, ordered by numeric target id
-    (which refines the generic label/text order when ids reach two digits).
+    The ring is compiled once: the hose rate, thresholds, leaks and each
+    tank's text live here, and states are :class:`RingState`s.  Every
+    threshold is an integer numerator over every state's denominator, a tick
+    adds one cached integer step vector per (duration, denominator), and the
+    denominator grows by lcm only when a step needs it.  The results equal
+    those of the module-level ``Fraction`` functions, and methods also accept
+    plain :class:`NResState`s of the same ring.  Discrete successors are the
+    hose moves, ordered by numeric target id (which refines the generic
+    label/text order when ids reach two digits).
     """
 
     def __init__(self, initial: NResState):
         self.initial = initial
-        total_leak = sum((r.leak for r in initial.reservoirs), Fraction(0))
-        if total_leak != initial.hose.rate:
+        rate, tanks = initial.hose.rate, initial.reservoirs
+        total_leak = sum((r.leak for r in tanks), Fraction(0))
+        if total_leak != rate:
             warnings.warn(
                 f"total leak rate {total_leak} differs from hose rate "
-                f"{initial.hose.rate}; the system cannot stay balanced",
+                f"{rate}; the system cannot stay balanced",
                 ModelWarning,
                 stacklevel=2,
             )
+        self._statics = (rate, [(r.id, r.lower, r.upper, r.leak) for r in tanks])
+        self._ids, lowers, uppers, self._leaks = zip(*self._statics[1])
+        self._thresholds = (lowers, uppers)
+        # every state's denominator is a multiple of this one, so each threshold
+        # is a whole numerator over it
+        self._den = lcm(*(x.denominator for x in lowers + uppers))
+        self._bounds: dict[int, tuple] = {}  # den -> (lower, upper) numerators over den
+        self._heads = [f"hose({rate},{r.id})" for r in tanks]
+        # one "{}" per tank for its level
+        self._texts = "".join(f" < {r.id} | thr:({r.lower},{r.upper}), hth: {{}}, rte: {r.leak} >"
+                              for r in tanks)
+        # duration -> den -> (growth, fills, drains): a step from levels over
+        # den moves to den * growth; None for a zero duration
+        self._by_delta: dict[Fraction, dict | None] = {}
+        self._delta: Any = ZERO  # the last duration, and its steps
+        self._steps = self._steps_for(ZERO)
+        self._initial = self._compiled(initial)
 
-    def initial_state(self) -> NResState:
-        return self.initial
+    def _compiled(self, state: Any) -> RingState:
+        if type(state) is RingState and state.ring is self:
+            return state
+        if isinstance(state, RingState):
+            state = state.plain()
+        tanks = state.reservoirs
+        if (state.hose.rate, [(r.id, r.lower, r.upper, r.leak) for r in tanks]) != self._statics:
+            raise ModelError("the state belongs to a different reservoir ring")
+        den = lcm(self._den, *(r.level.denominator for r in tanks))
+        pos = self._ids.index(state.hose.position)
+        return RingState(self, pos, tuple(int(r.level * den) for r in tanks), den)
 
-    def discrete_successors(self, state: NResState) -> list[tuple[str, NResState]]:
-        return move_hose_successors(state)
+    def _bounds_at(self, den: int) -> tuple:
+        bounds = self._bounds.get(den)
+        if bounds is None:
+            bounds = self._bounds[den] = tuple(tuple(int(x * den) for x in xs) for xs in self._thresholds)
+        return bounds
 
-    def timed_successor(self, state: NResState, delta: Fraction) -> NResState | None:
-        return tick(state, delta)
+    def _steps_for(self, delta: Any) -> dict | None:
+        """The steps of ``delta``; a ``Fraction`` duration is validated once."""
+        if type(delta) is not Fraction:
+            delta = as_time(delta)
+        if delta not in self._by_delta:
+            self._by_delta[delta] = {} if as_time(delta) else None
+        return self._by_delta[delta]
 
-    def prop_holds(self, state: NResState, prop: str) -> bool:
-        return valuation(state, prop)
+    def _step(self, den: int) -> tuple:
+        """The step of the last duration from levels over ``den``."""
+        delta = as_time(self._delta)
+        fills = [(self.initial.hose.rate - leak) * delta for leak in self._leaks]
+        drains = [leak * delta for leak in self._leaks]
+        grown = lcm(den, *(x.denominator for x in fills + drains))
+        step = self._steps[den] = (
+            grown // den, tuple(int(x * grown) for x in fills), tuple(int(x * grown) for x in drains)
+        )
+        return step
 
-    def serialize(self, state: NResState) -> str:
-        return render_state(state)
+    def initial_state(self) -> RingState:
+        return self._initial
+
+    def discrete_successors(self, state: Any) -> list[tuple[str, RingState]]:
+        s = self._compiled(state)
+        pos, nums, den = s.pos, s.nums, s.den
+        low = self._bounds_at(den)[0]
+        if nums[pos] < low[pos]:
+            return []
+        return [
+            (MOVE_HOSE, RingState(self, i, nums, den)) for i, n in enumerate(nums) if n <= low[i] and i != pos
+        ]
+
+    def enabled_labels(self, state: Any) -> list[str]:
+        return [MOVE_HOSE] if self.discrete_successors(state) else []
+
+    def timed_successor(self, state: Any, delta: Fraction) -> Any:
+        if delta is not self._delta:
+            self._delta, self._steps = delta, self._steps_for(delta)
+        if self._steps is None:
+            return state
+        s = self._compiled(state)
+        pos, nums, den = s.pos, s.nums, s.den
+        low = self._bounds_at(den)[0]
+        for i, n in enumerate(nums):
+            if n <= low[i] and i != pos:
+                return None
+        growth, fills, drains = self._steps.get(den) or self._step(den)
+        if fills[pos] < 0:  # raises: the hose rate is below this tank's leak
+            fill(self.initial.reservoirs[pos], self.initial.hose.rate, self._delta)
+        if growth != 1:
+            nums = [n * growth for n in nums]
+        after = [n - d if n > d else 0 for n, d in zip(nums, drains)]
+        after[pos] = nums[pos] + fills[pos]
+        return RingState(self, pos, tuple(after), den * growth)
+
+    def prop_holds(self, state: Any, prop: str) -> bool:
+        s = self._compiled(state)
+        low = self._bounds_at(s.den)[0]
+        if prop == "one-down":
+            return any(map(le, s.nums, low))
+        if prop == "macondo":
+            return all(map(le, s.nums, low))
+        return valuation(self.initial, prop)  # raises: unknown proposition
+
+    def annotations(self, state: Any) -> dict[str, list]:
+        s = self._compiled(state)
+        up = self._bounds_at(s.den)[1]
+        return {"above_upper": [rid for rid, n, u in zip(self._ids, s.nums, up) if n > u]}
+
+    def serialize(self, state: Any) -> str:
+        s = self._compiled(state)
+        den = s.den
+        return self._heads[s.pos] + self._texts.format(*[fraction_text(n, den) for n in s.nums])
 
     def propositions(self) -> frozenset[str]:
         return PROPOSITIONS

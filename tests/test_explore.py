@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from lhamc.core import ModelError
-from lhamc.explore import build_kripke, search
+from lhamc.explore import build_kripke, kripke_structure, search
 from lhamc.lha import LhaSystem, two_reservoir
-from lhamc.reservoir import ReservoirPattern, SearchPattern, match
+from lhamc.reservoir import NResSystem, ReservoirPattern, SearchPattern, match
 from lhamc.syncprod import Component
 
 F = Fraction
@@ -172,3 +172,52 @@ class TestKripke:
         k = build_kripke(only, F(5), F(1))
         assert len(k) == 1
         assert [(e.label, e.target) for e in k.successors(0)] == [("stutter", 0)]
+
+
+def fraction_bfs(system, durations, time_bound):
+    """The explorer's breadth-first search with Fraction elapsed time:
+    (texts, elapsed times, edges as tuples, stutter loops included)."""
+    initial = system.initial_state()
+    found = [(initial, F(0))]
+    texts = [system.serialize(initial)]
+    index = {(texts[0], F(0)): 0}
+    edges = []
+    for i, (state, now) in enumerate(found):  # the loop also visits appended states
+        moves = [(label, succ, now, F(0)) for label, succ in system.discrete_successors(state)]
+        for d in durations:
+            later = now if time_bound is None else now + d
+            if time_bound is not None and later >= time_bound:
+                continue
+            after = system.timed_successor(state, d)
+            if after is not None:
+                moves.append(("tick", after, later, d))
+        for label, succ, t, d in moves:
+            text = system.serialize(succ)
+            if (text, t) not in index:
+                index[text, t] = len(found)
+                found.append((succ, t))
+                texts.append(text)
+            edges.append((i, index[text, t], label, d))
+    sources = {e[0] for e in edges}
+    edges += [(i, i, "stutter", F(0)) for i in range(len(found)) if i not in sources]
+    return texts, [t for _, t in found], edges
+
+
+class TestMixedDurations:
+    """Elapsed time is an integer over the lcm of the durations' denominators;
+    a Fraction-time search must give the same structure."""
+
+    @pytest.mark.parametrize("bound", [F(3), F(7, 4), F(1, 6), F(0), None])
+    @pytest.mark.parametrize("model", ["lha", "ring"])
+    def test_matches_a_fraction_time_search(self, model, bound, init2_state):
+        if model == "lha":
+            system = LhaSystem(two_reservoir(10, 5, 5, 15, 15, 30, 30))
+        else:
+            system = NResSystem(init2_state)
+        durations = (F(1, 2), F(1, 3))
+        k = kripke_structure(system, durations, bound)
+        texts, elapsed, edges = fraction_bfs(system, durations, bound)
+        assert k.texts == texts
+        assert [ts.elapsed for ts in k.states] == elapsed
+        assert [(e.source, e.target, e.label, e.duration) for e in k.edges] == edges
+        assert all(k.index_of(t, e) == i for i, (t, e) in enumerate(zip(texts, elapsed)))

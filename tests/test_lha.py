@@ -297,6 +297,7 @@ class TestScaledSystem:
                     (label, render_state(lha, s)) for label, s in ref_jumps
                 ]
                 assert fast_jumps == ref_jumps
+                assert system.enabled_labels(fast) == sorted({label for label, _ in ref_jumps})
                 moves += [(a, b) for (_, a), (_, b) in zip(fast_jumps, ref_jumps)]
                 jumps += len(fast_jumps)
                 delta = rng.choice(self.INCREMENTS)

@@ -8,7 +8,9 @@ from lhamc.ltl import (
     Counterexample,
     CounterexampleStep,
     model_check,
+    negated_nnf,
     parse_formula,
+    to_buchi,
     validate_counterexample,
 )
 from oracles import (
@@ -168,6 +170,19 @@ class TestValidation:
     def test_unknown_prop_in_validation_rejected(self):
         with pytest.raises(ModelError):
             validate_counterexample(self.structure(), parse_formula("[] zz"), self.genuine())
+
+    @pytest.mark.parametrize("walk", ["to_buchi", "model_check", "validate_counterexample"])
+    def test_deep_formulas_fail_closed(self, walk):
+        # the parser and the normal form accept this depth, but the automaton
+        # construction recurses deeper
+        deep = parse_formula("X " * 600 + "p")
+        run = {
+            "to_buchi": lambda: to_buchi(negated_nnf(deep)),
+            "model_check": lambda: model_check(self.structure(), deep),
+            "validate_counterexample": lambda: validate_counterexample(self.structure(), deep, self.genuine()),
+        }[walk]
+        with pytest.raises(ModelError, match="^input nests too deeply$"):
+            run()
 
 
 class TestAgainstOracles:

@@ -1,14 +1,20 @@
+import itertools
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
 
-from lhamc.core import ModelError, ModelWarning
+from lhamc.core import ModelError, ModelWarning, TimedTransitionSystem
+from lhamc.explore import kripke_structure
+from conftest import three_tank_state
 from lhamc.reservoir import (
+    PROPOSITIONS,
     Hose,
     NResState,
     NResSystem,
     Reservoir,
+    RingState,
     above_upper,
     fill,
     move_hose_successors,
@@ -201,3 +207,179 @@ class TestJson:
         doc["reservoirs"][0]["id"] = "0"
         with pytest.raises(ModelError):
             nres_from_json(doc)
+
+
+def random_ring(rng) -> NResState:
+    """1-4 tanks with scattered ids and fractional rates, levels, leaks and
+    thresholds; low thresholds and large leaks let drains saturate at 0, and
+    now and then the hose rate is below a leak."""
+    ids = rng.sample(range(12), rng.randint(1, 4))
+    tanks = []
+    for rid in ids:
+        lower = F(rng.randint(0, 12), rng.randint(1, 4)) if rng.random() < 0.7 else F(0)
+        upper = lower + F(rng.randint(0, 40), rng.randint(1, 6))
+        level = F(rng.randint(0, 60), rng.randint(1, 5))
+        tanks.append(Reservoir(rid, lower, upper, level, F(rng.randint(0, 24), rng.randint(1, 6))))
+    rate = sum(r.leak for r in tanks) + F(rng.randint(-2, 6), rng.randint(1, 3))
+    return NResState.make(Hose(max(rate, F(0)), rng.choice(ids)), tanks)
+
+
+def quiet_system(initial: NResState) -> NResSystem:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ModelWarning)
+        return NResSystem(initial)
+
+
+def outcome(step, *args):
+    """A step's result, or the text of the ModelError it raised."""
+    try:
+        return step(*args)
+    except ModelError as err:
+        return str(err)
+
+
+class FractionRing(TimedTransitionSystem):
+    """The module functions as a model: the reference NResSystem must match."""
+
+    def __init__(self, initial: NResState):
+        self.initial = initial
+
+    def initial_state(self):
+        return self.initial
+
+    def discrete_successors(self, s):
+        return move_hose_successors(s)
+
+    def timed_successor(self, s, delta):
+        return tick(s, delta)
+
+    def prop_holds(self, s, prop):
+        return valuation(s, prop)
+
+    def serialize(self, s):
+        return render_state(s)
+
+    def propositions(self):
+        return PROPOSITIONS
+
+
+class TestScaledSystem:
+    """NResSystem computes on integers; the module functions are the Fraction
+    reference it must agree with, step for step."""
+
+    INCREMENTS = (F(1), F(1, 2), F(1, 3), F(0))
+
+    def assert_same(self, system, fast, ref):
+        assert fast == ref and ref == fast and hash(fast) == hash(ref)
+        assert system.serialize(fast) == render_state(ref) == render_state(fast)
+        assert system.serialize(ref) == render_state(ref)
+        for prop in sorted(PROPOSITIONS):
+            assert system.prop_holds(fast, prop) == valuation(ref, prop) == system.prop_holds(ref, prop)
+        assert system.annotations(fast) == {"above_upper": list(above_upper(ref))} == system.annotations(ref)
+        labels = sorted({label for label, _ in move_hose_successors(ref)})
+        assert system.enabled_labels(fast) == labels == system.enabled_labels(ref)
+
+    def test_walks_agree_with_the_fraction_reference(self):
+        rng = random.Random(2025)
+        steps = moves_taken = saturated = errors = 0
+        for _ in range(100):
+            ref_initial = random_ring(rng)
+            system = quiet_system(ref_initial)
+            initial = (system.initial_state(), ref_initial)
+            fast, ref = initial
+            for _ in range(30):
+                self.assert_same(system, fast, ref)
+                fast_moves = system.discrete_successors(fast)
+                ref_moves = move_hose_successors(ref)
+                assert [(label, system.serialize(s)) for label, s in fast_moves] == [
+                    (label, render_state(s)) for label, s in ref_moves
+                ]
+                assert fast_moves == ref_moves == system.discrete_successors(ref)
+                moves = [(a, b) for (_, a), (_, b) in zip(fast_moves, ref_moves)]
+                moves_taken += len(moves)
+                delta = rng.choice(self.INCREMENTS)
+                fast_after = outcome(system.timed_successor, fast, delta)
+                ref_after = outcome(tick, ref, delta)
+                assert (fast_after is None) == (ref_after is None)
+                if isinstance(ref_after, str):
+                    assert fast_after == ref_after
+                    errors += 1
+                elif ref_after is not None:
+                    self.assert_same(system, fast_after, ref_after)
+                    moves.append((fast_after, ref_after))
+                    steps += delta != 0
+                    saturated += any(
+                        a.level == 0 < b.level for a, b in zip(ref_after.reservoirs, ref.reservoirs)
+                    )
+                fast, ref = rng.choice(moves) if moves else initial
+        assert steps > 800 and moves_taken > 150 and saturated > 40 and errors > 10
+
+    def test_kripke_structures_are_identical(self):
+        rng = random.Random(77)
+        samplings = (((F(1),), F(6)), ((F(1, 2), F(1, 3)), F(3)), ((F(1, 3),), F(7, 4)))
+        cases = [(ring, *sampling) for ring in [three_tank_state()] + [random_ring(rng) for _ in range(40)]
+                 for sampling in samplings]
+        # a ring like the benchmark's: levels in tenths, sampled every 1/10
+        tanks = [Reservoir(i, F(lo), F(lo + 30), F(lv, 10), F(leak))
+                 for i, (lo, lv, leak) in enumerate([(12, 251, 3), (7, 180, 2), (15, 305, 4), (9, 122, 1)])]
+        cases.append((NResState.make(Hose(F(11), 2), tanks), (F(1, 10),), F(40)))
+        compared = 0
+        for ring, durations, bound in cases:
+            fast = outcome(kripke_structure, quiet_system(ring), durations, bound)
+            ref = outcome(kripke_structure, FractionRing(ring), durations, bound)
+            if isinstance(ref, str):
+                assert fast == ref
+                continue
+            assert fast.texts == ref.texts
+            assert fast.states == ref.states  # states and elapsed times
+            assert [(e.source, e.target, e.label, e.duration) for e in fast.edges] == [
+                (e.source, e.target, e.label, e.duration) for e in ref.edges
+            ]
+            assert fast.labeling == ref.labeling
+            compared += len(ref)
+        assert compared > 1500
+
+    def test_levels_near_fractional_thresholds(self):
+        # integer levels against thresholds of 5/2 and 7/2: each tank is
+        # just below, at or just above them, hosed or not
+        for hosed, other, upper in itertools.product((2, F(5, 2), 3), (3, F(7, 2), 4), (F(5, 2), 3)):
+            tanks = [Reservoir(0, F(5, 2), upper, F(hosed), F(1)), Reservoir(1, F(7, 2), F(9, 2), F(other), F(3))]
+            ring = NResState.make(Hose(F(4), 0), tanks)
+            system = quiet_system(ring)
+            self.assert_same(system, system.initial_state(), ring)
+            assert system.discrete_successors(ring) == move_hose_successors(ring)
+
+    def test_views_read_as_fractions(self, init2_system):
+        after = init2_system.timed_successor(init2_system.initial_state(), F(1, 3))
+        assert isinstance(after, RingState)
+        assert after.hose == Hose(F(10), 0)
+        assert [r.level for r in after.reservoirs] == [F(95, 3), F(85, 3), F(85, 3)]
+        assert after.reservoir(2) == Reservoir(2, F(15), F(50), F(85, 3), F(5))
+        with pytest.raises(ModelError):
+            after.reservoir(7)
+        assert after == tick(three_tank_state(), F(1, 3)) and after != three_tank_state()
+
+    def test_plain_states_are_accepted(self, init2_system):
+        plain = state(0, F(61, 2), 30, 16)
+        assert init2_system.timed_successor(plain, F(1, 2)) == state(0, 33, F(55, 2), F(27, 2))
+        assert init2_system.discrete_successors(state(0, 45, 15, 15)) == move_hose_successors(state(0, 45, 15, 15))
+        other = NResState.make(Hose(F(10), 0), [tank(i, 30, leak=4) for i in range(3)])
+        with pytest.raises(ModelError):
+            init2_system.serialize(other)
+
+    def test_zero_step_returns_the_state_itself(self, init2_system):
+        blocked = state(0, 45, 15, 15)
+        assert init2_system.timed_successor(blocked, F(0)) is blocked
+        assert init2_system.timed_successor(blocked, F(1)) is None
+
+    @pytest.mark.parametrize("delta", [F(-1), -1, 1.0, True, "x"])
+    def test_durations_are_validated(self, init2_system, delta):
+        init2_system.timed_successor(init2_system.initial_state(), F(1))
+        with pytest.raises(ModelError):
+            init2_system.timed_successor(init2_system.initial_state(), delta)
+
+    def test_rate_below_the_hosed_leak(self):
+        system = quiet_system(NResState.make(Hose(F(3), 0), [tank(0, 30, leak=4), tank(1, 30, leak=1)]))
+        with pytest.raises(ModelError, match="hose rate 3 is below the leak rate 4"):
+            system.timed_successor(system.initial_state(), F(1, 2))
+        assert system.timed_successor(system.initial_state(), F(0)) == system.initial_state()
