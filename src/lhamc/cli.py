@@ -234,7 +234,7 @@ def _load_component(path: str) -> Component:
 def run_product_check(args: argparse.Namespace) -> int:
     left = _load_component(args.left)
     right = _load_component(args.right)
-    # when either side has no ticks none pair up, and this equals sync_product
+    # when either side has no ticks none pair up: the untimed product
     product = rt_sync_product(left, right)
     refills = [p for p in product.props if p.startswith("refill") and p.endswith("?")]
     if refills and "safe" not in product.props:

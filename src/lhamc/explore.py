@@ -124,11 +124,12 @@ def _explore(
     time_bound: Optional[Fraction],
     max_states: int,
 ):
-    """Shared BFS: returns (timed states, texts, edges, links), each list in
-    discovery order.
+    """Shared BFS: returns (timed states, texts, edges, links, clock), each
+    list in discovery order.
 
-    ``time_bound`` None explores time-abstractly.  Elapsed time is counted
-    as an integer numerator over the lcm of the durations' denominators.
+    ``time_bound`` None explores time-abstractly.  ``clock`` holds each
+    state's elapsed time as an integer numerator over the lcm of the
+    durations' denominators.
     """
     timed = time_bound is not None
     if timed:
@@ -179,7 +180,7 @@ def _explore(
                 links.append((links[i], label, duration, text))
             edges.append(KripkeEdge(i, j, label, duration))
         i += 1
-    return states, texts, edges, links
+    return states, texts, edges, links, clock
 
 
 def search(
@@ -194,14 +195,17 @@ def search(
 
     Ordered by elapsed time, ties by discovery order.
     """
-    states, texts, _, links = _explore(system, (increment,), time_bound, max_states)
-    solutions = []
-    for ts, text, link in zip(states, texts, links):
+    states, texts, _, links, clock = _explore(system, (increment,), time_bound, max_states)
+    hits = []
+    for i, ts in enumerate(states):
         bindings = match(ts.state)
         if bindings is not None:
-            solutions.append(Solution(ts.state, ts.elapsed, text, bindings, link))
-    solutions.sort(key=lambda s: s.elapsed)  # stable: discovery order within a time
-    return solutions
+            hits.append((clock[i], i, bindings))
+    hits.sort()  # by elapsed time, then discovery order
+    return [
+        Solution(states[i].state, states[i].elapsed, texts[i], bindings, links[i])
+        for _, i, bindings in hits
+    ]
 
 
 def kripke_structure(
@@ -215,7 +219,7 @@ def kripke_structure(
     Explores as :func:`_explore` does; deadlocked states get a zero-duration
     stutter self-loop.
     """
-    states, texts, edges, _ = _explore(system, durations, time_bound, max_states)
+    states, texts, edges, _, _ = _explore(system, durations, time_bound, max_states)
     with_out = {e.source for e in edges}
     for i in range(len(states)):
         if i not in with_out:

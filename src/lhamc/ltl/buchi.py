@@ -14,7 +14,6 @@ from typing import Iterable
 
 from ..core import ModelError
 from .formula import (
-    TOO_DEEP,
     And,
     Always,
     Bottom,
@@ -28,6 +27,7 @@ from .formula import (
     Release,
     Top,
     Until,
+    fail_closed,
     render,
     to_nnf,
 )
@@ -223,10 +223,7 @@ def to_buchi(f: Formula) -> BuchiAutomaton:
 
     The input must be in negation normal form (see to_nnf).
     """
-    try:
-        return _to_buchi(f)
-    except RecursionError:
-        raise ModelError(TOO_DEEP) from None
+    return fail_closed(_to_buchi, f)
 
 
 def _to_buchi(f: Formula) -> BuchiAutomaton:
@@ -275,12 +272,11 @@ def _to_buchi(f: Formula) -> BuchiAutomaton:
 
     transitions: list[BuchiTransition] = []
     frontier = []
-    seen = set()
     for i in initial_targets:
         q = (i, advance(0, i))
+        new = q not in ids
         transitions.append(BuchiTransition(0, labels[i], intern(q)))
-        if q not in seen:
-            seen.add(q)
+        if new:
             frontier.append(q)
     while frontier:
         next_frontier = []
@@ -289,9 +285,9 @@ def _to_buchi(f: Formula) -> BuchiAutomaton:
             source = ids[q]
             for lits, j in gba_edges[node_i]:
                 q2 = (j, advance(counter, j))
+                new = q2 not in ids
                 transitions.append(BuchiTransition(source, lits, intern(q2)))
-                if q2 not in seen:
-                    seen.add(q2)
+                if new:
                     next_frontier.append(q2)
         frontier = next_frontier
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Any, Callable
 
 from ..core import ModelError
 
@@ -215,15 +216,20 @@ class _Parser:
 TOO_DEEP = "input nests too deeply"
 
 
+def fail_closed(walk: Callable[[Any], Any], arg: Any) -> Any:
+    """``walk(arg)``, raising ModelError(TOO_DEEP) where it would overflow."""
+    try:
+        return walk(arg)
+    except RecursionError:
+        raise ModelError(TOO_DEEP) from None
+
+
 def parse_formula(text: str) -> Formula:
     tokens = _tokenize(text)
     if not tokens:
         raise ModelError("empty formula")
     parser = _Parser(tokens)
-    try:
-        formula = parser.implication()
-    except RecursionError:
-        raise ModelError(TOO_DEEP) from None
+    formula = fail_closed(_Parser.implication, parser)
     if parser.pos != len(tokens):
         raise ModelError(f"trailing input after formula: {tokens[parser.pos][1]!r}")
     return formula
@@ -231,10 +237,7 @@ def parse_formula(text: str) -> Formula:
 
 def render(f: Formula) -> str:
     """Reparseable text; binary subterms are parenthesized."""
-    try:
-        return _render(f)
-    except RecursionError:
-        raise ModelError(TOO_DEEP) from None
+    return fail_closed(_render, f)
 
 
 def _render(f: Formula) -> str:
@@ -268,10 +271,7 @@ def _render(f: Formula) -> str:
 
 def to_nnf(f: Formula) -> Formula:
     """Push negations down to propositions and expand implications."""
-    try:
-        return _nnf(f)
-    except RecursionError:
-        raise ModelError(TOO_DEEP) from None
+    return fail_closed(_nnf, f)
 
 
 def _nnf(f: Formula) -> Formula:
@@ -331,17 +331,11 @@ def _negate(f: Formula) -> Formula:
 
 def negated_nnf(f: Formula) -> Formula:
     """NNF of the negation of f."""
-    try:
-        return _negate(f)
-    except RecursionError:
-        raise ModelError(TOO_DEEP) from None
+    return fail_closed(_negate, f)
 
 
 def props_of(f: Formula) -> frozenset[str]:
-    try:
-        return _props(f)
-    except RecursionError:
-        raise ModelError(TOO_DEEP) from None
+    return fail_closed(_props, f)
 
 
 def _props(f: Formula) -> frozenset[str]:
@@ -359,10 +353,7 @@ def _props(f: Formula) -> frozenset[str]:
 
 def temporal_count(f: Formula) -> int:
     """Number of temporal operator occurrences (bounds oracle search depth)."""
-    try:
-        return _temporal_count(f)
-    except RecursionError:
-        raise ModelError(TOO_DEEP) from None
+    return fail_closed(_temporal_count, f)
 
 
 def _temporal_count(f: Formula) -> int:

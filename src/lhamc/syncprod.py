@@ -1,15 +1,17 @@
 """Synchronous products of labeled transition systems, with optional timing.
 
-Components synchronize on shared rule labels; unshared rules interleave.
-Every product state must be compatible: the two sides agree on all shared
-propositions.  In the timed variant components also synchronize on ticks of
-equal duration.
+Components synchronize on shared rule labels and on ticks of equal duration;
+unshared rules interleave.  Every product state must be compatible: the two
+sides agree on all shared propositions.  There is one product; the untimed
+product is the product of tick-free components.  A product is built from
+what its operands already hold, so it is well formed by construction and
+skips the checks the constructor makes on outside input.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable
 
 from .core import (
     ONE,
@@ -51,47 +53,60 @@ class Component(TimedTransitionSystem):
         props: dict[str, Iterable[Any]],
         ticks: Iterable[Tick] = (),
     ):
-        self.states = tuple(states)
-        if not self.states:
+        states = tuple(states)
+        if not states:
             raise ModelError("a component needs at least one state")
-        if len(set(self.states)) != len(self.states):
+        member = set(states)
+        if len(member) != len(states):
             raise ModelError("duplicate component states")
-        member = set(self.states)
-        self._text = {s: render_component_state(s) for s in self.states}
-        by_text = {text: s for s, text in self._text.items()}
-        if len(by_text) != len(self.states):
-            clash = next(text for s, text in self._text.items() if by_text[text] != s)
-            raise ModelError(f"two component states render as {clash!r}")
         if initial not in member:
             raise ModelError(f"initial state {initial!r} is not a component state")
-        self.initial = initial
-        self.rules = tuple((str(l), s, t) for l, s, t in rules)
-        for label, s, t in self.rules:
+        rules = tuple((str(l), s, t) for l, s, t in rules)
+        for label, s, t in rules:
             if s not in member or t not in member:
                 raise ModelError(f"rule {label!r} uses unknown states")
-        self.props: dict[str, frozenset] = {}
+        checked: dict[str, frozenset] = {}
         for name, holds_at in props.items():
             check_prop_name(name)
             holds = frozenset(holds_at)
             if not holds <= member:
                 raise ModelError(f"proposition {name!r} marks unknown states")
-            self.props[name] = holds
-        self.ticks = tuple((s, t, as_time(d)) for s, t, d in ticks)
-        # successor indexes, so that a state's successors cost its out-degree
-        self._tick_target: dict[tuple[Any, Fraction], Any] = {}
-        for s, t, d in self.ticks:
+            checked[name] = holds
+        ticks = tuple((s, t, as_time(d)) for s, t, d in ticks)
+        for s, t, d in ticks:
             if s not in member or t not in member:
                 raise ModelError("tick uses unknown states")
             if d == 0:
                 raise ModelError("tick durations must be positive")
+        text = {s: render_component_state(s) for s in states}
+        self._adopt(states, initial, rules, checked, ticks, text)
+
+    def _adopt(
+        self, states: tuple, initial: Any, rules: tuple, props: dict, ticks: tuple, text: dict
+    ) -> None:
+        """Take on a structure whose rules, ticks and propositions use only
+        its own states; check that texts and ticks stay unambiguous, and
+        index successors so that a state's successors cost its out-degree."""
+        by_text = {t: s for s, t in text.items()}
+        if len(by_text) != len(states):
+            clash = next(t for s, t in text.items() if by_text[t] != s)
+            raise ModelError(f"two component states render as {clash!r}")
+        self.states = states
+        self.initial = initial
+        self.rules = rules
+        self.props = props
+        self.ticks = ticks
+        self._text = text
+        self._tick_target: dict[tuple[Any, Fraction], Any] = {}
+        for s, t, d in ticks:
             if (s, d) in self._tick_target:
                 raise ModelError(f"two ticks of duration {d} from state {s!r}")
             self._tick_target[s, d] = t
-        self._moves: dict[Any, list[tuple[str, Any]]] = {s: [] for s in self.states}
-        for label, s, t in self.rules:
+        self._moves: dict[Any, list[tuple[str, Any]]] = {s: [] for s in states}
+        for label, s, t in rules:
             self._moves[s].append((label, t))
         for moves in self._moves.values():
-            moves.sort(key=lambda lt: (lt[0], self._text[lt[1]]))
+            moves.sort(key=lambda lt: (lt[0], text[lt[1]]))
 
     # model contract
 
@@ -127,27 +142,41 @@ class Component(TimedTransitionSystem):
         return seen
 
 
-def compatible(
-    c1: Component, s1: Any, c2: Component, s2: Any, shared: Optional[Iterable[str]] = None
-) -> bool:
+def compatible(c1: Component, s1: Any, c2: Component, s2: Any) -> bool:
     """Whether the two sides agree on every shared proposition."""
-    if shared is None:
-        shared = sorted(set(c1.props) & set(c2.props))
-    return all(c1.prop_holds(s1, p) == c2.prop_holds(s2, p) for p in shared)
+    return all(c1.prop_holds(s1, p) == c2.prop_holds(s2, p) for p in set(c1.props) & set(c2.props))
 
 
-def _product_core(c1: Component, c2: Component) -> tuple[list, Any, list[Rule], dict]:
-    shared_props = sorted(set(c1.props) & set(c2.props))
-    states = [
-        (s1, s2)
-        for s1 in c1.states
-        for s2 in c2.states
-        if compatible(c1, s1, c2, s2, shared_props)
-    ]
-    member = set(states)
-    initial = (c1.initial, c2.initial)
-    if initial not in member:
+def _well_formed(*structure: Any) -> Component:
+    """A component over a structure built from components (see ``_adopt``)."""
+    component = Component.__new__(Component)
+    component._adopt(*structure)
+    return component
+
+
+def _signatures(c: Component, shared: list[str]) -> tuple[dict, dict]:
+    """Each state's signature, the truth values of the shared propositions,
+    and the states with each signature in the component's order."""
+    sig = {s: tuple(s in c.props[p] for p in shared) for s in c.states}
+    having: dict[tuple, list] = {}
+    for s in c.states:
+        having.setdefault(sig[s], []).append(s)
+    return sig, having
+
+
+def rt_sync_product(c1: Component, c2: Component) -> Component:
+    """Synchronous product: joint steps on shared labels, interleaving on the
+    rest, and joint ticks pairing equal durations, all over the compatible
+    pairs of states.  With a tick-free operand this is the untimed product.
+    A pair is compatible when both sides have the same signature, and its
+    text is joined from the operands' texts.
+    """
+    shared = sorted(set(c1.props) & set(c2.props))
+    sig1, with_sig1 = _signatures(c1, shared)
+    sig2, with_sig2 = _signatures(c2, shared)
+    if sig1[c1.initial] != sig2[c2.initial]:
         raise ModelError("the initial states disagree on a shared proposition")
+    states = tuple((s1, s2) for s1 in c1.states for s2 in with_sig2.get(sig1[s1], ()))
 
     # a label on both sides is shared: its rules fire jointly
     right_by_label: dict[str, list[Rule]] = {}
@@ -158,45 +187,27 @@ def _product_core(c1: Component, c2: Component) -> tuple[list, Any, list[Rule], 
     for label, s1, t1 in c1.rules:
         if label in right_by_label:
             for _, s2, t2 in right_by_label[label]:
-                if (s1, s2) in member and (t1, t2) in member:
+                if sig1[s1] == sig2[s2] and sig1[t1] == sig2[t2]:
                     rules.append((label, (s1, s2), (t1, t2)))
-        else:
-            for s2 in c2.states:
-                if (s1, s2) in member and (t1, s2) in member:
-                    rules.append((label, (s1, s2), (t1, s2)))
+        elif sig1[s1] == sig1[t1]:
+            rules.extend((label, (s1, s2), (t1, s2)) for s2 in with_sig2.get(sig1[s1], ()))
     for label, s2, t2 in c2.rules:
-        if label not in left_labels:
-            for s1 in c1.states:
-                if (s1, s2) in member and (s1, t2) in member:
-                    rules.append((label, (s1, s2), (s1, t2)))
+        if label not in left_labels and sig2[s2] == sig2[t2]:
+            rules.extend((label, (s1, s2), (s1, t2)) for s1 in with_sig1.get(sig2[s2], ()))
+    ticks = tuple(
+        ((s1, s2), (t1, t2), d1)
+        for s1, t1, d1 in c1.ticks
+        for s2, t2, d2 in c2.ticks
+        if d1 == d2 and sig1[s1] == sig2[s2] and sig1[t1] == sig2[t2]
+    )
 
-    props: dict[str, list] = {}
-    for name, holds in c1.props.items():
-        props[name] = [(s1, s2) for s1, s2 in states if s1 in holds]
+    props = {name: frozenset(s for s in states if s[0] in holds) for name, holds in c1.props.items()}
     for name, holds in c2.props.items():
         if name not in props:
-            props[name] = [(s1, s2) for s1, s2 in states if s2 in holds]
-    return states, initial, rules, props
-
-
-def sync_product(c1: Component, c2: Component) -> Component:
-    """Untimed synchronous product: joint steps on shared labels, interleaving
-    on the rest, all target states compatibility-filtered."""
-    states, initial, rules, props = _product_core(c1, c2)
-    return Component(states, initial, rules, props)
-
-
-def rt_sync_product(c1: Component, c2: Component) -> Component:
-    """Timed synchronous product: like sync_product, plus joint ticks pairing
-    equal durations with compatible endpoints."""
-    states, initial, rules, props = _product_core(c1, c2)
-    member = set(states)
-    ticks: list[Tick] = []
-    for s1, t1, d1 in c1.ticks:
-        for s2, t2, d2 in c2.ticks:
-            if d1 == d2 and (s1, s2) in member and (t1, t2) in member:
-                ticks.append(((s1, s2), (t1, t2), d1))
-    return Component(states, initial, rules, props, ticks)
+            props[name] = frozenset(s for s in states if s[1] in holds)
+    text1, text2 = c1._text, c2._text
+    text = {s: f"< {text1[s[0]]},{text2[s[1]]} >" for s in states}
+    return _well_formed(states, (c1.initial, c2.initial), tuple(rules), props, ticks, text)
 
 
 def abstract_reservoir(i: int) -> Component:
@@ -223,14 +234,12 @@ def safe_prop(component: Component) -> Component:
         raise ModelError("no refill propositions to derive safety from")
     if "safe" in component.props:
         raise ModelError("the component already has a proposition named 'safe'")
-    refills.sort()
-    safe_states = [
-        s for s in component.states
-        if not all(component.prop_holds(s, p) for p in refills)
-    ]
-    props: dict[str, Iterable[Any]] = {name: holds for name, holds in component.props.items()}
-    props["safe"] = safe_states
-    return Component(component.states, component.initial, component.rules, props, component.ticks)
+    flags = [component.props[p] for p in refills]
+    safe = frozenset(s for s in component.states if not all(s in f for f in flags))
+    props = {**component.props, "safe": safe}
+    return _well_formed(
+        component.states, component.initial, component.rules, props, component.ticks, component._text
+    )
 
 
 def component_kripke(component: Component) -> Kripke:
@@ -264,28 +273,19 @@ def component_from_json(doc: dict) -> Component:
 
 
 def component_to_json(component: Component) -> dict:
+    text = component.serialize
     return {
         "kind": "component",
-        "states": [render_component_state(s) for s in component.states],
-        "initial": render_component_state(component.initial),
+        "states": [text(s) for s in component.states],
+        "initial": text(component.initial),
         "rules": [
-            {
-                "label": label,
-                "source": render_component_state(s),
-                "target": render_component_state(t),
-            }
-            for label, s, t in component.rules
+            {"label": label, "source": text(s), "target": text(t)} for label, s, t in component.rules
         ],
         "props": {
-            name: [render_component_state(s) for s in component.states if s in holds]
+            name: [text(s) for s in component.states if s in holds]
             for name, holds in component.props.items()
         },
         "ticks": [
-            {
-                "source": render_component_state(s),
-                "target": render_component_state(t),
-                "duration": str(d),
-            }
-            for s, t, d in component.ticks
+            {"source": text(s), "target": text(t), "duration": str(d)} for s, t, d in component.ticks
         ],
     }

@@ -31,7 +31,6 @@ from lhamc.syncprod import (
     component_kripke,
     rt_sync_product,
     safe_prop,
-    sync_product,
 )
 from lhamc.cli import parse_pattern
 from oracles import (
@@ -311,7 +310,7 @@ class TestCriterion6Products:
             c1 = random_component(rng, "L")
             c2 = random_component(rng, "R")
             try:
-                product = sync_product(c1, c2)
+                product = rt_sync_product(c1, c2)
             except ModelError:
                 continue
             built += 1

@@ -19,11 +19,11 @@ from lhamc.ltl import (
 )
 from lhamc.reservoir import NResSystem, ReservoirPattern, SearchPattern, nres_from_json
 from lhamc.syncprod import (
+    Component,
     component_from_json,
     component_kripke,
     rt_sync_product,
     safe_prop,
-    sync_product,
 )
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -357,8 +357,10 @@ class TestProductCheck:
         code = main(["product-check", "--left", RES1, "--right", str(right), "--formula", formula])
         out = capsys.readouterr().out
         with open(RES1, encoding="utf-8") as fh:
-            left = component_from_json(json.load(fh))
-        kripke = component_kripke(safe_prop(sync_product(left, component_from_json(pump))))
+            timed = component_from_json(json.load(fh))
+        # the untimed product is the product of tick-free components
+        left = Component(timed.states, timed.initial, timed.rules, timed.props)
+        kripke = component_kripke(safe_prop(rt_sync_product(left, component_from_json(pump))))
         ce = model_check(kripke, parse_formula(formula))
         if ce is None:
             assert (code, out) == (0, "Result Bool :\n  true\n")

@@ -24,7 +24,6 @@ from lhamc.syncprod import (
     render_component_state,
     rt_sync_product,
     safe_prop,
-    sync_product,
 )
 
 
@@ -135,21 +134,21 @@ class TestCompatibility:
 
     def test_product_keeps_only_compatible_pairs(self):
         c1, c2 = self.two_with_shared_prop()
-        p = sync_product(c1, c2)
+        p = rt_sync_product(c1, c2)
         assert p.states == (("u", "x"), ("v", "y"))
 
     def test_incompatible_initials_rejected(self):
         c1 = Component(("u",), "u", (), props={"busy": ("u",)})
         c2 = Component(("x",), "x", (), props={"busy": ()})
         with pytest.raises(ModelError):
-            sync_product(c1, c2)
+            rt_sync_product(c1, c2)
 
 
 class TestSyncProduct:
     def test_shared_labels_fire_jointly(self):
         c1 = Component(("a", "b"), "a", (("go", "a", "b"), ("solo1", "b", "a")), props={})
         c2 = Component(("x", "y"), "x", (("go", "x", "y"),), props={})
-        p = sync_product(c1, c2)
+        p = rt_sync_product(c1, c2)
         assert ("go", ("a", "x"), ("b", "y")) in p.rules
         assert all(not (label == "go" and (s[0], t[0]) == ("a", "a")) for label, s, t in p.rules)
         assert ("solo1", ("b", "x"), ("a", "x")) in p.rules
@@ -158,14 +157,14 @@ class TestSyncProduct:
     def test_interleaving_respects_compatibility(self):
         c1 = Component(("u", "v"), "u", (("hop", "u", "v"),), props={"busy": ("v",)})
         c2 = Component(("x", "y"), "x", (("mark", "x", "y"),), props={"busy": ("y",)})
-        p = sync_product(c1, c2)
+        p = rt_sync_product(c1, c2)
         assert p.states == (("u", "x"), ("v", "y"))
         assert p.rules == ()
 
     def test_prop_union_prefers_left_on_shared(self):
         c1 = Component(("u", "v"), "u", (), props={"busy": ("v",)})
         c2 = Component(("x", "y"), "x", (), props={"busy": ("y",), "own": ("x",)})
-        p = sync_product(c1, c2)
+        p = rt_sync_product(c1, c2)
         assert p.props["busy"] == frozenset({("v", "y")})
         assert p.props["own"] == frozenset({("u", "x")})
 
@@ -202,7 +201,7 @@ class TestSyncProduct:
         left = Component(("a,b", "a"), "a,b", (("go1", "a,b", "a"),), props={"p": ("a",)})
         right = Component(("c", "b,c"), "c", (("go2", "c", "b,c"),), props={"q": ("b,c",)})
         with pytest.raises(ModelError, match="two component states render as"):
-            sync_product(left, right)
+            rt_sync_product(left, right)
 
 
 class TestSafeProp:
@@ -363,10 +362,15 @@ def defined_rules(c1: Component, c2: Component, states: list) -> Counter:
     return Counter(r for r in rules if r[1] in member and r[2] in member)
 
 
+def tick_free(c: Component) -> Component:
+    return Component(c.states, c.initial, c.rules, c.props)
+
+
 def random_components(seed: int) -> list[Component]:
+    """Two random components, their untimed product and their timed one."""
     rng = random.Random(seed)
     left, right = random_component(rng, "x"), random_component(rng, "y")
-    return [left, right, sync_product(left, right), rt_sync_product(left, right)]
+    return [left, right, rt_sync_product(tick_free(left), tick_free(right)), rt_sync_product(left, right)]
 
 
 class TestSuccessorIndexes:
@@ -398,6 +402,75 @@ class TestSuccessorIndexes:
         c = Component(("a", "b"), "a", (("go", "a", "b"),), props={})
         c.discrete_successors("a").clear()
         assert c.discrete_successors("a") == [("go", "b")]
+
+
+# Products built from their operands against the definition, and against the
+# same structure passed through the validating constructor.
+
+
+def ladder(k: int) -> Component:
+    product = abstract_reservoir(1)
+    for i in range(2, k + 1):
+        product = rt_sync_product(product, abstract_reservoir(i))
+    return product
+
+
+OPERANDS = (
+    [("random", seed) for seed in range(40)]
+    + [("tick-free", seed) for seed in range(40)]
+    + [("ladder", k) for k in range(2, 9)]
+)
+
+
+def operands(kind: str, n: int) -> tuple[Component, Component]:
+    if kind == "ladder":
+        return ladder(n - 1), abstract_reservoir(n)
+    left, right = random_components(n)[:2]
+    return (tick_free(left), tick_free(right)) if kind == "tick-free" else (left, right)
+
+
+def defined_product(c1: Component, c2: Component) -> tuple[list, list, dict]:
+    """States, ticks and propositions of the product as the definition
+    states them: the compatible pairs in c1 x c2 order, joint ticks of equal
+    duration, and the left operand's propositions before the right's."""
+    states = [(s1, s2) for s1 in c1.states for s2 in c2.states if compatible(c1, s1, c2, s2)]
+    member = set(states)
+    ticks = [
+        ((s1, s2), (t1, t2), d1)
+        for s1, t1, d1 in c1.ticks
+        for s2, t2, d2 in c2.ticks
+        if d1 == d2 and (s1, s2) in member and (t1, t2) in member
+    ]
+    props = {name: frozenset(s for s in states if s[0] in holds) for name, holds in c1.props.items()}
+    for name, holds in c2.props.items():
+        props.setdefault(name, frozenset(s for s in states if s[1] in holds))
+    return states, ticks, props
+
+
+class TestProductFromOperands:
+    @pytest.mark.parametrize("kind, n", OPERANDS)
+    def test_product_matches_the_definition(self, kind, n):
+        left, right = operands(kind, n)
+        product = rt_sync_product(left, right)
+        states, ticks, props = defined_product(left, right)
+        assert product.states == tuple(states)
+        assert product.initial == (left.initial, right.initial)
+        assert product.ticks == tuple(ticks)
+        assert list(product.props.items()) == list(props.items())
+        assert Counter(product.rules) == defined_rules(left, right, states)
+        for state in product.states:
+            assert product.serialize(state) == render_component_state(state)
+
+    @pytest.mark.parametrize("kind, n", OPERANDS)
+    def test_kripke_matches_the_validated_rebuild(self, kind, n):
+        product = rt_sync_product(*operands(kind, n))
+        built = [product, safe_prop(product)] if kind == "ladder" else [product]
+        for c in built:
+            rebuilt = Component(c.states, c.initial, c.rules, c.props, c.ticks)
+            got, want = component_kripke(c), component_kripke(rebuilt)
+            assert got.texts == want.texts
+            assert got.edges == want.edges
+            assert got.labeling == want.labeling
 
 
 PRODUCT_BUDGET_SECONDS = 10.0
