@@ -25,6 +25,7 @@ from .syncprod import (
     Component,
     component_from_json,
     component_kripke,
+    refill_props,
     rt_sync_product,
     safe_prop,
 )
@@ -236,8 +237,7 @@ def run_product_check(args: argparse.Namespace) -> int:
     right = _load_component(args.right)
     # when either side has no ticks none pair up: the untimed product
     product = rt_sync_product(left, right)
-    refills = [p for p in product.props if p.startswith("refill") and p.endswith("?")]
-    if refills and "safe" not in product.props:
+    if refill_props(product) and "safe" not in product.props:
         product = safe_prop(product)
     formula = parse_formula(args.formula)
     kripke = component_kripke(product)
@@ -300,7 +300,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"error: {err}", file=sys.stderr)
             return 2
         except RecursionError:
-            # deeply nested formulas and JSON documents
+            # deeply nested JSON documents; formulas fail closed with ModelError
             print("error: input nests too deeply", file=sys.stderr)
             return 2
 

@@ -58,13 +58,22 @@ class BuchiAutomaton:
         self.adjacency: list[list[BuchiTransition]] = [[] for _ in range(size)]
         for t in transitions:
             self.adjacency[t.source].append(t)
+        self._targets: dict[tuple[int, frozenset[str]], tuple[int, ...]] = {}
 
     @staticmethod
     def literals_hold(literals: frozenset[Literal], letter: frozenset[str]) -> bool:
         return all((name in letter) == positive for name, positive in literals)
 
-    def successors(self, state: int, letter: frozenset[str]) -> list[int]:
-        return [t.target for t in self.adjacency[state] if self.literals_hold(t.literals, letter)]
+    def successors(self, state: int, letter: frozenset[str]) -> tuple[int, ...]:
+        """Targets of the transitions from ``state`` whose literals hold in
+        ``letter``, in adjacency order.  Memoized per (state, letter), so
+        each transition reads each distinct letter once."""
+        key = (state, letter)
+        out = self._targets.get(key)
+        if out is None:
+            out = tuple(t.target for t in self.adjacency[state] if self.literals_hold(t.literals, letter))
+            self._targets[key] = out
+        return out
 
 
 class _Node:

@@ -3,7 +3,9 @@
 The property is negated, normalized, and compiled to a Buchi automaton; an
 accepting lasso in the product with the Kripke structure is a counterexample.
 The outer search runs in postorder, the inner search hunts for a cycle back
-to the blue stack, both iterative.
+to the blue stack, both iterative.  A product node (s, q) steps along every
+edge of s, in order, paired with every automaton target of q on the letter
+of s, in order; these lists are built on demand and never cached.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Optional
 
 from ..core import ModelError
 from ..explore import Kripke
-from .buchi import BuchiAutomaton, lasso_accepted, to_buchi
+from .buchi import lasso_accepted, to_buchi
 from .formula import Formula, negated_nnf, props_of
 
 
@@ -52,47 +54,35 @@ def model_check(kripke: Kripke, formula: Formula) -> Optional[Counterexample]:
     otherwise a validated-shape counterexample lasso."""
     _check_props(kripke, formula)
     ba = to_buchi(negated_nnf(formula))
+    adjacency, labeling = kripke.adjacency, kripke.labeling
+
+    def succs(v: _ProductNode) -> list[_ProductNode]:
+        s, q = v
+        targets = ba.successors(q, labeling[s])
+        return [(e.target, t) for e in adjacency[s] for t in targets]
+
     init: _ProductNode = (kripke.initial, ba.initial)
-
-    succ_cache: dict[_ProductNode, list[tuple[_ProductNode, str]]] = {}
-
-    def succs(v: _ProductNode) -> list[tuple[_ProductNode, str]]:
-        out = succ_cache.get(v)
-        if out is None:
-            s, q = v
-            letter = kripke.labeling[s]
-            out = []
-            for e in kripke.successors(s):
-                for t in ba.adjacency[q]:
-                    if BuchiAutomaton.literals_hold(t.literals, letter):
-                        out.append(((e.target, t.target), e.label))
-            succ_cache[v] = out
-        return out
-
     blue: set[_ProductNode] = {init}
     red: set[_ProductNode] = set()
     on_stack: set[_ProductNode] = {init}
-    stack: list[list] = [[init, 0]]  # [node, next successor index]
+    stack = [(init, iter(succs(init)))]  # (node, its successors not yet tried)
 
     while stack:
-        node, i = stack[-1]
-        successors = succs(node)
-        if i < len(successors):
-            stack[-1][1] = i + 1
-            child = successors[i][0]
+        node, children = stack[-1]
+        for child in children:
             if child not in blue:
                 blue.add(child)
                 on_stack.add(child)
-                stack.append([child, 0])
-            continue
-        # node fully explored: run the inner search if it is accepting
-        if node[1] in ba.accepting:
-            hit = _red_search(node, succs, red, on_stack)
-            if hit is not None:
-                blue_path = [entry[0] for entry in stack]
-                return _extract(kripke, succs, blue_path, hit)
-        stack.pop()
-        on_stack.discard(node)
+                stack.append((child, iter(succs(child))))
+                break
+        else:
+            # node fully explored: run the inner search if it is accepting
+            if node[1] in ba.accepting:
+                hit = _red_search(node, succs, red, on_stack)
+                if hit is not None:
+                    return _extract(kripke, [v for v, _ in stack], hit)
+            stack.pop()
+            on_stack.discard(node)
     return None
 
 
@@ -104,7 +94,7 @@ def _red_search(seed, succs, red, on_stack):
     """
     parents: dict[_ProductNode, _ProductNode] = {}
     work = []
-    for child, _ in succs(seed):
+    for child in succs(seed):
         if child not in red and child not in parents:
             parents[child] = seed
             work.append(child)
@@ -120,7 +110,7 @@ def _red_search(seed, succs, red, on_stack):
                     break
             path.reverse()
             return path  # [seed, ..., u], possibly u == seed on a proper cycle
-        for child, _ in succs(u):
+        for child in succs(u):
             if child not in red and child not in parents:
                 parents[child] = u
                 work.append(child)
@@ -129,29 +119,22 @@ def _red_search(seed, succs, red, on_stack):
     return None
 
 
-def _extract(kripke, succs, blue_path, red_path) -> Counterexample:
-    """Assemble the lasso from the blue stack and the red return path."""
+def _extract(kripke, blue_path, red_path) -> Counterexample:
+    """Assemble the lasso from the blue stack and the red return path.  The
+    automaton reads only the source's letter, so the first product successor
+    reaching a node comes through the first Kripke edge: its label is used."""
     u = red_path[-1]
     j = blue_path.index(u)
     cycle_nodes = blue_path[j:] + red_path[1:-1]  # u ... seed, then back toward u
     prefix_nodes = blue_path[:j]
 
-    def label_between(v, w) -> str:
-        for child, label in succs(v):
-            if child == w:
-                return label
-        raise ModelError("internal error: lasso edge vanished")
-
     def step(v, w) -> CounterexampleStep:
-        s = v[0]
-        return CounterexampleStep(kripke.texts[s], kripke.states[s].elapsed, label_between(v, w))
+        s, t = v[0], w[0]
+        label = next(e.label for e in kripke.adjacency[s] if e.target == t)
+        return CounterexampleStep(kripke.texts[s], kripke.states[s].elapsed, label)
 
-    prefix = []
-    for a, b in zip(prefix_nodes, prefix_nodes[1:] + cycle_nodes[:1]):
-        prefix.append(step(a, b))
-    cycle = []
-    for a, b in zip(cycle_nodes, cycle_nodes[1:] + cycle_nodes[:1]):
-        cycle.append(step(a, b))
+    prefix = [step(a, b) for a, b in zip(prefix_nodes, prefix_nodes[1:] + cycle_nodes[:1])]
+    cycle = [step(a, b) for a, b in zip(cycle_nodes, cycle_nodes[1:] + cycle_nodes[:1])]
     return Counterexample(prefix, cycle)
 
 

@@ -227,9 +227,14 @@ def abstract_reservoir(i: int) -> Component:
     )
 
 
+def refill_props(component: Component) -> list[str]:
+    """The component's refill flags: its propositions named refill<i>?."""
+    return [p for p in component.props if p.startswith("refill") and p.endswith("?")]
+
+
 def safe_prop(component: Component) -> Component:
     """Add a derived "safe" proposition: not every refill flag raised."""
-    refills = [p for p in component.props if p.startswith("refill") and p.endswith("?")]
+    refills = refill_props(component)
     if not refills:
         raise ModelError("no refill propositions to derive safety from")
     if "safe" in component.props:

@@ -1,6 +1,7 @@
 import random
+from itertools import product
 
-from lhamc.ltl import lasso_accepted, parse_formula, to_buchi, to_nnf
+from lhamc.ltl import lasso_accepted, parse_formula, props_of, to_buchi, to_nnf
 from oracles import eval_on_lasso, random_formula, random_letters
 
 
@@ -35,6 +36,28 @@ class TestStructure:
         assert not ba.literals_hold((("p", True),), frozenset())
         assert ba.literals_hold((("p", False),), frozenset({"q"}))
         assert not ba.literals_hold((("p", True), ("q", False)), frozenset({"p", "q"}))
+
+
+class TestSuccessors:
+    def test_memo_matches_the_plain_scan(self):
+        rng = random.Random(2718)
+        for _ in range(200):
+            f = random_formula(rng, temporal_budget=2)
+            ba = to_buchi(to_nnf(f))
+            names = sorted(props_of(f))
+            letters = [
+                frozenset(n for n, on in zip(names, bits) if on)
+                for bits in product((False, True), repeat=len(names))
+            ]
+            for _ in range(2):  # the second read comes from the memo
+                for q in range(ba.size):
+                    for letter in letters:
+                        scan = tuple(
+                            t.target
+                            for t in ba.adjacency[q]
+                            if all((name in letter) == positive for name, positive in t.literals)
+                        )
+                        assert ba.successors(q, letter) == scan
 
 
 class TestKnownFormulas:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from lhamc.core import ModelError
+from lhamc.explore import build_kripke
 from lhamc.ltl import (
     Counterexample,
     CounterexampleStep,
@@ -13,6 +14,9 @@ from lhamc.ltl import (
     to_buchi,
     validate_counterexample,
 )
+from lhamc.ltl.buchi import BuchiAutomaton
+from lhamc.reservoir import Hose, NResState, NResSystem, Reservoir
+from lhamc.syncprod import Component, component_kripke
 from oracles import (
     counterexample_letters,
     eval_on_lasso,
@@ -108,6 +112,43 @@ class TestReservoirKripke:
     def test_always_macondo_fails_immediately(self, init2_kripke):
         ce = check(init2_kripke, "[] macondo")
         assert_valid(init2_kripke, "[] macondo", ce)
+
+
+class TestProductSuccessors:
+    def test_each_transition_reads_each_letter_once(self, monkeypatch):
+        # a sustaining ring: (lower, upper, level, leak) per tank, hose rate 13 at tank 1
+        tanks = [(18, 57, 23, 3), (16, 40, 23, 4), (12, 32, 38, 2), (12, 47, 34, 1)]
+        state = NResState.make(
+            Hose(Fraction(13), 1), [Reservoir(i, *map(Fraction, t)) for i, t in enumerate(tanks)]
+        )
+        kripke = build_kripke(NResSystem(state), Fraction(20), Fraction(1, 10))
+        formula = parse_formula("([] <> one-down /\\ [] <> ~ one-down) -> [] <> macondo")
+        plain = BuchiAutomaton.literals_hold
+        calls = []
+
+        def counted(literals, letter):
+            calls.append(letter)
+            return plain(literals, letter)
+
+        monkeypatch.setattr(BuchiAutomaton, "literals_hold", staticmethod(counted))
+        assert model_check(kripke, formula) is None
+        transitions = len(to_buchi(negated_nnf(formula)).transitions)
+        assert len(calls) <= transitions * len(set(kripke.labeling))
+
+    def test_parallel_edges_give_the_first_label_in_move_order(self):
+        # moves are sorted by label, so "alpha" comes before "zeta"
+        c = Component(
+            states=("a", "b"),
+            initial="a",
+            rules=(("zeta", "a", "b"), ("alpha", "a", "b"), ("back", "b", "a")),
+            props={"p": ("b",)},
+        )
+        kripke = component_kripke(c)
+        assert [e.label for e in kripke.successors(0)] == ["alpha", "zeta"]
+        ce = check(kripke, "[] ~ p")
+        assert_valid(kripke, "[] ~ p", ce)
+        assert [(s.text, s.label) for s in ce.prefix] == [("a", "alpha"), ("b", "back"), ("a", "alpha")]
+        assert [(s.text, s.label) for s in ce.cycle] == [("b", "back"), ("a", "alpha")]
 
 
 def mk_step(text: str, label: str) -> CounterexampleStep:
