@@ -1,12 +1,13 @@
 """Exact arithmetic, the time domain, and the contract every model implements.
 
-All quantities in the engine are exact rationals, and every API takes and
-returns them as ``fractions.Fraction``.  Internally, linear hybrid automaton
-and reservoir ring states hold integer numerators over one common positive
-denominator (see :class:`lhamc.lha.LhaSystem` and
-:class:`lhamc.reservoir.NResSystem`), the explorer counts elapsed time as an
-integer numerator over the lcm of the durations' denominators, and
-:func:`fraction_text` renders such a pair exactly as ``str(Fraction)`` would.
+All quantities in the engine are exact rationals; the API takes and returns
+them as ``fractions.Fraction``, save that a ``Kripke`` is built from integer
+clocks.  Internally, linear hybrid automaton and reservoir ring states hold
+integer numerators over one common positive denominator (see
+:class:`lhamc.lha.LhaSystem` and :class:`lhamc.reservoir.NResSystem`), the
+explorer and its Kripke structures keep elapsed time as one integer clock
+over the lcm of the durations' denominators, and :func:`fraction_text`
+renders such a pair exactly as ``str(Fraction)`` would.
 Durations ("time") are nonnegative rationals validated by :func:`as_time`;
 atomic propositions are plain nonempty strings.  Floating point never enters
 any semantic computation.

@@ -1,13 +1,13 @@
 """Breadth-first exploration of timed models and Kripke construction.
 
-Every visited configuration is a state paired with its elapsed time, and the
-canonical state text plus elapsed time is its identity.  With a time bound,
-time advances in the given durations and total elapsed time stays strictly
-below the bound.  Without one the structure is time-abstract: elapsed time
-stays 0 and ticks are edges annotated with their duration, so runs may loop
-through them.  The explorer counts elapsed time as an integer numerator
-over the lcm of the durations' denominators, and builds a ``Fraction`` only
-for each state's :class:`TimedState`.
+Every visited configuration is a state paired with its elapsed time, kept
+as one integer clock: a numerator over ``scale``, the lcm of the durations'
+denominators.  The canonical state text plus that numerator is a state's
+identity.  With a time bound, time advances in the given durations and total
+elapsed time stays strictly below the bound.  Without one the structure is
+time-abstract: the clock stays 0 and ticks are edges annotated with their
+duration, so runs may loop through them.  A ``Fraction`` is built only where
+a caller reads a time: a search hit, a lasso step, an index lookup.
 """
 
 from __future__ import annotations
@@ -23,12 +23,6 @@ TICK = "tick"
 STUTTER = "stutter"
 
 MAX_STATES = 1_000_000
-
-
-@dataclass(frozen=True)
-class TimedState:
-    state: Any
-    elapsed: Fraction
 
 
 @dataclass(frozen=True)
@@ -76,21 +70,26 @@ class KripkeEdge:
 class Kripke:
     """Finite, total transition structure labeled with atomic propositions.
 
-    States are indices in discovery order; state 0 is initial.  Deadlocked
-    states get a zero-duration "stutter" self-loop so every state has at
-    least one successor.
+    States are indices in discovery order; state 0 is initial.  ``states``
+    holds the model states, ``texts`` their canonical texts, and state i has
+    elapsed time ``clock[i] / scale``.  Deadlocked states get a zero-duration
+    "stutter" self-loop so every state has at least one successor.
     """
 
     def __init__(
         self,
-        states: list[TimedState],
+        states: list[Any],
         texts: list[str],
+        clock: list[int],
+        scale: int,
         edges: list[KripkeEdge],
         labeling: list[frozenset[str]],
         props: frozenset[str],
     ):
         self.states = states
         self.texts = texts
+        self.clock = clock
+        self.scale = scale
         self.edges = edges
         self.labeling = labeling
         self.props = props
@@ -98,7 +97,7 @@ class Kripke:
         self.adjacency: list[list[KripkeEdge]] = [[] for _ in states]
         for e in edges:
             self.adjacency[e.source].append(e)
-        self._index: Optional[dict[tuple[str, Fraction], int]] = None  # built on the first lookup
+        self._index: Optional[dict[tuple[str, int], int]] = None  # built on the first lookup
         for out in self.adjacency:
             if not out:
                 raise ModelError("every state must have a successor")
@@ -106,13 +105,14 @@ class Kripke:
     def __len__(self) -> int:
         return len(self.states)
 
-    def successors(self, i: int) -> list[KripkeEdge]:
-        return self.adjacency[i]
+    def elapsed(self, i: int) -> Fraction:
+        return Fraction(self.clock[i], self.scale)
 
     def index_of(self, text: str, elapsed: Fraction) -> Optional[int]:
+        n = Fraction(elapsed) * self.scale  # an integer exactly when on the clock's grid
         if self._index is None:
-            self._index = {(t, ts.elapsed): i for i, (t, ts) in enumerate(zip(self.texts, self.states))}
-        return self._index.get((text, elapsed))
+            self._index = {key: i for i, key in enumerate(zip(self.texts, self.clock))}
+        return self._index.get((text, n.numerator)) if n.denominator == 1 else None
 
     def has_edge(self, source: int, target: int, label: str) -> bool:
         return any(e.target == target and e.label == label for e in self.adjacency[source])
@@ -124,12 +124,12 @@ def _explore(
     time_bound: Optional[Fraction],
     max_states: int,
 ):
-    """Shared BFS: returns (timed states, texts, edges, links, clock), each
+    """Shared BFS: returns (states, texts, edges, links, clock, scale), each
     list in discovery order.
 
     ``time_bound`` None explores time-abstractly.  ``clock`` holds each
-    state's elapsed time as an integer numerator over the lcm of the
-    durations' denominators.
+    state's elapsed time as an integer numerator over ``scale``, the lcm of
+    the durations' denominators.
     """
     timed = time_bound is not None
     if timed:
@@ -143,7 +143,7 @@ def _explore(
     limit = ceil(time_bound * scale) if timed else 0  # elapsed numerators stay below
 
     initial = system.initial_state()
-    states: list[TimedState] = [TimedState(initial, ZERO)]
+    states: list[Any] = [initial]
     texts: list[str] = [system.serialize(initial)]
     clock: list[int] = [0]  # elapsed numerators over scale
     index: dict[tuple[str, int], int] = {(texts[0], 0): 0}
@@ -152,7 +152,7 @@ def _explore(
 
     i = 0
     while i < len(states):
-        state = states[i].state
+        state = states[i]
         now = clock[i]
         # (label, successor, its elapsed numerator, edge duration)
         moves: list[tuple[str, Any, int, Fraction]] = [
@@ -174,13 +174,13 @@ def _explore(
                 if j >= max_states:
                     raise ModelError(f"state space exceeds {max_states} states")
                 index[key] = j
-                states.append(TimedState(succ, Fraction(n, scale)))
+                states.append(succ)
                 texts.append(text)
                 clock.append(n)
                 links.append((links[i], label, duration, text))
             edges.append(KripkeEdge(i, j, label, duration))
         i += 1
-    return states, texts, edges, links, clock
+    return states, texts, edges, links, clock, scale
 
 
 def search(
@@ -195,16 +195,16 @@ def search(
 
     Ordered by elapsed time, ties by discovery order.
     """
-    states, texts, _, links, clock = _explore(system, (increment,), time_bound, max_states)
+    states, texts, _, links, clock, scale = _explore(system, (increment,), time_bound, max_states)
     hits = []
-    for i, ts in enumerate(states):
-        bindings = match(ts.state)
+    for i, state in enumerate(states):
+        bindings = match(state)
         if bindings is not None:
             hits.append((clock[i], i, bindings))
     hits.sort()  # by elapsed time, then discovery order
     return [
-        Solution(states[i].state, states[i].elapsed, texts[i], bindings, links[i])
-        for _, i, bindings in hits
+        Solution(states[i], Fraction(n, scale), texts[i], bindings, links[i])
+        for n, i, bindings in hits
     ]
 
 
@@ -219,16 +219,16 @@ def kripke_structure(
     Explores as :func:`_explore` does; deadlocked states get a zero-duration
     stutter self-loop.
     """
-    states, texts, edges, _, _ = _explore(system, durations, time_bound, max_states)
+    states, texts, edges, _, clock, scale = _explore(system, durations, time_bound, max_states)
     with_out = {e.source for e in edges}
     for i in range(len(states)):
         if i not in with_out:
             edges.append(KripkeEdge(i, i, STUTTER, ZERO))
     props = system.propositions()
     labeling = [
-        frozenset(p for p in props if system.prop_holds(ts.state, p)) for ts in states
+        frozenset(p for p in props if system.prop_holds(state, p)) for state in states
     ]
-    return Kripke(states, texts, edges, labeling, props)
+    return Kripke(states, texts, clock, scale, edges, labeling, props)
 
 
 def build_kripke(

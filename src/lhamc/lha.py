@@ -362,6 +362,7 @@ class LhaSystem(TimedTransitionSystem):
         self.lha = lha
         index = self._index = {var: i for i, var in enumerate(lha.variables)}
         self._invariants = {loc.name: tuple(_row(c, index) for c in loc.invariant) for loc in lha.locations}
+        self._tick_guards = {loc.name: tuple(_row(c, index) for c in loc.tick_guard) for loc in lha.locations}
         # source -> [(label, target, guard rows, scale, assignments, target
         # invariant rows)], in edge order; an assignment (i, terms, const) sets
         # value i to (sum(c * n[j] for j, c in terms) + const * d) / (scale * d)
@@ -408,9 +409,8 @@ class LhaSystem(TimedTransitionSystem):
                 for loc in self.lha.locations:
                     steps = [parse_rational(loc.rates.get(var, ZERO)) * delta for var in self._index]
                     den = lcm(*(s.denominator for s in steps))
-                    guard = tuple(_row(c, self._index) for c in loc.tick_guard)
                     vector = tuple(int(s * den) for s in steps)
-                    ticks[loc.name] = (guard, self._invariants[loc.name], vector, den)
+                    ticks[loc.name] = (self._tick_guards[loc.name], self._invariants[loc.name], vector, den)
             self._by_delta[delta] = ticks
         return self._by_delta[delta]
 

@@ -131,7 +131,7 @@ def _extract(kripke, blue_path, red_path) -> Counterexample:
     def step(v, w) -> CounterexampleStep:
         s, t = v[0], w[0]
         label = next(e.label for e in kripke.adjacency[s] if e.target == t)
-        return CounterexampleStep(kripke.texts[s], kripke.states[s].elapsed, label)
+        return CounterexampleStep(kripke.texts[s], kripke.elapsed(s), label)
 
     prefix = [step(a, b) for a, b in zip(prefix_nodes, prefix_nodes[1:] + cycle_nodes[:1])]
     cycle = [step(a, b) for a, b in zip(cycle_nodes, cycle_nodes[1:] + cycle_nodes[:1])]

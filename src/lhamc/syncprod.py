@@ -97,11 +97,12 @@ class Component(TimedTransitionSystem):
         self.props = props
         self.ticks = ticks
         self._text = text
-        self._tick_target: dict[tuple[Any, Fraction], Any] = {}
+        self._tick_targets: dict[Fraction, dict[Any, Any]] = {}  # duration -> source -> target
         for s, t, d in ticks:
-            if (s, d) in self._tick_target:
+            targets = self._tick_targets.setdefault(d, {})
+            if s in targets:
                 raise ModelError(f"two ticks of duration {d} from state {s!r}")
-            self._tick_target[s, d] = t
+            targets[s] = t
         self._moves: dict[Any, list[tuple[str, Any]]] = {s: [] for s in states}
         for label, s, t in rules:
             self._moves[s].append((label, t))
@@ -120,7 +121,8 @@ class Component(TimedTransitionSystem):
         delta = as_time(delta)
         if delta == 0:
             return state
-        return self._tick_target.get((state, delta))
+        targets = self._tick_targets.get(delta)
+        return None if targets is None else targets.get(state)
 
     def prop_holds(self, state: Any, prop: str) -> bool:
         try:
@@ -135,11 +137,7 @@ class Component(TimedTransitionSystem):
         return frozenset(self.props)
 
     def tick_durations(self) -> list[Fraction]:
-        seen = []
-        for _, _, d in self.ticks:
-            if d not in seen:
-                seen.append(d)
-        return seen
+        return list(self._tick_targets)
 
 
 def compatible(c1: Component, s1: Any, c2: Component, s2: Any) -> bool:

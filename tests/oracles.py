@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from typing import Optional
 
-from lhamc.explore import Kripke, KripkeEdge, TimedState
+from lhamc.explore import Kripke, KripkeEdge
 from lhamc.ltl.formula import (
     Always,
     And,
@@ -110,14 +110,13 @@ def make_kripke(successors: dict[int, list[int]], labeling, props: set[str]) -> 
     if isinstance(labeling, dict):
         labeling = [labeling.get(i, set()) for i in range(max(labeling) + 1)]
     n = len(labeling)
-    states = [TimedState(f"s{i}", Fraction(0)) for i in range(n)]
-    texts = [f"s{i}" for i in range(n)]
+    names = [f"s{i}" for i in range(n)]
     edges = [
         KripkeEdge(src, dst, f"e{src}-{dst}", Fraction(0))
         for src in range(n)
         for dst in successors.get(src, [])
     ]
-    return Kripke(states, texts, edges, [frozenset(l) for l in labeling], frozenset(props))
+    return Kripke(names, names, [0] * n, 1, edges, [frozenset(l) for l in labeling], frozenset(props))
 
 
 def lasso_letters(kripke: Kripke, prefix: list[int], cycle: list[int]) -> tuple[list[Letter], list[Letter]]:
@@ -151,7 +150,7 @@ def find_violating_lasso(
 
     def walk(path: list[int]) -> Optional[tuple[list[int], list[int]]]:
         last = path[-1]
-        for e in kripke.successors(last):
+        for e in kripke.adjacency[last]:
             t = e.target
             for j in range(len(path)):
                 if path[j] == t:

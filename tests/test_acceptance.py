@@ -334,8 +334,7 @@ class TestCriterion6Products:
                         if l1 == label == l2 and (s1, s2) in member and (t1, t2) in member:
                             assert (label, (s1, s2), (t1, t2)) in product.rules
             kripke = component_kripke(product)
-            for state in kripke.states:
-                s1, s2 = state.state
+            for s1, s2 in kripke.states:
                 assert compatible(c1, s1, c2, s2)
         print(
             f"PASS: criterion 6d - {built} random products projected soundly and"

@@ -6,6 +6,7 @@ import pytest
 from lhamc.core import ModelError
 from lhamc.explore import build_kripke, kripke_structure, search
 from lhamc.lha import LhaSystem, two_reservoir
+from lhamc.ltl import Counterexample, CounterexampleStep, parse_formula, validate_counterexample
 from lhamc.reservoir import NResSystem, ReservoirPattern, SearchPattern, match
 from lhamc.syncprod import Component
 
@@ -155,23 +156,45 @@ class TestKripke:
     def test_deadlocks_get_stutter_loops(self, init2_system):
         k = build_kripke(init2_system, F(3), F(1))
         assert len(k) == 3  # bound cuts the third tick
-        last = k.successors(2)
+        last = k.adjacency[2]
         assert [(e.label, e.duration, e.target) for e in last] == [("stutter", F(0), 2)]
 
     def test_every_state_has_a_successor(self, init2_kripke):
-        assert all(init2_kripke.successors(i) for i in range(len(init2_kripke)))
+        assert all(init2_kripke.adjacency[i] for i in range(len(init2_kripke)))
 
     def test_index_lookup(self, init2_kripke):
         k = init2_kripke
         for i in range(len(k)):
-            assert k.index_of(k.texts[i], k.states[i].elapsed) == i
+            assert k.index_of(k.texts[i], k.elapsed(i)) == i
         assert k.index_of("nonsense", F(0)) is None
+
+    def test_index_of_reads_the_clock_grid(self, init2_system):
+        k = build_kripke(init2_system, F(1), F(1, 10))
+        assert k.scale == 10
+        assert k.index_of(k.texts[0], F(1, 3)) is None  # between two ticks
+        assert k.index_of(k.texts[0], 0) == 0
+        i = k.clock.index(3)
+        assert k.elapsed(i) == F(3, 10)
+        assert k.index_of(k.texts[i], F(3, 10)) == i
+        j = k.clock.index(1)
+        assert k.index_of(k.texts[j], F(1, 30)) is None  # its numerator over 10 is 1/3, not 1
+
+    def test_off_grid_lasso_step_is_rejected(self, init2_system):
+        k = build_kripke(init2_system, F(1), F(1, 10))
+        i = k.clock.index(1)
+        ce = Counterexample([], [CounterexampleStep(k.texts[i], F(1, 30), "tick")])
+        assert validate_counterexample(k, parse_formula("[] ~ macondo"), ce) is False
+
+    def test_states_are_the_model_states(self, init2_system):
+        k = build_kripke(init2_system, F(1), F(1, 10))
+        assert k.states[0] is init2_system.initial_state()
+        assert all(init2_system.serialize(s) == t for s, t in zip(k.states, k.texts))
 
     def test_untimed_component_deadlock(self):
         only = Component(states=("s",), initial="s", rules=(), props={"p": ("s",)})
         k = build_kripke(only, F(5), F(1))
         assert len(k) == 1
-        assert [(e.label, e.target) for e in k.successors(0)] == [("stutter", 0)]
+        assert [(e.label, e.target) for e in k.adjacency[0]] == [("stutter", 0)]
 
 
 def fraction_bfs(system, durations, time_bound):
@@ -218,6 +241,6 @@ class TestMixedDurations:
         k = kripke_structure(system, durations, bound)
         texts, elapsed, edges = fraction_bfs(system, durations, bound)
         assert k.texts == texts
-        assert [ts.elapsed for ts in k.states] == elapsed
+        assert [k.elapsed(i) for i in range(len(k))] == elapsed
         assert [(e.source, e.target, e.label, e.duration) for e in k.edges] == edges
         assert all(k.index_of(t, e) == i for i, (t, e) in enumerate(zip(texts, elapsed)))

@@ -144,7 +144,7 @@ class TestProductSuccessors:
             props={"p": ("b",)},
         )
         kripke = component_kripke(c)
-        assert [e.label for e in kripke.successors(0)] == ["alpha", "zeta"]
+        assert [e.label for e in kripke.adjacency[0]] == ["alpha", "zeta"]
         ce = check(kripke, "[] ~ p")
         assert_valid(kripke, "[] ~ p", ce)
         assert [(s.text, s.label) for s in ce.prefix] == [("a", "alpha"), ("b", "back"), ("a", "alpha")]

@@ -331,7 +331,8 @@ class TestScaledSystem:
                 assert fast == ref
                 continue
             assert fast.texts == ref.texts
-            assert fast.states == ref.states  # states and elapsed times
+            assert fast.states == ref.states
+            assert (fast.clock, fast.scale) == (ref.clock, ref.scale)  # elapsed times
             assert [(e.source, e.target, e.label, e.duration) for e in fast.edges] == [
                 (e.source, e.target, e.label, e.duration) for e in ref.edges
             ]
