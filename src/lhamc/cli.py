@@ -10,17 +10,16 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import re
 import sys
 import warnings
 from fractions import Fraction
 from typing import Any, Optional
 
-from .core import ModelError, TimedTransitionSystem, as_time, fraction_text, parse_rational
+from .core import ModelError, TimedTransitionSystem, as_time, fraction_text
 from .explore import build_kripke, search
 from .lha import LhaSystem, lha_from_json
 from .ltl import Counterexample, model_check, parse_formula
-from .reservoir import NResSystem, ReservoirPattern, SearchPattern, nres_from_json, validate_pattern
+from .reservoir import NResSystem, nres_from_json, parse_pattern, validate_pattern
 from .syncprod import (
     Component,
     component_from_json,
@@ -45,43 +44,6 @@ def load_model(path: str) -> TimedTransitionSystem:
     if kind == "component":
         return component_from_json(doc)
     raise ModelError(f"unknown model kind {kind!r}")
-
-
-_PATTERN_TOKEN = re.compile(r"^R(\d+)\.hth=(.+)$")
-
-
-def parse_pattern(text: str) -> SearchPattern:
-    """Pattern mini-language: "*", "hose=N", "R<id>.hth=<rational or *>"."""
-    text = text.strip()
-    if not text:
-        raise ModelError("empty pattern")
-    if text == "*":
-        return SearchPattern()
-    hose: Optional[int] = None
-    tanks: dict[int, Optional[Fraction]] = {}
-    for token in text.split():
-        if token == "*":
-            raise ModelError("'*' must be the whole pattern")
-        if token.startswith("hose="):
-            if hose is not None:
-                raise ModelError("duplicate hose constraint")
-            try:
-                hose = int(token[len("hose="):])
-            except ValueError:
-                raise ModelError(f"cannot read hose position in {token!r}") from None
-            continue
-        m = _PATTERN_TOKEN.match(token)
-        if m is None:
-            raise ModelError(f"cannot read pattern token {token!r}")
-        rid = int(m.group(1))
-        if rid in tanks:
-            raise ModelError(f"duplicate constraint for reservoir {rid}")
-        value = m.group(2)
-        tanks[rid] = None if value == "*" else parse_rational(value)
-    reservoirs = tuple(
-        (rid, ReservoirPattern(level=level)) for rid, level in sorted(tanks.items())
-    )
-    return SearchPattern(hose=hose, reservoirs=reservoirs)
 
 
 # output formatting

@@ -3,19 +3,22 @@
 Every visited configuration is a state paired with its elapsed time, kept
 as one integer clock: a numerator over ``scale``, the lcm of the durations'
 denominators.  The canonical state text plus that numerator is a state's
-identity.  With a time bound, time advances in the given durations and total
-elapsed time stays strictly below the bound.  Without one the structure is
-time-abstract: the clock stays 0 and ticks are edges annotated with their
-duration, so runs may loop through them.  A ``Fraction`` is built only where
-a caller reads a time: a search hit, a lasso step, an index lookup.
+identity and its key in the explorer's index.  With a time bound, time
+advances in the given durations and total elapsed time stays strictly below
+the bound.  Without one the clock stays 0 and ticks are edges annotated with
+their duration, so runs may loop through them.  Each transition is one
+:class:`KripkeEdge` in its source's out-list, and the edge that discovered a
+state is the last step of its path.  A ``Fraction`` is built only where a
+caller reads a time: a search hit, a lasso step, an index lookup.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import ceil, lcm
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from .core import ZERO, ModelError, TimedTransitionSystem, as_time
 
@@ -32,9 +35,11 @@ class Step:
     text: str
 
 
-# A state's link to the initial state: (parent's link, label, duration, text),
-# or None for the initial state itself.
-Link = Optional[tuple]
+class KripkeEdge(NamedTuple):
+    source: int
+    target: int
+    label: str
+    duration: Fraction
 
 
 @dataclass
@@ -45,26 +50,20 @@ class Solution:
     elapsed: Fraction
     text: str
     bindings: dict[str, str]
-    link: Link = field(repr=False, compare=False)
+    edge: Optional[KripkeEdge] = field(repr=False, compare=False)  # None for the initial state
+    parents: list[Optional[KripkeEdge]] = field(repr=False, compare=False)
+    texts: list[str] = field(repr=False, compare=False)
 
     @property
     def path(self) -> tuple[Step, ...]:
         """The steps from the initial state, built afresh on every read."""
         steps = []
-        link = self.link
-        while link is not None:
-            link, label, duration, text = link
-            steps.append(Step(label, duration, text))
+        edge = self.edge
+        while edge is not None:
+            steps.append(Step(edge.label, edge.duration, self.texts[edge.target]))
+            edge = self.parents[edge.source]
         steps.reverse()
         return tuple(steps)
-
-
-@dataclass(frozen=True)
-class KripkeEdge:
-    source: int
-    target: int
-    label: str
-    duration: Fraction
 
 
 class Kripke:
@@ -72,8 +71,10 @@ class Kripke:
 
     States are indices in discovery order; state 0 is initial.  ``states``
     holds the model states, ``texts`` their canonical texts, and state i has
-    elapsed time ``clock[i] / scale``.  Deadlocked states get a zero-duration
-    "stutter" self-loop so every state has at least one successor.
+    elapsed time ``clock[i] / scale``.  ``adjacency[i]`` is state i's
+    out-list, which must not be empty; the explorer gives a deadlocked state
+    a zero-duration "stutter" self-loop.  ``index`` maps ``(text, clock
+    numerator)`` to the state's index, as the explorer keys its states.
     """
 
     def __init__(
@@ -82,37 +83,37 @@ class Kripke:
         texts: list[str],
         clock: list[int],
         scale: int,
-        edges: list[KripkeEdge],
+        adjacency: list[list[KripkeEdge]],
+        index: dict[tuple[str, int], int],
         labeling: list[frozenset[str]],
         props: frozenset[str],
     ):
+        if len(adjacency) != len(states) or not all(adjacency):
+            raise ModelError("every state must have a successor")
         self.states = states
         self.texts = texts
         self.clock = clock
         self.scale = scale
-        self.edges = edges
+        self.adjacency = adjacency
+        self.index = index
         self.labeling = labeling
         self.props = props
         self.initial = 0
-        self.adjacency: list[list[KripkeEdge]] = [[] for _ in states]
-        for e in edges:
-            self.adjacency[e.source].append(e)
-        self._index: Optional[dict[tuple[str, int], int]] = None  # built on the first lookup
-        for out in self.adjacency:
-            if not out:
-                raise ModelError("every state must have a successor")
 
     def __len__(self) -> int:
         return len(self.states)
+
+    @property
+    def edges(self) -> tuple[KripkeEdge, ...]:
+        """Every edge, grouped by source in state order."""
+        return tuple(chain.from_iterable(self.adjacency))
 
     def elapsed(self, i: int) -> Fraction:
         return Fraction(self.clock[i], self.scale)
 
     def index_of(self, text: str, elapsed: Fraction) -> Optional[int]:
         n = Fraction(elapsed) * self.scale  # an integer exactly when on the clock's grid
-        if self._index is None:
-            self._index = {key: i for i, key in enumerate(zip(self.texts, self.clock))}
-        return self._index.get((text, n.numerator)) if n.denominator == 1 else None
+        return self.index.get((text, n.numerator)) if n.denominator == 1 else None
 
     def has_edge(self, source: int, target: int, label: str) -> bool:
         return any(e.target == target and e.label == label for e in self.adjacency[source])
@@ -124,12 +125,13 @@ def _explore(
     time_bound: Optional[Fraction],
     max_states: int,
 ):
-    """Shared BFS: returns (states, texts, edges, links, clock, scale), each
-    list in discovery order.
+    """Shared BFS: returns (states, texts, clock, scale, adjacency, index,
+    parents), each list in discovery order.
 
-    ``time_bound`` None explores time-abstractly.  ``clock`` holds each
-    state's elapsed time as an integer numerator over ``scale``, the lcm of
-    the durations' denominators.
+    ``time_bound`` None explores time-abstractly.  State i has elapsed time
+    ``clock[i] / scale`` and key ``(texts[i], clock[i])`` in ``index``; its
+    out-list ``adjacency[i]`` is a lone stutter loop when it has no moves, and
+    ``parents[i]`` is the edge that discovered it (None for state 0).
     """
     timed = time_bound is not None
     if timed:
@@ -147,8 +149,8 @@ def _explore(
     texts: list[str] = [system.serialize(initial)]
     clock: list[int] = [0]  # elapsed numerators over scale
     index: dict[tuple[str, int], int] = {(texts[0], 0): 0}
-    edges: list[KripkeEdge] = []
-    links: list[Link] = [None]
+    adjacency: list[list[KripkeEdge]] = []
+    parents: list[Optional[KripkeEdge]] = [None]
 
     i = 0
     while i < len(states):
@@ -165,22 +167,24 @@ def _explore(
             after = system.timed_successor(state, d)
             if after is not None:
                 moves.append((TICK, after, later, d))
+        out: list[KripkeEdge] = []
         for label, succ, n, duration in moves:
             text = system.serialize(succ)
-            key = (text, n)
-            j = index.get(key)
-            if j is None:
-                j = len(states)
+            j = index.setdefault((text, n), len(states))
+            edge = KripkeEdge(i, j, label, duration)
+            if j == len(states):  # first reached by this edge
                 if j >= max_states:
                     raise ModelError(f"state space exceeds {max_states} states")
-                index[key] = j
                 states.append(succ)
                 texts.append(text)
                 clock.append(n)
-                links.append((links[i], label, duration, text))
-            edges.append(KripkeEdge(i, j, label, duration))
+                parents.append(edge)
+            out.append(edge)
+        if not out:
+            out.append(KripkeEdge(i, i, STUTTER, ZERO))
+        adjacency.append(out)
         i += 1
-    return states, texts, edges, links, clock, scale
+    return states, texts, clock, scale, adjacency, index, parents
 
 
 def search(
@@ -195,7 +199,7 @@ def search(
 
     Ordered by elapsed time, ties by discovery order.
     """
-    states, texts, _, links, clock, scale = _explore(system, (increment,), time_bound, max_states)
+    states, texts, clock, scale, _, _, parents = _explore(system, (increment,), time_bound, max_states)
     hits = []
     for i, state in enumerate(states):
         bindings = match(state)
@@ -203,7 +207,7 @@ def search(
             hits.append((clock[i], i, bindings))
     hits.sort()  # by elapsed time, then discovery order
     return [
-        Solution(states[i], Fraction(n, scale), texts[i], bindings, links[i])
+        Solution(states[i], Fraction(n, scale), texts[i], bindings, parents[i], parents, texts)
         for n, i, bindings in hits
     ]
 
@@ -214,21 +218,12 @@ def kripke_structure(
     time_bound: Optional[Fraction],
     max_states: int = MAX_STATES,
 ) -> Kripke:
-    """Reachable states as a total, labeled Kripke structure.
-
-    Explores as :func:`_explore` does; deadlocked states get a zero-duration
-    stutter self-loop.
-    """
-    states, texts, edges, _, clock, scale = _explore(system, durations, time_bound, max_states)
-    with_out = {e.source for e in edges}
-    for i in range(len(states)):
-        if i not in with_out:
-            edges.append(KripkeEdge(i, i, STUTTER, ZERO))
+    """Reachable states as a total, labeled Kripke structure, explored as
+    :func:`_explore` does."""
+    states, texts, clock, scale, adjacency, index, _ = _explore(system, durations, time_bound, max_states)
     props = system.propositions()
-    labeling = [
-        frozenset(p for p in props if system.prop_holds(state, p)) for state in states
-    ]
-    return Kripke(states, texts, clock, scale, edges, labeling, props)
+    labeling = [frozenset(p for p in props if system.prop_holds(s, p)) for s in states]
+    return Kripke(states, texts, clock, scale, adjacency, index, labeling, props)
 
 
 def build_kripke(

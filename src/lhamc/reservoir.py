@@ -11,11 +11,14 @@ The module-level functions (:func:`tick`, :func:`fill`,
 :class:`NResState` are the plain ``Fraction`` reference semantics.
 :class:`NResSystem` computes the same states on integers: it compiles the
 ring once, and its :class:`RingState`s hold the hosed tank's index and
-integer level numerators over one common denominator.
+integer level numerators over one common denominator.  The search pattern
+grammar lives here too: :func:`parse_pattern` reads a :class:`SearchPattern`,
+and :func:`match` applies it to a state.
 """
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -236,6 +239,43 @@ def validate_pattern(pattern: SearchPattern, system: TimedTransitionSystem) -> N
     for rid, _ in pattern.reservoirs:
         if rid not in known:
             raise ModelError(f"pattern mentions unknown reservoir id {rid}")
+
+
+_PATTERN_TOKEN = re.compile(r"^R(\d+)\.hth=(.+)$")
+
+
+def parse_pattern(text: str) -> SearchPattern:
+    """Pattern mini-language: "*", "hose=N", "R<id>.hth=<rational or *>"."""
+    text = text.strip()
+    if not text:
+        raise ModelError("empty pattern")
+    if text == "*":
+        return SearchPattern()
+    hose: Optional[int] = None
+    tanks: dict[int, Optional[Fraction]] = {}
+    for token in text.split():
+        if token == "*":
+            raise ModelError("'*' must be the whole pattern")
+        if token.startswith("hose="):
+            if hose is not None:
+                raise ModelError("duplicate hose constraint")
+            try:
+                hose = int(token[len("hose="):])
+            except ValueError:
+                raise ModelError(f"cannot read hose position in {token!r}") from None
+            continue
+        m = _PATTERN_TOKEN.match(token)
+        if m is None:
+            raise ModelError(f"cannot read pattern token {token!r}")
+        rid = int(m.group(1))
+        if rid in tanks:
+            raise ModelError(f"duplicate constraint for reservoir {rid}")
+        value = m.group(2)
+        tanks[rid] = None if value == "*" else parse_rational(value)
+    reservoirs = tuple(
+        (rid, ReservoirPattern(level=level)) for rid, level in sorted(tanks.items())
+    )
+    return SearchPattern(hose=hose, reservoirs=reservoirs)
 
 
 class RingState:

@@ -111,12 +111,14 @@ def make_kripke(successors: dict[int, list[int]], labeling, props: set[str]) -> 
         labeling = [labeling.get(i, set()) for i in range(max(labeling) + 1)]
     n = len(labeling)
     names = [f"s{i}" for i in range(n)]
-    edges = [
-        KripkeEdge(src, dst, f"e{src}-{dst}", Fraction(0))
+    adjacency = [
+        [KripkeEdge(src, dst, f"e{src}-{dst}", Fraction(0)) for dst in successors.get(src, [])]
         for src in range(n)
-        for dst in successors.get(src, [])
     ]
-    return Kripke(names, names, [0] * n, 1, edges, [frozenset(l) for l in labeling], frozenset(props))
+    index = {(name, 0): i for i, name in enumerate(names)}
+    return Kripke(
+        names, names, [0] * n, 1, adjacency, index, [frozenset(l) for l in labeling], frozenset(props)
+    )
 
 
 def lasso_letters(kripke: Kripke, prefix: list[int], cycle: list[int]) -> tuple[list[Letter], list[Letter]]:

@@ -23,7 +23,7 @@ from lhamc.ltl import (
     parse_formula,
     validate_counterexample,
 )
-from lhamc.reservoir import Hose, NResState, NResSystem, Reservoir, SearchPattern, tick
+from lhamc.reservoir import Hose, NResState, NResSystem, Reservoir, SearchPattern, parse_pattern, tick
 from lhamc.syncprod import (
     Component,
     abstract_reservoir,
@@ -32,7 +32,6 @@ from lhamc.syncprod import (
     rt_sync_product,
     safe_prop,
 )
-from lhamc.cli import parse_pattern
 from oracles import (
     all_two_state_kripkes,
     counterexample_letters,

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from lhamc.cli import format_counterexample, main, parse_pattern
+from lhamc.cli import format_counterexample, main
 from lhamc.core import ModelError
 from lhamc.explore import build_kripke
 from lhamc.lha import LhaState, discrete_successors, lha_from_json, render_state, timed_successor
@@ -17,7 +17,7 @@ from lhamc.ltl import (
     parse_formula,
     validate_counterexample,
 )
-from lhamc.reservoir import NResSystem, ReservoirPattern, SearchPattern, nres_from_json
+from lhamc.reservoir import NResSystem, ReservoirPattern, SearchPattern, nres_from_json, parse_pattern
 from lhamc.syncprod import (
     Component,
     component_from_json,

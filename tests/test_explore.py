@@ -190,6 +190,27 @@ class TestKripke:
         assert k.states[0] is init2_system.initial_state()
         assert all(init2_system.serialize(s) == t for s, t in zip(k.states, k.texts))
 
+    def test_edges_are_grouped_by_source_with_stutters_in_place(self):
+        # the deadlocked b is state 1 of 3, so its stutter loop sits between
+        # a's edges and c's, not at the end
+        rules = (("go-b", "a", "b"), ("go-c", "a", "c"), ("stay", "c", "c"))
+        c = Component(("a", "b", "c"), "a", rules, {})
+        k = kripke_structure(c, (), None)
+        assert k.texts == ["a", "b", "c"]
+        assert [(e.source, e.target, e.label) for e in k.edges] == [
+            (0, 1, "go-b"), (0, 2, "go-c"), (1, 1, "stutter"), (2, 2, "stay"),
+        ]
+        assert list(k.edges) == [e for out in k.adjacency for e in out]
+
+    def test_state_cap(self, init2_system):
+        assert len(build_kripke(init2_system, F(5), F(1), max_states=6)) == 6
+        with pytest.raises(ModelError, match="exceeds 5 states"):
+            build_kripke(init2_system, F(5), F(1), max_states=5)
+        c = Component(("a", "b", "c"), "a", (("go", "a", "b"), ("go", "b", "c")), {})
+        assert len(kripke_structure(c, (), None, max_states=3)) == 3
+        with pytest.raises(ModelError, match="exceeds 2 states"):
+            kripke_structure(c, (), None, max_states=2)
+
     def test_untimed_component_deadlock(self):
         only = Component(states=("s",), initial="s", rules=(), props={"p": ("s",)})
         k = build_kripke(only, F(5), F(1))
@@ -199,7 +220,8 @@ class TestKripke:
 
 def fraction_bfs(system, durations, time_bound):
     """The explorer's breadth-first search with Fraction elapsed time:
-    (texts, elapsed times, edges as tuples, stutter loops included)."""
+    (texts, elapsed times, edges as tuples, each stutter loop right after
+    the state with no moves)."""
     initial = system.initial_state()
     found = [(initial, F(0))]
     texts = [system.serialize(initial)]
@@ -221,8 +243,8 @@ def fraction_bfs(system, durations, time_bound):
                 found.append((succ, t))
                 texts.append(text)
             edges.append((i, index[text, t], label, d))
-    sources = {e[0] for e in edges}
-    edges += [(i, i, "stutter", F(0)) for i in range(len(found)) if i not in sources]
+        if not moves:
+            edges.append((i, i, "stutter", F(0)))
     return texts, [t for _, t in found], edges
 
 
