@@ -44,7 +44,10 @@ class KripkeEdge(NamedTuple):
 
 @dataclass
 class Solution:
-    """A state the search predicate accepted, with how it was reached."""
+    """A state the search predicate accepted, with how it was reached.
+
+    It keeps the explorer's whole ``parents`` and ``texts`` lists alive; copy
+    ``path`` before holding many solutions for long."""
 
     state: Any
     elapsed: Fraction
@@ -74,7 +77,7 @@ class Kripke:
     elapsed time ``clock[i] / scale``.  ``adjacency[i]`` is state i's
     out-list, which must not be empty; the explorer gives a deadlocked state
     a zero-duration "stutter" self-loop.  ``index`` maps ``(text, clock
-    numerator)`` to the state's index, as the explorer keys its states.
+    numerator)`` to i, the explorer's key; when omitted it is built from both.
     """
 
     def __init__(
@@ -84,9 +87,9 @@ class Kripke:
         clock: list[int],
         scale: int,
         adjacency: list[list[KripkeEdge]],
-        index: dict[tuple[str, int], int],
         labeling: list[frozenset[str]],
         props: frozenset[str],
+        index: Optional[dict[tuple[str, int], int]] = None,
     ):
         if len(adjacency) != len(states) or not all(adjacency):
             raise ModelError("every state must have a successor")
@@ -95,7 +98,7 @@ class Kripke:
         self.clock = clock
         self.scale = scale
         self.adjacency = adjacency
-        self.index = index
+        self.index = index if index is not None else {k: i for i, k in enumerate(zip(texts, clock))}
         self.labeling = labeling
         self.props = props
         self.initial = 0
@@ -223,7 +226,7 @@ def kripke_structure(
     states, texts, clock, scale, adjacency, index, _ = _explore(system, durations, time_bound, max_states)
     props = system.propositions()
     labeling = [frozenset(p for p in props if system.prop_holds(s, p)) for s in states]
-    return Kripke(states, texts, clock, scale, adjacency, index, labeling, props)
+    return Kripke(states, texts, clock, scale, adjacency, labeling, props, index)
 
 
 def build_kripke(

@@ -115,10 +115,7 @@ def make_kripke(successors: dict[int, list[int]], labeling, props: set[str]) -> 
         [KripkeEdge(src, dst, f"e{src}-{dst}", Fraction(0)) for dst in successors.get(src, [])]
         for src in range(n)
     ]
-    index = {(name, 0): i for i, name in enumerate(names)}
-    return Kripke(
-        names, names, [0] * n, 1, adjacency, index, [frozenset(l) for l in labeling], frozenset(props)
-    )
+    return Kripke(names, names, [0] * n, 1, adjacency, [frozenset(l) for l in labeling], frozenset(props))
 
 
 def lasso_letters(kripke: Kripke, prefix: list[int], cycle: list[int]) -> tuple[list[Letter], list[Letter]]:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from lhamc.core import ModelError
-from lhamc.explore import build_kripke, kripke_structure, search
+from lhamc.explore import Kripke, build_kripke, kripke_structure, search
 from lhamc.lha import LhaSystem, two_reservoir
 from lhamc.ltl import Counterexample, CounterexampleStep, parse_formula, validate_counterexample
 from lhamc.reservoir import NResSystem, ReservoirPattern, SearchPattern, match
@@ -210,6 +210,12 @@ class TestKripke:
         assert len(kripke_structure(c, (), None, max_states=3)) == 3
         with pytest.raises(ModelError, match="exceeds 2 states"):
             kripke_structure(c, (), None, max_states=2)
+
+    def test_omitted_index_is_the_explorers(self, init2_kripke):
+        k = init2_kripke
+        rebuilt = Kripke(k.states, k.texts, k.clock, k.scale, k.adjacency, k.labeling, k.props)
+        assert rebuilt.index == k.index
+        assert all(rebuilt.index_of(k.texts[i], k.elapsed(i)) == i for i in range(len(k)))
 
     def test_untimed_component_deadlock(self):
         only = Component(states=("s",), initial="s", rules=(), props={"p": ("s",)})
