@@ -3,14 +3,13 @@ automata under discrete time sampling, exact to the rational."""
 
 __version__ = "0.1.0"
 
-from .core import ModelError, ModelWarning, TimedTransitionSystem, as_time, monus, parse_rational
+from .core import ModelError, ModelWarning, TimedTransitionSystem, as_time, parse_rational
 
 __all__ = [
     "ModelError",
     "ModelWarning",
     "TimedTransitionSystem",
     "as_time",
-    "monus",
     "parse_rational",
     "__version__",
 ]

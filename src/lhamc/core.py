@@ -1,13 +1,14 @@
 """Exact arithmetic, the time domain, and the contract every model implements.
 
-All quantities in the engine are exact rationals; the API takes and returns
-them as ``fractions.Fraction``, save that a ``Kripke`` is built from integer
-clocks.  Internally, linear hybrid automaton and reservoir ring states hold
+All quantities in the engine are exact rationals; the API takes them, and
+returns times, as ``fractions.Fraction``, save that a ``Kripke`` is built from
+integer clocks.  Linear hybrid automaton and reservoir ring states hold
 integer numerators over one common positive denominator (see
-:class:`lhamc.lha.LhaSystem` and :class:`lhamc.reservoir.NResSystem`), the
-explorer and its Kripke structures keep elapsed time as one integer clock
-over the lcm of the durations' denominators, and :func:`fraction_text`
-renders such a pair exactly as ``str(Fraction)`` would.
+:class:`lhamc.lha.LhaSystem` and :class:`lhamc.reservoir.NResSystem`), and
+each state is read and identified through its canonical text; the explorer
+and its Kripke structures keep elapsed time as one integer clock over the
+lcm of the durations' denominators, and :func:`fraction_text` renders such a
+pair exactly as ``str(Fraction)`` would.
 Durations ("time") are nonnegative rationals validated by :func:`as_time`;
 atomic propositions are plain nonempty strings.  Floating point never enters
 any semantic computation.
@@ -87,13 +88,6 @@ def fraction_text(num: int, den: int) -> str:
     if g == den:
         return str(num // den)
     return f"{num // g}/{den // g}"
-
-
-def monus(a: Fraction, b: Fraction) -> Fraction:
-    """Saturating subtraction on nonnegative rationals: max(a - b, 0)."""
-    if a < 0 or b < 0:
-        raise ModelError(f"monus is defined on nonnegative rationals, got {a}, {b}")
-    return a - b if a > b else ZERO
 
 
 def check_prop_name(name: Any) -> str:

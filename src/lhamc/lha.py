@@ -5,12 +5,11 @@ affine constraint is monotone in time and checking the step's endpoint is
 sound.  Discrete jumps are guarded by affine constraints and reset variables
 through simultaneous affine assignments.
 
-The module-level functions (:func:`flow`, :func:`timed_successor`,
-:func:`jump`, :func:`discrete_successors`, :func:`render_state`) are the
-plain ``Fraction`` reference semantics.  :class:`LhaSystem` computes the same
-states on integers: it compiles the automaton once into integer rows, and its
-states hold integer numerators over one common denominator behind a
-read-only mapping whose values read as ``Fraction``.
+:class:`Lha` describes an automaton with ``Fraction`` rates and constraints,
+as a model file does.  :class:`LhaSystem` compiles it once into integer rows
+and computes on integers: its states hold integer numerators over one common
+denominator behind a read-only mapping whose values read as ``Fraction``,
+and a state is read through its canonical text.
 """
 
 from __future__ import annotations
@@ -137,7 +136,10 @@ class Lha:
             raise ModelError("initial valuation must cover exactly the declared variables")
         # The endpoint-only invariant check in timed_successor is sound only
         # for segments that start inside the invariant.
-        if not holds_all(by_name[self.initial_location].invariant, self.initial_valuation):
+        index = {var: i for i, var in enumerate(self.variables)}
+        initial = _scaled(index, self.initial_valuation)
+        invariant = tuple(_row(c, index) for c in by_name[self.initial_location].invariant)
+        if not _satisfied(invariant, initial.nums, initial.den):
             raise ModelError(f"initial valuation violates the invariant of location {self.initial_location!r}")
         object.__setattr__(self, "_by_name", by_name)  # not a field: no part of eq or hash
 
@@ -156,88 +158,6 @@ def _check_variables(
         for var in item.expr.coeffs:
             if var not in declared:
                 raise ModelError(f"{where} mentions unknown variable {var!r}")
-
-
-def eval_affine(expr: AffineExpr, valuation: Mapping[str, Fraction]) -> Fraction:
-    total = expr.const
-    for var, coeff in expr.coeffs.items():
-        try:
-            total += coeff * valuation[var]
-        except KeyError:
-            raise ModelError(f"expression mentions unknown variable {var!r}") from None
-    return total
-
-
-def holds(constraint: AffineConstraint, valuation: Mapping[str, Fraction]) -> bool:
-    value = eval_affine(constraint.expr, valuation)
-    rel = constraint.rel
-    if rel == "<":
-        return value < 0
-    if rel == "<=":
-        return value <= 0
-    if rel == "=":
-        return value == 0
-    if rel == ">=":
-        return value >= 0
-    return value > 0
-
-
-def holds_all(constraints: tuple[AffineConstraint, ...], valuation: Mapping[str, Fraction]) -> bool:
-    return all(holds(c, valuation) for c in constraints)
-
-
-def flow(location: Location, valuation: Mapping[str, Fraction], delta: Fraction) -> dict[str, Fraction]:
-    """Valuation after delta time units of the location's constant rates."""
-    delta = as_time(delta)
-    return {var: value + location.rates.get(var, ZERO) * delta for var, value in valuation.items()}
-
-
-def timed_successor(lha: Lha, state: LhaState, delta: Fraction) -> LhaState | None:
-    """Let delta time pass, or None if the location forbids it.
-
-    Zero durations always succeed.  Otherwise the tick guard must hold at the
-    start and the invariant at the endpoint; linear flows make the endpoint
-    check sufficient for the whole segment.
-    """
-    delta = as_time(delta)
-    if delta == 0:
-        return state
-    location = lha.location_named(state.location)
-    if not holds_all(location.tick_guard, state.valuation):
-        return None
-    target = flow(location, state.valuation, delta)
-    if not holds_all(location.invariant, target):
-        return None
-    return LhaState(state.location, target)
-
-
-def jump(lha: Lha, state: LhaState, edge: Edge) -> LhaState | None:
-    """Apply one edge, or None if its guard or the target invariant fails."""
-    if edge.source != state.location:
-        return None
-    if not holds_all(edge.guard, state.valuation):
-        return None
-    after = dict(state.valuation)
-    for a in edge.assignments:
-        after[a.var] = eval_affine(a.expr, state.valuation)
-    if not holds_all(lha.location_named(edge.target).invariant, after):
-        return None
-    return LhaState(edge.target, after)
-
-
-def discrete_successors(lha: Lha, state: LhaState) -> list[tuple[str, LhaState]]:
-    out = []
-    for edge in lha.edges:
-        succ = jump(lha, state, edge)
-        if succ is not None:
-            out.append((edge.label, succ))
-    out.sort(key=lambda ls: (ls[0], render_state(lha, ls[1])))
-    return out
-
-
-def render_state(lha: Lha, state: LhaState) -> str:
-    values = ",".join(str(state.valuation[v]) for v in lha.variables)
-    return f"{state.location},{values}"
 
 
 def two_reservoir(
@@ -285,8 +205,8 @@ def two_reservoir(
 class ScaledValuation(Mapping):
     """A read-only valuation: integer numerators over one positive denominator.
 
-    Reads return ``Fraction`` values, and it compares equal to any mapping of
-    the same variables to the same values, a plain ``dict`` included.
+    Reads return ``Fraction`` values, and, as a ``Mapping``, it compares equal
+    to any mapping of the same variables to the same values.
     """
 
     __slots__ = ("index", "nums", "den")
@@ -305,14 +225,16 @@ class ScaledValuation(Mapping):
     def __len__(self) -> int:
         return len(self.nums)
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ScaledValuation) and other.index == self.index:
-            d, e = self.den, other.den
-            return all(m * e == n * d for m, n in zip(self.nums, other.nums))
-        return Mapping.__eq__(self, other)
-
     def __repr__(self) -> str:
         return repr(dict(self.items()))
+
+
+def _scaled(index: dict[str, int], valuation: Mapping[str, Any]) -> ScaledValuation:
+    """``valuation`` (declared variables to rationals) as numerators over the
+    lcm of its denominators."""
+    values = [parse_rational(valuation[var]) for var in index]
+    den = lcm(*(v.denominator for v in values))
+    return ScaledValuation(index, tuple(int(v * den) for v in values), den)
 
 
 # An affine constraint compiled to integers: (terms, const, signs) holds on
@@ -354,8 +276,7 @@ class LhaSystem(TimedTransitionSystem):
     """Adapter exposing an Lha through the shared model contract.
 
     The automaton is compiled once to integer rows, and states carry a
-    :class:`ScaledValuation`; the results equal those of the module-level
-    ``Fraction`` functions.
+    :class:`ScaledValuation`; its methods take and return only such states.
     """
 
     def __init__(self, lha: Lha):
@@ -386,16 +307,7 @@ class LhaSystem(TimedTransitionSystem):
         self._by_delta: dict[Fraction, dict[str, tuple] | None] = {}
         self._delta: Any = ZERO  # the last duration, and its steps
         self._ticks = self._ticks_for(ZERO)
-        self._initial = self._scaled(lha.initial_valuation)
-
-    def _scaled(self, valuation: Mapping[str, Any]) -> ScaledValuation:
-        if type(valuation) is ScaledValuation and valuation.index is self._index:
-            return valuation
-        if set(valuation) != set(self._index):
-            raise ModelError("a valuation must cover exactly the declared variables")
-        values = [parse_rational(valuation[var]) for var in self._index]
-        den = lcm(*(v.denominator for v in values))
-        return ScaledValuation(self._index, tuple(int(v * den) for v in values), den)
+        self._initial = _scaled(index, lha.initial_valuation)
 
     def _ticks_for(self, delta: Any) -> dict[str, tuple] | None:
         """Each location's integer step for ``delta``; a ``Fraction`` duration
@@ -418,7 +330,7 @@ class LhaSystem(TimedTransitionSystem):
         return LhaState(self.lha.initial_location, self._initial)
 
     def _jumps_from(self, state: LhaState) -> list[tuple[str, LhaState]]:
-        valuation = self._scaled(state.valuation)
+        valuation = state.valuation
         nums, den = valuation.nums, valuation.den
         out = []
         for label, target, guard, scale, assignments, invariant in self._jumps.get(state.location, ()):
@@ -461,8 +373,7 @@ class LhaSystem(TimedTransitionSystem):
         if tick is None:
             self.lha.location_named(state.location)  # raises: unknown location
         guard, invariant, vector, step_den = tick
-        valuation = self._scaled(state.valuation)
-        nums, den = valuation.nums, valuation.den
+        nums, den = state.valuation.nums, state.valuation.den
         if not _satisfied(guard, nums, den):
             return None
         if den % step_den:
@@ -481,7 +392,7 @@ class LhaSystem(TimedTransitionSystem):
         raise ModelError(f"this automaton defines no propositions, got {prop!r}")
 
     def serialize(self, state: LhaState) -> str:
-        valuation = self._scaled(state.valuation)
+        valuation = state.valuation
         den = valuation.den
         if den == 1:
             values = ",".join(map(str, valuation.nums))

@@ -6,21 +6,19 @@ only while no reservoir away from the hose has fallen to its lower
 threshold; once one has, the only discrete move is to carry the hose to a
 reservoir that needs it.
 
-The module-level functions (:func:`tick`, :func:`fill`,
-:func:`move_hose_successors`, :func:`valuation`, :func:`render_state`) and
-:class:`NResState` are the plain ``Fraction`` reference semantics.
-:class:`NResSystem` computes the same states on integers: it compiles the
-ring once, and its :class:`RingState`s hold the hosed tank's index and
-integer level numerators over one common denominator.  The search pattern
-grammar lives here too: :func:`parse_pattern` reads a :class:`SearchPattern`,
-and :func:`match` applies it to a state.
+:class:`NResState` describes a ring with ``Fraction`` levels, as a model file
+does.  :class:`NResSystem` compiles it once and computes on integers: its
+:class:`RingState`s hold the hosed tank's index and integer level numerators
+over one common denominator, and a state is read through its canonical text.
+The search pattern grammar lives here too: :func:`parse_pattern` reads a
+:class:`SearchPattern`, and :func:`match` applies it to a state.
 """
 
 from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import le
@@ -35,7 +33,6 @@ from .core import (
     fraction_text,
     json_objects,
     json_shape,
-    monus,
     parse_rational,
 )
 
@@ -92,80 +89,6 @@ class NResState:
                 return r
         raise ModelError(f"no reservoir with id {rid}")
 
-    def hosed(self) -> Reservoir:
-        return self.reservoir(self.hose.position)
-
-
-def fill(tank: Reservoir, rate: Fraction, t: Fraction) -> Reservoir:
-    """Level after t time units under a hose pouring at ``rate``."""
-    t = as_time(t)
-    if rate < tank.leak:
-        raise ModelError(
-            f"reservoir {tank.id}: hose rate {rate} is below the leak rate {tank.leak}"
-        )
-    return replace(tank, level=tank.level + (rate - tank.leak) * t)
-
-
-def needs_refill(tanks: Iterable[Reservoir]) -> bool:
-    return any(r.level <= r.lower for r in tanks)
-
-
-def tick(state: NResState, t: Fraction) -> NResState | None:
-    """Let t time units pass, or None if some unattended tank is already low.
-
-    Unattended tanks leak, their levels floored at zero.  A zero step always
-    succeeds.
-    """
-    t = as_time(t)
-    if t == 0:
-        return state
-    away = [r for r in state.reservoirs if r.id != state.hose.position]
-    if needs_refill(away):
-        return None
-    new_tanks = []
-    for r in state.reservoirs:
-        if r.id == state.hose.position:
-            new_tanks.append(fill(r, state.hose.rate, t))
-        else:
-            new_tanks.append(replace(r, level=monus(r.level, r.leak * t)))
-    return NResState(state.hose, tuple(new_tanks))
-
-
-def move_hose_successors(state: NResState) -> list[tuple[str, NResState]]:
-    """All ways to carry the hose to a tank that has fallen to its threshold.
-
-    Allowed only once the currently hosed tank is back at or above its own
-    threshold.  Targets are ordered by reservoir id.
-    """
-    current = state.hosed()
-    if current.level < current.lower:
-        return []
-    out = []
-    for r in state.reservoirs:  # already sorted by id
-        if r.id != current.id and r.level <= r.lower:
-            out.append((MOVE_HOSE, NResState(Hose(state.hose.rate, r.id), state.reservoirs)))
-    return out
-
-
-def valuation(state: NResState, prop: str) -> bool:
-    if prop == "one-down":
-        return any(r.level <= r.lower for r in state.reservoirs)
-    if prop == "macondo":
-        return all(r.level <= r.lower for r in state.reservoirs)
-    raise ModelError(f"unknown proposition {prop!r}, expected one of {sorted(PROPOSITIONS)}")
-
-
-def above_upper(state: NResState) -> tuple[int, ...]:
-    """Ids of reservoirs currently above their upper threshold."""
-    return tuple(r.id for r in state.reservoirs if r.level > r.upper)
-
-
-def render_state(state: NResState) -> str:
-    parts = [f"hose({state.hose.rate},{state.hose.position})"]
-    for r in state.reservoirs:
-        parts.append(f"< {r.id} | thr:({r.lower},{r.upper}), hth: {r.level}, rte: {r.leak} >")
-    return " ".join(parts)
-
 
 @dataclass(frozen=True)
 class ReservoirPattern:
@@ -194,35 +117,34 @@ class SearchPattern:
         return match(self, state)
 
 
-def _unconstrained_text(tank: Reservoir, pat: ReservoirPattern) -> str:
-    parts = [f"thr:({tank.lower},{tank.upper})"]
-    if pat.level is None:
-        parts.append(f"hth: {tank.level}")
-    parts.append(f"rte: {tank.leak}")
-    return ", ".join(parts)
-
-
 def match(pattern: SearchPattern, state: Any) -> Optional[dict[str, str]]:
     """Bindings if ``state`` fits the pattern, else None.
 
     The wildcard matches anything with empty bindings.  A reservoir-specific
     pattern only applies to reservoir states; each listed reservoir binds
     "R<id>" to the text of the attributes the pattern left unconstrained.
+    A level pin p/q holds when the level's numerator n over the state's
+    denominator d has n * q == p * d.
     """
     if pattern.is_wildcard():
         return {}
-    if isinstance(state, RingState):
-        state = state.plain()
-    if not isinstance(state, NResState):
+    if not isinstance(state, RingState):
         raise ModelError("reservoir-specific patterns only apply to reservoir models")
-    if pattern.hose is not None and state.hose.position != pattern.hose:
+    ring = state.ring
+    if pattern.hose is not None and ring._ids[state.pos] != pattern.hose:
         return None
     bindings: dict[str, str] = {}
     for rid, pat in pattern.reservoirs:
-        tank = state.reservoir(rid)
-        if pat.level is not None and tank.level != pat.level:
+        tank = ring.initial.reservoir(rid)  # raises: unknown id
+        n = state.nums[ring._ids.index(rid)]
+        level = pat.level
+        if level is None:
+            hth = f", hth: {fraction_text(n, state.den)}"
+        elif n * level.denominator != level.numerator * state.den:
             return None
-        bindings[f"R{rid}"] = _unconstrained_text(tank, pat)
+        else:
+            hth = ""
+        bindings[f"R{rid}"] = f"thr:({tank.lower},{tank.upper}){hth}, rte: {tank.leak}"
     return bindings
 
 
@@ -231,9 +153,9 @@ def validate_pattern(pattern: SearchPattern, system: TimedTransitionSystem) -> N
     if pattern.is_wildcard():
         return
     initial = system.initial_state()
-    if not isinstance(initial, (NResState, RingState)):
+    if not isinstance(initial, RingState):
         raise ModelError("reservoir-specific patterns only apply to reservoir models")
-    known = {r.id for r in initial.reservoirs}
+    known = set(initial.ring._ids)
     if pattern.hose is not None and pattern.hose not in known:
         raise ModelError(f"pattern mentions unknown reservoir id {pattern.hose}")
     for rid, _ in pattern.reservoirs:
@@ -281,10 +203,7 @@ def parse_pattern(text: str) -> SearchPattern:
 class RingState:
     """A state of a compiled ring: the hosed tank's index and integer level
     numerators over one positive denominator (see :class:`NResSystem`).
-
-    ``hose``, ``reservoirs`` and ``reservoir(rid)`` read it as the matching
-    :class:`NResState`, levels as ``Fraction``s, and it compares equal to
-    that state.
+    Its identity is its text, ``ring.serialize(state)``.
     """
 
     __slots__ = ("ring", "pos", "nums", "den")
@@ -292,48 +211,21 @@ class RingState:
     def __init__(self, ring: "NResSystem", pos: int, nums: tuple[int, ...], den: int):
         self.ring, self.pos, self.nums, self.den = ring, pos, nums, den
 
-    def plain(self) -> NResState:
-        hose, tanks = self.ring.initial.hose, self.ring.initial.reservoirs
-        return NResState(
-            Hose(hose.rate, tanks[self.pos].id),
-            tuple(replace(r, level=Fraction(n, self.den)) for r, n in zip(tanks, self.nums)),
-        )
-
-    @property
-    def hose(self) -> Hose:
-        return self.plain().hose
-
-    @property
-    def reservoirs(self) -> tuple[Reservoir, ...]:
-        return self.plain().reservoirs
-
-    def reservoir(self, rid: int) -> Reservoir:
-        return self.plain().reservoir(rid)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, RingState):
-            other = other.plain()
-        return self.plain() == other if isinstance(other, NResState) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.plain())
-
     def __repr__(self) -> str:
-        return repr(self.plain())
+        return f"RingState({self.ring.serialize(self)!r})"
 
 
 class NResSystem(TimedTransitionSystem):
     """Reservoir-ring model driven from a start state.
 
     The ring is compiled once: the hose rate, thresholds, leaks and each
-    tank's text live here, and states are :class:`RingState`s.  Every
-    threshold is an integer numerator over every state's denominator, a tick
-    adds one cached integer step vector per (duration, denominator), and the
-    denominator grows by lcm only when a step needs it.  The results equal
-    those of the module-level ``Fraction`` functions, and methods also accept
-    plain :class:`NResState`s of the same ring.  Discrete successors are the
-    hose moves, ordered by numeric target id (which refines the generic
-    label/text order when ids reach two digits).
+    tank's text live here, and states are :class:`RingState`s, which its
+    methods take and return.  Every threshold is an integer numerator over
+    every state's denominator, a tick adds one cached integer step vector per
+    (duration, denominator), and the denominator grows by lcm only when a
+    step needs it.  Discrete successors are the hose moves, ordered by
+    numeric target id (which refines the generic label/text order when ids
+    reach two digits).
     """
 
     def __init__(self, initial: NResState):
@@ -347,8 +239,7 @@ class NResSystem(TimedTransitionSystem):
                 ModelWarning,
                 stacklevel=2,
             )
-        self._statics = (rate, [(r.id, r.lower, r.upper, r.leak) for r in tanks])
-        self._ids, lowers, uppers, self._leaks = zip(*self._statics[1])
+        self._ids, lowers, uppers, self._leaks = zip(*[(r.id, r.lower, r.upper, r.leak) for r in tanks])
         self._thresholds = (lowers, uppers)
         # every state's denominator is a multiple of this one, so each threshold
         # is a whole numerator over it
@@ -363,19 +254,10 @@ class NResSystem(TimedTransitionSystem):
         self._by_delta: dict[Fraction, dict | None] = {}
         self._delta: Any = ZERO  # the last duration, and its steps
         self._steps = self._steps_for(ZERO)
-        self._initial = self._compiled(initial)
-
-    def _compiled(self, state: Any) -> RingState:
-        if type(state) is RingState and state.ring is self:
-            return state
-        if isinstance(state, RingState):
-            state = state.plain()
-        tanks = state.reservoirs
-        if (state.hose.rate, [(r.id, r.lower, r.upper, r.leak) for r in tanks]) != self._statics:
-            raise ModelError("the state belongs to a different reservoir ring")
         den = lcm(self._den, *(r.level.denominator for r in tanks))
-        pos = self._ids.index(state.hose.position)
-        return RingState(self, pos, tuple(int(r.level * den) for r in tanks), den)
+        self._initial = RingState(
+            self, self._ids.index(initial.hose.position), tuple(int(r.level * den) for r in tanks), den
+        )
 
     def _bounds_at(self, den: int) -> tuple:
         bounds = self._bounds.get(den)
@@ -405,9 +287,8 @@ class NResSystem(TimedTransitionSystem):
     def initial_state(self) -> RingState:
         return self._initial
 
-    def discrete_successors(self, state: Any) -> list[tuple[str, RingState]]:
-        s = self._compiled(state)
-        pos, nums, den = s.pos, s.nums, s.den
+    def discrete_successors(self, state: RingState) -> list[tuple[str, RingState]]:
+        pos, nums, den = state.pos, state.nums, state.den
         low = self._bounds_at(den)[0]
         if nums[pos] < low[pos]:
             return []
@@ -415,47 +296,44 @@ class NResSystem(TimedTransitionSystem):
             (MOVE_HOSE, RingState(self, i, nums, den)) for i, n in enumerate(nums) if n <= low[i] and i != pos
         ]
 
-    def enabled_labels(self, state: Any) -> list[str]:
+    def enabled_labels(self, state: RingState) -> list[str]:
         return [MOVE_HOSE] if self.discrete_successors(state) else []
 
-    def timed_successor(self, state: Any, delta: Fraction) -> Any:
+    def timed_successor(self, state: RingState, delta: Fraction) -> RingState | None:
         if delta is not self._delta:
             self._delta, self._steps = delta, self._steps_for(delta)
         if self._steps is None:
             return state
-        s = self._compiled(state)
-        pos, nums, den = s.pos, s.nums, s.den
+        pos, nums, den = state.pos, state.nums, state.den
         low = self._bounds_at(den)[0]
         for i, n in enumerate(nums):
             if n <= low[i] and i != pos:
                 return None
         growth, fills, drains = self._steps.get(den) or self._step(den)
-        if fills[pos] < 0:  # raises: the hose rate is below this tank's leak
-            fill(self.initial.reservoirs[pos], self.initial.hose.rate, self._delta)
+        if fills[pos] < 0:
+            rate, rid, leak = self.initial.hose.rate, self._ids[pos], self._leaks[pos]
+            raise ModelError(f"reservoir {rid}: hose rate {rate} is below the leak rate {leak}")
         if growth != 1:
             nums = [n * growth for n in nums]
         after = [n - d if n > d else 0 for n, d in zip(nums, drains)]
         after[pos] = nums[pos] + fills[pos]
         return RingState(self, pos, tuple(after), den * growth)
 
-    def prop_holds(self, state: Any, prop: str) -> bool:
-        s = self._compiled(state)
-        low = self._bounds_at(s.den)[0]
+    def prop_holds(self, state: RingState, prop: str) -> bool:
+        low = self._bounds_at(state.den)[0]
         if prop == "one-down":
-            return any(map(le, s.nums, low))
+            return any(map(le, state.nums, low))
         if prop == "macondo":
-            return all(map(le, s.nums, low))
-        return valuation(self.initial, prop)  # raises: unknown proposition
+            return all(map(le, state.nums, low))
+        raise ModelError(f"unknown proposition {prop!r}, expected one of {sorted(PROPOSITIONS)}")
 
-    def annotations(self, state: Any) -> dict[str, list]:
-        s = self._compiled(state)
-        up = self._bounds_at(s.den)[1]
-        return {"above_upper": [rid for rid, n, u in zip(self._ids, s.nums, up) if n > u]}
+    def annotations(self, state: RingState) -> dict[str, list]:
+        up = self._bounds_at(state.den)[1]
+        return {"above_upper": [rid for rid, n, u in zip(self._ids, state.nums, up) if n > u]}
 
-    def serialize(self, state: Any) -> str:
-        s = self._compiled(state)
-        den = s.den
-        return self._heads[s.pos] + self._texts.format(*[fraction_text(n, den) for n in s.nums])
+    def serialize(self, state: RingState) -> str:
+        den = state.den
+        return self._heads[state.pos] + self._texts.format(*[fraction_text(n, den) for n in state.nums])
 
     def propositions(self) -> frozenset[str]:
         return PROPOSITIONS

@@ -239,10 +239,13 @@ def safe_prop(component: Component) -> Component:
         raise ModelError("the component already has a proposition named 'safe'")
     flags = [component.props[p] for p in refills]
     safe = frozenset(s for s in component.states if not all(s in f for f in flags))
-    props = {**component.props, "safe": safe}
-    return _well_formed(
-        component.states, component.initial, component.rules, props, component.ticks, component._text
-    )
+    # the operand's structure and indexes with one more proposition, read
+    # attribute by attribute so that a delegating wrapper works as well
+    derived = Component.__new__(Component)
+    for name in ("states", "initial", "rules", "ticks", "_text", "_tick_targets", "_moves"):
+        setattr(derived, name, getattr(component, name))
+    derived.props = {**component.props, "safe": safe}
+    return derived
 
 
 def component_kripke(component: Component) -> Kripke:

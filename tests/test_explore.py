@@ -119,15 +119,17 @@ class TestSearch:
 
 class TestMatch:
     def test_wildcard_binds_nothing(self, init2_state):
-        assert match(WILD, init2_state) == {}
+        assert match(WILD, NResSystem(init2_state).initial_state()) == {}
         assert match(WILD, "anything") == {}
 
     def test_mismatch_returns_none(self, init2_state):
-        assert match(pattern(hose=2), init2_state) is None
-        assert match(pattern(R0=99), init2_state) is None
+        ring = NResSystem(init2_state).initial_state()
+        assert match(pattern(hose=2), ring) is None
+        assert match(pattern(R0=99), ring) is None
 
     def test_unconstrained_attributes_are_reported(self, init2_state):
-        bindings = match(SearchPattern(reservoirs=((0, ReservoirPattern()),)), init2_state)
+        ring = NResSystem(init2_state).initial_state()
+        bindings = match(SearchPattern(reservoirs=((0, ReservoirPattern()),)), ring)
         assert bindings == {"R0": "thr:(15,50), hth: 30, rte: 5"}
 
     def test_reservoir_pattern_needs_a_reservoir_state(self):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from lhamc.core import ModelError
+from lhamc.explore import kripke_structure
 from lhamc.lha import (
     RELATIONS,
     AffineConstraint,
@@ -14,16 +15,14 @@ from lhamc.lha import (
     LhaState,
     LhaSystem,
     Location,
-    discrete_successors,
-    eval_affine,
-    flow,
-    holds,
     lha_from_json,
     lha_to_json,
-    render_state,
-    timed_successor,
     two_reservoir,
 )
+from reference import eval_affine, flow, holds
+from reference import lha_discrete_successors as discrete_successors
+from reference import lha_render_state as render_state
+from reference import lha_timed_successor as timed_successor
 
 F = Fraction
 
@@ -270,15 +269,14 @@ def random_automaton(rng):
 
 
 class TestScaledSystem:
-    """LhaSystem computes on integers; the module functions are the Fraction
-    reference it must agree with, step for step."""
+    """LhaSystem computes on integers; the reference functions are the
+    Fraction semantics it must agree with, step for step."""
 
     INCREMENTS = (F(1), F(1, 2), F(1, 3), F(0))
 
     def assert_same(self, system, lha, fast, ref):
         assert fast == ref and ref == fast
         assert system.serialize(fast) == render_state(lha, ref) == render_state(lha, fast)
-        assert system.serialize(ref) == render_state(lha, ref)
 
     def test_walks_agree_with_the_fraction_reference(self):
         rng = random.Random(2024)
@@ -320,14 +318,6 @@ class TestScaledSystem:
         with pytest.raises(KeyError):
             after.valuation["x3"]
 
-    def test_plain_states_are_accepted(self):
-        system = LhaSystem(two_reservoir(10, 5, 5, 15, 15, 30, 30))
-        plain = LhaState("left", val(x1=30, x2=F(61, 2)))
-        assert system.serialize(plain) == "left,30,61/2"
-        assert system.timed_successor(plain, F(1, 2)) == LhaState("left", val(x1=F(65, 2), x2=28))
-        with pytest.raises(ModelError):
-            system.serialize(LhaState("left", val(x1=30)))
-
     @pytest.mark.parametrize("delta", [F(-1), -1, 1.0, True, "x"])
     def test_durations_are_validated(self, delta):
         system = LhaSystem(two_reservoir(10, 5, 5, 15, 15, 30, 30))
@@ -339,3 +329,32 @@ class TestScaledSystem:
         system = LhaSystem(two_reservoir(10, 5, 5, 15, 15, 30, 30))
         with pytest.raises(ModelError, match="unknown location 'middle'"):
             system.timed_successor(LhaState("middle", val(x1=30, x2=30)), F(1))
+
+
+class TestIdentity:
+    """A state's text is its identity: over the reachable states of seeded
+    random automata, two states have the same text exactly when they have
+    the same location and the same Fraction valuation, whatever
+    denominators they are held over."""
+
+    def test_serialize_is_injective_on_reachable_states(self):
+        rng = random.Random(616)
+        compared = distinct = 0
+        for _ in range(150):
+            lha = random_automaton(rng)
+            system = LhaSystem(lha)
+            by_text, by_state = {}, {}
+            for durations, bound in (((F(1),), F(4)), ((F(1, 2), F(1, 3)), F(2))):
+                try:
+                    kripke = kripke_structure(system, durations, bound, max_states=400)
+                except ModelError:
+                    continue
+                for state in kripke.states:
+                    text = system.serialize(state)
+                    key = (state.location, tuple(state.valuation[v] for v in lha.variables))
+                    assert by_text.setdefault(text, key) == key
+                    assert by_state.setdefault(key, text) == text
+                    compared += 1
+            assert len(by_text) == len(by_state)
+            distinct += len(by_text)
+        assert compared > 2000 and distinct > 1400, (compared, distinct)

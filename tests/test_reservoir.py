@@ -8,23 +8,30 @@ import pytest
 from lhamc.core import ModelError, ModelWarning, TimedTransitionSystem
 from lhamc.explore import kripke_structure
 from conftest import three_tank_state
+from lhamc.lha import LhaSystem, two_reservoir
 from lhamc.reservoir import (
     PROPOSITIONS,
     Hose,
     NResState,
     NResSystem,
     Reservoir,
-    RingState,
+    match,
+    nres_from_json,
+    nres_to_json,
+    parse_pattern,
+    validate_pattern,
+)
+from reference import (
     above_upper,
     fill,
     move_hose_successors,
     needs_refill,
-    nres_from_json,
-    nres_to_json,
-    render_state,
+    nres_match,
+    nres_validate_pattern,
     tick,
     valuation,
 )
+from reference import nres_render_state as render_state
 
 F = Fraction
 
@@ -178,10 +185,10 @@ class TestSystem:
         assert not [w for w in recwarn if issubclass(w.category, ModelWarning)]
 
     def test_contract(self, init2_system, init2_state):
-        assert init2_system.initial_state() == init2_state
+        initial = init2_system.initial_state()
+        assert init2_system.serialize(initial) == render_state(init2_state)
         assert init2_system.propositions() == frozenset({"one-down", "macondo"})
-        assert init2_system.prop_holds(init2_state, "one-down") is False
-        assert init2_system.serialize(init2_state) == render_state(init2_state)
+        assert init2_system.prop_holds(initial, "one-down") is False
 
     def test_above_upper(self):
         s = NResState.make(Hose(F(10), 0), [tank(0, 55), tank(1, 30)])
@@ -264,20 +271,20 @@ class FractionRing(TimedTransitionSystem):
 
 
 class TestScaledSystem:
-    """NResSystem computes on integers; the module functions are the Fraction
-    reference it must agree with, step for step."""
+    """NResSystem computes on integers; the reference functions are the
+    Fraction semantics it must agree with, step for step.  A state's text
+    prints the hose and every tank's thresholds, level and leak, so equal
+    texts are equal states."""
 
     INCREMENTS = (F(1), F(1, 2), F(1, 3), F(0))
 
     def assert_same(self, system, fast, ref):
-        assert fast == ref and ref == fast and hash(fast) == hash(ref)
-        assert system.serialize(fast) == render_state(ref) == render_state(fast)
-        assert system.serialize(ref) == render_state(ref)
+        assert system.serialize(fast) == render_state(ref)
         for prop in sorted(PROPOSITIONS):
-            assert system.prop_holds(fast, prop) == valuation(ref, prop) == system.prop_holds(ref, prop)
-        assert system.annotations(fast) == {"above_upper": list(above_upper(ref))} == system.annotations(ref)
+            assert system.prop_holds(fast, prop) == valuation(ref, prop)
+        assert system.annotations(fast) == {"above_upper": list(above_upper(ref))}
         labels = sorted({label for label, _ in move_hose_successors(ref)})
-        assert system.enabled_labels(fast) == labels == system.enabled_labels(ref)
+        assert system.enabled_labels(fast) == labels
 
     def test_walks_agree_with_the_fraction_reference(self):
         rng = random.Random(2025)
@@ -294,7 +301,6 @@ class TestScaledSystem:
                 assert [(label, system.serialize(s)) for label, s in fast_moves] == [
                     (label, render_state(s)) for label, s in ref_moves
                 ]
-                assert fast_moves == ref_moves == system.discrete_successors(ref)
                 moves = [(a, b) for (_, a), (_, b) in zip(fast_moves, ref_moves)]
                 moves_taken += len(moves)
                 delta = rng.choice(self.INCREMENTS)
@@ -325,13 +331,14 @@ class TestScaledSystem:
         cases.append((NResState.make(Hose(F(11), 2), tanks), (F(1, 10),), F(40)))
         compared = 0
         for ring, durations, bound in cases:
-            fast = outcome(kripke_structure, quiet_system(ring), durations, bound)
+            system = quiet_system(ring)
+            fast = outcome(kripke_structure, system, durations, bound)
             ref = outcome(kripke_structure, FractionRing(ring), durations, bound)
             if isinstance(ref, str):
                 assert fast == ref
                 continue
             assert fast.texts == ref.texts
-            assert fast.states == ref.states
+            assert [system.serialize(s) for s in fast.states] == [render_state(s) for s in ref.states]
             assert (fast.clock, fast.scale) == (ref.clock, ref.scale)  # elapsed times
             assert [(e.source, e.target, e.label, e.duration) for e in fast.edges] == [
                 (e.source, e.target, e.label, e.duration) for e in ref.edges
@@ -347,31 +354,18 @@ class TestScaledSystem:
             tanks = [Reservoir(0, F(5, 2), upper, F(hosed), F(1)), Reservoir(1, F(7, 2), F(9, 2), F(other), F(3))]
             ring = NResState.make(Hose(F(4), 0), tanks)
             system = quiet_system(ring)
-            self.assert_same(system, system.initial_state(), ring)
-            assert system.discrete_successors(ring) == move_hose_successors(ring)
+            initial = system.initial_state()
+            self.assert_same(system, initial, ring)
+            moves = system.discrete_successors(initial)
+            assert [(label, system.serialize(s)) for label, s in moves] == [
+                (label, render_state(s)) for label, s in move_hose_successors(ring)
+            ]
 
-    def test_views_read_as_fractions(self, init2_system):
-        after = init2_system.timed_successor(init2_system.initial_state(), F(1, 3))
-        assert isinstance(after, RingState)
-        assert after.hose == Hose(F(10), 0)
-        assert [r.level for r in after.reservoirs] == [F(95, 3), F(85, 3), F(85, 3)]
-        assert after.reservoir(2) == Reservoir(2, F(15), F(50), F(85, 3), F(5))
-        with pytest.raises(ModelError):
-            after.reservoir(7)
-        assert after == tick(three_tank_state(), F(1, 3)) and after != three_tank_state()
-
-    def test_plain_states_are_accepted(self, init2_system):
-        plain = state(0, F(61, 2), 30, 16)
-        assert init2_system.timed_successor(plain, F(1, 2)) == state(0, 33, F(55, 2), F(27, 2))
-        assert init2_system.discrete_successors(state(0, 45, 15, 15)) == move_hose_successors(state(0, 45, 15, 15))
-        other = NResState.make(Hose(F(10), 0), [tank(i, 30, leak=4) for i in range(3)])
-        with pytest.raises(ModelError):
-            init2_system.serialize(other)
-
-    def test_zero_step_returns_the_state_itself(self, init2_system):
-        blocked = state(0, 45, 15, 15)
-        assert init2_system.timed_successor(blocked, F(0)) is blocked
-        assert init2_system.timed_successor(blocked, F(1)) is None
+    def test_zero_step_returns_the_state_itself(self):
+        system = quiet_system(state(0, 45, 15, 15))
+        blocked = system.initial_state()
+        assert system.timed_successor(blocked, F(0)) is blocked
+        assert system.timed_successor(blocked, F(1)) is None
 
     @pytest.mark.parametrize("delta", [F(-1), -1, 1.0, True, "x"])
     def test_durations_are_validated(self, init2_system, delta):
@@ -384,3 +378,124 @@ class TestScaledSystem:
         with pytest.raises(ModelError, match="hose rate 3 is below the leak rate 4"):
             system.timed_successor(system.initial_state(), F(1, 2))
         assert system.timed_successor(system.initial_state(), F(0)) == system.initial_state()
+
+
+def reachable_pairs(ring: NResState, durations, bound):
+    """The system and (compiled state, Fraction state) pairs for every
+    reachable state, aligned by index; None if exploring raises."""
+    system = quiet_system(ring)
+    fast = outcome(kripke_structure, system, durations, bound)
+    ref = outcome(kripke_structure, FractionRing(ring), durations, bound)
+    if isinstance(ref, str):
+        assert fast == ref
+        return system, None
+    assert fast.texts == ref.texts
+    return system, list(zip(fast.states, ref.states))
+
+
+def thirds_ring() -> NResState:
+    """Levels in thirds, sampled every 1/10: most reachable levels are off
+    the grid of either, and R1 starts at exactly 1/3."""
+    tanks = [Reservoir(0, F(2), F(9), F(14, 3), F(1)), Reservoir(1, F(0), F(4), F(1, 3), F(1, 2)),
+             Reservoir(2, F(1, 3), F(7, 3), F(5, 3), F(1, 3))]
+    return NResState.make(Hose(F(11, 6), 0), tanks)
+
+
+def random_pattern_text(rng, ids, levels) -> str:
+    """A pattern over known and unknown ids: hose pins, level pins drawn from
+    reachable levels (hits) or off the grid (misses), and "*" levels."""
+    if rng.random() < 0.1:
+        return "*"
+    tokens = []
+    if rng.random() < 0.4:
+        tokens.append(f"hose={rng.choice(ids) if rng.random() < 0.85 else 40 + rng.randrange(3)}")
+    pinned = rng.sample(ids, rng.randint(0, len(ids)))
+    if rng.random() < 0.1:
+        pinned.insert(rng.randrange(len(pinned) + 1), 40 + rng.randrange(3))
+    for rid in sorted(set(pinned)):
+        kind = rng.random()
+        if kind < 0.3:
+            level = "*"
+        elif kind < 0.8:
+            level = str(rng.choice(levels))
+        else:
+            level = str(rng.choice((F(1, 3), F(2, 3), F(7, 3), F(1, 7), F(0))))
+        tokens.append(f"R{rid}.hth={level}")
+    return " ".join(tokens) or "*"
+
+
+class TestMatchAgainstFractions:
+    """match reads a ring state's numerators and validate_pattern the ids of
+    the model's start state; over the reachable states of seeded random rings
+    both agree with the Fraction matcher, errors included."""
+
+    def test_match_and_validate_agree_with_the_fraction_matcher(self):
+        rng = random.Random(4242)
+        samplings = (((F(1, 10),), F(2)), ((F(1), F(1, 3)), F(3)))
+        rings = [thirds_ring(), three_tank_state()] + [random_ring(rng) for _ in range(30)]
+        seen = {"wildcard": 0, "hit": 0, "miss": 0, "error": 0, "pinned hit": 0, "rejected": 0}
+        for ring in rings:
+            for durations, bound in samplings:
+                system, pairs = reachable_pairs(ring, durations, bound)
+                if pairs is None:
+                    continue
+                ids = [r.id for r in ring.reservoirs]
+                levels = sorted({r.level for _, ref in pairs for r in ref.reservoirs})
+                for _ in range(12):
+                    pat = parse_pattern(random_pattern_text(rng, ids, levels))
+                    checked = outcome(validate_pattern, pat, system)
+                    assert checked == outcome(nres_validate_pattern, pat, ring)
+                    seen["rejected"] += checked is not None
+                    for fast, ref in pairs:
+                        got = outcome(match, pat, fast)
+                        assert got == outcome(nres_match, pat, ref), (pat, system.serialize(fast))
+                        if pat.is_wildcard():
+                            seen["wildcard"] += 1
+                        elif isinstance(got, str):
+                            seen["error"] += 1
+                        elif got is None:
+                            seen["miss"] += 1
+                        else:
+                            seen["hit"] += 1
+                            seen["pinned hit"] += any(p.level is not None for _, p in pat.reservoirs)
+        assert min(seen.values()) > 50, seen
+
+    def test_thirds_pin_hits_only_where_the_level_is_a_third(self):
+        system, pairs = reachable_pairs(thirds_ring(), (F(1, 10),), F(2))
+        pat = parse_pattern("R1.hth=1/3")
+        hits = [system.serialize(fast) for fast, ref in pairs if match(pat, fast) is not None]
+        assert hits and all("< 1 | thr:(0,4), hth: 1/3, rte: 1/2 >" in h for h in hits)
+        assert len(hits) == sum(nres_match(pat, ref) is not None for _, ref in pairs)
+
+    def test_other_models_are_refused_alike(self):
+        lha = LhaSystem(two_reservoir(10, 5, 5, 15, 15, 30, 30))
+        pat = parse_pattern("hose=0 R0.hth=*")
+        initial = lha.initial_state()
+        assert outcome(validate_pattern, pat, lha) == outcome(nres_validate_pattern, pat, initial)
+        assert outcome(match, pat, initial) == outcome(nres_match, pat, initial)
+        assert isinstance(outcome(match, pat, initial), str)
+        assert match(parse_pattern("*"), initial) == nres_match(parse_pattern("*"), initial) == {}
+
+
+class TestIdentity:
+    """A state's text is its identity: over every reachable state of seeded
+    random rings, two states have the same text exactly when the Fraction
+    reference states are equal."""
+
+    def test_serialize_is_injective_on_reachable_states(self):
+        rng = random.Random(515)
+        samplings = (((F(1),), F(8)), ((F(1, 2), F(1, 3)), F(3)), ((F(1, 10),), F(2)))
+        compared = distinct = 0
+        for ring in [thirds_ring()] + [random_ring(rng) for _ in range(40)]:
+            by_text, by_state = {}, {}
+            system = quiet_system(ring)
+            for durations, bound in samplings:
+                _, pairs = reachable_pairs(ring, durations, bound)
+                for fast, ref in pairs or ():
+                    text = system.serialize(fast)
+                    assert by_text.setdefault(text, ref) == ref
+                    assert by_state.setdefault(ref, text) == text
+                    compared += 1
+            assert len(by_text) == len(by_state)
+            distinct += len(by_text)
+        assert compared > 2000 and distinct > 1800, (compared, distinct)

@@ -222,6 +222,27 @@ class TestSafeProp:
         with pytest.raises(ModelError):
             safe_prop(once)
 
+    def test_keeps_the_operands_steps_and_texts(self):
+        c = ladder(3)
+        p = safe_prop(c)
+        assert "safe" not in c.props and set(p.props) == set(c.props) | {"safe"}
+        for s in c.states:
+            assert p.discrete_successors(s) == c.discrete_successors(s)
+            assert [p.timed_successor(s, d) for d in DURATIONS] == [c.timed_successor(s, d) for d in DURATIONS]
+            assert p.serialize(s) == c.serialize(s)
+
+    def test_reads_a_delegating_operand(self):
+        class Delegate:
+            def __init__(self, component):
+                self._component = component
+
+            def __getattr__(self, name):
+                return getattr(self._component, name)
+
+        c = ladder(3)
+        via, direct = component_kripke(safe_prop(Delegate(c))), component_kripke(safe_prop(c))
+        assert (via.texts, via.edges, via.labeling) == (direct.texts, direct.edges, direct.labeling)
+
 
 class TestComponentKripke:
     def test_reservoir_product_kripke(self):
@@ -488,3 +509,22 @@ class TestScaling:
         assert len(kripke) == 4096
         assert ce is None
         assert took < PRODUCT_BUDGET_SECONDS
+
+
+class TestIdentity:
+    """A state's text is its identity: over the reachable states of seeded
+    random components, their products and the ladder (and over every state
+    they hold), two states have the same text exactly when they are the same
+    state tuple."""
+
+    def test_serialize_is_injective_on_reachable_states(self):
+        components = [c for seed in range(40) for c in random_components(seed)]
+        components += [ladder(k) for k in (2, 3, 5)] + [safe_prop(ladder(4))]
+        reachable = held = 0
+        for c in components:
+            found = component_kripke(c).states
+            for states in (found, c.states):
+                assert len({c.serialize(s) for s in states}) == len(set(states)) == len(states)
+            reachable += len(found)
+            held += len(c.states)
+        assert reachable > 400 and held > 600, (reachable, held)
