@@ -13,6 +13,7 @@ import math
 import sys
 import warnings
 from fractions import Fraction
+from functools import reduce
 from typing import Any, Optional
 
 from .core import ModelError, TimedTransitionSystem, as_time, fraction_text
@@ -194,12 +195,24 @@ def _load_component(path: str) -> Component:
     return system
 
 
+def _operand_paths(args: argparse.Namespace) -> list[str]:
+    """The product's operands: --left and --right, or every --component."""
+    paths = args.component
+    if args.left is not None or args.right is not None:
+        if paths:
+            raise ModelError("give the operands as --left/--right or as --component, not both")
+        paths = [p for p in (args.left, args.right) if p is not None]
+    if len(paths) < 2:
+        raise ModelError("a product needs two operands: --left and --right, or two or more --component")
+    return paths
+
+
 def run_product_check(args: argparse.Namespace) -> int:
-    left = _load_component(args.left)
-    right = _load_component(args.right)
-    # when either side has no ticks none pair up: the untimed product
-    product = rt_sync_product(left, right)
-    if refill_props(product) and "safe" not in product.props:
+    components = [_load_component(path) for path in _operand_paths(args)]
+    # folded from the left, so that texts nest as two operands' do; when any
+    # operand has no ticks none pair up: the untimed product
+    product = reduce(rt_sync_product, components)
+    if refill_props(product) and "safe" not in product.propositions():
         product = safe_prop(product)
     formula = parse_formula(args.formula)
     kripke = component_kripke(product)
@@ -240,8 +253,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("product-check", help="LTL model check of a synchronous product")
     p.set_defaults(handler=run_product_check)
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
+    p.add_argument("--left", help="first of two operands")
+    p.add_argument("--right", help="second of two operands")
+    p.add_argument(
+        "--component", action="append", default=[], help="an operand; give two or more, in product order"
+    )
     p.add_argument("--formula", required=True)
     add_shared(p, with_time=False)
     return parser

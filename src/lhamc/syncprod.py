@@ -1,17 +1,30 @@
 """Synchronous products of labeled transition systems, with optional timing.
 
 Components synchronize on shared rule labels and on ticks of equal duration;
-unshared rules interleave.  Every product state must be compatible: the two
-sides agree on all shared propositions.  There is one product; the untimed
-product is the product of tick-free components.  A product is built from
-what its operands already hold, so it is well formed by construction and
-skips the checks the constructor makes on outside input.
+unshared rules interleave.  Every product state must be compatible: the
+components agree on every proposition they share.  There is one product, over
+any number of components; the untimed product is the product of tick-free
+components.
+
+A product is lazy and flat.  Its states are flat tuples of component states,
+generated from the initial state as an explorer asks for successors; an
+operand that is itself a product contributes its components, so a fold of
+binary products is one n-ary product.  Rule labels and tick durations are
+indexed once, per component, when the product is first explored, and a
+state's text fills the template of the operand tree (``"< < %s,%s >,%s >"``)
+with the components' cached texts, so it reads as the nested pairs of the
+fold.  The ``states``, ``rules``, ``ticks`` and ``props`` views enumerate the
+product as its definition does, but only when they are read; exploration
+never reads them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Iterable
+from functools import cached_property
+from itertools import product as cartesian
+from operator import itemgetter
+from typing import Any, Iterable, Iterator
 
 from .core import (
     ONE,
@@ -27,6 +40,17 @@ from .explore import Kripke, kripke_structure
 
 Rule = tuple[str, Any, Any]  # (label, source, target)
 Tick = tuple[Any, Any, Fraction]  # (source, target, duration)
+# How a product evaluates a proposition: whether the value is negated, and
+# the (component index, states where it holds) flags that must all be raised.
+Flags = tuple[bool, tuple[tuple[int, frozenset], ...]]
+
+
+def _check_distinct_texts(text: dict[Any, str]) -> None:
+    """Text is a state's identity in exploration: two states must not render alike."""
+    by_text = {t: s for s, t in text.items()}
+    if len(by_text) != len(text):
+        clash = next(t for s, t in text.items() if by_text[t] != s)
+        raise ModelError(f"two component states render as {clash!r}")
 
 
 def render_component_state(state: Any) -> str:
@@ -44,6 +68,9 @@ class Component(TimedTransitionSystem):
     A component with no ticks is simply untimed.  Distinct states must
     render as distinct text, since text is their identity in exploration.
     """
+
+    # as a product operand: the one component and its text
+    _template = "%s"
 
     def __init__(
         self,
@@ -79,24 +106,14 @@ class Component(TimedTransitionSystem):
             if d == 0:
                 raise ModelError("tick durations must be positive")
         text = {s: render_component_state(s) for s in states}
-        self._adopt(states, initial, rules, checked, ticks, text)
-
-    def _adopt(
-        self, states: tuple, initial: Any, rules: tuple, props: dict, ticks: tuple, text: dict
-    ) -> None:
-        """Take on a structure whose rules, ticks and propositions use only
-        its own states; check that texts and ticks stay unambiguous, and
-        index successors so that a state's successors cost its out-degree."""
-        by_text = {t: s for s, t in text.items()}
-        if len(by_text) != len(states):
-            clash = next(t for s, t in text.items() if by_text[t] != s)
-            raise ModelError(f"two component states render as {clash!r}")
+        _check_distinct_texts(text)
         self.states = states
         self.initial = initial
         self.rules = rules
-        self.props = props
+        self.props = checked
         self.ticks = ticks
         self._text = text
+        # successors are indexed so that a state's successors cost its out-degree
         self._tick_targets: dict[Fraction, dict[Any, Any]] = {}  # duration -> source -> target
         for s, t, d in ticks:
             targets = self._tick_targets.setdefault(d, {})
@@ -108,6 +125,14 @@ class Component(TimedTransitionSystem):
             self._moves[s].append((label, t))
         for moves in self._moves.values():
             moves.sort(key=lambda lt: (lt[0], text[lt[1]]))
+
+    @property
+    def _leaves(self) -> tuple[Component, ...]:
+        return (self,)
+
+    @property
+    def _flags(self) -> dict[str, Flags]:
+        return {name: (False, ((0, holds),)) for name, holds in self.props.items()}
 
     # model contract
 
@@ -140,72 +165,214 @@ class Component(TimedTransitionSystem):
         return list(self._tick_targets)
 
 
-def compatible(c1: Component, s1: Any, c2: Component, s2: Any) -> bool:
-    """Whether the two sides agree on every shared proposition."""
-    return all(c1.prop_holds(s1, p) == c2.prop_holds(s2, p) for p in set(c1.props) & set(c2.props))
+class SyncProduct(TimedTransitionSystem):
+    """The synchronous product of a flat tuple of components.
 
-
-def _well_formed(*structure: Any) -> Component:
-    """A component over a structure built from components (see ``_adopt``)."""
-    component = Component.__new__(Component)
-    component._adopt(*structure)
-    return component
-
-
-def _signatures(c: Component, shared: list[str]) -> tuple[dict, dict]:
-    """Each state's signature, the truth values of the shared propositions,
-    and the states with each signature in the component's order."""
-    sig = {s: tuple(s in c.props[p] for p in shared) for s in c.states}
-    having: dict[tuple, list] = {}
-    for s in c.states:
-        having.setdefault(sig[s], []).append(s)
-    return sig, having
-
-
-def rt_sync_product(c1: Component, c2: Component) -> Component:
-    """Synchronous product: joint steps on shared labels, interleaving on the
-    rest, and joint ticks pairing equal durations, all over the compatible
-    pairs of states.  With a tick-free operand this is the untimed product.
-    A pair is compatible when both sides have the same signature, and its
-    text is joined from the operands' texts.
+    A label fires jointly in every component whose rules use it and
+    interleaves when one component alone uses it; a tick of duration d needs
+    a d-tick in every component; a successor is kept only when it is
+    compatible.  Build it with :func:`rt_sync_product` or :func:`safe_prop`.
     """
-    shared = sorted(set(c1.props) & set(c2.props))
-    sig1, with_sig1 = _signatures(c1, shared)
-    sig2, with_sig2 = _signatures(c2, shared)
-    if sig1[c1.initial] != sig2[c2.initial]:
-        raise ModelError("the initial states disagree on a shared proposition")
-    states = tuple((s1, s2) for s1 in c1.states for s2 in with_sig2.get(sig1[s1], ()))
 
-    # a label on both sides is shared: its rules fire jointly
-    right_by_label: dict[str, list[Rule]] = {}
-    for rule in c2.rules:
-        right_by_label.setdefault(rule[0], []).append(rule)
-    left_labels = {l for l, _, _ in c1.rules}
-    rules: list[Rule] = []
-    for label, s1, t1 in c1.rules:
-        if label in right_by_label:
-            for _, s2, t2 in right_by_label[label]:
-                if sig1[s1] == sig2[s2] and sig1[t1] == sig2[t2]:
-                    rules.append((label, (s1, s2), (t1, t2)))
-        elif sig1[s1] == sig1[t1]:
-            rules.extend((label, (s1, s2), (t1, s2)) for s2 in with_sig2.get(sig1[s1], ()))
-    for label, s2, t2 in c2.rules:
-        if label not in left_labels and sig2[s2] == sig2[t2]:
-            rules.extend((label, (s1, s2), (s1, t2)) for s1 in with_sig1.get(sig2[s2], ()))
-    ticks = tuple(
-        ((s1, s2), (t1, t2), d1)
-        for s1, t1, d1 in c1.ticks
-        for s2, t2, d2 in c2.ticks
-        if d1 == d2 and sig1[s1] == sig2[s2] and sig1[t1] == sig2[t2]
-    )
+    def __init__(self, leaves: tuple[Component, ...], template: str, flags: dict[str, Flags]):
+        self._leaves = leaves
+        self._template = template
+        self._flags = flags
+        self._texts = [leaf._text for leaf in leaves]
+        holders: dict[str, list[int]] = {}
+        for i, leaf in enumerate(leaves):
+            for name in leaf.props:
+                holders.setdefault(name, []).append(i)
+        self._shared = {name: at for name, at in holders.items() if len(at) > 1}
+        # compatibility as pairwise agreement with each shared proposition's
+        # first holder: (i, where it holds in i, j, where it holds in j), i < j
+        self._agree = tuple(
+            (at[0], leaves[at[0]].props[name], j, leaves[j].props[name])
+            for name, at in self._shared.items()
+            for j in at[1:]
+        )
+        self.initial = tuple(leaf.initial for leaf in leaves)
+        if not self._compatible(self.initial):
+            raise ModelError("the initial states disagree on a shared proposition")
+        # splitting a text on "," recovers every component's text, unless one has a ","
+        if any("," in text for texts in self._texts for text in texts.values()):
+            _check_distinct_texts({s: self.serialize(s) for s in self.states})
 
-    props = {name: frozenset(s for s in states if s[0] in holds) for name, holds in c1.props.items()}
-    for name, holds in c2.props.items():
-        if name not in props:
-            props[name] = frozenset(s for s in states if s[1] in holds)
-    text1, text2 = c1._text, c2._text
-    text = {s: f"< {text1[s[0]]},{text2[s[1]]} >" for s in states}
-    return _well_formed(states, (c1.initial, c2.initial), tuple(rules), props, ticks, text)
+    # The successor indexes are built on first use, so that the inner
+    # products of a fold, which are never explored, never build them.
+
+    @cached_property
+    def _users(self) -> dict[str, list[int]]:
+        """Each rule label and the components whose rules use it."""
+        users: dict[str, list[int]] = {}
+        for i, leaf in enumerate(self._leaves):
+            for label in dict.fromkeys(label for label, _, _ in leaf.rules):
+                users.setdefault(label, []).append(i)
+        return users
+
+    @cached_property
+    def _solo(self) -> list[dict[Any, list[tuple[str, Any]]]]:
+        """Each component's own moves by source: those on a label no other
+        component uses that leave its shared propositions as they are."""
+        solo = []
+        for i, leaf in enumerate(self._leaves):
+            mine = [leaf.props[name] for name, at in self._shared.items() if i in at]
+            solo.append({
+                s: [
+                    (label, t) for label, t in moves
+                    if len(self._users[label]) == 1 and all((s in h) == (t in h) for h in mine)
+                ]
+                for s, moves in leaf._moves.items()
+            })
+        return solo
+
+    @cached_property
+    def _joint(self) -> list[tuple[str, list[int]]]:
+        """Each label that several components use, with those components."""
+        return [(label, at) for label, at in self._users.items() if len(at) > 1]
+
+    @cached_property
+    def _ticks(self) -> dict[Fraction, list[dict]]:
+        """Duration -> each component's tick targets, in the order of the
+        first component's first tick that starts a compatible joint tick."""
+        ticks: dict[Fraction, list[dict]] = {}
+        for s, t, d in self._leaves[0].ticks:
+            if d not in ticks and next(self._joint_ticks(d, (s,), (t,)), None) is not None:
+                ticks[d] = [leaf._tick_targets[d] for leaf in self._leaves]
+        return ticks
+
+    def _compatible(self, state: tuple) -> bool:
+        return all((state[i] in hi) == (state[j] in hj) for i, hi, j, hj in self._agree)
+
+    def _joint_ticks(self, d: Fraction, sources: tuple, targets: tuple) -> Iterator[tuple[tuple, tuple]]:
+        """The compatible joint d-ticks that extend the given components'
+        ticks, in the order of the components' tick lists."""
+        j = len(sources)
+        if j == len(self._leaves):
+            yield sources, targets
+            return
+        checks = [(i, hi, hj) for i, hi, k, hj in self._agree if k == j]
+        for s, t, dj in self._leaves[j].ticks:
+            if dj == d and all(
+                (sources[i] in hi) == (s in hj) and (targets[i] in hi) == (t in hj) for i, hi, hj in checks
+            ):
+                yield from self._joint_ticks(d, sources + (s,), targets + (t,))
+
+    # model contract
+
+    def initial_state(self) -> tuple:
+        return self.initial
+
+    def discrete_successors(self, state: tuple) -> list[tuple[str, tuple]]:
+        out = []
+        for i, (moves, s) in enumerate(zip(self._solo, state)):
+            for label, t in moves[s]:
+                out.append((label, state[:i] + (t,) + state[i + 1 :]))
+        for label, at in self._joint:
+            choices = [[t for l, t in self._leaves[i]._moves[state[i]] if l == label] for i in at]
+            if all(choices):
+                for chosen in cartesian(*choices):
+                    succ = list(state)
+                    for i, t in zip(at, chosen):
+                        succ[i] = t
+                    succ = tuple(succ)
+                    if not self._agree or self._compatible(succ):
+                        out.append((label, succ))
+        if len({label for label, _ in out}) == len(out):
+            out.sort(key=itemgetter(0))
+        else:
+            out.sort(key=lambda move: (move[0], self.serialize(move[1])))
+        return out
+
+    def timed_successor(self, state: tuple, delta: Fraction) -> tuple | None:
+        tables = self._ticks.get(delta)
+        if tables is None:  # a zero, an unknown or an unvalidated duration
+            delta = as_time(delta)
+            if delta == 0:
+                return state
+            tables = self._ticks.get(delta)
+            if tables is None:
+                return None
+        succ = []
+        for targets, s in zip(tables, state):
+            t = targets.get(s)
+            if t is None:
+                return None
+            succ.append(t)
+        succ = tuple(succ)
+        return succ if not self._agree or self._compatible(succ) else None
+
+    def prop_holds(self, state: tuple, prop: str) -> bool:
+        try:
+            negated, flags = self._flags[prop]
+        except KeyError:
+            raise ModelError(f"unknown proposition {prop!r}") from None
+        for i, holds in flags:
+            if state[i] not in holds:
+                return negated
+        return not negated
+
+    def serialize(self, state: tuple) -> str:
+        return self._template % tuple(map(dict.__getitem__, self._texts, state))
+
+    def propositions(self) -> frozenset[str]:
+        return frozenset(self._flags)
+
+    def tick_durations(self) -> list[Fraction]:
+        return list(self._ticks)
+
+    # the product as its definition enumerates it, computed on every read
+
+    @property
+    def states(self) -> tuple[tuple, ...]:
+        """The compatible tuples, in the order of the components' states."""
+        every = cartesian(*(leaf.states for leaf in self._leaves))
+        return tuple(s for s in every if self._compatible(s))
+
+    @property
+    def rules(self) -> tuple[Rule, ...]:
+        return tuple((label, s, t) for s in self.states for label, t in self.discrete_successors(s))
+
+    @property
+    def ticks(self) -> tuple[Tick, ...]:
+        """Joint ticks, in the order of the components' tick lists."""
+        return tuple(
+            (sources, targets, d)
+            for s, t, d in self._leaves[0].ticks
+            if d in self._ticks
+            for sources, targets in self._joint_ticks(d, (s,), (t,))
+        )
+
+    @property
+    def props(self) -> dict[str, frozenset]:
+        states = self.states
+        return {name: frozenset(s for s in states if self.prop_holds(s, name)) for name in self._flags}
+
+
+def compatible(c1: TimedTransitionSystem, s1: Any, c2: TimedTransitionSystem, s2: Any) -> bool:
+    """Whether the two sides agree on every shared proposition."""
+    shared = c1.propositions() & c2.propositions()
+    return all(c1.prop_holds(s1, p) == c2.prop_holds(s2, p) for p in shared)
+
+
+def rt_sync_product(c1: Any, c2: Any, *more: Any) -> SyncProduct:
+    """Synchronous product of two or more components or products: joint steps
+    on shared labels, interleaving on the rest, and joint ticks of equal
+    duration, over the compatible states.  With a tick-free operand this is
+    the untimed product.  Where operands share a proposition name the first
+    operand's proposition is the product's.
+
+    Operands are read by attribute, so a delegating wrapper works as well.
+    """
+    operands = (c1, c2, *more)
+    leaves: list[Component] = []
+    flags: dict[str, Flags] = {}
+    for operand in operands:
+        for name, (negated, at) in operand._flags.items():
+            flags.setdefault(name, (negated, tuple((len(leaves) + i, holds) for i, holds in at)))
+        leaves.extend(operand._leaves)
+    template = "< " + ",".join(operand._template for operand in operands) + " >"
+    return SyncProduct(tuple(leaves), template, flags)
 
 
 def abstract_reservoir(i: int) -> Component:
@@ -225,30 +392,25 @@ def abstract_reservoir(i: int) -> Component:
     )
 
 
-def refill_props(component: Component) -> list[str]:
-    """The component's refill flags: its propositions named refill<i>?."""
-    return [p for p in component.props if p.startswith("refill") and p.endswith("?")]
+def refill_props(component: TimedTransitionSystem) -> list[str]:
+    """The model's refill flags: its propositions named refill<i>?, sorted."""
+    return sorted(p for p in component.propositions() if p.startswith("refill") and p.endswith("?"))
 
 
-def safe_prop(component: Component) -> Component:
-    """Add a derived "safe" proposition: not every refill flag raised."""
+def safe_prop(component: Any) -> SyncProduct:
+    """The product (a component becomes a one-component product) with a
+    derived "safe" proposition: not every refill flag raised."""
     refills = refill_props(component)
     if not refills:
         raise ModelError("no refill propositions to derive safety from")
-    if "safe" in component.props:
+    flags = component._flags
+    if "safe" in flags:
         raise ModelError("the component already has a proposition named 'safe'")
-    flags = [component.props[p] for p in refills]
-    safe = frozenset(s for s in component.states if not all(s in f for f in flags))
-    # the operand's structure and indexes with one more proposition, read
-    # attribute by attribute so that a delegating wrapper works as well
-    derived = Component.__new__(Component)
-    for name in ("states", "initial", "rules", "ticks", "_text", "_tick_targets", "_moves"):
-        setattr(derived, name, getattr(component, name))
-    derived.props = {**component.props, "safe": safe}
-    return derived
+    raised = tuple(flag for p in refills for flag in flags[p][1])
+    return SyncProduct(component._leaves, component._template, {**flags, "safe": (True, raised)})
 
 
-def component_kripke(component: Component) -> Kripke:
+def component_kripke(component: Component | SyncProduct) -> Kripke:
     """Kripke structure over the component's reachable states.
 
     Time-abstract: ticks are ordinary edges annotated with their duration,
@@ -278,19 +440,17 @@ def component_from_json(doc: dict) -> Component:
     return Component(states, initial, rules, props, ticks)
 
 
-def component_to_json(component: Component) -> dict:
+def component_to_json(component: Component | SyncProduct) -> dict:
     text = component.serialize
+    states = component.states
     return {
         "kind": "component",
-        "states": [text(s) for s in component.states],
+        "states": [text(s) for s in states],
         "initial": text(component.initial),
         "rules": [
             {"label": label, "source": text(s), "target": text(t)} for label, s, t in component.rules
         ],
-        "props": {
-            name: [text(s) for s in component.states if s in holds]
-            for name, holds in component.props.items()
-        },
+        "props": {name: [text(s) for s in states if s in holds] for name, holds in component.props.items()},
         "ticks": [
             {"source": text(s), "target": text(t), "duration": str(d)} for s, t, d in component.ticks
         ],

@@ -7,6 +7,11 @@ the model tests walk both in lockstep.  Nothing here uses ``NResSystem`` or
 ``LhaSystem``, only the data classes that describe a model.  The names the
 two models share carry a prefix: ``nres_`` for the reservoir ring, ``lha_``
 for the automaton.
+
+The eager synchronous product, ``eager_rt_sync_product`` and
+``eager_safe_prop``, is the reference for the lazy one in
+:mod:`lhamc.syncprod`: it pairs every compatible state of two operands with
+every rule and tick up front, and a fold of it nests pairs.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from lhamc.reservoir import (
     ReservoirPattern,
     SearchPattern,
 )
+from lhamc.syncprod import Component
 
 
 # exact arithmetic
@@ -234,3 +240,84 @@ def lha_discrete_successors(lha: Lha, state: LhaState) -> list[tuple[str, LhaSta
 def lha_render_state(lha: Lha, state: LhaState) -> str:
     values = ",".join(str(state.valuation[v]) for v in lha.variables)
     return f"{state.location},{values}"
+
+
+# the eager synchronous product
+
+Rule = tuple[str, Any, Any]  # (label, source, target)
+
+
+def _signatures(c: Component, shared: list[str]) -> tuple[dict, dict]:
+    """Each state's signature, the truth values of the shared propositions,
+    and the states with each signature in the component's order."""
+    sig = {s: tuple(s in c.props[p] for p in shared) for s in c.states}
+    having: dict[tuple, list] = {}
+    for s in c.states:
+        having.setdefault(sig[s], []).append(s)
+    return sig, having
+
+
+def eager_rt_sync_product(c1: Component, c2: Component) -> Component:
+    """Synchronous product: joint steps on shared labels, interleaving on the
+    rest, and joint ticks pairing equal durations, all over the compatible
+    pairs of states.  With a tick-free operand this is the untimed product.
+    A pair is compatible when both sides have the same signature; its text
+    is the nested rendering of the pair.
+    """
+    shared = sorted(set(c1.props) & set(c2.props))
+    sig1, with_sig1 = _signatures(c1, shared)
+    sig2, with_sig2 = _signatures(c2, shared)
+    if sig1[c1.initial] != sig2[c2.initial]:
+        raise ModelError("the initial states disagree on a shared proposition")
+    states = tuple((s1, s2) for s1 in c1.states for s2 in with_sig2.get(sig1[s1], ()))
+
+    # a label on both sides is shared: its rules fire jointly
+    right_by_label: dict[str, list[Rule]] = {}
+    for rule in c2.rules:
+        right_by_label.setdefault(rule[0], []).append(rule)
+    left_labels = {l for l, _, _ in c1.rules}
+    rules: list[Rule] = []
+    for label, s1, t1 in c1.rules:
+        if label in right_by_label:
+            for _, s2, t2 in right_by_label[label]:
+                if sig1[s1] == sig2[s2] and sig1[t1] == sig2[t2]:
+                    rules.append((label, (s1, s2), (t1, t2)))
+        elif sig1[s1] == sig1[t1]:
+            rules.extend((label, (s1, s2), (t1, s2)) for s2 in with_sig2.get(sig1[s1], ()))
+    for label, s2, t2 in c2.rules:
+        if label not in left_labels and sig2[s2] == sig2[t2]:
+            rules.extend((label, (s1, s2), (s1, t2)) for s1 in with_sig1.get(sig2[s2], ()))
+    ticks = tuple(
+        ((s1, s2), (t1, t2), d1)
+        for s1, t1, d1 in c1.ticks
+        for s2, t2, d2 in c2.ticks
+        if d1 == d2 and sig1[s1] == sig2[s2] and sig1[t1] == sig2[t2]
+    )
+
+    props = {name: frozenset(s for s in states if s[0] in holds) for name, holds in c1.props.items()}
+    for name, holds in c2.props.items():
+        if name not in props:
+            props[name] = frozenset(s for s in states if s[1] in holds)
+    return Component(states, (c1.initial, c2.initial), tuple(rules), props, ticks)
+
+
+def eager_refill_props(component: Component) -> list[str]:
+    return [p for p in component.props if p.startswith("refill") and p.endswith("?")]
+
+
+def eager_safe_prop(component: Component) -> Component:
+    """Add a derived "safe" proposition: not every refill flag raised."""
+    refills = eager_refill_props(component)
+    if not refills:
+        raise ModelError("no refill propositions to derive safety from")
+    if "safe" in component.props:
+        raise ModelError("the component already has a proposition named 'safe'")
+    flags = [component.props[p] for p in refills]
+    safe = frozenset(s for s in component.states if not all(s in f for f in flags))
+    # the operand's structure and indexes with one more proposition, read
+    # attribute by attribute so that a delegating wrapper works as well
+    derived = Component.__new__(Component)
+    for name in ("states", "initial", "rules", "ticks", "_text", "_tick_targets", "_moves"):
+        setattr(derived, name, getattr(component, name))
+    derived.props = {**component.props, "safe": safe}
+    return derived

@@ -20,8 +20,10 @@ from lhamc.ltl import (
 from lhamc.reservoir import NResSystem, ReservoirPattern, SearchPattern, nres_from_json, parse_pattern
 from lhamc.syncprod import (
     Component,
+    abstract_reservoir,
     component_from_json,
     component_kripke,
+    component_to_json,
     rt_sync_product,
     safe_prop,
 )
@@ -370,6 +372,30 @@ class TestProductCheck:
         else:
             assert (code, out) == (1, format_counterexample(ce, False) + "\n")
 
+    @pytest.mark.parametrize("formula", ["[] safe", "[] ~ refill3?", "[] <> safe"])
+    def test_components_check_the_folded_product(self, tmp_path, capsys, formula):
+        third = write_doc(tmp_path / "reservoir3.json", component_to_json(abstract_reservoir(3)))
+        args = ["--component", RES1, "--component", RES2, "--component", third]
+        code = main(["product-check", *args, "--formula", formula])
+        out = capsys.readouterr().out
+        operands = [load(RES1), load(RES2), abstract_reservoir(3)]
+        product = safe_prop(rt_sync_product(rt_sync_product(*operands[:2]), operands[2]))
+        ce = model_check(component_kripke(product), parse_formula(formula))
+        assert ce is not None or formula == "[] <> safe"
+        if ce is None:
+            assert (code, out) == (0, "Result Bool :\n  true\n")
+        else:
+            assert (code, out) == (1, format_counterexample(ce, False) + "\n")
+            assert "{< < ok,ok >,ok >,'tick}" in out
+
+    def test_two_components_are_left_and_right(self, capsys):
+        outputs = []
+        for operands in (["--left", RES1, "--right", RES2], ["--component", RES1, "--component", RES2]):
+            code = main(["product-check", *operands, "--formula", "[] safe", "--format", "json"])
+            outputs.append((code, capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 1
+
     def test_json_counterexample_replays(self, capsys):
         code = main(
             [
@@ -451,6 +477,26 @@ class TestErrors:
         assert code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "operands",
+        [
+            ["--left", RES1, "--component", RES2],
+            ["--left", RES1, "--right", RES2, "--component", RES1],
+            ["--left", RES1],
+            ["--right", RES2],
+            ["--component", RES1],
+            [],
+        ],
+        ids=["mixed", "mixed-three", "left-only", "right-only", "one-component", "none"],
+    )
+    def test_product_needs_two_operands_in_one_form(self, capsys, operands):
+        code = main(["product-check", *operands, "--formula", "[] safe"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:")
+
     def test_product_rejects_non_component(self, capsys):
         code = main(["product-check", "--left", INIT2, "--right", RES2, "--formula", "[] safe"])
         assert code == 2
@@ -493,6 +539,11 @@ COMPONENT_DOC = {
 }
 AT_LEAST_5 = [{"expr": {"coeffs": {"x": "1"}, "const": "-5"}, "rel": ">="}]
 OVER_Y = [{"expr": {"coeffs": {"y": "1"}}, "rel": ">="}]  # y is undeclared
+
+
+def load(path: str) -> Component:
+    with open(path, encoding="utf-8") as fh:
+        return component_from_json(json.load(fh))
 
 
 def write_doc(path: Path, doc: dict) -> str:

@@ -1,10 +1,13 @@
+import json
 import random
 import time
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
+from lhamc.cli import main
 from lhamc.core import ModelError
 from lhamc.explore import STUTTER, TICK, kripke_structure
 from lhamc.ltl import (
@@ -16,6 +19,7 @@ from lhamc.ltl import (
 )
 from lhamc.syncprod import (
     Component,
+    SyncProduct,
     abstract_reservoir,
     compatible,
     component_from_json,
@@ -25,6 +29,7 @@ from lhamc.syncprod import (
     rt_sync_product,
     safe_prop,
 )
+from reference import eager_rt_sync_product, eager_safe_prop
 
 
 def reservoir_pair():
@@ -232,16 +237,19 @@ class TestSafeProp:
             assert p.serialize(s) == c.serialize(s)
 
     def test_reads_a_delegating_operand(self):
-        class Delegate:
-            def __init__(self, component):
-                self._component = component
-
-            def __getattr__(self, name):
-                return getattr(self._component, name)
-
         c = ladder(3)
         via, direct = component_kripke(safe_prop(Delegate(c))), component_kripke(safe_prop(c))
         assert (via.texts, via.edges, via.labeling) == (direct.texts, direct.edges, direct.labeling)
+
+
+class Delegate:
+    """A model that forwards every attribute, as a tracing wrapper does."""
+
+    def __init__(self, component):
+        self._component = component
+
+    def __getattr__(self, name):
+        return getattr(self._component, name)
 
 
 class TestComponentKripke:
@@ -367,19 +375,36 @@ class Scanned(Component):
         return scanned_tick(self, state, delta)
 
 
-def defined_rules(c1: Component, c2: Component, states: list) -> Counter:
+def pair(s1, s2) -> tuple:
+    """The product state of two component states."""
+    return (s1, s2)
+
+
+def extend(s1: tuple, s2) -> tuple:
+    """The product state of a product's flat state and a component state."""
+    return (*s1, s2)
+
+
+def nested(state):
+    """A flat product state as the nested pairs of the left fold that built
+    it; a pair is its own nesting."""
+    return reduce(pair, state) if isinstance(state, tuple) else state
+
+
+def defined_rules(c1: Component, c2: Component, states: list, join=pair) -> Counter:
     """Product rules as the definition states them: joint steps on shared
-    labels, interleaving on the rest, both endpoints in the product."""
+    labels, interleaving on the rest, both endpoints in the product.
+    ``join`` makes a product state from the two sides' states."""
     member = set(states)
     shared = {l for l, _, _ in c1.rules} & {l for l, _, _ in c2.rules}
     rules = [
-        (l1, (s1, s2), (t1, t2))
+        (l1, join(s1, s2), join(t1, t2))
         for l1, s1, t1 in c1.rules
         for l2, s2, t2 in c2.rules
         if l1 == l2 and l1 in shared
     ]
-    rules += [(l, (s1, s2), (t1, s2)) for l, s1, t1 in c1.rules if l not in shared for s2 in c2.states]
-    rules += [(l, (s1, s2), (s1, t2)) for l, s2, t2 in c2.rules if l not in shared for s1 in c1.states]
+    rules += [(l, join(s1, s2), join(t1, s2)) for l, s1, t1 in c1.rules if l not in shared for s2 in c2.states]
+    rules += [(l, join(s1, s2), join(s1, t2)) for l, s2, t2 in c2.rules if l not in shared for s1 in c1.states]
     return Counter(r for r in rules if r[1] in member and r[2] in member)
 
 
@@ -450,48 +475,199 @@ def operands(kind: str, n: int) -> tuple[Component, Component]:
     return (tick_free(left), tick_free(right)) if kind == "tick-free" else (left, right)
 
 
-def defined_product(c1: Component, c2: Component) -> tuple[list, list, dict]:
+def defined_product(c1: Component, c2: Component, join=pair) -> tuple[list, list, dict]:
     """States, ticks and propositions of the product as the definition
     states them: the compatible pairs in c1 x c2 order, joint ticks of equal
-    duration, and the left operand's propositions before the right's."""
-    states = [(s1, s2) for s1 in c1.states for s2 in c2.states if compatible(c1, s1, c2, s2)]
+    duration, and the left operand's propositions before the right's.
+    ``join`` makes a product state from the two sides' states."""
+    states = [join(s1, s2) for s1 in c1.states for s2 in c2.states if compatible(c1, s1, c2, s2)]
     member = set(states)
     ticks = [
-        ((s1, s2), (t1, t2), d1)
+        (join(s1, s2), join(t1, t2), d1)
         for s1, t1, d1 in c1.ticks
         for s2, t2, d2 in c2.ticks
-        if d1 == d2 and (s1, s2) in member and (t1, t2) in member
+        if d1 == d2 and join(s1, s2) in member and join(t1, t2) in member
     ]
-    props = {name: frozenset(s for s in states if s[0] in holds) for name, holds in c1.props.items()}
+    sides = {join(s1, s2): (s1, s2) for s1 in c1.states for s2 in c2.states}
+    props = {name: frozenset(s for s in states if sides[s][0] in holds) for name, holds in c1.props.items()}
     for name, holds in c2.props.items():
-        props.setdefault(name, frozenset(s for s in states if s[1] in holds))
+        props.setdefault(name, frozenset(s for s in states if sides[s][1] in holds))
     return states, ticks, props
+
+
+def nested_rebuild(c) -> Component:
+    """The product through the validating constructor, with every state as
+    the nested pairs of the fold, whose rendering is the product's text."""
+    return Component(
+        [nested(s) for s in c.states],
+        nested(c.initial),
+        [(label, nested(s), nested(t)) for label, s, t in c.rules],
+        {name: [nested(s) for s in holds] for name, holds in c.props.items()},
+        [(nested(s), nested(t), d) for s, t, d in c.ticks],
+    )
 
 
 class TestProductFromOperands:
     @pytest.mark.parametrize("kind, n", OPERANDS)
     def test_product_matches_the_definition(self, kind, n):
         left, right = operands(kind, n)
+        # a left operand that is a product has flat tuples as states, and the
+        # product's states extend them by the right operand's state
+        join = extend if isinstance(left, SyncProduct) else pair
         product = rt_sync_product(left, right)
-        states, ticks, props = defined_product(left, right)
+        states, ticks, props = defined_product(left, right, join)
         assert product.states == tuple(states)
-        assert product.initial == (left.initial, right.initial)
+        assert product.initial == join(left.initial, right.initial)
         assert product.ticks == tuple(ticks)
         assert list(product.props.items()) == list(props.items())
-        assert Counter(product.rules) == defined_rules(left, right, states)
+        assert Counter(product.rules) == defined_rules(left, right, states, join)
         for state in product.states:
-            assert product.serialize(state) == render_component_state(state)
+            assert product.serialize(state) == render_component_state(nested(state))
 
     @pytest.mark.parametrize("kind, n", OPERANDS)
     def test_kripke_matches_the_validated_rebuild(self, kind, n):
         product = rt_sync_product(*operands(kind, n))
         built = [product, safe_prop(product)] if kind == "ladder" else [product]
         for c in built:
-            rebuilt = Component(c.states, c.initial, c.rules, c.props, c.ticks)
+            rebuilt = nested_rebuild(c)
             got, want = component_kripke(c), component_kripke(rebuilt)
             assert got.texts == want.texts
             assert got.edges == want.edges
             assert got.labeling == want.labeling
+
+
+# The lazy product against the eager reference fold, which pairs every
+# compatible state with every rule and tick up front and nests its states.
+
+
+def eager_ladder(k: int) -> Component:
+    return reduce(eager_rt_sync_product, [abstract_reservoir(i) for i in range(1, k + 1)])
+
+
+def assert_same_kripke(lazy, eager) -> None:
+    got, want = component_kripke(lazy), component_kripke(eager)
+    assert [nested(s) for s in got.states] == want.states
+    assert got.texts == want.texts
+    assert got.edges == want.edges  # labels, durations and order
+    assert got.labeling == want.labeling
+    assert lazy.tick_durations() == eager.tick_durations()
+
+
+class TestAgainstTheEagerProduct:
+    @pytest.mark.parametrize("timed", [True, False], ids=["timed", "tick-free"])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_pairs(self, seed, timed):
+        left, right = random_components(seed)[:2]
+        if not timed:
+            left, right = tick_free(left), tick_free(right)
+        assert_same_kripke(rt_sync_product(left, right), eager_rt_sync_product(left, right))
+
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_ladder(self, k):
+        lazy, eager = ladder(k), eager_ladder(k)
+        assert len(lazy._leaves) == k
+        assert_same_kripke(lazy, eager)
+        assert_same_kripke(safe_prop(lazy), eager_safe_prop(eager))
+
+    def test_delegating_operands(self):
+        lazy = rt_sync_product(Delegate(ladder(3)), Delegate(abstract_reservoir(4)))
+        assert len(lazy._leaves) == 4
+        assert_same_kripke(lazy, eager_ladder(4))
+        assert_same_kripke(safe_prop(Delegate(lazy)), eager_safe_prop(eager_ladder(4)))
+
+
+class TestNaryProduct:
+    def test_operands_are_flattened(self):
+        r1, r2, r3 = (abstract_reservoir(i) for i in (1, 2, 3))
+        folded, flat = rt_sync_product(rt_sync_product(r1, r2), r3), rt_sync_product(r1, r2, r3)
+        assert folded.initial == flat.initial == ("ok", "ok", "ok")
+        assert folded.states == flat.states
+        assert folded.rules == flat.rules
+        # the text follows the operand tree
+        assert folded.serialize(("ok", "below", "ok")) == "< < ok,below >,ok >"
+        assert flat.serialize(("ok", "below", "ok")) == "< ok,below,ok >"
+        nested_right = rt_sync_product(r1, rt_sync_product(r2, r3))
+        assert nested_right.serialize(("ok", "below", "ok")) == "< ok,< below,ok > >"
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_triples_match_the_definition(self, seed):
+        """A label fires jointly in every component whose rules use it and
+        interleaves when one component alone uses it; every state and every
+        successor agrees on the shared propositions."""
+        rng = random.Random(seed)
+        parts = [random_component(rng, name) for name in "xyz"]
+        product = rt_sync_product(*parts)
+
+        def agrees(state) -> bool:
+            return all(
+                compatible(parts[i], state[i], parts[j], state[j]) for i in range(3) for j in range(i + 1, 3)
+            )
+
+        states = [s for s in product_states(parts) if agrees(s)]
+        assert product.states == tuple(states)
+        users = Counter(label for c in parts for label in {l for l, _, _ in c.rules})
+        rules = []
+        for s in states:
+            for label in sorted(users):
+                steps = [[t for l, src, t in c.rules if l == label and src == s[i]] for i, c in enumerate(parts)]
+                used = [i for i, c in enumerate(parts) if any(l == label for l, _, _ in c.rules)]
+                if users[label] == 1:
+                    (i,) = used
+                    succs = [s[:i] + (t,) + s[i + 1 :] for t in steps[i]]
+                else:
+                    succs = [tuple(s)]
+                    for i in used:
+                        succs = [u[:i] + (t,) + u[i + 1 :] for u in succs for t in steps[i]]
+                rules += [(label, s, t) for t in succs if agrees(t)]
+        assert Counter(product.rules) == Counter(rules)
+        for d in DURATIONS:
+            for s in states:
+                after = tuple(c.timed_successor(x, d) for c, x in zip(parts, s))
+                want = after if None not in after and agrees(after) else None
+                assert product.timed_successor(s, d) == want
+
+
+def product_states(parts: list[Component]) -> list[tuple]:
+    states = [()]
+    for c in parts:
+        states = [s + (x,) for s in states for x in c.states]
+    return states
+
+
+class TestExplorationReadsNoView:
+    """Exploring and checking a product never enumerates it: with its
+    ``states``, ``rules``, ``props`` and ``ticks`` views raising, the library
+    and ``lhamc product-check`` give the same output."""
+
+    def test_same_output_without_the_views(self, monkeypatch, tmp_path, capsys):
+        paths = []
+        for i in (1, 2, 3):
+            paths += ["--component", str(tmp_path / f"r{i}.json")]
+            (tmp_path / f"r{i}.json").write_text(json.dumps(component_to_json(abstract_reservoir(i))))
+
+        def run() -> list:
+            got = []
+            for formula in ("[] safe", "[] <> safe"):
+                kripke = component_kripke(safe_prop(ladder(5)))
+                ce = model_check(kripke, parse_formula(formula))
+                got.append((kripke.texts, kripke.edges, kripke.labeling, ce))
+                code = main(["product-check", *paths, "--formula", formula])
+                got.append((code, capsys.readouterr()))
+            return got
+
+        before = run()
+
+        def refuse(name):
+            def read(self):
+                raise AssertionError(f"the {name} view was read")
+
+            return property(read)
+
+        for view in ("states", "rules", "props", "ticks"):
+            monkeypatch.setattr(SyncProduct, view, refuse(view))
+        with pytest.raises(AssertionError, match="states view"):
+            ladder(2).states
+        assert run() == before
 
 
 PRODUCT_BUDGET_SECONDS = 10.0
