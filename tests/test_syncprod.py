@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import time
@@ -603,21 +604,18 @@ class TestNaryProduct:
                 compatible(parts[i], state[i], parts[j], state[j]) for i in range(3) for j in range(i + 1, 3)
             )
 
-        states = [s for s in product_states(parts) if agrees(s)]
+        states = [s for s in itertools.product(*(c.states for c in parts)) if agrees(s)]
         assert product.states == tuple(states)
-        users = Counter(label for c in parts for label in {l for l, _, _ in c.rules})
+        labels = sorted({l for c in parts for l, _, _ in c.rules})
         rules = []
         for s in states:
-            for label in sorted(users):
-                steps = [[t for l, src, t in c.rules if l == label and src == s[i]] for i, c in enumerate(parts)]
-                used = [i for i, c in enumerate(parts) if any(l == label for l, _, _ in c.rules)]
-                if users[label] == 1:
-                    (i,) = used
-                    succs = [s[:i] + (t,) + s[i + 1 :] for t in steps[i]]
-                else:
-                    succs = [tuple(s)]
-                    for i in used:
-                        succs = [u[:i] + (t,) + u[i + 1 :] for u in succs for t in steps[i]]
+            for label in labels:
+                # every component that uses the label steps on it, alone or jointly
+                succs = [s]
+                for i, c in enumerate(parts):
+                    if any(l == label for l, _, _ in c.rules):
+                        steps = [t for l, src, t in c.rules if l == label and src == s[i]]
+                        succs = [u[:i] + (t,) + u[i + 1 :] for u in succs for t in steps]
                 rules += [(label, s, t) for t in succs if agrees(t)]
         assert Counter(product.rules) == Counter(rules)
         for d in DURATIONS:
@@ -625,13 +623,6 @@ class TestNaryProduct:
                 after = tuple(c.timed_successor(x, d) for c, x in zip(parts, s))
                 want = after if None not in after and agrees(after) else None
                 assert product.timed_successor(s, d) == want
-
-
-def product_states(parts: list[Component]) -> list[tuple]:
-    states = [()]
-    for c in parts:
-        states = [s + (x,) for s in states for x in c.states]
-    return states
 
 
 class TestExplorationReadsNoView:
