@@ -17,7 +17,7 @@ from functools import reduce
 from typing import Any, Optional
 
 from .core import ModelError, TimedTransitionSystem, as_time, fraction_text
-from .explore import build_kripke, search
+from .explore import Kripke, search
 from .lha import LhaSystem, lha_from_json
 from .ltl import Counterexample, model_check, parse_formula
 from .reservoir import NResSystem, nres_from_json, parse_pattern, validate_pattern
@@ -183,7 +183,7 @@ def run_check(args: argparse.Namespace) -> int:
     time_bound, increment = _sampling(args)
     system = load_model(args.model)
     formula = parse_formula(args.formula)
-    kripke = build_kripke(system, time_bound, increment)
+    kripke = Kripke.explore(system, (increment,), time_bound)
     ce = model_check(kripke, formula)
     return _report_check(ce, args, timed=True)
 

@@ -1,14 +1,18 @@
-"""Breadth-first exploration of timed models and Kripke construction.
+"""Exploration of timed models as Kripke structures discovered on demand.
 
 Every visited configuration is a state paired with its elapsed time, kept
 as one integer clock: a numerator over ``scale``, the lcm of the durations'
 denominators.  The canonical state text plus that numerator is a state's
-identity and its key in the explorer's index.  With a time bound, time
+identity and its key in the explored graph's index.  With a time bound, time
 advances in the given durations and total elapsed time stays strictly below
 the bound.  Without one the clock stays 0 and ticks are edges annotated with
-their duration, so runs may loop through them.  Each transition is one
-:class:`KripkeEdge` in its source's out-list, and the edge that discovered a
-state is the last step of its path.  A ``Fraction`` is built only where a
+their duration, so runs may loop through them.
+
+One explored graph, :class:`Kripke`, expands a state the first time its
+out-list is asked for, so a nested DFS builds only the states it visits.
+:func:`kripke_structure` expands every state breadth-first, and
+:func:`search` walks breadth-first keeping only each state's discovering
+edge, the last step of its path.  A ``Fraction`` is built only where a
 caller reads a time: a search hit, a lasso step, an index lookup.
 """
 
@@ -72,12 +76,22 @@ class Solution:
 class Kripke:
     """Finite, total transition structure labeled with atomic propositions.
 
-    States are indices in discovery order; state 0 is initial.  ``states``
-    holds the model states, ``texts`` their canonical texts, and state i has
-    elapsed time ``clock[i] / scale``.  ``adjacency[i]`` is state i's
-    out-list, which must not be empty; the explorer gives a deadlocked state
-    a zero-duration "stutter" self-loop.  ``index`` maps ``(text, clock
-    numerator)`` to i, the explorer's key; when omitted it is built from both.
+    States are indices in discovery order; state 0 is initial.  State i has
+    model state ``states[i]``, canonical text ``texts[i]``, elapsed time
+    ``clock[i] / scale``, letter ``labeling[i]`` and out-list
+    ``adjacency[i]``, which is never empty: a deadlocked state has a
+    zero-duration "stutter" self-loop.  ``index`` maps ``(text, clock
+    numerator)`` to i, the explorer's key; when omitted it is built from
+    both.  A structure built from these lists is whole.
+
+    A structure from :meth:`explore` holds what has been discovered so far.
+    ``out(i)`` expands state i the first time it is asked for, and
+    ``letter(i)`` evaluates the propositions the first time it is read.
+    The per-state readers (``out``, ``letter``, ``text``, ``elapsed``,
+    ``index_of``, ``has_edge``) expand at most the state they are asked
+    about.  The whole views (``len``, ``states``, ``texts``, ``clock``,
+    ``index``, ``adjacency``, ``labeling``, ``edges``) first expand every
+    state left, in index order.
     """
 
     def __init__(
@@ -91,81 +105,67 @@ class Kripke:
         props: frozenset[str],
         index: Optional[dict[tuple[str, int], int]] = None,
     ):
-        if len(adjacency) != len(states) or not all(adjacency):
+        if len(adjacency) != len(states) or [] in adjacency:
             raise ModelError("every state must have a successor")
-        self.states = states
-        self.texts = texts
-        self.clock = clock
+        self._states = states
+        self._texts = texts
+        self._clock = clock
         self.scale = scale
-        self.adjacency = adjacency
-        self.index = index if index is not None else {k: i for i, k in enumerate(zip(texts, clock))}
-        self.labeling = labeling
+        self._out: list[Optional[list[KripkeEdge]]] = adjacency  # None until expanded
+        self._letters: list[Optional[frozenset[str]]] = labeling  # None until read
+        self._index = index if index is not None else {k: i for i, k in enumerate(zip(texts, clock))}
+        self._expanded = 0  # every state below this one is expanded
+        self._parents: list[Optional[KripkeEdge]] = []  # the edge that discovered each state
         self.props = props
         self.initial = 0
 
-    def __len__(self) -> int:
-        return len(self.states)
+    @classmethod
+    def explore(
+        cls,
+        system: TimedTransitionSystem,
+        durations: Iterable[Fraction],
+        time_bound: Optional[Fraction],
+        max_states: int = MAX_STATES,
+    ) -> Kripke:
+        """The states ``system`` reaches, of which only the initial state is
+        discovered yet.
 
-    @property
-    def edges(self) -> tuple[KripkeEdge, ...]:
-        """Every edge, grouped by source in state order."""
-        return tuple(chain.from_iterable(self.adjacency))
+        ``time_bound`` None explores time-abstractly.  Discovering a state
+        beyond the first ``max_states`` raises :class:`ModelError`.
+        """
+        timed = time_bound is not None
+        if timed:
+            time_bound = as_time(time_bound)
+        durations = tuple(as_time(d) for d in durations)
+        if ZERO in durations:
+            raise ModelError("the sampling increment must be positive")
+        scale = lcm(*(d.denominator for d in durations))
+        initial = system.initial_state()
+        k = cls([initial], [system.serialize(initial)], [0], scale, [None], [None], system.propositions())
+        k._parents = [None]
+        k._system = system
+        k._max_states = max_states
+        # (duration, its numerator over scale); 0 when time-abstract
+        k._ticks = [(d, d.numerator * (scale // d.denominator) if timed else 0) for d in durations]
+        k._limit = ceil(time_bound * scale) if timed else None  # elapsed numerators stay below
+        return k
 
-    def elapsed(self, i: int) -> Fraction:
-        return Fraction(self.clock[i], self.scale)
-
-    def index_of(self, text: str, elapsed: Fraction) -> Optional[int]:
-        n = Fraction(elapsed) * self.scale  # an integer exactly when on the clock's grid
-        return self.index.get((text, n.numerator)) if n.denominator == 1 else None
-
-    def has_edge(self, source: int, target: int, label: str) -> bool:
-        return any(e.target == target and e.label == label for e in self.adjacency[source])
-
-
-def _explore(
-    system: TimedTransitionSystem,
-    durations: Iterable[Fraction],
-    time_bound: Optional[Fraction],
-    max_states: int,
-):
-    """Shared BFS: returns (states, texts, clock, scale, adjacency, index,
-    parents), each list in discovery order.
-
-    ``time_bound`` None explores time-abstractly.  State i has elapsed time
-    ``clock[i] / scale`` and key ``(texts[i], clock[i])`` in ``index``; its
-    out-list ``adjacency[i]`` is a lone stutter loop when it has no moves, and
-    ``parents[i]`` is the edge that discovered it (None for state 0).
-    """
-    timed = time_bound is not None
-    if timed:
-        time_bound = as_time(time_bound)
-    durations = tuple(as_time(d) for d in durations)
-    if ZERO in durations:
-        raise ModelError("the sampling increment must be positive")
-    scale = lcm(*(d.denominator for d in durations))
-    # (duration, its numerator over scale); 0 when time-abstract
-    ticks = [(d, d.numerator * (scale // d.denominator) if timed else 0) for d in durations]
-    limit = ceil(time_bound * scale) if timed else 0  # elapsed numerators stay below
-
-    initial = system.initial_state()
-    states: list[Any] = [initial]
-    texts: list[str] = [system.serialize(initial)]
-    clock: list[int] = [0]  # elapsed numerators over scale
-    index: dict[tuple[str, int], int] = {(texts[0], 0): 0}
-    adjacency: list[list[KripkeEdge]] = []
-    parents: list[Optional[KripkeEdge]] = [None]
-
-    i = 0
-    while i < len(states):
+    def _expand(self, i: int, keep: bool = True) -> list[KripkeEdge]:
+        """Discover state i's successors in edge order, its discrete moves
+        and then one tick per duration, and return its out-list.  ``keep``
+        False keeps no out-list and builds only the edges that discover
+        states."""
+        system = self._system
+        states, index = self._states, self._index
         state = states[i]
-        now = clock[i]
+        now = self._clock[i]
         # (label, successor, its elapsed numerator, edge duration)
         moves: list[tuple[str, Any, int, Fraction]] = [
             (label, succ, now, ZERO) for label, succ in system.discrete_successors(state)
         ]
-        for d, step in ticks:
+        for d, step in self._ticks:
             later = now + step
-            if timed and later >= limit:
+            if self._limit is not None and later >= self._limit:
                 continue
             after = system.timed_successor(state, d)
             if after is not None:
@@ -174,20 +174,80 @@ def _explore(
         for label, succ, n, duration in moves:
             text = system.serialize(succ)
             j = index.setdefault((text, n), len(states))
-            edge = KripkeEdge(i, j, label, duration)
             if j == len(states):  # first reached by this edge
-                if j >= max_states:
-                    raise ModelError(f"state space exceeds {max_states} states")
+                if j >= self._max_states:
+                    raise ModelError(f"state space exceeds {self._max_states} states")
                 states.append(succ)
-                texts.append(text)
-                clock.append(n)
-                parents.append(edge)
-            out.append(edge)
-        if not out:
-            out.append(KripkeEdge(i, i, STUTTER, ZERO))
-        adjacency.append(out)
-        i += 1
-    return states, texts, clock, scale, adjacency, index, parents
+                self._texts.append(text)
+                self._clock.append(n)
+                self._out.append(None)
+                self._letters.append(None)
+                edge = KripkeEdge(i, j, label, duration)
+                self._parents.append(edge)
+                out.append(edge)
+            elif keep:
+                out.append(KripkeEdge(i, j, label, duration))
+        if keep:
+            out = self._out[i] = out or [KripkeEdge(i, i, STUTTER, ZERO)]
+        return out
+
+    def out(self, i: int) -> list[KripkeEdge]:
+        """State i's out-list, built the first time it is asked for."""
+        return self._out[i] or self._expand(i)
+
+    def letter(self, i: int) -> frozenset[str]:
+        """The propositions that hold in state i."""
+        letter = self._letters[i]
+        if letter is None:
+            state, holds = self._states[i], self._system.prop_holds
+            letter = self._letters[i] = frozenset(p for p in self.props if holds(state, p))
+        return letter
+
+    def text(self, i: int) -> str:
+        return self._texts[i]
+
+    def elapsed(self, i: int) -> Fraction:
+        return Fraction(self._clock[i], self.scale)
+
+    def index_of(self, text: str, elapsed: Fraction) -> Optional[int]:
+        """The discovered state with this text and time, if any."""
+        n = Fraction(elapsed) * self.scale  # an integer exactly when on the clock's grid
+        return self._index.get((text, n.numerator)) if n.denominator == 1 else None
+
+    def has_edge(self, source: int, target: int, label: str) -> bool:
+        return any(e.target == target and e.label == label for e in self.out(source))
+
+    def _whole(self, view: Any) -> Any:
+        """``view`` once every state left is expanded, in index order."""
+        i = self._expanded
+        while i < len(self._states):  # the loop also visits states it discovers
+            if self._out[i] is None:
+                self._expand(i)
+            i += 1
+        self._expanded = i
+        return view
+
+    states = property(lambda self: self._whole(self._states))
+    texts = property(lambda self: self._whole(self._texts))
+    clock = property(lambda self: self._whole(self._clock))
+    index = property(lambda self: self._whole(self._index))
+    adjacency = property(lambda self: self._whole(self._out))
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    @property
+    def labeling(self) -> list[frozenset[str]]:
+        letters = self._whole(self._letters)
+        if None in letters:
+            for i in range(len(letters)):
+                self.letter(i)
+        return letters
+
+    @property
+    def edges(self) -> tuple[KripkeEdge, ...]:
+        """Every edge, grouped by source in state order."""
+        return tuple(chain.from_iterable(self.adjacency))
 
 
 def search(
@@ -202,15 +262,21 @@ def search(
 
     Ordered by elapsed time, ties by discovery order.
     """
-    states, texts, clock, scale, _, _, parents = _explore(system, (increment,), time_bound, max_states)
+    graph = Kripke.explore(system, (increment,), time_bound, max_states)
+    states, clock = graph._states, graph._clock
+    i = 0
+    while i < len(states):  # breadth-first; the loop also visits states it discovers
+        graph._expand(i, keep=False)
+        i += 1
     hits = []
     for i, state in enumerate(states):
         bindings = match(state)
         if bindings is not None:
             hits.append((clock[i], i, bindings))
     hits.sort()  # by elapsed time, then discovery order
+    texts, parents = graph._texts, graph._parents
     return [
-        Solution(states[i], Fraction(n, scale), texts[i], bindings, parents[i], parents, texts)
+        Solution(states[i], Fraction(n, graph.scale), texts[i], bindings, parents[i], parents, texts)
         for n, i, bindings in hits
     ]
 
@@ -221,12 +287,12 @@ def kripke_structure(
     time_bound: Optional[Fraction],
     max_states: int = MAX_STATES,
 ) -> Kripke:
-    """Reachable states as a total, labeled Kripke structure, explored as
-    :func:`_explore` does."""
-    states, texts, clock, scale, adjacency, index, _ = _explore(system, durations, time_bound, max_states)
-    props = system.propositions()
-    labeling = [frozenset(p for p in props if system.prop_holds(s, p)) for s in states]
-    return Kripke(states, texts, clock, scale, adjacency, labeling, props, index)
+    """Reachable states as a total, labeled Kripke structure, every state
+    expanded in breadth-first order and labeled before it returns."""
+    kripke = Kripke.explore(system, durations, time_bound, max_states)
+    for i in range(len(kripke)):  # len expands every state, in index order
+        kripke.letter(i)
+    return kripke
 
 
 def build_kripke(

@@ -5,7 +5,11 @@ accepting lasso in the product with the Kripke structure is a counterexample.
 The outer search runs in postorder, the inner search hunts for a cycle back
 to the blue stack, both iterative.  A product node (s, q) steps along every
 edge of s, in order, paired with every automaton target of q on the letter
-of s, in order; these lists are built on demand and never cached.
+of s, in order; these lists are built on demand and never cached.  The
+search reads the structure one state at a time (``out(s)``, ``letter(s)``),
+so on a structure from :meth:`Kripke.explore` it is on-the-fly: only the
+states it visits are expanded, and a counterexample found early leaves the
+rest of the state space unbuilt.
 """
 
 from __future__ import annotations
@@ -54,12 +58,12 @@ def model_check(kripke: Kripke, formula: Formula) -> Optional[Counterexample]:
     otherwise a validated-shape counterexample lasso."""
     _check_props(kripke, formula)
     ba = to_buchi(negated_nnf(formula))
-    adjacency, labeling = kripke.adjacency, kripke.labeling
+    out, letter = kripke.out, kripke.letter
 
     def succs(v: _ProductNode) -> list[_ProductNode]:
         s, q = v
-        targets = ba.successors(q, labeling[s])
-        return [(e.target, t) for e in adjacency[s] for t in targets]
+        targets = ba.successors(q, letter(s))
+        return [(e.target, t) for e in out(s) for t in targets]
 
     init: _ProductNode = (kripke.initial, ba.initial)
     blue: set[_ProductNode] = {init}
@@ -130,8 +134,8 @@ def _extract(kripke, blue_path, red_path) -> Counterexample:
 
     def step(v, w) -> CounterexampleStep:
         s, t = v[0], w[0]
-        label = next(e.label for e in kripke.adjacency[s] if e.target == t)
-        return CounterexampleStep(kripke.texts[s], kripke.elapsed(s), label)
+        label = next(e.label for e in kripke.out(s) if e.target == t)
+        return CounterexampleStep(kripke.text(s), kripke.elapsed(s), label)
 
     prefix = [step(a, b) for a, b in zip(prefix_nodes, prefix_nodes[1:] + cycle_nodes[:1])]
     cycle = [step(a, b) for a, b in zip(cycle_nodes, cycle_nodes[1:] + cycle_nodes[:1])]
@@ -143,25 +147,25 @@ def validate_counterexample(kripke: Kripke, formula: Formula, ce: Counterexample
 
     The lasso must start at the initial state, follow labeled edges of the
     structure (including the wrap back to the cycle start), and its induced
-    trace must violate the formula.
+    trace must violate the formula.  On a structure still being discovered
+    the replay expands the lasso's states, one after the other.
     """
     _check_props(kripke, formula)
     if not ce.cycle:
         return False
     steps = ce.steps()
-    indices = []
-    for s in steps:
-        i = kripke.index_of(s.text, s.elapsed)
-        if i is None:
-            return False
-        indices.append(i)
-    if indices[0] != kripke.initial:
-        return False
     cycle_start = len(ce.prefix)
-    for pos in range(len(steps)):
-        nxt = pos + 1 if pos + 1 < len(steps) else cycle_start
-        if not kripke.has_edge(indices[pos], indices[nxt], steps[pos].label):
+    i = kripke.index_of(steps[0].text, steps[0].elapsed)
+    if i != kripke.initial:
+        return False
+    indices = []
+    for pos, step in enumerate(steps):
+        indices.append(i)
+        kripke.out(i)  # discovers every state the lasso may step to
+        nxt = steps[pos + 1] if pos + 1 < len(steps) else steps[cycle_start]
+        i = kripke.index_of(nxt.text, nxt.elapsed)
+        if i is None or not kripke.has_edge(indices[-1], i, step.label):
             return False
-    letters = [kripke.labeling[i] for i in indices]
+    letters = [kripke.letter(i) for i in indices]
     ba = to_buchi(negated_nnf(formula))
     return lasso_accepted(ba, letters[:cycle_start], letters[cycle_start:])

@@ -36,7 +36,7 @@ from .core import (
     json_shape,
     parse_rational,
 )
-from .explore import Kripke, kripke_structure
+from .explore import Kripke
 
 Rule = tuple[str, Any, Any]  # (label, source, target)
 Tick = tuple[Any, Any, Fraction]  # (source, target, duration)
@@ -411,12 +411,14 @@ def safe_prop(component: Any) -> SyncProduct:
 
 
 def component_kripke(component: Component | SyncProduct) -> Kripke:
-    """Kripke structure over the component's reachable states.
+    """Kripke structure over the component's reachable states, discovered
+    from the initial state as it is read (see :class:`Kripke`): a checker
+    that finds a counterexample early expands only the states it visits.
 
     Time-abstract: ticks are ordinary edges annotated with their duration,
     so runs may loop through them.  Deadlocked states get a stutter self-loop.
     """
-    return kripke_structure(component, component.tick_durations(), None)
+    return Kripke.explore(component, component.tick_durations(), None)
 
 
 def component_from_json(doc: dict) -> Component:
