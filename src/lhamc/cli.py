@@ -183,7 +183,7 @@ def run_check(args: argparse.Namespace) -> int:
     time_bound, increment = _sampling(args)
     system = load_model(args.model)
     formula = parse_formula(args.formula)
-    kripke = Kripke.explore(system, (increment,), time_bound)
+    kripke = Kripke(system, (increment,), time_bound)
     ce = model_check(kripke, formula)
     return _report_check(ce, args, timed=True)
 

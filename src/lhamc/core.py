@@ -1,8 +1,8 @@
 """Exact arithmetic, the time domain, and the contract every model implements.
 
 All quantities in the engine are exact rationals; the API takes them, and
-returns times, as ``fractions.Fraction``, save that a ``Kripke`` is built from
-integer clocks.  Linear hybrid automaton and reservoir ring states hold
+returns times, as ``fractions.Fraction``, save that a ``Kripke``'s ``clock``
+view holds integer numerators.  Linear hybrid automaton and reservoir ring states hold
 integer numerators over one common positive denominator (see
 :class:`lhamc.lha.LhaSystem` and :class:`lhamc.reservoir.NResSystem`), and
 each state is read and identified through its canonical text; the explorer

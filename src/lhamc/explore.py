@@ -8,8 +8,10 @@ advances in the given durations and total elapsed time stays strictly below
 the bound.  Without one the clock stays 0 and ticks are edges annotated with
 their duration, so runs may loop through them.
 
-One explored graph, :class:`Kripke`, expands a state the first time its
-out-list is asked for, so a nested DFS builds only the states it visits.
+``Kripke(system, durations, time_bound)`` is the one explored graph and
+the only way to build one: it discovers the initial state, and expands a
+state the first time its out-list is asked for, so a nested DFS builds only
+the states it visits.
 :func:`kripke_structure` expands every state breadth-first, and
 :func:`search` walks breadth-first keeping only each state's discovering
 edge, the last step of its path.  A ``Fraction`` is built only where a
@@ -74,81 +76,58 @@ class Solution:
 
 
 class Kripke:
-    """Finite, total transition structure labeled with atomic propositions.
+    """The states ``system`` reaches, as a finite, total transition structure
+    labeled with atomic propositions, discovered as it is read.
 
-    States are indices in discovery order; state 0 is initial.  State i has
-    model state ``states[i]``, canonical text ``texts[i]``, elapsed time
-    ``clock[i] / scale``, letter ``labeling[i]`` and out-list
-    ``adjacency[i]``, which is never empty: a deadlocked state has a
-    zero-duration "stutter" self-loop.  ``index`` maps ``(text, clock
-    numerator)`` to i, the explorer's key; when omitted it is built from
-    both.  A structure built from these lists is whole.
+    States are indices in discovery order; state 0 is initial and is the only
+    one discovered at first.  State i has model state ``states[i]``,
+    canonical text ``texts[i]``, elapsed time ``clock[i] / scale``, letter
+    ``labeling[i]`` and out-list ``adjacency[i]``, which is never empty: a
+    deadlocked state has a zero-duration "stutter" self-loop.  ``index`` maps
+    ``(text, clock numerator)`` to i, the explorer's key.
 
-    A structure from :meth:`explore` holds what has been discovered so far.
     ``out(i)`` expands state i the first time it is asked for, and
-    ``letter(i)`` evaluates the propositions the first time it is read.
-    The per-state readers (``out``, ``letter``, ``text``, ``elapsed``,
+    ``letter(i)`` evaluates the propositions the first time it is read.  The
+    per-state readers (``out``, ``letter``, ``text``, ``elapsed``,
     ``index_of``, ``has_edge``) expand at most the state they are asked
     about.  The whole views (``len``, ``states``, ``texts``, ``clock``,
     ``index``, ``adjacency``, ``labeling``, ``edges``) first expand every
     state left, in index order.
+
+    ``time_bound`` None explores time-abstractly.  Discovering a state beyond
+    the first ``max_states`` raises :class:`ModelError`.
     """
 
     def __init__(
         self,
-        states: list[Any],
-        texts: list[str],
-        clock: list[int],
-        scale: int,
-        adjacency: list[list[KripkeEdge]],
-        labeling: list[frozenset[str]],
-        props: frozenset[str],
-        index: Optional[dict[tuple[str, int], int]] = None,
-    ):
-        if len(adjacency) != len(states) or [] in adjacency:
-            raise ModelError("every state must have a successor")
-        self._states = states
-        self._texts = texts
-        self._clock = clock
-        self.scale = scale
-        self._out: list[Optional[list[KripkeEdge]]] = adjacency  # None until expanded
-        self._letters: list[Optional[frozenset[str]]] = labeling  # None until read
-        self._index = index if index is not None else {k: i for i, k in enumerate(zip(texts, clock))}
-        self._expanded = 0  # every state below this one is expanded
-        self._parents: list[Optional[KripkeEdge]] = []  # the edge that discovered each state
-        self.props = props
-        self.initial = 0
-
-    @classmethod
-    def explore(
-        cls,
         system: TimedTransitionSystem,
         durations: Iterable[Fraction],
         time_bound: Optional[Fraction],
         max_states: int = MAX_STATES,
-    ) -> Kripke:
-        """The states ``system`` reaches, of which only the initial state is
-        discovered yet.
-
-        ``time_bound`` None explores time-abstractly.  Discovering a state
-        beyond the first ``max_states`` raises :class:`ModelError`.
-        """
+    ):
         timed = time_bound is not None
         if timed:
             time_bound = as_time(time_bound)
         durations = tuple(as_time(d) for d in durations)
         if ZERO in durations:
             raise ModelError("the sampling increment must be positive")
-        scale = lcm(*(d.denominator for d in durations))
+        self.scale = scale = lcm(*(d.denominator for d in durations))
         initial = system.initial_state()
-        k = cls([initial], [system.serialize(initial)], [0], scale, [None], [None], system.propositions())
-        k._parents = [None]
-        k._system = system
-        k._max_states = max_states
+        self._system = system
+        self._max_states = max_states
         # (duration, its numerator over scale); 0 when time-abstract
-        k._ticks = [(d, d.numerator * (scale // d.denominator) if timed else 0) for d in durations]
-        k._limit = ceil(time_bound * scale) if timed else None  # elapsed numerators stay below
-        return k
+        self._ticks = [(d, d.numerator * (scale // d.denominator) if timed else 0) for d in durations]
+        self._limit = ceil(time_bound * scale) if timed else None  # elapsed numerators stay below
+        self._states = [initial]
+        self._texts = [system.serialize(initial)]
+        self._clock = [0]
+        self._out: list[Optional[list[KripkeEdge]]] = [None]  # None until expanded
+        self._letters: list[Optional[frozenset[str]]] = [None]  # None until read
+        self._index = {(self._texts[0], 0): 0}
+        self._parents: list[Optional[KripkeEdge]] = [None]  # the edge that discovered each state
+        self._expanded = 0  # every state below this one is expanded
+        self.props = system.propositions()
+        self.initial = 0
 
     def _expand(self, i: int, keep: bool = True) -> list[KripkeEdge]:
         """Discover state i's successors in edge order, its discrete moves
@@ -262,7 +241,7 @@ def search(
 
     Ordered by elapsed time, ties by discovery order.
     """
-    graph = Kripke.explore(system, (increment,), time_bound, max_states)
+    graph = Kripke(system, (increment,), time_bound, max_states)
     states, clock = graph._states, graph._clock
     i = 0
     while i < len(states):  # breadth-first; the loop also visits states it discovers
@@ -289,9 +268,8 @@ def kripke_structure(
 ) -> Kripke:
     """Reachable states as a total, labeled Kripke structure, every state
     expanded in breadth-first order and labeled before it returns."""
-    kripke = Kripke.explore(system, durations, time_bound, max_states)
-    for i in range(len(kripke)):  # len expands every state, in index order
-        kripke.letter(i)
+    kripke = Kripke(system, durations, time_bound, max_states)
+    kripke.labeling  # expands every state, in index order, and labels it
     return kripke
 
 

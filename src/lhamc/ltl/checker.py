@@ -7,9 +7,9 @@ to the blue stack, both iterative.  A product node (s, q) steps along every
 edge of s, in order, paired with every automaton target of q on the letter
 of s, in order; these lists are built on demand and never cached.  The
 search reads the structure one state at a time (``out(s)``, ``letter(s)``),
-so on a structure from :meth:`Kripke.explore` it is on-the-fly: only the
-states it visits are expanded, and a counterexample found early leaves the
-rest of the state space unbuilt.
+and a :class:`Kripke` is discovered as it is read, so the check is
+on-the-fly: only the states it visits are expanded, and a counterexample
+found early leaves the rest of the state space unbuilt.
 """
 
 from __future__ import annotations

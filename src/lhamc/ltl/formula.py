@@ -216,10 +216,10 @@ class _Parser:
 TOO_DEEP = "input nests too deeply"
 
 
-def fail_closed(walk: Callable[[Any], Any], arg: Any) -> Any:
-    """``walk(arg)``, raising ModelError(TOO_DEEP) where it would overflow."""
+def fail_closed(walk: Callable[..., Any], *args: Any) -> Any:
+    """``walk(*args)``, raising ModelError(TOO_DEEP) where it would overflow."""
     try:
-        return walk(arg)
+        return walk(*args)
     except RecursionError:
         raise ModelError(TOO_DEEP) from None
 
@@ -274,64 +274,40 @@ def to_nnf(f: Formula) -> Formula:
     return fail_closed(_nnf, f)
 
 
-def _nnf(f: Formula) -> Formula:
-    match f:
-        case Top() | Bottom() | Prop(_):
-            return f
-        case Not(sub):
-            return _negate(sub)
-        case And(a, b):
-            return And(_nnf(a), _nnf(b))
-        case Or(a, b):
-            return Or(_nnf(a), _nnf(b))
-        case Implies(a, b):
-            return Or(_negate(a), _nnf(b))
-        case Next(a):
-            return Next(_nnf(a))
-        case Always(a):
-            return Always(_nnf(a))
-        case Eventually(a):
-            return Eventually(_nnf(a))
-        case Until(a, b):
-            return Until(_nnf(a), _nnf(b))
-        case Release(a, b):
-            return Release(_nnf(a), _nnf(b))
-    raise ModelError(f"not a formula: {f!r}")
-
-
-def _negate(f: Formula) -> Formula:
-    """Negation normal form of ~f."""
-    match f:
-        case Top():
-            return Bottom()
-        case Bottom():
-            return Top()
-        case Prop(_):
-            return Not(f)
-        case Not(sub):
-            return _nnf(sub)
-        case And(a, b):
-            return Or(_negate(a), _negate(b))
-        case Or(a, b):
-            return And(_negate(a), _negate(b))
-        case Implies(a, b):
-            return And(_nnf(a), _negate(b))
-        case Next(a):
-            return Next(_negate(a))
-        case Always(a):
-            return Eventually(_negate(a))
-        case Eventually(a):
-            return Always(_negate(a))
-        case Until(a, b):
-            return Release(_negate(a), _negate(b))
-        case Release(a, b):
-            return Until(_negate(a), _negate(b))
-    raise ModelError(f"not a formula: {f!r}")
-
-
 def negated_nnf(f: Formula) -> Formula:
     """NNF of the negation of f."""
-    return fail_closed(_negate, f)
+    return fail_closed(_nnf, f, True)
+
+
+def _nnf(f: Formula, negate: bool = False) -> Formula:
+    """Negation normal form of f, or of ~f when ``negate``: a negation
+    swaps each operator for its dual."""
+    match f:
+        case Top():
+            return Bottom() if negate else f
+        case Bottom():
+            return Top() if negate else f
+        case Prop(_):
+            return Not(f) if negate else f
+        case Not(sub):
+            return _nnf(sub, not negate)
+        case And(a, b):
+            return (Or if negate else And)(_nnf(a, negate), _nnf(b, negate))
+        case Or(a, b):
+            return (And if negate else Or)(_nnf(a, negate), _nnf(b, negate))
+        case Implies(a, b):
+            return (And if negate else Or)(_nnf(a, not negate), _nnf(b, negate))
+        case Next(a):
+            return Next(_nnf(a, negate))
+        case Always(a):
+            return (Eventually if negate else Always)(_nnf(a, negate))
+        case Eventually(a):
+            return (Always if negate else Eventually)(_nnf(a, negate))
+        case Until(a, b):
+            return (Release if negate else Until)(_nnf(a, negate), _nnf(b, negate))
+        case Release(a, b):
+            return (Until if negate else Release)(_nnf(a, negate), _nnf(b, negate))
+    raise ModelError(f"not a formula: {f!r}")
 
 
 def props_of(f: Formula) -> frozenset[str]:

@@ -285,14 +285,11 @@ class SyncProduct(TimedTransitionSystem):
         return out
 
     def timed_successor(self, state: tuple, delta: Fraction) -> tuple | None:
-        tables = self._ticks.get(delta)
-        if tables is None:  # a zero, an unknown or an unvalidated duration
+        if type(delta) is not Fraction:  # 1.0 and True would find the tables of 1
             delta = as_time(delta)
-            if delta == 0:
-                return state
-            tables = self._ticks.get(delta)
-            if tables is None:
-                return None
+        tables = self._ticks.get(delta)
+        if tables is None:  # a zero, a negative or an unknown duration
+            return state if as_time(delta) == 0 else None
         succ = []
         for targets, s in zip(tables, state):
             t = targets.get(s)
@@ -411,14 +408,15 @@ def safe_prop(component: Any) -> SyncProduct:
 
 
 def component_kripke(component: Component | SyncProduct) -> Kripke:
-    """Kripke structure over the component's reachable states, discovered
-    from the initial state as it is read (see :class:`Kripke`): a checker
-    that finds a counterexample early expands only the states it visits.
+    """``Kripke(component, component.tick_durations(), None)``: the
+    component's reachable states, discovered from the initial state as they
+    are read, so a checker that finds a counterexample early expands only
+    the states it visits.
 
     Time-abstract: ticks are ordinary edges annotated with their duration,
     so runs may loop through them.  Deadlocked states get a stutter self-loop.
     """
-    return Kripke.explore(component, component.tick_durations(), None)
+    return Kripke(component, component.tick_durations(), None)
 
 
 def component_from_json(doc: dict) -> Component:

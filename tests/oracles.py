@@ -9,10 +9,9 @@ enumeration of lassos in the structure.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import Optional
 
-from lhamc.explore import Kripke, KripkeEdge
+from lhamc.explore import Kripke
 from lhamc.ltl.formula import (
     Always,
     And,
@@ -29,6 +28,7 @@ from lhamc.ltl.formula import (
     Until,
     temporal_count,
 )
+from lhamc.syncprod import Component, component_kripke
 
 Letter = frozenset[str]
 
@@ -102,20 +102,25 @@ def eval_on_lasso(formula: Formula, prefix: list[Letter], cycle: list[Letter]) -
 
 
 def make_kripke(successors: dict[int, list[int]], labeling, props: set[str]) -> Kripke:
-    """Tiny hand-specified structure; state 0 is initial.
+    """Tiny hand-specified structure, explored from s0 (only the states s0
+    reaches are discovered, so indices follow discovery order).
 
-    labeling maps state index to its proposition set, given either as a list
-    or as a dict keyed by index.
+    Its component has states s0, s1, ...; labeling maps state index to its
+    proposition set, given either as a list or as a dict keyed by index.  The
+    edge from s<i> to its successor s<j> is labeled ``e<i>-<j>``, with one
+    ``~`` after ``e<i>`` per earlier successor: a component lists a state's
+    moves by label, and these labels keep the given order.
     """
     if isinstance(labeling, dict):
         labeling = [labeling.get(i, set()) for i in range(max(labeling) + 1)]
-    n = len(labeling)
-    names = [f"s{i}" for i in range(n)]
-    adjacency = [
-        [KripkeEdge(src, dst, f"e{src}-{dst}", Fraction(0)) for dst in successors.get(src, [])]
-        for src in range(n)
+    names = [f"s{i}" for i in range(len(labeling))]
+    rules = [
+        (f"e{src}{'~' * k}-{dst}", names[src], names[dst])
+        for src, targets in successors.items()
+        for k, dst in enumerate(targets)
     ]
-    return Kripke(names, names, [0] * n, 1, adjacency, [frozenset(l) for l in labeling], frozenset(props))
+    holds = {p: [names[i] for i, letter in enumerate(labeling) if p in letter] for p in props}
+    return component_kripke(Component(names, names[0], rules, holds))
 
 
 def lasso_letters(kripke: Kripke, prefix: list[int], cycle: list[int]) -> tuple[list[Letter], list[Letter]]:
@@ -134,6 +139,11 @@ def counterexample_letters(kripke: Kripke, ce) -> tuple[list[Letter], list[Lette
     return lasso_letters(kripke, [index(s) for s in ce.prefix], [index(s) for s in ce.cycle])
 
 
+def lasso_budget(states: int, formula: Formula) -> int:
+    """The walk length ``2 * states * (temporal operators + 1)``."""
+    return 2 * states * (temporal_count(formula) + 1)
+
+
 def find_violating_lasso(
     kripke: Kripke, formula: Formula, max_len: Optional[int] = None
 ) -> Optional[tuple[list[int], list[int]]]:
@@ -141,10 +151,11 @@ def find_violating_lasso(
 
     Exhausts every walk up to max_len states, closing a cycle at each revisit.
     Complete up to the length budget; callers keep structures small enough
-    that the budget covers every shape that matters.
+    that the budget covers every shape that matters.  The default budget is
+    :func:`lasso_budget` of the structure's size.
     """
     if max_len is None:
-        max_len = 2 * len(kripke) * (temporal_count(formula) + 1)
+        max_len = lasso_budget(len(kripke), formula)
     seen_traces: set = set()
 
     def walk(path: list[int]) -> Optional[tuple[list[int], list[int]]]:

@@ -37,6 +37,7 @@ from oracles import (
     counterexample_letters,
     eval_on_lasso,
     find_violating_lasso,
+    lasso_budget,
     random_branching_kripke,
     random_formula,
     random_functional_kripke,
@@ -253,10 +254,13 @@ class TestCriterion6Logic:
         "X X q",
     ]
 
-    def agree(self, kripke, formula) -> None:
+    def agree(self, kripke, formula, specified: int) -> None:
+        """``specified`` is the number of states the structure was given, of
+        which it keeps those the initial state reaches; the oracle's budget
+        counts them all."""
         ce = model_check(kripke, formula)
         if ce is None:
-            assert find_violating_lasso(kripke, formula) is None
+            assert find_violating_lasso(kripke, formula, lasso_budget(specified, formula)) is None
         else:
             assert validate_counterexample(kripke, formula, ce)
             prefix, cycle = counterexample_letters(kripke, ce)
@@ -267,16 +271,18 @@ class TestCriterion6Logic:
         pool = [parse_formula(t) for t in self.POOL]
         for kripke in all_two_state_kripkes():
             for formula in pool:
-                self.agree(kripke, formula)
+                self.agree(kripke, formula, 2)
                 cases += 1
         rng = random.Random(6003)
         for _ in range(200):
-            kripke = random_functional_kripke(rng, rng.randint(1, 8))
-            self.agree(kripke, random_formula(rng, temporal_budget=2))
+            n = rng.randint(1, 8)
+            kripke = random_functional_kripke(rng, n)
+            self.agree(kripke, random_formula(rng, temporal_budget=2), n)
             cases += 1
         for _ in range(100):
-            kripke = random_branching_kripke(rng, rng.randint(2, 4))
-            self.agree(kripke, random_formula(rng, temporal_budget=2))
+            n = rng.randint(2, 4)
+            kripke = random_branching_kripke(rng, n)
+            self.agree(kripke, random_formula(rng, temporal_budget=2), n)
             cases += 1
         assert cases >= 1000
         print(

@@ -213,11 +213,14 @@ class TestKripke:
         with pytest.raises(ModelError, match="exceeds 2 states"):
             kripke_structure(c, (), None, max_states=2)
 
-    def test_omitted_index_is_the_explorers(self, init2_kripke):
-        k = init2_kripke
-        rebuilt = Kripke(k.states, k.texts, k.clock, k.scale, k.adjacency, k.labeling, k.props)
-        assert rebuilt.index == k.index
-        assert all(rebuilt.index_of(k.texts[i], k.elapsed(i)) == i for i in range(len(k)))
+    def test_a_new_structure_has_discovered_only_the_initial_state(self, init2_system, init2_kripke):
+        whole = init2_kripke
+        k = Kripke(init2_system, (F(1),), F(5))
+        assert k.text(0) == whole.texts[0] and k.elapsed(0) == 0
+        assert k.index_of(whole.texts[1], F(1)) is None  # not discovered yet
+        assert [e.target for e in k.out(0)] == [1]
+        assert k.index_of(whole.texts[1], F(1)) == 1
+        assert k.edges == whole.edges and k.labeling == whole.labeling
 
     def test_untimed_component_deadlock(self):
         only = Component(states=("s",), initial="s", rules=(), props={"p": ("s",)})

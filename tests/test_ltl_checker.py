@@ -21,6 +21,7 @@ from oracles import (
     counterexample_letters,
     eval_on_lasso,
     find_violating_lasso,
+    lasso_budget,
     make_kripke,
     random_branching_kripke,
     random_formula,
@@ -227,10 +228,13 @@ class TestValidation:
 
 
 class TestAgainstOracles:
-    def run_agreement(self, kripke, formula) -> None:
+    def run_agreement(self, kripke, formula, specified: int) -> None:
+        """``specified`` is the number of states the structure was given, of
+        which it keeps those the initial state reaches; the oracle's budget
+        counts them all."""
         ce = model_check(kripke, formula)
         if ce is None:
-            assert find_violating_lasso(kripke, formula) is None
+            assert find_violating_lasso(kripke, formula, lasso_budget(specified, formula)) is None
         else:
             assert validate_counterexample(kripke, formula, ce)
             prefix, cycle = counterexample_letters(kripke, ce)
@@ -239,13 +243,15 @@ class TestAgainstOracles:
     def test_functional_kripkes(self):
         rng = random.Random(555)
         for _ in range(150):
-            k = random_functional_kripke(rng, rng.randint(1, 6))
+            n = rng.randint(1, 6)
+            k = random_functional_kripke(rng, n)
             f = random_formula(rng, temporal_budget=2)
-            self.run_agreement(k, f)
+            self.run_agreement(k, f, n)
 
     def test_branching_kripkes(self):
         rng = random.Random(556)
         for _ in range(100):
-            k = random_branching_kripke(rng, rng.randint(2, 4))
+            n = rng.randint(2, 4)
+            k = random_branching_kripke(rng, n)
             f = random_formula(rng, temporal_budget=2)
-            self.run_agreement(k, f)
+            self.run_agreement(k, f, n)

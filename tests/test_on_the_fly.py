@@ -1,4 +1,4 @@
-"""Checking while discovering: on a structure from ``Kripke.explore`` the
+"""Checking while discovering: on a ``Kripke``, discovered as it is read, the
 nested DFS expands only the states it visits, and it gives the same verdicts
 and counterexamples as on the structure ``kripke_structure`` expands whole."""
 
@@ -72,7 +72,7 @@ class TestAgainstTheExpandedStructure:
                 atoms = tuple(sorted(whole.props))
                 for _ in range(3):
                     f = random_formula(rng, atoms, temporal_budget=2)
-                    lazy = Kripke.explore(system, durations, bound, max_states=300)
+                    lazy = Kripke(system, durations, bound, max_states=300)
                     ce = model_check(lazy, f)
                     assert ce == model_check(whole, f)  # texts, elapsed times and labels
                     if ce is None:
@@ -119,7 +119,7 @@ class TestOnTheFly:
 
     def test_a_refutation_within_the_cap_is_returned(self):
         product = ladder(14)
-        kripke = Kripke.explore(product, product.tick_durations(), None, max_states=200)
+        kripke = Kripke(product, product.tick_durations(), None, max_states=200)
         formula = parse_formula("[] safe")
         ce = model_check(kripke, formula)
         assert ce is not None and validate_counterexample(kripke, formula, ce)
@@ -128,6 +128,6 @@ class TestOnTheFly:
 
     def test_a_property_that_holds_still_hits_the_cap(self):
         product = ladder(14)
-        kripke = Kripke.explore(product, product.tick_durations(), None, max_states=200)
+        kripke = Kripke(product, product.tick_durations(), None, max_states=200)
         with pytest.raises(ModelError, match="state space exceeds 200 states"):
             model_check(kripke, parse_formula("[] <> safe"))

@@ -202,6 +202,15 @@ class TestSyncProduct:
         assert p.ticks == ()
 
 
+    @pytest.mark.parametrize("delta", [Fraction(-1), -1, 1.0, True, "x"])
+    @pytest.mark.parametrize("kind", ["component", "product"])
+    def test_durations_are_validated(self, kind, delta):
+        # 1.0 and True hash and compare equal to Fraction(1), a tick duration here
+        model = {"component": abstract_reservoir(1), "product": reservoir_pair()}[kind]
+        model.timed_successor(model.initial_state(), Fraction(1))
+        with pytest.raises(ModelError):
+            model.timed_successor(model.initial_state(), delta)
+
     def test_product_states_must_render_distinctly(self):
         # ("a,b", "c") and ("a", "b,c") would both be the state "< a,b,c >"
         left = Component(("a,b", "a"), "a,b", (("go1", "a,b", "a"),), props={"p": ("a",)})
