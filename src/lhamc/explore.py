@@ -124,7 +124,6 @@ class Kripke:
         self._out: list[Optional[list[KripkeEdge]]] = [None]  # None until expanded
         self._letters: list[Optional[frozenset[str]]] = [None]  # None until read
         self._index = {(self._texts[0], 0): 0}
-        self._parents: list[Optional[KripkeEdge]] = [None]  # the edge that discovered each state
         self._expanded = 0  # every state below this one is expanded
         self.props = system.propositions()
         self.initial = 0
@@ -132,8 +131,8 @@ class Kripke:
     def _expand(self, i: int, keep: bool = True) -> list[KripkeEdge]:
         """Discover state i's successors in edge order, its discrete moves
         and then one tick per duration, and return its out-list.  ``keep``
-        False keeps no out-list and builds only the edges that discover
-        states."""
+        False keeps no out-list and returns only the edges that discover
+        states, in discovery order."""
         system = self._system
         states, index = self._states, self._index
         state = states[i]
@@ -161,11 +160,9 @@ class Kripke:
                 self._clock.append(n)
                 self._out.append(None)
                 self._letters.append(None)
-                edge = KripkeEdge(i, j, label, duration)
-                self._parents.append(edge)
-                out.append(edge)
-            elif keep:
-                out.append(KripkeEdge(i, j, label, duration))
+            elif not keep:
+                continue
+            out.append(KripkeEdge(i, j, label, duration))
         if keep:
             out = self._out[i] = out or [KripkeEdge(i, i, STUTTER, ZERO)]
         return out
@@ -243,9 +240,10 @@ def search(
     """
     graph = Kripke(system, (increment,), time_bound, max_states)
     states, clock = graph._states, graph._clock
+    parents: list[Optional[KripkeEdge]] = [None]  # the edge that discovered each state
     i = 0
     while i < len(states):  # breadth-first; the loop also visits states it discovers
-        graph._expand(i, keep=False)
+        parents += graph._expand(i, keep=False)
         i += 1
     hits = []
     for i, state in enumerate(states):
@@ -253,7 +251,7 @@ def search(
         if bindings is not None:
             hits.append((clock[i], i, bindings))
     hits.sort()  # by elapsed time, then discovery order
-    texts, parents = graph._texts, graph._parents
+    texts = graph._texts
     return [
         Solution(states[i], Fraction(n, graph.scale), texts[i], bindings, parents[i], parents, texts)
         for n, i, bindings in hits

@@ -19,7 +19,6 @@ from .formula import (
     Bottom,
     Eventually,
     Formula,
-    Implies,
     Next,
     Not,
     Or,
@@ -29,6 +28,7 @@ from .formula import (
     Until,
     fail_closed,
     render,
+    subformulas,
     to_nnf,
 )
 
@@ -90,24 +90,6 @@ class _Node:
 _INIT = -1
 
 
-def _eventualities(f: Formula) -> list[Formula]:
-    """Until/eventually subformulas in first-occurrence order."""
-    out: list[Formula] = []
-    seen: set[Formula] = set()
-
-    def walk(g: Formula) -> None:
-        if isinstance(g, (Until, Eventually)) and g not in seen:
-            seen.add(g)
-            out.append(g)
-        for attr in ("sub", "left", "right"):
-            child = getattr(g, attr, None)
-            if child is not None:
-                walk(child)
-
-    walk(f)
-    return out
-
-
 def _push_new(node: _Node, formulas: Iterable[Formula]) -> None:
     for g in formulas:
         if g not in node.old and g not in node.new:
@@ -157,8 +139,6 @@ def _expand(f: Formula) -> list[_Node]:
                     continue
                 node.old.add(g)
                 stack.append(node)
-            case Not(_):
-                raise ModelError(f"negation is not atomic, normalize first: {g!r}")
             case And(a, b):
                 node.old.add(g)
                 _push_new(node, (a, b))
@@ -206,8 +186,6 @@ def _expand(f: Formula) -> list[_Node]:
                 _push_new(settle, (a, b))
                 stack.append(hold)
                 stack.append(settle)
-            case Implies(_, _):
-                raise ModelError(f"implication survived normalization: {g!r}")
             case _:
                 raise ModelError(f"not a formula: {g!r}")
     return completed
@@ -228,23 +206,23 @@ def _literals(old: set[Formula]) -> frozenset[Literal]:
 
 
 def to_buchi(f: Formula) -> BuchiAutomaton:
-    """Buchi automaton accepting exactly the traces satisfying f.
-
-    The input must be in negation normal form (see to_nnf).
-    """
+    """Buchi automaton accepting exactly the traces satisfying f, which may
+    be any formula: it is put in negation normal form first."""
     return fail_closed(_to_buchi, f)
 
 
 def _to_buchi(f: Formula) -> BuchiAutomaton:
-    f = to_nnf(f)  # idempotent; also expands implications defensively
+    f = to_nnf(f)
     nodes = _expand(f)
     dense = {node.id: i for i, node in enumerate(nodes)}
     labels = [_literals(node.old) for node in nodes]
 
-    # Generalized acceptance: one set per eventuality, satisfied where the
-    # eventuality is absent or its payoff formula is already present.
+    # Generalized acceptance: one set per eventuality, in first-occurrence
+    # order, satisfied where the eventuality is absent or its payoff formula
+    # is already present.
+    eventualities = dict.fromkeys(g for g in subformulas(f) if isinstance(g, (Until, Eventually)))
     sets = []
-    for ev in _eventualities(f):
+    for ev in eventualities:
         payoff = ev.right if isinstance(ev, Until) else ev.sub
         sets.append(frozenset(
             i for i, node in enumerate(nodes) if ev not in node.old or payoff in node.old

@@ -5,88 +5,156 @@ Concrete syntax::
     f ::= ident | true | false | ~ f | [] f | <> f | X f
         | f /\\ f | f \\/ f | f -> f | f U f | f R f | ( f )
 
-Unary operators bind tightest, then U and R (right associative), then
-conjunction, disjunction, and implication (right associative), loosest last.
+Binary operators, loosest first:
+
+    ======  =============  ==========
+    level   operators      associates
+    ======  =============  ==========
+    0       ``->``         right
+    1       ``\\/``         left
+    2       ``/\\``         left
+    3       ``U``, ``R``   right
+    ======  =============  ==========
+
+The prefix operators ``~ [] <> X`` bind tighter than any of them.
 Identifiers may contain hyphens and a trailing question mark, so atomic
 propositions like ``one-down`` and ``refill1?`` parse as single names.
+
+Formula nodes are interned: building the same structure twice returns the
+same object, so equality is identity and hashing never walks the tree, at
+any depth.  Keyword construction, ``copy``, ``deepcopy`` and ``pickle``
+return the interned node too.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
+from weakref import WeakValueDictionary
 
 from ..core import ModelError
+
+_NODES: WeakValueDictionary[tuple, Formula] = WeakValueDictionary()
 
 
 class Formula:
     __slots__ = ()
 
+    def __new__(cls, *args: Any, **kwargs: Any) -> Formula:
+        """The node with these fields, made on first request.  The
+        dataclass ``__init__`` then checks the arguments and sets the same
+        values again."""
+        if kwargs:
+            args += tuple(kwargs[name] for name in cls.__match_args__[len(args):] if name in kwargs)
+        key = (cls, *args)
+        node = _NODES.get(key)
+        if node is None:
+            node = _NODES[key] = super().__new__(cls)
+        return node
 
-@dataclass(frozen=True)
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+@dataclass(frozen=True, eq=False)
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bottom(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Prop(Formula):
     name: str
 
 
-@dataclass(frozen=True)
-class Not(Formula):
+@dataclass(frozen=True, eq=False)
+class Unary(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
-class And(Formula):
+@dataclass(frozen=True, eq=False)
+class Binary(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class Not(Unary):
+    pass
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class Next(Unary):
+    pass
 
 
-@dataclass(frozen=True)
-class Next(Formula):
-    sub: Formula
+class Always(Unary):
+    pass
 
 
-@dataclass(frozen=True)
-class Always(Formula):
-    sub: Formula
+class Eventually(Unary):
+    pass
 
 
-@dataclass(frozen=True)
-class Eventually(Formula):
-    sub: Formula
+class And(Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Until(Formula):
-    left: Formula
-    right: Formula
+class Or(Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Release(Formula):
-    left: Formula
-    right: Formula
+class Implies(Binary):
+    pass
+
+
+class Until(Binary):
+    pass
+
+
+class Release(Binary):
+    pass
+
+
+# Each operator once: the token kind that builds it, its binary precedence
+# level (loosest 0) and whether it associates to the right, its printed
+# symbol, and the operator a negation swaps it for.
+_CONSTANT = {"true": Top, "false": Bottom}
+_PREFIX = {"not": Not, "lbox": Always, "diamond": Eventually, "X": Next}
+_INFIX = {
+    "implies": (Implies, 0, True),
+    "or": (Or, 1, False),
+    "and": (And, 2, False),
+    "U": (Until, 3, True),
+    "R": (Release, 3, True),
+}
+_SYMBOL = {
+    Top: "true",
+    Bottom: "false",
+    Not: "~",
+    Next: "X",
+    Always: "[]",
+    Eventually: "<>",
+    And: "/\\",
+    Or: "\\/",
+    Implies: "->",
+    Until: "U",
+    Release: "R",
+}
+_DUAL = {
+    Top: Bottom,
+    Bottom: Top,
+    Next: Next,
+    Always: Eventually,
+    Eventually: Always,
+    And: Or,
+    Or: And,
+    Until: Release,
+    Release: Until,
+}
 
 
 _TOKEN_RE = re.compile(
@@ -145,73 +213,40 @@ class _Parser:
             raise ModelError(f"expected {kind!r} but found {got!r}")
         self.pos += 1
 
-    def implication(self) -> Formula:
-        left = self.disjunction()
-        if self.peek() == "implies":
+    def binary(self, loosest: int = 0) -> Formula:
+        """A formula whose binary operators are at level ``loosest`` or
+        tighter, by precedence climbing."""
+        f = self.unary()
+        while (infix := _INFIX.get(self.peek())) is not None and infix[1] >= loosest:
+            node, level, right = infix
             self.take()
-            return Implies(left, self.implication())
-        return left
-
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
-        while self.peek() == "or":
-            self.take()
-            f = Or(f, self.conjunction())
+            f = node(f, self.binary(level if right else level + 1))
         return f
-
-    def conjunction(self) -> Formula:
-        f = self.until_release()
-        while self.peek() == "and":
-            self.take()
-            f = And(f, self.until_release())
-        return f
-
-    def until_release(self) -> Formula:
-        left = self.unary()
-        if self.peek() == "U":
-            self.take()
-            return Until(left, self.until_release())
-        if self.peek() == "R":
-            self.take()
-            return Release(left, self.until_release())
-        return left
 
     def unary(self) -> Formula:
-        kind = self.peek()
-        if kind == "not":
-            self.take()
-            return Not(self.unary())
-        if kind == "lbox":
-            self.take()
-            return Always(self.unary())
-        if kind == "diamond":
-            self.take()
-            return Eventually(self.unary())
-        if kind == "X":
-            self.take()
-            return Next(self.unary())
-        return self.primary()
+        node = _PREFIX.get(self.peek())
+        if node is None:
+            return self.primary()
+        self.take()
+        return node(self.unary())
 
     def primary(self) -> Formula:
         kind = self.peek()
-        if kind == "true":
+        if kind in _CONSTANT:
             self.take()
-            return Top()
-        if kind == "false":
-            self.take()
-            return Bottom()
+            return _CONSTANT[kind]()
         if kind == "ident":
             return Prop(self.take()[1])
         if kind == "lparen":
             self.take()
-            f = self.implication()
+            f = self.binary()
             self.expect("rparen")
             return f
         got = self.tokens[self.pos][1] if self.pos < len(self.tokens) else "end of input"
         raise ModelError(f"expected a formula but found {got!r}")
 
 
-# Parsing and the public walks below recurse once per nesting level; past
+# Parsing and the recursive walks below recurse once per nesting level; past
 # Python's recursion limit each fails closed with this ModelError.
 TOO_DEEP = "input nests too deeply"
 
@@ -229,7 +264,7 @@ def parse_formula(text: str) -> Formula:
     if not tokens:
         raise ModelError("empty formula")
     parser = _Parser(tokens)
-    formula = fail_closed(_Parser.implication, parser)
+    formula = fail_closed(_Parser.binary, parser)
     if parser.pos != len(tokens):
         raise ModelError(f"trailing input after formula: {tokens[parser.pos][1]!r}")
     return formula
@@ -242,30 +277,14 @@ def render(f: Formula) -> str:
 
 def _render(f: Formula) -> str:
     match f:
-        case Top():
-            return "true"
-        case Bottom():
-            return "false"
         case Prop(name):
             return name
-        case Not(sub):
-            return f"~ {_render(sub)}"
-        case Next(sub):
-            return f"X {_render(sub)}"
-        case Always(sub):
-            return f"[] {_render(sub)}"
-        case Eventually(sub):
-            return f"<> {_render(sub)}"
-        case And(a, b):
-            return f"({_render(a)} /\\ {_render(b)})"
-        case Or(a, b):
-            return f"({_render(a)} \\/ {_render(b)})"
-        case Implies(a, b):
-            return f"({_render(a)} -> {_render(b)})"
-        case Until(a, b):
-            return f"({_render(a)} U {_render(b)})"
-        case Release(a, b):
-            return f"({_render(a)} R {_render(b)})"
+        case Top() | Bottom():
+            return _SYMBOL[type(f)]
+        case Unary(sub):
+            return f"{_SYMBOL[type(f)]} {_render(sub)}"
+        case Binary(a, b):
+            return f"({_render(a)} {_SYMBOL[type(f)]} {_render(b)})"
     raise ModelError(f"not a formula: {f!r}")
 
 
@@ -283,65 +302,40 @@ def _nnf(f: Formula, negate: bool = False) -> Formula:
     """Negation normal form of f, or of ~f when ``negate``: a negation
     swaps each operator for its dual."""
     match f:
-        case Top():
-            return Bottom() if negate else f
-        case Bottom():
-            return Top() if negate else f
         case Prop(_):
             return Not(f) if negate else f
         case Not(sub):
             return _nnf(sub, not negate)
-        case And(a, b):
-            return (Or if negate else And)(_nnf(a, negate), _nnf(b, negate))
-        case Or(a, b):
-            return (And if negate else Or)(_nnf(a, negate), _nnf(b, negate))
         case Implies(a, b):
             return (And if negate else Or)(_nnf(a, not negate), _nnf(b, negate))
-        case Next(a):
-            return Next(_nnf(a, negate))
-        case Always(a):
-            return (Eventually if negate else Always)(_nnf(a, negate))
-        case Eventually(a):
-            return (Always if negate else Eventually)(_nnf(a, negate))
-        case Until(a, b):
-            return (Release if negate else Until)(_nnf(a, negate), _nnf(b, negate))
-        case Release(a, b):
-            return (Until if negate else Release)(_nnf(a, negate), _nnf(b, negate))
+        case Top() | Bottom():
+            return _DUAL[type(f)]() if negate else f
+        case Unary(a):
+            return (_DUAL[type(f)] if negate else type(f))(_nnf(a, negate))
+        case Binary(a, b):
+            return (_DUAL[type(f)] if negate else type(f))(_nnf(a, negate), _nnf(b, negate))
     raise ModelError(f"not a formula: {f!r}")
+
+
+def subformulas(f: Formula) -> Iterator[Formula]:
+    """f and every occurrence of a formula inside it, in preorder, left
+    before right, without recursion."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, Unary):
+            stack.append(g.sub)
+        elif isinstance(g, Binary):
+            stack += (g.right, g.left)
+        elif not isinstance(g, Formula):
+            raise ModelError(f"not a formula: {g!r}")
+        yield g
 
 
 def props_of(f: Formula) -> frozenset[str]:
-    return fail_closed(_props, f)
-
-
-def _props(f: Formula) -> frozenset[str]:
-    match f:
-        case Prop(name):
-            return frozenset({name})
-        case Top() | Bottom():
-            return frozenset()
-        case Not(sub) | Next(sub) | Always(sub) | Eventually(sub):
-            return _props(sub)
-        case And(a, b) | Or(a, b) | Implies(a, b) | Until(a, b) | Release(a, b):
-            return _props(a) | _props(b)
-    raise ModelError(f"not a formula: {f!r}")
+    return frozenset(g.name for g in subformulas(f) if isinstance(g, Prop))
 
 
 def temporal_count(f: Formula) -> int:
     """Number of temporal operator occurrences (bounds oracle search depth)."""
-    return fail_closed(_temporal_count, f)
-
-
-def _temporal_count(f: Formula) -> int:
-    match f:
-        case Top() | Bottom() | Prop(_):
-            return 0
-        case Not(sub):
-            return _temporal_count(sub)
-        case Next(sub) | Always(sub) | Eventually(sub):
-            return 1 + _temporal_count(sub)
-        case And(a, b) | Or(a, b) | Implies(a, b):
-            return _temporal_count(a) + _temporal_count(b)
-        case Until(a, b) | Release(a, b):
-            return 1 + _temporal_count(a) + _temporal_count(b)
-    raise ModelError(f"not a formula: {f!r}")
+    return sum(isinstance(g, (Next, Always, Eventually, Until, Release)) for g in subformulas(f))

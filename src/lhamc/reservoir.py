@@ -296,9 +296,6 @@ class NResSystem(TimedTransitionSystem):
             (MOVE_HOSE, RingState(self, i, nums, den)) for i, n in enumerate(nums) if n <= low[i] and i != pos
         ]
 
-    def enabled_labels(self, state: RingState) -> list[str]:
-        return [MOVE_HOSE] if self.discrete_successors(state) else []
-
     def timed_successor(self, state: RingState, delta: Fraction) -> RingState | None:
         if delta is not self._delta:
             self._delta, self._steps = delta, self._steps_for(delta)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -23,6 +25,7 @@ from lhamc.ltl import (
     temporal_count,
     to_nnf,
 )
+from lhamc.ltl.formula import _DUAL, _INFIX, _PREFIX, _SYMBOL, Binary, Unary, subformulas
 from oracles import eval_on_lasso, random_formula, random_letters
 
 p, q, r = Prop("p"), Prop("q"), Prop("r")
@@ -87,18 +90,101 @@ class TestParser:
         ],
     )
     def test_walks_of_deep_formulas_fail_closed(self, walk, shallow):
+        # props_of and temporal_count walk without recursion and answer at
+        # any depth; the other walks recurse once per level
+        iterative = {props_of: frozenset({"p"}), temporal_count: 3000}
         deep = p
         for _ in range(3000):
             deep = Next(deep)
-        with pytest.raises(ModelError, match="^input nests too deeply$"):
-            walk(deep)
+        if walk in iterative:
+            assert walk(deep) == iterative[walk]
+        else:
+            with pytest.raises(ModelError, match="^input nests too deeply$"):
+                walk(deep)
         assert walk(Next(Not(p))) == shallow
 
     def test_render_round_trip(self):
         rng = random.Random(424242)
         for _ in range(300):
             f = random_formula(rng, atoms=("p", "q", "one-down"), temporal_budget=3)
-            assert parse_formula(render(f)) == f
+            assert parse_formula(render(f)) is f
+
+
+class TestTables:
+    NODES = (Top, Bottom, Not, Next, Always, Eventually, And, Or, Implies, Until, Release)
+
+    def test_every_node_class_has_a_symbol(self):
+        assert set(_SYMBOL) == set(self.NODES)
+        assert len(set(_SYMBOL.values())) == len(self.NODES)
+        assert {node for node in self.NODES if issubclass(node, Binary)} == {node for node, _, _ in _INFIX.values()}
+        assert {node for node in self.NODES if issubclass(node, Unary)} == set(_PREFIX.values())
+
+    def test_dual_is_an_involution(self):
+        assert set(_DUAL) == set(self.NODES) - {Not, Implies}
+        for node, dual in _DUAL.items():
+            assert _DUAL[dual] is node
+            assert issubclass(dual, (Unary, Binary)) == issubclass(node, (Unary, Binary))
+
+    def test_each_symbol_parses_to_its_node(self):
+        for node, symbol in _SYMBOL.items():
+            if issubclass(node, Binary):
+                f, text = node(p, q), f"(p {symbol} q)"
+            elif issubclass(node, Unary):
+                f, text = node(p), f"{symbol} p"
+            else:
+                f, text = node(), symbol
+            assert render(f) == text
+            assert parse_formula(text) is f
+
+    def test_subformulas_in_preorder_left_before_right(self):
+        f = parse_formula("(p U X q) /\\ ~ p")
+        assert list(subformulas(f)) == [f, Until(p, Next(q)), p, Next(q), q, Not(p), p]
+
+
+class TestInterning:
+    def test_same_structure_same_node(self):
+        assert parse_formula("[] (p -> <> q)") is Always(Implies(Prop("p"), Eventually(Prop("q"))))
+        assert Top() is Top()
+        assert Not(p) is not Next(p)
+        assert Until(p, q) is not Release(p, q)
+        assert And(p, q) is not And(q, p)
+
+    def test_keyword_construction_interns(self):
+        assert Prop(name="p") is p
+        assert Until(left=p, right=q) is Until(p, q)
+        assert Until(p, right=q) is Until(p, q)
+        assert Not(sub=p) is Not(p)
+
+    def test_bad_arguments_raise_type_error(self):
+        with pytest.raises(TypeError):
+            Prop()
+        with pytest.raises(TypeError):
+            Prop("p", name="p")
+        with pytest.raises(TypeError):
+            Not(p, q)
+        with pytest.raises(TypeError):
+            Not(p, other=q)
+        assert Prop("p").name == "p" and Not(p).sub is p
+
+    def test_copies_are_the_node(self):
+        f = parse_formula("[] (p -> <> q) /\\ (r U true)")
+        assert copy.copy(f) is f
+        assert copy.deepcopy(f) is f
+
+    def test_pickle_round_trip_is_the_node(self):
+        f = parse_formula("~ (p R X false) \\/ <> q")
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(f, protocol)) is f
+
+    def test_deep_formulas_hash_and_compare(self):
+        deep = p
+        for _ in range(3000):
+            deep = Next(deep)
+        again = p
+        for _ in range(3000):
+            again = Next(again)
+        assert again is deep
+        assert {deep: 1}[again] == 1
 
 
 class TestNnf:
