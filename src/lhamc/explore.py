@@ -87,8 +87,9 @@ class Kripke:
     ``(text, clock numerator)`` to i, the explorer's key.
 
     ``out(i)`` expands state i the first time it is asked for, and
-    ``letter(i)`` evaluates the propositions the first time it is read.  The
-    per-state readers (``out``, ``letter``, ``text``, ``elapsed``,
+    ``letter(i)`` evaluates the propositions the first time it is read;
+    ``holds(i, prop)`` evaluates one proposition and keeps nothing.  The
+    per-state readers (``out``, ``letter``, ``holds``, ``text``, ``elapsed``,
     ``index_of``, ``has_edge``) expand at most the state they are asked
     about.  The whole views (``len``, ``states``, ``texts``, ``clock``,
     ``index``, ``adjacency``, ``labeling``, ``edges``) first expand every
@@ -175,9 +176,12 @@ class Kripke:
         """The propositions that hold in state i."""
         letter = self._letters[i]
         if letter is None:
-            state, holds = self._states[i], self._system.prop_holds
-            letter = self._letters[i] = frozenset(p for p in self.props if holds(state, p))
+            letter = self._letters[i] = frozenset(p for p in self.props if self.holds(i, p))
         return letter
+
+    def holds(self, i: int, prop: str) -> bool:
+        """Whether ``prop`` holds in state i, asked of the system afresh."""
+        return self._system.prop_holds(self._states[i], prop)
 
     def text(self, i: int) -> str:
         return self._texts[i]

@@ -4,7 +4,13 @@ The expansion splits formulas into "now" obligations (literals) and "next"
 obligations, yielding a generalized automaton with one fairness set per
 until/eventually subformula; a round-robin counter then degeneralizes it.
 A synthetic pre-initial state is added so every transition carries the
-literal set that must hold in the state being read.
+literal set that must hold in the state being read.  Last, the automaton is
+reduced (Etessami and Holzmann, CONCUR 2000; Somenzi and Bloem, CAV 2000):
+non-accepting states with the same transitions up to bisimulation are merged,
+and a transition is dropped where another to the same target needs strictly
+fewer literals.  Accepting states are never merged: merging them too shrinks
+the automata further, but it changes the lasso the nested search finds first
+for ``[] safe`` on the abstract-reservoir products.
 """
 
 from __future__ import annotations
@@ -212,7 +218,11 @@ def to_buchi(f: Formula) -> BuchiAutomaton:
 
 
 def _to_buchi(f: Formula) -> BuchiAutomaton:
-    f = to_nnf(f)
+    return _reduced(_degeneralized(to_nnf(f)))
+
+
+def _degeneralized(f: Formula) -> BuchiAutomaton:
+    """The tableau automaton of f, in negation normal form, degeneralized."""
     nodes = _expand(f)
     dense = {node.id: i for i, node in enumerate(nodes)}
     labels = [_literals(node.old) for node in nodes]
@@ -280,6 +290,47 @@ def _to_buchi(f: Formula) -> BuchiAutomaton:
 
     accepting = frozenset(ids[q] for q in order if q[1] == k)
     return BuchiAutomaton(len(order) + 1, transitions, accepting)
+
+
+def _numbered(keys: list) -> tuple[list[int], int]:
+    """Each key's block, numbered by first occurrence, and the block count."""
+    ids: dict = {}
+    return [ids.setdefault(key, len(ids)) for key in keys], len(ids)
+
+
+def _reduced(ba: BuchiAutomaton) -> BuchiAutomaton:
+    """The bisimulation quotient of ``ba``, less its subsumed transitions.
+
+    State 0 and every accepting state keep a block of their own; the other
+    states share a block while they have the same set of (literals, target
+    block) pairs.  Blocks are numbered by their first member, so state 0 stays
+    initial and has no incoming transitions.  A block takes its first member's
+    transitions in adjacency order, less exact duplicates and less any
+    transition that another one to the same target subsumes: it has a
+    strictly smaller literal set, so it fires whenever the first one does.
+    """
+    adjacency = ba.adjacency
+    block, count = _numbered([q if q == 0 or q in ba.accepting else -1 for q in range(ba.size)])
+    while True:
+        refined, refined_count = _numbered([
+            (block[q], frozenset((t.literals, block[t.target]) for t in out))
+            for q, out in enumerate(adjacency)
+        ])
+        if refined_count == count:  # refinement only splits blocks
+            break
+        block, count = refined, refined_count
+    first: dict[int, int] = {}  # block to its first member, in block order
+    for q, b in enumerate(block):
+        first.setdefault(b, q)
+    transitions = []
+    for b, q in first.items():
+        edges = list(dict.fromkeys((t.literals, block[t.target]) for t in adjacency[q]))
+        transitions.extend(
+            BuchiTransition(b, literals, target)
+            for literals, target in edges
+            if not any(other < literals for other, to in edges if to == target)
+        )
+    return BuchiAutomaton(count, transitions, frozenset(block[q] for q in ba.accepting))
 
 
 def lasso_accepted(

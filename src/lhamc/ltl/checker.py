@@ -6,10 +6,13 @@ The outer search runs in postorder, the inner search hunts for a cycle back
 to the blue stack, both iterative.  A product node (s, q) steps along every
 edge of s, in order, paired with every automaton target of q on the letter
 of s, in order; these lists are built on demand and never cached.  The
-search reads the structure one state at a time (``out(s)``, ``letter(s)``),
-and a :class:`Kripke` is discovered as it is read, so the check is
-on-the-fly: only the states it visits are expanded, and a counterexample
-found early leaves the rest of the state space unbuilt.
+letter of s holds only the formula's propositions: each is asked of the
+structure once per state (``holds(s, p)``) and the letter is kept for the
+check, so the automaton's memo sees as few distinct letters as the formula
+allows.  The search reads the structure one state at a time (``out(s)``,
+``holds(s, p)``), and a :class:`Kripke` is discovered as it is read, so the
+check is on-the-fly: only the states it visits are expanded, and a
+counterexample found early leaves the rest of the state space unbuilt.
 """
 
 from __future__ import annotations
@@ -58,11 +61,16 @@ def model_check(kripke: Kripke, formula: Formula) -> Optional[Counterexample]:
     otherwise a validated-shape counterexample lasso."""
     _check_props(kripke, formula)
     ba = to_buchi(negated_nnf(formula))
-    out, letter = kripke.out, kripke.letter
+    out, holds = kripke.out, kripke.holds
+    props = sorted(props_of(formula))
+    letters: dict[int, frozenset[str]] = {}  # over the formula's propositions only
 
     def succs(v: _ProductNode) -> list[_ProductNode]:
         s, q = v
-        targets = ba.successors(q, letter(s))
+        letter = letters.get(s)
+        if letter is None:
+            letter = letters[s] = frozenset(p for p in props if holds(s, p))
+        targets = ba.successors(q, letter)
         return [(e.target, t) for e in out(s) for t in targets]
 
     init: _ProductNode = (kripke.initial, ba.initial)

@@ -1,7 +1,10 @@
 import random
 from itertools import product
 
-from lhamc.ltl import lasso_accepted, parse_formula, props_of, to_buchi, to_nnf
+import pytest
+
+from lhamc.ltl import lasso_accepted, negated_nnf, parse_formula, props_of, to_buchi, to_nnf
+from lhamc.ltl.buchi import _degeneralized
 from oracles import eval_on_lasso, random_formula, random_letters
 
 
@@ -114,6 +117,55 @@ class TestKnownFormulas:
         assert lasso_accepted(ba, [], [qq])
         assert lasso_accepted(ba, [qq, pq], [off])
         assert not lasso_accepted(ba, [qq], [off])
+
+
+class TestReduction:
+    """``to_buchi`` reduces the degeneralized tableau automaton."""
+
+    @pytest.mark.parametrize("budget,seed", [(2, 16001), (3, 16002)])
+    def test_same_lasso_verdicts_as_the_unreduced_automaton(self, budget, seed):
+        rng = random.Random(seed)
+        for _ in range(300):
+            f = random_formula(rng, temporal_budget=budget)
+            reduced, unreduced = to_buchi(f), _degeneralized(to_nnf(f))
+            assert reduced.size <= unreduced.size
+            assert len(reduced.transitions) <= len(unreduced.transitions)
+            assert len(reduced.accepting) == len(unreduced.accepting)
+            assert all(t.target != 0 for t in reduced.transitions)
+            for _ in range(4):
+                prefix, cycle = random_letters(rng)
+                assert lasso_accepted(reduced, prefix, cycle) == lasso_accepted(unreduced, prefix, cycle), (
+                    render_case(f, prefix, cycle)
+                )
+
+    # the nine nres-check patterns of bench/workloads.py; unreduced, precedence
+    # has 14 states and 29 transitions, fair-macondo 26 and 111, fair-recovery
+    # 13 and 38, and the others the sizes pinned here
+    @pytest.mark.parametrize(
+        "text,states,transitions",
+        [
+            ("[] ~ macondo", 4, 6),
+            ("[] <> ~ one-down", 4, 6),
+            ("<> [] ~ macondo", 3, 6),
+            ("[] (one-down -> <> ~ one-down)", 4, 6),
+            ("(~ macondo U one-down) \\/ [] ~ macondo", 13, 25),
+            ("([] <> one-down /\\ [] <> ~ one-down) -> [] <> macondo", 10, 28),
+            ("[] <> one-down -> [] <> ~ macondo", 8, 21),
+            ("[] ~ one-down", 4, 6),
+            ("<> macondo", 2, 2),
+        ],
+    )
+    def test_negated_reservoir_patterns_are_at_most_their_pinned_size(self, text, states, transitions):
+        ba = to_buchi(negated_nnf(parse_formula(text)))
+        assert ba.size <= states and len(ba.transitions) <= transitions
+
+    def test_subsumed_transitions_are_dropped(self):
+        for f in map(parse_formula, ("[] <> p -> [] <> ~ q", "([] <> p /\\ [] <> ~ p) -> [] <> q")):
+            ba = to_buchi(negated_nnf(f))
+            for out in ba.adjacency:
+                assert not any(
+                    a.target == b.target and a.literals < b.literals for a in out for b in out
+                )
 
 
 class TestAgainstLassoEvaluator:

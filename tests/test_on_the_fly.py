@@ -11,7 +11,7 @@ import pytest
 from lhamc.core import ModelError
 from lhamc.explore import Kripke, kripke_structure
 from lhamc.lha import LhaSystem
-from lhamc.ltl import model_check, parse_formula, validate_counterexample
+from lhamc.ltl import model_check, parse_formula, props_of, validate_counterexample
 from lhamc.syncprod import abstract_reservoir, component_kripke, rt_sync_product, safe_prop
 from oracles import counterexample_letters, eval_on_lasso, find_violating_lasso, random_formula
 from test_lha import random_automaton
@@ -30,11 +30,13 @@ class Located(LhaSystem):
 
 
 class Counted:
-    """Delegates to a model, counting the states it is asked to expand."""
+    """Delegates to a model, counting the states it is asked to expand and
+    the propositions it is asked to evaluate."""
 
     def __init__(self, model):
         self._model = model
         self.expanded = 0
+        self.evaluated = 0
 
     def __getattr__(self, name):
         return getattr(self._model, name)
@@ -42,6 +44,10 @@ class Counted:
     def discrete_successors(self, state):
         self.expanded += 1
         return self._model.discrete_successors(state)
+
+    def prop_holds(self, state, prop):
+        self.evaluated += 1
+        return self._model.prop_holds(state, prop)
 
 
 def random_models(seed: int):
@@ -116,6 +122,24 @@ class TestOnTheFly:
         assert checked * 100 < 2**14, checked
         assert validate_counterexample(kripke, formula, ce)
         assert product.expanded == checked  # the lasso's states were all expanded
+
+    @pytest.mark.parametrize("text", ["[] <> safe", "[] safe"])
+    def test_a_check_evaluates_only_the_formula_propositions(self, text):
+        k = 8
+        product = Counted(ladder(k))
+        kripke = component_kripke(product)
+        formula = parse_formula(text)
+        ce = model_check(kripke, formula)
+        assert len(kripke.props) == k + 1
+        # each state the search reads is expanded and evaluated once, on safe only
+        assert 0 < product.evaluated <= product.expanded * len(props_of(formula))
+        whole = kripke_structure(ladder(k), product.tick_durations(), None)
+        assert ce == model_check(whole, formula)
+        if text == "[] <> safe":
+            assert ce is None and product.expanded == len(whole) == 2**k
+        else:
+            assert validate_counterexample(whole, formula, ce)
+            assert not eval_on_lasso(formula, *counterexample_letters(whole, ce))
 
     def test_a_refutation_within_the_cap_is_returned(self):
         product = ladder(14)
