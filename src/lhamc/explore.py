@@ -11,11 +11,12 @@ their duration, so runs may loop through them.
 ``Kripke(system, durations, time_bound)`` is the one explored graph and
 the only way to build one: it discovers the initial state, and expands a
 state the first time its out-list is asked for, so a nested DFS builds only
-the states it visits.
-:func:`kripke_structure` expands every state breadth-first, and
-:func:`search` walks breadth-first keeping only each state's discovering
-edge, the last step of its path.  A ``Fraction`` is built only where a
-caller reads a time: a search hit, a lasso step, an index lookup.
+the states it visits.  Reading a whole view expands every state left, in
+index order, which is breadth-first.  :func:`build_kripke` returns the
+graph expanded whole, and :func:`search` reads the whole graph and takes
+each state's discovering edge, the last step of its path, from its edges.
+A ``Fraction`` is built only where a caller reads a time: a search hit, a
+lasso step, an index lookup.
 """
 
 from __future__ import annotations
@@ -86,14 +87,14 @@ class Kripke:
     deadlocked state has a zero-duration "stutter" self-loop.  ``index`` maps
     ``(text, clock numerator)`` to i, the explorer's key.
 
-    ``out(i)`` expands state i the first time it is asked for, and
-    ``letter(i)`` evaluates the propositions the first time it is read;
-    ``holds(i, prop)`` evaluates one proposition and keeps nothing.  The
-    per-state readers (``out``, ``letter``, ``holds``, ``text``, ``elapsed``,
-    ``index_of``, ``has_edge``) expand at most the state they are asked
-    about.  The whole views (``len``, ``states``, ``texts``, ``clock``,
-    ``index``, ``adjacency``, ``labeling``, ``edges``) first expand every
-    state left, in index order.
+    ``out(i)`` expands state i the first time it is asked for and keeps its
+    out-list; ``letter(i)`` and ``holds(i, prop)`` ask the system afresh and
+    keep nothing.  The per-state readers (``out``, ``letter``, ``holds``,
+    ``text``, ``elapsed``, ``index_of``, ``has_edge``) expand at most the
+    state they are asked about.  The whole views (``len``, ``states``,
+    ``texts``, ``clock``, ``index``, ``adjacency``, ``labeling``, ``edges``)
+    first expand every state left, in index order; ``labeling`` evaluates
+    every letter on each read.
 
     ``time_bound`` None explores time-abstractly.  Discovering a state beyond
     the first ``max_states`` raises :class:`ModelError`.
@@ -123,17 +124,14 @@ class Kripke:
         self._texts = [system.serialize(initial)]
         self._clock = [0]
         self._out: list[Optional[list[KripkeEdge]]] = [None]  # None until expanded
-        self._letters: list[Optional[frozenset[str]]] = [None]  # None until read
         self._index = {(self._texts[0], 0): 0}
         self._expanded = 0  # every state below this one is expanded
         self.props = system.propositions()
         self.initial = 0
 
-    def _expand(self, i: int, keep: bool = True) -> list[KripkeEdge]:
+    def _expand(self, i: int) -> list[KripkeEdge]:
         """Discover state i's successors in edge order, its discrete moves
-        and then one tick per duration, and return its out-list.  ``keep``
-        False keeps no out-list and returns only the edges that discover
-        states, in discovery order."""
+        and then one tick per duration, and keep and return its out-list."""
         system = self._system
         states, index = self._states, self._index
         state = states[i]
@@ -160,12 +158,8 @@ class Kripke:
                 self._texts.append(text)
                 self._clock.append(n)
                 self._out.append(None)
-                self._letters.append(None)
-            elif not keep:
-                continue
             out.append(KripkeEdge(i, j, label, duration))
-        if keep:
-            out = self._out[i] = out or [KripkeEdge(i, i, STUTTER, ZERO)]
+        out = self._out[i] = out or [KripkeEdge(i, i, STUTTER, ZERO)]
         return out
 
     def out(self, i: int) -> list[KripkeEdge]:
@@ -173,11 +167,8 @@ class Kripke:
         return self._out[i] or self._expand(i)
 
     def letter(self, i: int) -> frozenset[str]:
-        """The propositions that hold in state i."""
-        letter = self._letters[i]
-        if letter is None:
-            letter = self._letters[i] = frozenset(p for p in self.props if self.holds(i, p))
-        return letter
+        """The propositions that hold in state i, asked of the system afresh."""
+        return frozenset(p for p in self.props if self.holds(i, p))
 
     def holds(self, i: int, prop: str) -> bool:
         """Whether ``prop`` holds in state i, asked of the system afresh."""
@@ -218,11 +209,7 @@ class Kripke:
 
     @property
     def labeling(self) -> list[frozenset[str]]:
-        letters = self._whole(self._letters)
-        if None in letters:
-            for i in range(len(letters)):
-                self.letter(i)
-        return letters
+        return [self.letter(i) for i in range(len(self))]
 
     @property
     def edges(self) -> tuple[KripkeEdge, ...]:
@@ -233,46 +220,33 @@ class Kripke:
 def search(
     system: TimedTransitionSystem,
     match: Callable[[Any], Optional[dict[str, str]]],
-    time_bound: Fraction,
+    time_bound: Optional[Fraction],
     increment: Fraction = Fraction(1),
     max_states: int = MAX_STATES,
 ) -> list[Solution]:
     """All distinct reachable states within the bound that ``match`` maps to
-    bindings rather than None.
+    bindings rather than None; ``time_bound`` None searches time-abstractly.
 
     Ordered by elapsed time, ties by discovery order.
     """
     graph = Kripke(system, (increment,), time_bound, max_states)
-    states, clock = graph._states, graph._clock
+    states, clock, texts = graph.states, graph.clock, graph.texts
+    # Expanded breadth-first, a state is discovered by its first in-edge in
+    # edge order, and targets are discovered in increasing index order.
     parents: list[Optional[KripkeEdge]] = [None]  # the edge that discovered each state
-    i = 0
-    while i < len(states):  # breadth-first; the loop also visits states it discovers
-        parents += graph._expand(i, keep=False)
-        i += 1
+    for edge in graph.edges:
+        if edge.target == len(parents):
+            parents.append(edge)
     hits = []
     for i, state in enumerate(states):
         bindings = match(state)
         if bindings is not None:
             hits.append((clock[i], i, bindings))
     hits.sort()  # by elapsed time, then discovery order
-    texts = graph._texts
     return [
         Solution(states[i], Fraction(n, graph.scale), texts[i], bindings, parents[i], parents, texts)
         for n, i, bindings in hits
     ]
-
-
-def kripke_structure(
-    system: TimedTransitionSystem,
-    durations: Iterable[Fraction],
-    time_bound: Optional[Fraction],
-    max_states: int = MAX_STATES,
-) -> Kripke:
-    """Reachable states as a total, labeled Kripke structure, every state
-    expanded in breadth-first order and labeled before it returns."""
-    kripke = Kripke(system, durations, time_bound, max_states)
-    kripke.labeling  # expands every state, in index order, and labels it
-    return kripke
 
 
 def build_kripke(
@@ -282,5 +256,7 @@ def build_kripke(
     max_states: int = MAX_STATES,
 ) -> Kripke:
     """Reachable timed states, sampled every ``increment``, as a total Kripke
-    structure."""
-    return kripke_structure(system, (increment,), time_bound, max_states)
+    structure with every state expanded before it returns."""
+    kripke = Kripke(system, (increment,), time_bound, max_states)
+    len(kripke)  # expands every state, in index order
+    return kripke

@@ -334,8 +334,3 @@ def subformulas(f: Formula) -> Iterator[Formula]:
 
 def props_of(f: Formula) -> frozenset[str]:
     return frozenset(g.name for g in subformulas(f) if isinstance(g, Prop))
-
-
-def temporal_count(f: Formula) -> int:
-    """Number of temporal operator occurrences (bounds oracle search depth)."""
-    return sum(isinstance(g, (Next, Always, Eventually, Until, Release)) for g in subformulas(f))

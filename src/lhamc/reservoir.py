@@ -361,19 +361,3 @@ def nres_from_json(doc: dict) -> NResState:
         raise ModelError(f"reservoir document is missing {missing}") from None
     return NResState.make(hose, tanks)
 
-
-def nres_to_json(state: NResState) -> dict:
-    return {
-        "kind": "nres",
-        "hose": {"rate": str(state.hose.rate), "position": state.hose.position},
-        "reservoirs": [
-            {
-                "id": r.id,
-                "lower": str(r.lower),
-                "upper": str(r.upper),
-                "level": str(r.level),
-                "leak": str(r.leak),
-            }
-            for r in state.reservoirs
-        ],
-    }

@@ -13,9 +13,8 @@ binary products is one n-ary product.  Rule labels and tick durations are
 indexed once, per component, when the product is first explored, and a
 state's text fills the template of the operand tree (``"< < %s,%s >,%s >"``)
 with the components' cached texts, so it reads as the nested pairs of the
-fold.  The ``states``, ``rules``, ``ticks`` and ``props`` views enumerate the
-product as its definition does, but only when they are read; exploration
-never reads them.
+fold.  The ``states`` and ``rules`` views enumerate the product as its
+definition does, but only when they are read; exploration never reads them.
 """
 
 from __future__ import annotations
@@ -330,27 +329,6 @@ class SyncProduct(TimedTransitionSystem):
     def rules(self) -> tuple[Rule, ...]:
         return tuple((label, s, t) for s in self.states for label, t in self.discrete_successors(s))
 
-    @property
-    def ticks(self) -> tuple[Tick, ...]:
-        """Joint ticks, in the order of the components' tick lists."""
-        return tuple(
-            (sources, targets, d)
-            for s, t, d in self._leaves[0].ticks
-            if d in self._ticks
-            for sources, targets in self._joint_ticks(d, (s,), (t,))
-        )
-
-    @property
-    def props(self) -> dict[str, frozenset]:
-        states = self.states
-        return {name: frozenset(s for s in states if self.prop_holds(s, name)) for name in self._flags}
-
-
-def compatible(c1: TimedTransitionSystem, s1: Any, c2: TimedTransitionSystem, s2: Any) -> bool:
-    """Whether the two sides agree on every shared proposition."""
-    shared = c1.propositions() & c2.propositions()
-    return all(c1.prop_holds(s1, p) == c2.prop_holds(s2, p) for p in shared)
-
 
 def rt_sync_product(c1: Any, c2: Any, *more: Any) -> SyncProduct:
     """Synchronous product of two or more components or products: joint steps
@@ -439,19 +417,3 @@ def component_from_json(doc: dict) -> Component:
         raise ModelError(f"component document is missing {missing}") from None
     return Component(states, initial, rules, props, ticks)
 
-
-def component_to_json(component: Component | SyncProduct) -> dict:
-    text = component.serialize
-    states = component.states
-    return {
-        "kind": "component",
-        "states": [text(s) for s in states],
-        "initial": text(component.initial),
-        "rules": [
-            {"label": label, "source": text(s), "target": text(t)} for label, s, t in component.rules
-        ],
-        "props": {name: [text(s) for s in states if s in holds] for name, holds in component.props.items()},
-        "ticks": [
-            {"source": text(s), "target": text(t), "duration": str(d)} for s, t, d in component.ticks
-        ],
-    }

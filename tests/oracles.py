@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from lhamc.explore import Kripke
+from lhamc.explore import MAX_STATES, Kripke
 from lhamc.ltl.formula import (
     Always,
     And,
@@ -26,7 +26,6 @@ from lhamc.ltl.formula import (
     Release,
     Top,
     Until,
-    temporal_count,
 )
 from lhamc.syncprod import Component, component_kripke
 
@@ -123,8 +122,16 @@ def make_kripke(successors: dict[int, list[int]], labeling, props: set[str]) -> 
     return component_kripke(Component(names, names[0], rules, holds))
 
 
+def whole_kripke(system, durations, time_bound, max_states: int = MAX_STATES) -> Kripke:
+    """``Kripke(system, durations, time_bound, max_states)`` with every state
+    expanded, in index order, and labeled before it returns."""
+    kripke = Kripke(system, durations, time_bound, max_states)
+    kripke.labeling
+    return kripke
+
+
 def lasso_letters(kripke: Kripke, prefix: list[int], cycle: list[int]) -> tuple[list[Letter], list[Letter]]:
-    return [kripke.labeling[i] for i in prefix], [kripke.labeling[i] for i in cycle]
+    return [kripke.letter(i) for i in prefix], [kripke.letter(i) for i in cycle]
 
 
 def counterexample_letters(kripke: Kripke, ce) -> tuple[list[Letter], list[Letter]]:
@@ -137,6 +144,21 @@ def counterexample_letters(kripke: Kripke, ce) -> tuple[list[Letter], list[Lette
         return i
 
     return lasso_letters(kripke, [index(s) for s in ce.prefix], [index(s) for s in ce.cycle])
+
+
+def temporal_count(formula: Formula) -> int:
+    """Number of temporal operator occurrences (bounds oracle search depth),
+    counted without recursion."""
+    count, stack = 0, [formula]
+    while stack:
+        f = stack.pop()
+        count += isinstance(f, (Next, Always, Eventually, Until, Release))
+        match f:
+            case Not(a) | Next(a) | Always(a) | Eventually(a):
+                stack.append(a)
+            case And(a, b) | Or(a, b) | Implies(a, b) | Until(a, b) | Release(a, b):
+                stack += (a, b)
+    return count
 
 
 def lasso_budget(states: int, formula: Formula) -> int:
@@ -156,6 +178,7 @@ def find_violating_lasso(
     """
     if max_len is None:
         max_len = lasso_budget(len(kripke), formula)
+    labeling = kripke.labeling
     seen_traces: set = set()
 
     def walk(path: list[int]) -> Optional[tuple[list[int], list[int]]]:
@@ -165,15 +188,11 @@ def find_violating_lasso(
             for j in range(len(path)):
                 if path[j] == t:
                     pre, cyc = path[:j], path[j:]
-                    key = (
-                        tuple(kripke.labeling[i] for i in pre),
-                        tuple(kripke.labeling[i] for i in cyc),
-                    )
+                    key = (tuple(labeling[i] for i in pre), tuple(labeling[i] for i in cyc))
                     if key in seen_traces:
                         continue
                     seen_traces.add(key)
-                    letters = lasso_letters(kripke, pre, cyc)
-                    if not eval_on_lasso(formula, letters[0], letters[1]):
+                    if not eval_on_lasso(formula, *key):
                         return pre, cyc
             if len(path) < max_len:
                 found = walk(path + [t])

@@ -12,6 +12,11 @@ The eager synchronous product, ``eager_rt_sync_product`` and
 ``eager_safe_prop``, is the reference for the lazy one in
 :mod:`lhamc.syncprod`: it pairs every compatible state of two operands with
 every rule and tick up front, and a fold of it nests pairs.
+
+The program reads models from JSON but never writes them; the tests write
+them with ``nres_to_json`` and ``component_to_json``.  ``compatible``,
+``product_ticks`` and ``product_props`` state a product's agreement, joint
+ticks and propositions as its definition enumerates them.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from lhamc.reservoir import (
     ReservoirPattern,
     SearchPattern,
 )
-from lhamc.syncprod import Component
+from lhamc.syncprod import Component, SyncProduct
 
 
 # exact arithmetic
@@ -124,6 +129,23 @@ def _unconstrained_text(tank: Reservoir, pat: ReservoirPattern) -> str:
         parts.append(f"hth: {tank.level}")
     parts.append(f"rte: {tank.leak}")
     return ", ".join(parts)
+
+
+def nres_to_json(state: NResState) -> dict:
+    return {
+        "kind": "nres",
+        "hose": {"rate": str(state.hose.rate), "position": state.hose.position},
+        "reservoirs": [
+            {
+                "id": r.id,
+                "lower": str(r.lower),
+                "upper": str(r.upper),
+                "level": str(r.level),
+                "leak": str(r.leak),
+            }
+            for r in state.reservoirs
+        ],
+    }
 
 
 def nres_match(pattern: SearchPattern, state: Any) -> Optional[dict[str, str]]:
@@ -245,6 +267,53 @@ def lha_render_state(lha: Lha, state: LhaState) -> str:
 # the eager synchronous product
 
 Rule = tuple[str, Any, Any]  # (label, source, target)
+Tick = tuple[Any, Any, Fraction]  # (source, target, duration)
+
+
+def compatible(c1: Any, s1: Any, c2: Any, s2: Any) -> bool:
+    """Whether the two sides agree on every shared proposition."""
+    shared = c1.propositions() & c2.propositions()
+    return all(c1.prop_holds(s1, p) == c2.prop_holds(s2, p) for p in shared)
+
+
+def product_ticks(c: Component | SyncProduct) -> tuple[Tick, ...]:
+    """A component's ticks, or a product's joint ticks in the order of its
+    components' tick lists."""
+    if isinstance(c, Component):
+        return c.ticks
+    return tuple(
+        (sources, targets, d)
+        for s, t, d in c._leaves[0].ticks
+        if d in c._ticks
+        for sources, targets in c._joint_ticks(d, (s,), (t,))
+    )
+
+
+def product_props(c: Component | SyncProduct) -> dict[str, frozenset]:
+    """Each proposition of a component or product and the states where it holds."""
+    if isinstance(c, Component):
+        return c.props
+    states = c.states
+    return {name: frozenset(s for s in states if c.prop_holds(s, name)) for name in c._flags}
+
+
+def component_to_json(component: Component | SyncProduct) -> dict:
+    text = component.serialize
+    states = component.states
+    return {
+        "kind": "component",
+        "states": [text(s) for s in states],
+        "initial": text(component.initial),
+        "rules": [
+            {"label": label, "source": text(s), "target": text(t)} for label, s, t in component.rules
+        ],
+        "props": {
+            name: [text(s) for s in states if s in holds] for name, holds in product_props(component).items()
+        },
+        "ticks": [
+            {"source": text(s), "target": text(t), "duration": str(d)} for s, t, d in product_ticks(component)
+        ],
+    }
 
 
 def _signatures(c: Component, shared: list[str]) -> tuple[dict, dict]:

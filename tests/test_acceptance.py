@@ -27,7 +27,6 @@ from lhamc.reservoir import Hose, NResState, NResSystem, Reservoir, SearchPatter
 from lhamc.syncprod import (
     Component,
     abstract_reservoir,
-    compatible,
     component_kripke,
     rt_sync_product,
     safe_prop,
@@ -42,7 +41,7 @@ from oracles import (
     random_formula,
     random_functional_kripke,
 )
-from reference import flow, tick
+from reference import compatible, flow, tick
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 INIT2 = MODELS / "init2.json"

@@ -23,10 +23,10 @@ from lhamc.syncprod import (
     abstract_reservoir,
     component_from_json,
     component_kripke,
-    component_to_json,
     rt_sync_product,
     safe_prop,
 )
+from reference import component_to_json
 from reference import lha_discrete_successors as discrete_successors
 from reference import lha_render_state as render_state
 from reference import lha_timed_successor as timed_successor

@@ -1,14 +1,17 @@
 import time
+from collections import Counter, deque
 from fractions import Fraction
 
 import pytest
 
 from lhamc.core import ModelError
-from lhamc.explore import Kripke, build_kripke, kripke_structure, search
-from lhamc.lha import LhaSystem, two_reservoir
+from lhamc.explore import Kripke, build_kripke, search
+from lhamc.lha import AffineExpr, Assignment, Edge, Lha, LhaSystem, Location, two_reservoir
 from lhamc.ltl import Counterexample, CounterexampleStep, parse_formula, validate_counterexample
 from lhamc.reservoir import NResSystem, ReservoirPattern, SearchPattern, match
 from lhamc.syncprod import Component
+from oracles import whole_kripke
+from test_syncprod import random_components
 
 F = Fraction
 
@@ -33,6 +36,49 @@ def replay(system, sol) -> None:
         assert system.serialize(current) == step.text
     assert system.serialize(current) == sol.text
     assert elapsed == sol.elapsed
+
+
+def resettable_clocks() -> Lha:
+    """Two clocks, and two locations joined both ways by edges that reset
+    one clock: runs that reset in different orders meet."""
+    rates = {"x": F(1), "y": F(1)}
+    edges = tuple(
+        Edge(source, target, f"reset-{v}", assignments=(Assignment(v, AffineExpr.make({})),))
+        for source, target in (("l0", "l1"), ("l1", "l0"))
+        for v in ("x", "y")
+    )
+    return Lha(("x", "y"), (Location("l0", rates), Location("l1", rates)), edges, "l0", {"x": F(0), "y": F(0)})
+
+
+def assert_breadth_first_paths(system, increment, time_bound, kripke) -> None:
+    """Every state is a wildcard search solution whose path replays edge by
+    edge in ``kripke``'s adjacency, is as long as the state's breadth-first
+    depth, and ends with the state's first in-edge in ``edges`` order."""
+    depth = {kripke.initial: 0}
+    queue = deque([kripke.initial])
+    while queue:
+        i = queue.popleft()
+        for e in kripke.adjacency[i]:
+            if e.target not in depth:
+                depth[e.target] = depth[i] + 1
+                queue.append(e.target)
+    first = {}
+    for e in kripke.edges:
+        first.setdefault(e.target, e)
+    solutions = search(system, WILD, time_bound, increment, max_states=len(kripke))
+    assert len(solutions) == len(kripke)
+    for sol in solutions:
+        i = kripke.initial
+        for step in sol.path:
+            (edge,) = {
+                e for e in kripke.adjacency[i]
+                if (e.label, e.duration, kripke.text(e.target)) == (step.label, step.duration, step.text)
+            }
+            i = edge.target
+        assert i == kripke.index_of(sol.text, sol.elapsed)
+        assert len(sol.path) == depth[i]
+        if sol.path:
+            assert edge == first[i]
 
 
 def pattern(hose=None, **levels) -> SearchPattern:
@@ -76,6 +122,20 @@ class TestSearch:
     def test_paths_replay(self, init2_system):
         for sol in search(init2_system, WILD, F(5), F(1)):
             replay(init2_system, sol)
+
+    def test_paths_are_breadth_first_in_branching_models(self):
+        # time-abstract components and products, and a timed automaton, where
+        # many states have several in-edges
+        cases = [(c, F(1), None) for seed in range(40) for c in random_components(seed)]
+        cases.append((LhaSystem(resettable_clocks()), F(1, 2), F(3)))
+        searched = merged = 0
+        for system, increment, bound in cases:
+            kripke = whole_kripke(system, (increment,), bound)
+            assert_breadth_first_paths(system, increment, bound, kripke)
+            in_degree = Counter(e.target for e in kripke.edges if e.source != e.target)
+            searched += len(kripke)
+            merged += sum(n > 1 for n in in_degree.values())
+        assert searched > 450 and merged > 130, (searched, merged)
 
     def test_fine_sampling_within_budget(self):
         # every solution's path used to be built during the search, which
@@ -197,7 +257,7 @@ class TestKripke:
         # a's edges and c's, not at the end
         rules = (("go-b", "a", "b"), ("go-c", "a", "c"), ("stay", "c", "c"))
         c = Component(("a", "b", "c"), "a", rules, {})
-        k = kripke_structure(c, (), None)
+        k = whole_kripke(c, (), None)
         assert k.texts == ["a", "b", "c"]
         assert [(e.source, e.target, e.label) for e in k.edges] == [
             (0, 1, "go-b"), (0, 2, "go-c"), (1, 1, "stutter"), (2, 2, "stay"),
@@ -209,9 +269,9 @@ class TestKripke:
         with pytest.raises(ModelError, match="exceeds 5 states"):
             build_kripke(init2_system, F(5), F(1), max_states=5)
         c = Component(("a", "b", "c"), "a", (("go", "a", "b"), ("go", "b", "c")), {})
-        assert len(kripke_structure(c, (), None, max_states=3)) == 3
+        assert len(whole_kripke(c, (), None, max_states=3)) == 3
         with pytest.raises(ModelError, match="exceeds 2 states"):
-            kripke_structure(c, (), None, max_states=2)
+            whole_kripke(c, (), None, max_states=2)
 
     def test_a_new_structure_has_discovered_only_the_initial_state(self, init2_system, init2_kripke):
         whole = init2_kripke
@@ -271,7 +331,7 @@ class TestMixedDurations:
         else:
             system = NResSystem(init2_state)
         durations = (F(1, 2), F(1, 3))
-        k = kripke_structure(system, durations, bound)
+        k = whole_kripke(system, durations, bound)
         texts, elapsed, edges = fraction_bfs(system, durations, bound)
         assert k.texts == texts
         assert [k.elapsed(i) for i in range(len(k))] == elapsed

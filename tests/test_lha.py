@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from lhamc.core import ModelError
-from lhamc.explore import kripke_structure
 from lhamc.lha import (
     RELATIONS,
     AffineConstraint,
@@ -19,6 +18,7 @@ from lhamc.lha import (
     lha_to_json,
     two_reservoir,
 )
+from oracles import whole_kripke
 from reference import eval_affine, flow, holds
 from reference import lha_discrete_successors as discrete_successors
 from reference import lha_render_state as render_state
@@ -346,7 +346,7 @@ class TestIdentity:
             by_text, by_state = {}, {}
             for durations, bound in (((F(1),), F(4)), ((F(1, 2), F(1, 3)), F(2))):
                 try:
-                    kripke = kripke_structure(system, durations, bound, max_states=400)
+                    kripke = whole_kripke(system, durations, bound, max_states=400)
                 except ModelError:
                     continue
                 for state in kripke.states:

@@ -22,11 +22,10 @@ from lhamc.ltl import (
     parse_formula,
     props_of,
     render,
-    temporal_count,
     to_nnf,
 )
 from lhamc.ltl.formula import _DUAL, _INFIX, _PREFIX, _SYMBOL, Binary, Unary, subformulas
-from oracles import eval_on_lasso, random_formula, random_letters
+from oracles import eval_on_lasso, random_formula, random_letters, temporal_count
 
 p, q, r = Prop("p"), Prop("q"), Prop("r")
 

@@ -1,6 +1,6 @@
 """Checking while discovering: on a ``Kripke``, discovered as it is read, the
 nested DFS expands only the states it visits, and it gives the same verdicts
-and counterexamples as on the structure ``kripke_structure`` expands whole."""
+and counterexamples as on the structure ``whole_kripke`` expands whole."""
 
 import random
 from fractions import Fraction as F
@@ -9,11 +9,11 @@ from functools import reduce
 import pytest
 
 from lhamc.core import ModelError
-from lhamc.explore import Kripke, kripke_structure
+from lhamc.explore import Kripke
 from lhamc.lha import LhaSystem
 from lhamc.ltl import model_check, parse_formula, props_of, validate_counterexample
 from lhamc.syncprod import abstract_reservoir, component_kripke, rt_sync_product, safe_prop
-from oracles import counterexample_letters, eval_on_lasso, find_violating_lasso, random_formula
+from oracles import counterexample_letters, eval_on_lasso, find_violating_lasso, random_formula, whole_kripke
 from test_lha import random_automaton
 from test_reservoir import quiet_system, random_ring
 from test_syncprod import random_components
@@ -72,7 +72,7 @@ class TestAgainstTheExpandedStructure:
         for seed in range(30):
             for system, durations, bound in random_models(seed):
                 try:
-                    whole = kripke_structure(system, durations, bound, max_states=300)
+                    whole = whole_kripke(system, durations, bound, max_states=300)
                 except ModelError:
                     continue
                 atoms = tuple(sorted(whole.props))
@@ -96,7 +96,7 @@ class TestAgainstTheExpandedStructure:
 
     def test_the_whole_views_expand_the_rest(self):
         system = ladder(6)
-        whole = kripke_structure(system, system.tick_durations(), None)
+        whole = whole_kripke(system, system.tick_durations(), None)
         lazy = component_kripke(system)
         formula = parse_formula("[] safe")
         assert model_check(lazy, formula) is not None
@@ -133,7 +133,7 @@ class TestOnTheFly:
         assert len(kripke.props) == k + 1
         # each state the search reads is expanded and evaluated once, on safe only
         assert 0 < product.evaluated <= product.expanded * len(props_of(formula))
-        whole = kripke_structure(ladder(k), product.tick_durations(), None)
+        whole = whole_kripke(ladder(k), product.tick_durations(), None)
         assert ce == model_check(whole, formula)
         if text == "[] <> safe":
             assert ce is None and product.expanded == len(whole) == 2**k

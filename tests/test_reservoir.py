@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from lhamc.core import ModelError, ModelWarning, TimedTransitionSystem
-from lhamc.explore import kripke_structure
 from conftest import three_tank_state
 from lhamc.lha import LhaSystem, two_reservoir
 from lhamc.reservoir import (
@@ -17,7 +16,6 @@ from lhamc.reservoir import (
     Reservoir,
     match,
     nres_from_json,
-    nres_to_json,
     parse_pattern,
     validate_pattern,
 )
@@ -27,11 +25,13 @@ from reference import (
     move_hose_successors,
     needs_refill,
     nres_match,
+    nres_to_json,
     nres_validate_pattern,
     tick,
     valuation,
 )
 from reference import nres_render_state as render_state
+from oracles import whole_kripke
 
 F = Fraction
 
@@ -332,8 +332,8 @@ class TestScaledSystem:
         compared = 0
         for ring, durations, bound in cases:
             system = quiet_system(ring)
-            fast = outcome(kripke_structure, system, durations, bound)
-            ref = outcome(kripke_structure, FractionRing(ring), durations, bound)
+            fast = outcome(whole_kripke, system, durations, bound)
+            ref = outcome(whole_kripke, FractionRing(ring), durations, bound)
             if isinstance(ref, str):
                 assert fast == ref
                 continue
@@ -384,8 +384,8 @@ def reachable_pairs(ring: NResState, durations, bound):
     """The system and (compiled state, Fraction state) pairs for every
     reachable state, aligned by index; None if exploring raises."""
     system = quiet_system(ring)
-    fast = outcome(kripke_structure, system, durations, bound)
-    ref = outcome(kripke_structure, FractionRing(ring), durations, bound)
+    fast = outcome(whole_kripke, system, durations, bound)
+    ref = outcome(whole_kripke, FractionRing(ring), durations, bound)
     if isinstance(ref, str):
         assert fast == ref
         return system, None

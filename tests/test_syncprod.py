@@ -10,7 +10,7 @@ import pytest
 
 from lhamc.cli import main
 from lhamc.core import ModelError
-from lhamc.explore import STUTTER, TICK, kripke_structure
+from lhamc.explore import STUTTER, TICK
 from lhamc.ltl import (
     Counterexample,
     CounterexampleStep,
@@ -22,15 +22,21 @@ from lhamc.syncprod import (
     Component,
     SyncProduct,
     abstract_reservoir,
-    compatible,
     component_from_json,
     component_kripke,
-    component_to_json,
     render_component_state,
     rt_sync_product,
     safe_prop,
 )
-from reference import eager_rt_sync_product, eager_safe_prop
+from oracles import whole_kripke
+from reference import (
+    compatible,
+    component_to_json,
+    eager_rt_sync_product,
+    eager_safe_prop,
+    product_props,
+    product_ticks,
+)
 
 
 def reservoir_pair():
@@ -171,8 +177,8 @@ class TestSyncProduct:
         c1 = Component(("u", "v"), "u", (), props={"busy": ("v",)})
         c2 = Component(("x", "y"), "x", (), props={"busy": ("y",), "own": ("x",)})
         p = rt_sync_product(c1, c2)
-        assert p.props["busy"] == frozenset({("v", "y")})
-        assert p.props["own"] == frozenset({("u", "x")})
+        assert product_props(p)["busy"] == frozenset({("v", "y")})
+        assert product_props(p)["own"] == frozenset({("u", "x")})
 
     def test_reservoir_product_structure(self):
         p = reservoir_pair()
@@ -189,7 +195,7 @@ class TestSyncProduct:
             ("fill2", ("ok", "below"), ("ok", "ok")),
             ("fill2", ("below", "below"), ("below", "ok")),
         }
-        assert p.ticks == ((("ok", "ok"), ("below", "below"), Fraction(1)),)
+        assert product_ticks(p) == ((("ok", "ok"), ("below", "below"), Fraction(1)),)
 
     def test_rt_product_requires_equal_durations(self):
         slow = Component(
@@ -199,7 +205,7 @@ class TestSyncProduct:
             ("x", "y"), "x", (), props={}, ticks=(("x", "y", Fraction(1)),)
         )
         p = rt_sync_product(slow, fast)
-        assert p.ticks == ()
+        assert product_ticks(p) == ()
 
 
     @pytest.mark.parametrize("delta", [Fraction(-1), -1, 1.0, True, "x"])
@@ -222,7 +228,7 @@ class TestSyncProduct:
 class TestSafeProp:
     def test_safe_added(self):
         p = safe_prop(reservoir_pair())
-        assert p.props["safe"] == frozenset(
+        assert product_props(p)["safe"] == frozenset(
             {("ok", "ok"), ("ok", "below"), ("below", "ok")}
         )
 
@@ -240,7 +246,7 @@ class TestSafeProp:
     def test_keeps_the_operands_steps_and_texts(self):
         c = ladder(3)
         p = safe_prop(c)
-        assert "safe" not in c.props and set(p.props) == set(c.props) | {"safe"}
+        assert "safe" not in product_props(c) and set(product_props(p)) == set(product_props(c)) | {"safe"}
         for s in c.states:
             assert p.discrete_successors(s) == c.discrete_successors(s)
             assert [p.timed_successor(s, d) for d in DURATIONS] == [c.timed_successor(s, d) for d in DURATIONS]
@@ -369,7 +375,7 @@ def scanned_successors(c: Component, state) -> list:
 def scanned_tick(c: Component, state, delta: Fraction):
     if delta == 0:
         return state
-    for s, t, d in c.ticks:
+    for s, t, d in product_ticks(c):
         if s == state and d == delta:
             return t
     return None
@@ -448,8 +454,8 @@ class TestSuccessorIndexes:
     def test_kripke_matches_the_scanned_kripke(self, seed):
         for c in random_components(seed):
             got = component_kripke(c)
-            scanned = Scanned(c.states, c.initial, c.rules, c.props, c.ticks)
-            want = kripke_structure(scanned, c.tick_durations(), None)
+            scanned = Scanned(c.states, c.initial, c.rules, product_props(c), product_ticks(c))
+            want = whole_kripke(scanned, c.tick_durations(), None)
             assert got.texts == want.texts
             assert got.edges == want.edges
             assert got.labeling == want.labeling
@@ -494,13 +500,15 @@ def defined_product(c1: Component, c2: Component, join=pair) -> tuple[list, list
     member = set(states)
     ticks = [
         (join(s1, s2), join(t1, t2), d1)
-        for s1, t1, d1 in c1.ticks
-        for s2, t2, d2 in c2.ticks
+        for s1, t1, d1 in product_ticks(c1)
+        for s2, t2, d2 in product_ticks(c2)
         if d1 == d2 and join(s1, s2) in member and join(t1, t2) in member
     ]
     sides = {join(s1, s2): (s1, s2) for s1 in c1.states for s2 in c2.states}
-    props = {name: frozenset(s for s in states if sides[s][0] in holds) for name, holds in c1.props.items()}
-    for name, holds in c2.props.items():
+    props = {
+        name: frozenset(s for s in states if sides[s][0] in holds) for name, holds in product_props(c1).items()
+    }
+    for name, holds in product_props(c2).items():
         props.setdefault(name, frozenset(s for s in states if sides[s][1] in holds))
     return states, ticks, props
 
@@ -512,8 +520,8 @@ def nested_rebuild(c) -> Component:
         [nested(s) for s in c.states],
         nested(c.initial),
         [(label, nested(s), nested(t)) for label, s, t in c.rules],
-        {name: [nested(s) for s in holds] for name, holds in c.props.items()},
-        [(nested(s), nested(t), d) for s, t, d in c.ticks],
+        {name: [nested(s) for s in holds] for name, holds in product_props(c).items()},
+        [(nested(s), nested(t), d) for s, t, d in product_ticks(c)],
     )
 
 
@@ -528,8 +536,8 @@ class TestProductFromOperands:
         states, ticks, props = defined_product(left, right, join)
         assert product.states == tuple(states)
         assert product.initial == join(left.initial, right.initial)
-        assert product.ticks == tuple(ticks)
-        assert list(product.props.items()) == list(props.items())
+        assert product_ticks(product) == tuple(ticks)
+        assert list(product_props(product).items()) == list(props.items())
         assert Counter(product.rules) == defined_rules(left, right, states, join)
         for state in product.states:
             assert product.serialize(state) == render_component_state(nested(state))
@@ -636,8 +644,8 @@ class TestNaryProduct:
 
 class TestExplorationReadsNoView:
     """Exploring and checking a product never enumerates it: with its
-    ``states``, ``rules``, ``props`` and ``ticks`` views raising, the library
-    and ``lhamc product-check`` give the same output."""
+    ``states`` and ``rules`` views raising, the library and ``lhamc
+    product-check`` give the same output."""
 
     def test_same_output_without_the_views(self, monkeypatch, tmp_path, capsys):
         paths = []
@@ -663,7 +671,7 @@ class TestExplorationReadsNoView:
 
             return property(read)
 
-        for view in ("states", "rules", "props", "ticks"):
+        for view in ("states", "rules"):
             monkeypatch.setattr(SyncProduct, view, refuse(view))
         with pytest.raises(AssertionError, match="states view"):
             ladder(2).states
