@@ -2,7 +2,8 @@
 
 Exit codes: 0 when the command succeeds and any stated expectation holds,
 1 when a property is violated or a search expectation fails, 2 for usage,
-input, or model errors.
+input, or model errors, and 141 (128 + SIGPIPE), with nothing on standard
+error, when the reader of standard output closes it early, as ``head`` does.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import warnings
 from fractions import Fraction
@@ -76,15 +78,9 @@ def run_simulate(args: argparse.Namespace) -> int:
     # trace[k] is at k increments; the step from k to k + 1 is taken while
     # (k + 1) * increment < time_bound, that is while k < last
     last = math.ceil(time_bound / increment) - 1
-    state = system.initial_state()
-    trace = [state]
-    stopped = "bound"
-    while len(trace) <= last:
-        state = system.timed_successor(state, increment)
-        if state is None:
-            stopped = "blocked"
-            break
-        trace.append(state)
+    initial = system.initial_state()
+    trace = [initial, *system.timed_run(initial, increment, last)]
+    stopped = "bound" if len(trace) > last else "blocked"
     num, den = increment.numerator, increment.denominator
     trace_times = [(s, fraction_text(k * num, den)) for k, s in enumerate(trace)]
     if args.format == "json":
@@ -274,6 +270,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         warnings.showwarning = _print_warning
         try:
             return args.handler(args)
+        except BrokenPipeError:
+            # the rest of the output, flushed at exit, goes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 141
         except (ModelError, OSError, ValueError) as err:
             print(f"error: {err}", file=sys.stderr)
             return 2

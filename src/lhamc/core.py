@@ -103,6 +103,10 @@ class TimedTransitionSystem(ABC):
     deterministic: the same state always yields the same successor list in
     the same order, and :meth:`serialize` is injective on semantically
     distinct states (it doubles as the dedup key during search).
+
+    A simulation takes its whole run of ticks from :meth:`timed_run`.  A
+    linear hybrid automaton computes that run in closed form, and the states,
+    and so the output, are those of stepping one tick at a time.
     """
 
     @abstractmethod
@@ -123,6 +127,21 @@ class TimedTransitionSystem(ABC):
 
         A zero duration always succeeds and returns ``state`` itself.
         """
+
+    def timed_run(self, state: Any, delta: Fraction, count: int) -> list[Any]:
+        """The states after 1, ..., ``count`` steps of ``delta`` from ``state``.
+
+        The run ends early, before the first blocked step, and is empty when
+        ``count`` is not positive.  This default calls :meth:`timed_successor`
+        once per step; a model that overrides it returns the same states.
+        """
+        run = []
+        for _ in range(count):
+            state = self.timed_successor(state, delta)
+            if state is None:
+                break
+            run.append(state)
+        return run
 
     @abstractmethod
     def prop_holds(self, state: Any, prop: str) -> bool:

@@ -10,6 +10,13 @@ as a model file does.  :class:`LhaSystem` compiles it once into integer rows
 and computes on integers: its states hold integer numerators over one common
 denominator behind a read-only mapping whose values read as ``Fraction``,
 and a state is read through its canonical text.
+
+The same linearity gives a run of equal ticks in closed form: at the k-th
+tick each constraint's value is ``a + k * b`` for integers ``a`` and ``b``,
+so :meth:`LhaSystem.timed_run` finds the first blocked tick with one integer
+division per constraint and builds the run's states without evaluating any
+constraint again.  Its states, and the output made from them, are those of
+:meth:`LhaSystem.timed_successor` called once per tick.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 from operator import add
 from typing import Any
@@ -272,6 +280,38 @@ def _satisfied(rows: tuple[Row, ...], nums: tuple[int, ...], den: int) -> bool:
     return True
 
 
+def _assign(scale: int, assignments: tuple, nums: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:
+    """The numerators and denominator after a jump's simultaneous assignments."""
+    after = [n * scale for n in nums]
+    for i, terms, const in assignments:
+        value = const * den
+        for j, c in terms:
+            value += c * nums[j]
+        after[i] = value
+    den *= scale
+    if scale != 1:
+        g = gcd(den, *after)
+        den //= g
+        after = [n // g for n in after]
+    return tuple(after), den
+
+
+def _first_failure(a: int, b: int, signs: tuple[int, ...], j: int, limit: int) -> int:
+    """The least ``i`` in ``[j, limit)`` at which the sign of ``a + i * b`` is
+    not in ``signs``, or ``limit`` if there is none."""
+    reach = 1 if 0 in signs else 0
+    for side in (1, -1):
+        if side in signs:
+            continue
+        # side * (a + i * b) must stay below reach, and moves by side * b
+        value, slope = side * (a + j * b), side * b
+        if value >= reach:
+            return j
+        if slope > 0:
+            limit = min(limit, j - (value - reach) // slope)
+    return limit
+
+
 class LhaSystem(TimedTransitionSystem):
     """Adapter exposing an Lha through the shared model contract.
 
@@ -329,49 +369,50 @@ class LhaSystem(TimedTransitionSystem):
     def initial_state(self) -> LhaState:
         return LhaState(self.lha.initial_location, self._initial)
 
-    def _jumps_from(self, state: LhaState) -> list[tuple[str, LhaState]]:
-        valuation = state.valuation
-        nums, den = valuation.nums, valuation.den
+    def _jumps_from(self, state: LhaState) -> list[tuple[str, str, tuple[int, ...], int]]:
+        """(label, target, numerators, denominator) of each jump from
+        ``state``, in edge order; the numerators are the state's own when the
+        jump assigns nothing."""
+        nums, den = state.valuation.nums, state.valuation.den
         out = []
         for label, target, guard, scale, assignments, invariant in self._jumps.get(state.location, ()):
             if not _satisfied(guard, nums, den):
                 continue
-            after = self._assign(scale, assignments, nums, den) if assignments else valuation
-            if _satisfied(invariant, after.nums, after.den):
-                out.append((label, LhaState(target, after)))
+            after, after_den = _assign(scale, assignments, nums, den) if assignments else (nums, den)
+            if _satisfied(invariant, after, after_den):
+                out.append((label, target, after, after_den))
         return out
 
     def discrete_successors(self, state: LhaState) -> list[tuple[str, LhaState]]:
-        out = self._jumps_from(state)
+        valuation = state.valuation
+        out = []
+        for label, target, nums, den in self._jumps_from(state):
+            after = valuation if nums is valuation.nums else ScaledValuation(self._index, nums, den)
+            out.append((label, LhaState(target, after)))
         if len(out) > 1:
             out.sort(key=lambda ls: (ls[0], self.serialize(ls[1])))
         return out
 
     def enabled_labels(self, state: LhaState) -> list[str]:
-        return sorted({label for label, _ in self._jumps_from(state)})
+        jumps = self._jumps_from(state)
+        return sorted({label for label, _, _, _ in jumps}) if jumps else []
 
-    def _assign(self, scale: int, assignments: tuple, nums: tuple[int, ...], den: int) -> ScaledValuation:
-        after = [n * scale for n in nums]
-        for i, terms, const in assignments:
-            value = const * den
-            for j, c in terms:
-                value += c * nums[j]
-            after[i] = value
-        den *= scale
-        if scale != 1:
-            g = gcd(den, *after)
-            den //= g
-            after = [n // g for n in after]
-        return ScaledValuation(self._index, tuple(after), den)
-
-    def timed_successor(self, state: LhaState, delta: Fraction) -> LhaState | None:
+    def _tick(self, location: str, delta: Fraction) -> tuple | None:
+        """The location's (tick guard rows, invariant rows, vector, den) for
+        ``delta``, or None for a zero duration."""
         if delta is not self._delta:
             self._delta, self._ticks = delta, self._ticks_for(delta)
         if self._ticks is None:
-            return state
-        tick = self._ticks.get(state.location)
+            return None
+        tick = self._ticks.get(location)
         if tick is None:
-            self.lha.location_named(state.location)  # raises: unknown location
+            self.lha.location_named(location)  # raises: unknown location
+        return tick
+
+    def timed_successor(self, state: LhaState, delta: Fraction) -> LhaState | None:
+        tick = self._tick(state.location, delta)
+        if tick is None:
+            return state
         guard, invariant, vector, step_den = tick
         nums, den = state.valuation.nums, state.valuation.den
         if not _satisfied(guard, nums, den):
@@ -388,6 +429,34 @@ class LhaSystem(TimedTransitionSystem):
             return None
         return LhaState(state.location, ScaledValuation(self._index, after, den))
 
+    def timed_run(self, state: LhaState, delta: Fraction, count: int) -> list[LhaState]:
+        if count <= 0:
+            return []
+        tick = self._tick(state.location, delta)
+        if tick is None:
+            return [state] * count
+        guard, invariant, vector, step_den = tick
+        nums, den = state.valuation.nums, state.valuation.den
+        grown = lcm(den, step_den)
+        nums = [n * (grown // den) for n in nums]
+        vector = [s * (grown // step_den) for s in vector]
+        # tick k + 1 is taken while the tick guard holds after k ticks and
+        # the invariant after k + 1; a row's value after k ticks is a + k * b
+        steps = count
+        for rows, first in ((guard, 0), (invariant, 1)):
+            for terms, const, signs in rows:
+                a, b = const * grown, 0
+                for i, c in terms:
+                    a += c * nums[i]
+                    b += c * vector[i]
+                steps = _first_failure(a, b, signs, first, steps + first) - first
+        # each variable's numerators after 1, ..., steps ticks
+        columns = [
+            range(n + s, n + (steps + 1) * s, s) if s else repeat(n, steps) for n, s in zip(nums, vector)
+        ]
+        location, index = state.location, self._index
+        return [LhaState(location, ScaledValuation(index, after, grown)) for after in zip(*columns)]
+
     def prop_holds(self, state: LhaState, prop: str) -> bool:
         raise ModelError(f"this automaton defines no propositions, got {prop!r}")
 
@@ -397,7 +466,7 @@ class LhaSystem(TimedTransitionSystem):
         if den == 1:
             values = ",".join(map(str, valuation.nums))
         else:
-            values = ",".join(fraction_text(n, den) for n in valuation.nums)
+            values = ",".join(map(fraction_text, valuation.nums, repeat(den)))
         return f"{state.location},{values}"
 
 

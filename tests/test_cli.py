@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 from lhamc.cli import format_counterexample, main
 from lhamc.core import ModelError
 from lhamc.explore import build_kripke
-from lhamc.lha import LhaState, lha_from_json
+from lhamc.lha import LhaState, lha_from_json, lha_to_json, two_reservoir
 from lhamc.ltl import (
     Counterexample,
     CounterexampleStep,
@@ -30,6 +31,7 @@ from reference import component_to_json
 from reference import lha_discrete_successors as discrete_successors
 from reference import lha_render_state as render_state
 from reference import lha_timed_successor as timed_successor
+from test_lha import random_automaton
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 INIT2 = str(MODELS / "init2.json")
@@ -108,11 +110,12 @@ class TestSimulate:
 
 
 class TestSimulateAgainstFractions:
-    """simulate on the two-tank automaton, against a plain Fraction loop."""
+    """simulate on the two-tank automaton and on seeded random automata,
+    against a plain Fraction loop."""
 
     @staticmethod
-    def reference(bound: Fraction, increment: Fraction):
-        with open(TWO_RES, encoding="utf-8") as fh:
+    def reference(bound: Fraction, increment: Fraction, model: str = TWO_RES):
+        with open(model, encoding="utf-8") as fh:
             lha = lha_from_json(json.load(fh))
         state = LhaState(lha.initial_location, dict(lha.initial_valuation))
         elapsed = Fraction(0)
@@ -143,8 +146,28 @@ class TestSimulateAgainstFractions:
     def test_text_and_json(self, capsys, bound, increment, length, stopped):
         rows, expected_stop = self.reference(Fraction(bound), Fraction(increment))
         assert (len(rows), expected_stop) == (length, stopped)
-        argv = ["simulate", "--model", TWO_RES, "--time-bound", bound, "--increment", increment]
+        self.assert_simulates(capsys, TWO_RES, bound, increment, rows, stopped)
 
+    def test_random_automata(self, capsys, tmp_path):
+        rng = random.Random(1818)
+        endings = {"bound": 0, "blocked": 0}
+        longest = blocked_later = 0
+        for n in range(40):
+            model = tmp_path / f"lha{n}.json"
+            model.write_text(json.dumps(lha_to_json(random_automaton(rng))), encoding="utf-8")
+            bound = str(Fraction(rng.randint(1, 24), rng.choice((1, 2, 3))))
+            increment = rng.choice(("1", "1/2", "1/3", "2/7"))
+            rows, stopped = self.reference(Fraction(bound), Fraction(increment), str(model))
+            self.assert_simulates(capsys, str(model), bound, increment, rows, stopped)
+            endings[stopped] += 1
+            longest = max(longest, len(rows))
+            blocked_later += stopped == "blocked" and len(rows) > 2
+        report = (endings, longest, blocked_later)
+        assert min(endings.values()) >= 5 and longest >= 10 and blocked_later >= 2, report
+
+    @staticmethod
+    def assert_simulates(capsys, model, bound, increment, rows, stopped):
+        argv = ["simulate", "--model", model, "--time-bound", bound, "--increment", increment]
         assert main(argv) == 0
         lines = [
             f"{{{text}}} in time {t}" + ("  enabled: " + ",".join(labels) if labels else "")
@@ -625,6 +648,22 @@ class TestModuleInvocation:
     def test_missing_time_bound_is_usage_error(self):
         done = self.run_module("search", "--model", INIT2)
         assert done.returncode == 2
+
+    def test_reader_closing_the_pipe_exits_141_quietly(self, tmp_path):
+        # 10,000 lines overfill the pipe, so the write fails once the reader has gone
+        model = tmp_path / "long.json"
+        model.write_text(json.dumps(lha_to_json(two_reservoir(10, 5, 5, 15, 15, 30, 530))), encoding="utf-8")
+        argv = ["simulate", "--model", str(model), "--time-bound", "100", "--increment", "1/100"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "lhamc", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            cwd=str(MODELS.parent),
+        ) as proc:
+            assert proc.stdout.readline() == b"{left,30,530} in time 0\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 141
+            assert proc.stderr.read() == b""
 
     def test_model_warning_is_one_line_before_the_error(self):
         done = self.run_module("search", "--model", INIT2, "--time-bound", "5", "--pattern", "hose=9")

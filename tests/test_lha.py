@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from lhamc.core import ModelError
+from lhamc.core import ModelError, TimedTransitionSystem
 from lhamc.lha import (
     RELATIONS,
     AffineConstraint,
@@ -324,11 +324,92 @@ class TestScaledSystem:
         system.timed_successor(system.initial_state(), F(1))
         with pytest.raises(ModelError):
             system.timed_successor(system.initial_state(), delta)
+        with pytest.raises(ModelError):
+            system.timed_run(system.initial_state(), delta, 5)
 
     def test_unknown_location(self):
         system = LhaSystem(two_reservoir(10, 5, 5, 15, 15, 30, 30))
         with pytest.raises(ModelError, match="unknown location 'middle'"):
             system.timed_successor(LhaState("middle", val(x1=30, x2=30)), F(1))
+        with pytest.raises(ModelError, match="unknown location 'middle'"):
+            system.timed_run(LhaState("middle", val(x1=30, x2=30)), F(1), 3)
+
+    # 2/7 grows the denominator of states held over sixths
+    RUN_INCREMENTS = (F(1), F(1, 2), F(1, 3), F(2, 7), F(0))
+
+    def reachable_states(self, rng, system, most):
+        """Up to ``most`` states of one seeded random walk of jumps and ticks
+        from the initial state."""
+        state = system.initial_state()
+        seen = [state]
+        for _ in range(12):
+            moves = [s for _, s in system.discrete_successors(state)]
+            after = system.timed_successor(state, rng.choice(self.RUN_INCREMENTS))
+            if after is not None:
+                moves.append(after)
+            if not moves:
+                break
+            state = rng.choice(moves)
+            seen.append(state)
+        return rng.sample(seen, min(most, len(seen)))
+
+    @staticmethod
+    def held(run):
+        """How the states of ``run`` are held: location, numerators, denominator."""
+        return [(s.location, s.valuation.nums, s.valuation.den) for s in run]
+
+    @staticmethod
+    def failing_relations(lha, state, delta):
+        """The relation of each row that blocks a tick of ``delta`` from
+        ``state``: a tick guard row false at ``state``, or an invariant row
+        false where the tick would end."""
+        location = lha.location_named(state.location)
+        target = flow(location, state.valuation, delta)
+        return [c.rel for c in location.tick_guard if not holds(c, state.valuation)] + [
+            c.rel for c in location.invariant if not holds(c, target)
+        ]
+
+    def test_timed_runs_agree_with_the_fraction_reference(self):
+        rng = random.Random(1818)
+        blocked = blocked_later = 0
+        binding = dict.fromkeys(RELATIONS, 0)
+        for _ in range(60):
+            lha = random_automaton(rng)
+            system = LhaSystem(lha)
+            for start in self.reachable_states(rng, system, 2):
+                for delta in self.RUN_INCREMENTS:
+                    origin = state = LhaState(start.location, dict(start.valuation))
+                    reference = []  # the reference run of up to 40 ticks
+                    for _ in range(40):
+                        state = timed_successor(lha, state, delta)
+                        if state is None:
+                            break
+                        reference.append(state)
+                    run = system.timed_run(start, delta, 40)
+                    assert len(run) == len(reference)
+                    assert run == reference and reference == run
+                    assert [system.serialize(s) for s in run] == [render_state(lha, s) for s in reference]
+                    # stepping one tick at a time holds the states alike, and
+                    # a shorter count is a prefix of the run
+                    held = self.held(run)
+                    assert self.held(TimedTransitionSystem.timed_run(system, start, delta, 40)) == held
+                    for count in (-1, 0, *range(1, 40)):
+                        assert self.held(system.timed_run(start, delta, count)) == held[: max(count, 0)]
+                    if len(reference) < 40:
+                        blocked += 1
+                        blocked_later += len(reference) >= 2
+                        relations = self.failing_relations(lha, reference[-1] if reference else origin, delta)
+                        if len(relations) == 1:
+                            binding[relations[0]] += 1
+        report = (blocked, blocked_later, binding)
+        assert blocked >= 100 and blocked_later >= 20 and min(binding.values()) >= 1, report
+
+    def test_a_run_of_no_ticks_looks_nothing_up(self):
+        system = LhaSystem(two_reservoir(10, 5, 5, 15, 15, 30, 30))
+        nowhere = LhaState("middle", val(x1=30, x2=30))
+        for count in (0, -1):
+            assert system.timed_run(nowhere, 1.0, count) == []
+            assert TimedTransitionSystem.timed_run(system, nowhere, 1.0, count) == []
 
 
 class TestIdentity:
