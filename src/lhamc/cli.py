@@ -103,8 +103,8 @@ def run_simulate(args: argparse.Namespace) -> int:
 
 def run_search(args: argparse.Namespace) -> int:
     time_bound, increment = _sampling(args)
-    system = load_model(args.model)
     pattern = parse_pattern(args.pattern)
+    system = load_model(args.model)
     validate_pattern(pattern, system)
     solutions = search(system, pattern, time_bound, increment)
     if args.format == "json":
@@ -177,8 +177,8 @@ def _report_check(ce: Optional[Counterexample], args: argparse.Namespace, timed:
 
 def run_check(args: argparse.Namespace) -> int:
     time_bound, increment = _sampling(args)
-    system = load_model(args.model)
     formula = parse_formula(args.formula)
+    system = load_model(args.model)
     kripke = Kripke(system, (increment,), time_bound)
     ce = model_check(kripke, formula)
     return _report_check(ce, args, timed=True)

@@ -1,8 +1,12 @@
-"""Formula to Buchi automaton via tableau expansion.
+"""Formula to Buchi automaton via tableau expansion (Gerth, Peled, Vardi
+and Wolper, PSTV 1995).
 
 The expansion splits formulas into "now" obligations (literals) and "next"
-obligations, yielding a generalized automaton with one fairness set per
-until/eventually subformula; a round-robin counter then degeneralizes it.
+obligations.  One rule table, ``_BRANCHES``, gives each operator's branches;
+literals only check for a contradiction.  The completed nodes form a
+generalized automaton with one fairness set per until/eventually
+subformula, and a round-robin counter degeneralizes it in one breadth-first
+walk over the reachable (node, counter) pairs.
 A synthetic pre-initial state is added so every transition carries the
 literal set that must hold in the state being read.  Last, the automaton is
 reduced (Etessami and Holzmann, CONCUR 2000; Somenzi and Bloem, CAV 2000):
@@ -16,7 +20,6 @@ for ``[] safe`` on the abstract-reservoir products.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from ..core import ModelError
 from .formula import (
@@ -33,6 +36,7 @@ from .formula import (
     Top,
     Until,
     fail_closed,
+    negated_nnf,
     render,
     subformulas,
     to_nnf,
@@ -83,11 +87,10 @@ class BuchiAutomaton:
 
 
 class _Node:
-    __slots__ = ("id", "incoming", "new", "old", "next")
+    __slots__ = ("incoming", "new", "old", "next")
 
-    def __init__(self, nid: int, incoming: set[int], new: list[Formula], old: set[Formula], nxt: set[Formula]):
-        self.id = nid
-        self.incoming = incoming
+    def __init__(self, incoming: set[int], new: list[Formula], old: set[Formula], nxt: set[Formula]):
+        self.incoming = incoming  # indices in the completed list, or _INIT
         self.new = new
         self.old = old
         self.next = nxt
@@ -95,23 +98,25 @@ class _Node:
 
 _INIT = -1
 
-
-def _push_new(node: _Node, formulas: Iterable[Formula]) -> None:
-    for g in formulas:
-        if g not in node.old and g not in node.new:
-            node.new.append(g)
-
-
-def _copy(node: _Node, nid: int) -> _Node:
-    return _Node(nid, set(node.incoming), list(node.new), set(node.old), set(node.next))
+# The tableau rule of each operator that is not a literal: its branches, in
+# expansion order, as (formulas that must hold now, formulas that must hold
+# next); g is the formula being expanded.
+_BRANCHES = {
+    And: lambda g: [((g.left, g.right), ())],
+    Or: lambda g: [((g.left,), ()), ((g.right,), ())],
+    Next: lambda g: [((), (g.sub,))],
+    Always: lambda g: [((g.sub,), (g,))],
+    Eventually: lambda g: [((g.sub,), ()), ((), (g,))],
+    Until: lambda g: [((g.right,), ()), ((g.left,), (g,))],
+    Release: lambda g: [((g.left, g.right), ()), ((g.right,), (g,))],
+}
 
 
 def _expand(f: Formula) -> list[_Node]:
     """All completed tableau nodes, in completion order."""
-    fresh = iter(range(10**9)).__next__
     completed: list[_Node] = []
     by_shape: dict[tuple[frozenset[Formula], frozenset[Formula]], _Node] = {}
-    stack = [_Node(fresh(), {_INIT}, [f], set(), set())]
+    stack = [_Node({_INIT}, [f], set(), set())]
     while stack:
         node = stack.pop()
         if not node.new:
@@ -122,83 +127,32 @@ def _expand(f: Formula) -> list[_Node]:
                 continue
             by_shape[shape] = node
             completed.append(node)
-            successor = _Node(fresh(), {node.id}, sorted_new(node.next), set(), set())
-            stack.append(successor)
+            stack.append(_Node({len(completed) - 1}, sorted(node.next, key=render), set(), set()))
             continue
         g = node.new.pop(0)
         if g in node.old:
             stack.append(node)
-            continue
-        match g:
-            case Top():
+        elif type(g) in _BRANCHES:
+            node.old.add(g)
+            branches = _BRANCHES[type(g)](g)
+            nodes = [node] if len(branches) == 1 else [_copy(node) for _ in branches]
+            for branch, (now, later) in zip(nodes, branches):
+                for h in now:
+                    if h not in branch.old and h not in branch.new:
+                        branch.new.append(h)
+                branch.next.update(later)
+            stack.extend(reversed(nodes))  # the first branch expands first
+        elif isinstance(g, (Top, Prop)) or isinstance(g, Not) and isinstance(g.sub, Prop):
+            if negated_nnf(g) not in node.old:  # else a contradiction: drop the node
                 node.old.add(g)
                 stack.append(node)
-            case Bottom():
-                pass  # contradiction, drop the node
-            case Prop(name):
-                if Not(Prop(name)) in node.old:
-                    continue
-                node.old.add(g)
-                stack.append(node)
-            case Not(Prop(name)):
-                if Prop(name) in node.old:
-                    continue
-                node.old.add(g)
-                stack.append(node)
-            case And(a, b):
-                node.old.add(g)
-                _push_new(node, (a, b))
-                stack.append(node)
-            case Or(a, b):
-                node.old.add(g)
-                left = _copy(node, fresh())
-                right = _copy(node, fresh())
-                _push_new(left, (a,))
-                _push_new(right, (b,))
-                stack.append(right)
-                stack.append(left)
-            case Next(a):
-                node.old.add(g)
-                node.next.add(a)
-                stack.append(node)
-            case Always(a):
-                node.old.add(g)
-                node.next.add(g)
-                _push_new(node, (a,))
-                stack.append(node)
-            case Eventually(a):
-                node.old.add(g)
-                now = _copy(node, fresh())
-                later = _copy(node, fresh())
-                _push_new(now, (a,))
-                later.next.add(g)
-                stack.append(later)
-                stack.append(now)
-            case Until(a, b):
-                node.old.add(g)
-                wait = _copy(node, fresh())
-                done = _copy(node, fresh())
-                _push_new(wait, (a,))
-                wait.next.add(g)
-                _push_new(done, (b,))
-                stack.append(wait)
-                stack.append(done)
-            case Release(a, b):
-                node.old.add(g)
-                hold = _copy(node, fresh())
-                settle = _copy(node, fresh())
-                _push_new(hold, (b,))
-                hold.next.add(g)
-                _push_new(settle, (a, b))
-                stack.append(hold)
-                stack.append(settle)
-            case _:
-                raise ModelError(f"not a formula: {g!r}")
+        elif not isinstance(g, Bottom):
+            raise ModelError(f"not a formula: {g!r}")
     return completed
 
 
-def sorted_new(formulas: set[Formula]) -> list[Formula]:
-    return sorted(formulas, key=render)
+def _copy(node: _Node) -> _Node:
+    return _Node(set(node.incoming), list(node.new), set(node.old), set(node.next))
 
 
 def _literals(old: set[Formula]) -> frozenset[Literal]:
@@ -224,7 +178,6 @@ def _to_buchi(f: Formula) -> BuchiAutomaton:
 def _degeneralized(f: Formula) -> BuchiAutomaton:
     """The tableau automaton of f, in negation normal form, degeneralized."""
     nodes = _expand(f)
-    dense = {node.id: i for i, node in enumerate(nodes)}
     labels = [_literals(node.old) for node in nodes]
 
     # Generalized acceptance: one set per eventuality, in first-occurrence
@@ -239,14 +192,11 @@ def _degeneralized(f: Formula) -> BuchiAutomaton:
         ))
     k = len(sets)
 
-    gba_edges: list[list[tuple[frozenset[Literal], int]]] = [[] for _ in nodes]
+    gba_edges: list[list[int]] = [[] for _ in nodes]  # targets, by source
     initial_targets: list[int] = []
     for i, node in enumerate(nodes):
-        for pid in sorted(node.incoming):
-            if pid == _INIT:
-                initial_targets.append(i)
-            else:
-                gba_edges[dense[pid]].append((labels[i], i))
+        for p in node.incoming:  # each predecessor appends to its own list
+            (initial_targets if p == _INIT else gba_edges[p]).append(i)
 
     def advance(counter: int, target: int) -> int:
         if counter == k:
@@ -255,38 +205,24 @@ def _degeneralized(f: Formula) -> BuchiAutomaton:
             counter += 1
         return counter
 
-    # Counting degeneralization, lazily over reachable (node, counter) pairs.
+    # Counting degeneralization, over the (node, counter) pairs reachable
+    # from the pre-initial state 0; state s + 1 is order[s].
     ids: dict[tuple[int, int], int] = {}
     order: list[tuple[int, int]] = []
 
     def intern(q: tuple[int, int]) -> int:
         known = ids.get(q)
         if known is None:
-            known = len(order) + 1  # 0 is the pre-initial state
-            ids[q] = known
+            known = ids[q] = len(order) + 1
             order.append(q)
         return known
 
-    transitions: list[BuchiTransition] = []
-    frontier = []
-    for i in initial_targets:
-        q = (i, advance(0, i))
-        new = q not in ids
-        transitions.append(BuchiTransition(0, labels[i], intern(q)))
-        if new:
-            frontier.append(q)
-    while frontier:
-        next_frontier = []
-        for q in frontier:
-            node_i, counter = q
-            source = ids[q]
-            for lits, j in gba_edges[node_i]:
-                q2 = (j, advance(counter, j))
-                new = q2 not in ids
-                transitions.append(BuchiTransition(source, lits, intern(q2)))
-                if new:
-                    next_frontier.append(q2)
-        frontier = next_frontier
+    transitions = [BuchiTransition(0, labels[i], intern((i, advance(0, i)))) for i in initial_targets]
+    # one breadth-first walk: the loop also visits the pairs it interns
+    for source, (i, counter) in enumerate(order, start=1):
+        transitions.extend(
+            BuchiTransition(source, labels[j], intern((j, advance(counter, j)))) for j in gba_edges[i]
+        )
 
     accepting = frozenset(ids[q] for q in order if q[1] == k)
     return BuchiAutomaton(len(order) + 1, transitions, accepting)

@@ -13,8 +13,10 @@ binary products is one n-ary product.  Rule labels and tick durations are
 indexed once, per component, when the product is first explored, and a
 state's text fills the template of the operand tree (``"< < %s,%s >,%s >"``)
 with the components' cached texts, so it reads as the nested pairs of the
-fold.  The ``states`` and ``rules`` views enumerate the product as its
-definition does, but only when they are read; exploration never reads them.
+fold.  Where a component's text holds a ``,``, two product states could
+render alike; the product then checks each text that exploration reads.
+The ``states`` and ``rules`` views enumerate the product as its definition
+does, but only when they are read; exploration never reads them.
 """
 
 from __future__ import annotations
@@ -193,9 +195,11 @@ class SyncProduct(TimedTransitionSystem):
         self.initial = tuple(leaf.initial for leaf in leaves)
         if not self._compatible(self.initial):
             raise ModelError("the initial states disagree on a shared proposition")
-        # splitting a text on "," recovers every component's text, unless one has a ","
+        # splitting a text on "," recovers every component's text, unless one
+        # has a ","; then each text that exploration reads is checked instead
         if any("," in text for texts in self._texts for text in texts.values()):
-            _check_distinct_texts({s: self.serialize(s) for s in self.states})
+            self._owners: dict[str, tuple] = {}
+            self.serialize = self._serialize_distinctly
 
     # The successor indexes are built on first use, so that the inner
     # products of a fold, which are never explored, never build them.
@@ -310,6 +314,12 @@ class SyncProduct(TimedTransitionSystem):
 
     def serialize(self, state: tuple) -> str:
         return self._template % tuple(map(dict.__getitem__, self._texts, state))
+
+    def _serialize_distinctly(self, state: tuple) -> str:
+        text = SyncProduct.serialize(self, state)
+        if self._owners.setdefault(text, state) != state:
+            raise ModelError(f"two component states render as {text!r}")
+        return text
 
     def propositions(self) -> frozenset[str]:
         return frozenset(self._flags)

@@ -665,6 +665,18 @@ class TestModuleInvocation:
             assert proc.wait(timeout=60) == 141
             assert proc.stderr.read() == b""
 
+    @pytest.mark.parametrize(
+        "args,error",
+        [
+            (("check", "--formula", "p U"), "error: expected a formula but found 'end of input'\n"),
+            (("search", "--pattern", "(("), "error: cannot read pattern token '(('\n"),
+        ],
+    )
+    def test_malformed_input_is_one_line_before_the_model_loads(self, args, error):
+        # the model would warn about its leak rate; the input is read first
+        done = self.run_module(*args, "--model", INIT2, "--time-bound", "3")
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", error)
+
     def test_model_warning_is_one_line_before_the_error(self):
         done = self.run_module("search", "--model", INIT2, "--time-bound", "5", "--pattern", "hose=9")
         assert done.returncode == 2

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import product
 
@@ -166,6 +167,26 @@ class TestReduction:
                 assert not any(
                     a.target == b.target and a.literals < b.literals for a in out for b in out
                 )
+
+
+class TestConstructionIsPinned:
+    """The automata built for seeded random formulas, transition for
+    transition, against a digest recorded before the tableau became one
+    rule table: a change to the construction that alters any automaton
+    fails here, even where it keeps the language."""
+
+    DIGEST = "910bb97b0fa113aff3f72b0437ee9cf1385c47b08ec1d79320d33d774f6fcc28"
+
+    def test_automata_match_the_recorded_digest(self):
+        rng = random.Random(19019)
+        digest = hashlib.sha256()
+        for n in range(400):
+            f = random_formula(rng, atoms=("p", "q", "r"), temporal_budget=n % 5)
+            for g in (to_nnf(f), negated_nnf(f)):
+                for ba in (to_buchi(g), _degeneralized(g)):
+                    transitions = [(t.source, sorted(t.literals), t.target) for t in ba.transitions]
+                    digest.update(repr((ba.size, transitions, sorted(ba.accepting))).encode())
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestAgainstLassoEvaluator:

@@ -222,7 +222,7 @@ class TestSyncProduct:
         left = Component(("a,b", "a"), "a,b", (("go1", "a,b", "a"),), props={"p": ("a",)})
         right = Component(("c", "b,c"), "c", (("go2", "c", "b,c"),), props={"q": ("b,c",)})
         with pytest.raises(ModelError, match="two component states render as"):
-            rt_sync_product(left, right)
+            len(component_kripke(rt_sync_product(left, right)))
 
 
 class TestSafeProp:
@@ -642,25 +642,40 @@ class TestNaryProduct:
                 assert product.timed_successor(s, d) == want
 
 
+def comma_reservoir(i: int) -> Component:
+    """``abstract_reservoir(i)`` with its state ``ok`` named ``o,k``."""
+    return Component(
+        states=("o,k", "below"),
+        initial="o,k",
+        rules=((f"fill{i}", "below", "o,k"),),
+        props={f"refill{i}?": ("below",)},
+        ticks=(("o,k", "below", 1),),
+    )
+
+
 class TestExplorationReadsNoView:
-    """Exploring and checking a product never enumerates it: with its
-    ``states`` and ``rules`` views raising, the library and ``lhamc
-    product-check`` give the same output."""
+    """Exploring and checking a product never enumerates it, also where a
+    state's text holds a ``,``: with its ``states`` and ``rules`` views
+    raising, the library and ``lhamc product-check`` give the same output."""
 
     def test_same_output_without_the_views(self, monkeypatch, tmp_path, capsys):
-        paths = []
-        for i in (1, 2, 3):
-            paths += ["--component", str(tmp_path / f"r{i}.json")]
-            (tmp_path / f"r{i}.json").write_text(json.dumps(component_to_json(abstract_reservoir(i))))
+        paths = {abstract_reservoir: [], comma_reservoir: []}
+        for make, at in paths.items():
+            for i in (1, 2, 3):
+                path = tmp_path / f"{make.__name__}{i}.json"
+                path.write_text(json.dumps(component_to_json(make(i))))
+                at += ["--component", str(path)]
 
         def run() -> list:
             got = []
-            for formula in ("[] safe", "[] <> safe"):
-                kripke = component_kripke(safe_prop(ladder(5)))
-                ce = model_check(kripke, parse_formula(formula))
-                got.append((kripke.texts, kripke.edges, kripke.labeling, ce))
-                code = main(["product-check", *paths, "--formula", formula])
-                got.append((code, capsys.readouterr()))
+            for make, at in paths.items():
+                for formula in ("[] safe", "[] <> safe"):
+                    product = safe_prop(reduce(rt_sync_product, map(make, range(1, 6))))
+                    kripke = component_kripke(product)
+                    ce = model_check(kripke, parse_formula(formula))
+                    got.append((kripke.texts, kripke.edges, kripke.labeling, ce))
+                    code = main(["product-check", *at, "--formula", formula])
+                    got.append((code, capsys.readouterr()))
             return got
 
         before = run()
