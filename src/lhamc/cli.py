@@ -204,13 +204,13 @@ def _operand_paths(args: argparse.Namespace) -> list[str]:
 
 
 def run_product_check(args: argparse.Namespace) -> int:
+    formula = parse_formula(args.formula)
     components = [_load_component(path) for path in _operand_paths(args)]
     # folded from the left, so that texts nest as two operands' do; when any
     # operand has no ticks none pair up: the untimed product
     product = reduce(rt_sync_product, components)
     if refill_props(product) and "safe" not in product.propositions():
         product = safe_prop(product)
-    formula = parse_formula(args.formula)
     kripke = component_kripke(product)
     ce = model_check(kripke, formula)
     return _report_check(ce, args, timed=False)

@@ -74,6 +74,16 @@ def json_objects(value: Any, where: str) -> list[dict]:
     return [json_shape(item, dict, f"each entry of {where}") for item in json_shape(value, list, where)]
 
 
+def json_keys(doc: dict, known: str, where: str) -> dict:
+    """``doc`` if each of its keys is one of the space-separated ``known``;
+    model loaders accept only the keys they read."""
+    unknown = doc.keys() - known.split()
+    if unknown:
+        key = next(key for key in doc if key in unknown)
+        raise ModelError(f"unknown key {key!r} in {where}")
+    return doc
+
+
 def as_time(value: Any) -> Fraction:
     """Validate a duration: an exact rational that is >= 0."""
     t = parse_rational(value)

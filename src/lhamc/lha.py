@@ -7,9 +7,9 @@ through simultaneous affine assignments.
 
 :class:`Lha` describes an automaton with ``Fraction`` rates and constraints,
 as a model file does.  :class:`LhaSystem` compiles it once into integer rows
-and computes on integers: its states hold integer numerators over one common
-denominator behind a read-only mapping whose values read as ``Fraction``,
-and a state is read through its canonical text.
+and computes on integers: its :class:`LhaState`s hold the location and
+integer variable numerators over one common denominator, and a state is
+read and identified through its canonical text.
 
 The same linearity gives a run of equal ticks in closed form: at the k-th
 tick each constraint's value is ``a + k * b`` for integers ``a`` and ``b``,
@@ -21,7 +21,7 @@ constraint again.  Its states, and the output made from them, are those of
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -35,6 +35,7 @@ from .core import (
     TimedTransitionSystem,
     as_time,
     fraction_text,
+    json_keys,
     json_objects,
     json_shape,
     parse_rational,
@@ -101,12 +102,6 @@ class Edge:
 
 
 @dataclass(frozen=True)
-class LhaState:
-    location: str
-    valuation: Mapping[str, Fraction]
-
-
-@dataclass(frozen=True)
 class Lha:
     variables: tuple[str, ...]
     locations: tuple[Location, ...]
@@ -145,9 +140,8 @@ class Lha:
         # The endpoint-only invariant check in timed_successor is sound only
         # for segments that start inside the invariant.
         index = {var: i for i, var in enumerate(self.variables)}
-        initial = _scaled(index, self.initial_valuation)
         invariant = tuple(_row(c, index) for c in by_name[self.initial_location].invariant)
-        if not _satisfied(invariant, initial.nums, initial.den):
+        if not _satisfied(invariant, *_scaled(index, self.initial_valuation)):
             raise ModelError(f"initial valuation violates the invariant of location {self.initial_location!r}")
         object.__setattr__(self, "_by_name", by_name)  # not a field: no part of eq or hash
 
@@ -210,39 +204,12 @@ def two_reservoir(
     return Lha(("x1", "x2"), (left, right), edges, "left", {"x1": x1, "x2": x2})
 
 
-class ScaledValuation(Mapping):
-    """A read-only valuation: integer numerators over one positive denominator.
-
-    Reads return ``Fraction`` values, and, as a ``Mapping``, it compares equal
-    to any mapping of the same variables to the same values.
-    """
-
-    __slots__ = ("index", "nums", "den")
-
-    def __init__(self, index: dict[str, int], nums: tuple[int, ...], den: int):
-        self.index = index  # variable -> position in nums, in declaration order
-        self.nums = nums
-        self.den = den
-
-    def __getitem__(self, var: str) -> Fraction:
-        return Fraction(self.nums[self.index[var]], self.den)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.index)
-
-    def __len__(self) -> int:
-        return len(self.nums)
-
-    def __repr__(self) -> str:
-        return repr(dict(self.items()))
-
-
-def _scaled(index: dict[str, int], valuation: Mapping[str, Any]) -> ScaledValuation:
-    """``valuation`` (declared variables to rationals) as numerators over the
-    lcm of its denominators."""
+def _scaled(index: dict[str, int], valuation: Mapping[str, Any]) -> tuple[tuple[int, ...], int]:
+    """``valuation`` (declared variables to rationals) as numerators, in
+    declaration order, over the lcm of its denominators."""
     values = [parse_rational(valuation[var]) for var in index]
     den = lcm(*(v.denominator for v in values))
-    return ScaledValuation(index, tuple(int(v * den) for v in values), den)
+    return tuple(int(v * den) for v in values), den
 
 
 # An affine constraint compiled to integers: (terms, const, signs) holds on
@@ -312,16 +279,33 @@ def _first_failure(a: int, b: int, signs: tuple[int, ...], j: int, limit: int) -
     return limit
 
 
+class LhaState:
+    """A state of a compiled automaton: its location and integer variable
+    numerators, in declaration order, over one positive denominator (see
+    :class:`LhaSystem`).  Its identity is its text, ``system.serialize(state)``.
+    """
+
+    __slots__ = ("location", "nums", "den")
+
+    def __init__(self, location: str, nums: tuple[int, ...], den: int):
+        self.location, self.nums, self.den = location, nums, den
+
+    def __repr__(self) -> str:
+        return f"LhaState({self.location!r}, {self.nums!r}, {self.den!r})"
+
+
 class LhaSystem(TimedTransitionSystem):
     """Adapter exposing an Lha through the shared model contract.
 
-    The automaton is compiled once to integer rows, and states carry a
-    :class:`ScaledValuation`; its methods take and return only such states.
+    The automaton is compiled once: invariants, tick guards and edge guards
+    become integer rows, and each edge's assignments integer rows over a
+    common scale.  States are :class:`LhaState`s, which its methods take and
+    return, reading and writing their numerators and denominator directly.
     """
 
     def __init__(self, lha: Lha):
         self.lha = lha
-        index = self._index = {var: i for i, var in enumerate(lha.variables)}
+        index = {var: i for i, var in enumerate(lha.variables)}
         self._invariants = {loc.name: tuple(_row(c, index) for c in loc.invariant) for loc in lha.locations}
         self._tick_guards = {loc.name: tuple(_row(c, index) for c in loc.tick_guard) for loc in lha.locations}
         # source -> [(label, target, guard rows, scale, assignments, target
@@ -347,7 +331,7 @@ class LhaSystem(TimedTransitionSystem):
         self._by_delta: dict[Fraction, dict[str, tuple] | None] = {}
         self._delta: Any = ZERO  # the last duration, and its steps
         self._ticks = self._ticks_for(ZERO)
-        self._initial = _scaled(index, lha.initial_valuation)
+        self._initial = LhaState(lha.initial_location, *_scaled(index, lha.initial_valuation))
 
     def _ticks_for(self, delta: Any) -> dict[str, tuple] | None:
         """Each location's integer step for ``delta``; a ``Fraction`` duration
@@ -359,7 +343,7 @@ class LhaSystem(TimedTransitionSystem):
             if as_time(delta) != 0:
                 ticks = {}
                 for loc in self.lha.locations:
-                    steps = [parse_rational(loc.rates.get(var, ZERO)) * delta for var in self._index]
+                    steps = [parse_rational(loc.rates.get(var, ZERO)) * delta for var in self.lha.variables]
                     den = lcm(*(s.denominator for s in steps))
                     vector = tuple(int(s * den) for s in steps)
                     ticks[loc.name] = (self._tick_guards[loc.name], self._invariants[loc.name], vector, den)
@@ -367,35 +351,20 @@ class LhaSystem(TimedTransitionSystem):
         return self._by_delta[delta]
 
     def initial_state(self) -> LhaState:
-        return LhaState(self.lha.initial_location, self._initial)
+        return self._initial
 
-    def _jumps_from(self, state: LhaState) -> list[tuple[str, str, tuple[int, ...], int]]:
-        """(label, target, numerators, denominator) of each jump from
-        ``state``, in edge order; the numerators are the state's own when the
-        jump assigns nothing."""
-        nums, den = state.valuation.nums, state.valuation.den
+    def discrete_successors(self, state: LhaState) -> list[tuple[str, LhaState]]:
+        nums, den = state.nums, state.den
         out = []
         for label, target, guard, scale, assignments, invariant in self._jumps.get(state.location, ()):
             if not _satisfied(guard, nums, den):
                 continue
             after, after_den = _assign(scale, assignments, nums, den) if assignments else (nums, den)
             if _satisfied(invariant, after, after_den):
-                out.append((label, target, after, after_den))
-        return out
-
-    def discrete_successors(self, state: LhaState) -> list[tuple[str, LhaState]]:
-        valuation = state.valuation
-        out = []
-        for label, target, nums, den in self._jumps_from(state):
-            after = valuation if nums is valuation.nums else ScaledValuation(self._index, nums, den)
-            out.append((label, LhaState(target, after)))
+                out.append((label, LhaState(target, after, after_den)))
         if len(out) > 1:
             out.sort(key=lambda ls: (ls[0], self.serialize(ls[1])))
         return out
-
-    def enabled_labels(self, state: LhaState) -> list[str]:
-        jumps = self._jumps_from(state)
-        return sorted({label for label, _, _, _ in jumps}) if jumps else []
 
     def _tick(self, location: str, delta: Fraction) -> tuple | None:
         """The location's (tick guard rows, invariant rows, vector, den) for
@@ -414,7 +383,7 @@ class LhaSystem(TimedTransitionSystem):
         if tick is None:
             return state
         guard, invariant, vector, step_den = tick
-        nums, den = state.valuation.nums, state.valuation.den
+        nums, den = state.nums, state.den
         if not _satisfied(guard, nums, den):
             return None
         if den % step_den:
@@ -427,7 +396,7 @@ class LhaSystem(TimedTransitionSystem):
         after = tuple(map(add, nums, vector))
         if not _satisfied(invariant, after, den):
             return None
-        return LhaState(state.location, ScaledValuation(self._index, after, den))
+        return LhaState(state.location, after, den)
 
     def timed_run(self, state: LhaState, delta: Fraction, count: int) -> list[LhaState]:
         if count <= 0:
@@ -436,7 +405,7 @@ class LhaSystem(TimedTransitionSystem):
         if tick is None:
             return [state] * count
         guard, invariant, vector, step_den = tick
-        nums, den = state.valuation.nums, state.valuation.den
+        nums, den = state.nums, state.den
         grown = lcm(den, step_den)
         nums = [n * (grown // den) for n in nums]
         vector = [s * (grown // step_den) for s in vector]
@@ -454,76 +423,76 @@ class LhaSystem(TimedTransitionSystem):
         columns = [
             range(n + s, n + (steps + 1) * s, s) if s else repeat(n, steps) for n, s in zip(nums, vector)
         ]
-        location, index = state.location, self._index
-        return [LhaState(location, ScaledValuation(index, after, grown)) for after in zip(*columns)]
+        location = state.location
+        return [LhaState(location, after, grown) for after in zip(*columns)]
 
     def prop_holds(self, state: LhaState, prop: str) -> bool:
         raise ModelError(f"this automaton defines no propositions, got {prop!r}")
 
     def serialize(self, state: LhaState) -> str:
-        valuation = state.valuation
-        den = valuation.den
+        den = state.den
         if den == 1:
-            values = ",".join(map(str, valuation.nums))
+            values = ",".join(map(str, state.nums))
         else:
-            values = ",".join(map(fraction_text, valuation.nums, repeat(den)))
+            values = ",".join(map(fraction_text, state.nums, repeat(den)))
         return f"{state.location},{values}"
 
 
-def _expr_from_json(doc: Any) -> AffineExpr:
+def _expr_from_json(doc: Any, at: str) -> AffineExpr:
     if not isinstance(doc, dict):
         raise ModelError(f"expected an expression object, got {doc!r}")
-    coeffs = doc.get("coeffs", {})
+    coeffs = json_keys(doc, "coeffs const", at).get("coeffs", {})
     if not isinstance(coeffs, dict):
         raise ModelError("expression coeffs must be an object")
     return AffineExpr.make(coeffs, doc.get("const", 0))
 
 
-def _constraint_from_json(doc: Any) -> AffineConstraint:
-    if not isinstance(doc, dict) or "expr" not in doc or "rel" not in doc:
-        raise ModelError(f"expected a constraint object with expr and rel, got {doc!r}")
-    return AffineConstraint(_expr_from_json(doc["expr"]), doc["rel"])
-
-
-def _constraints_from_json(doc: Any, where: str) -> tuple[AffineConstraint, ...]:
+def _constraints_from_json(parent: dict, key: str, at: str) -> tuple[AffineConstraint, ...]:
+    """The constraint list under ``key`` of the object at path ``at``."""
+    doc = parent.get(key)
     if doc is None:
         return ()
     if not isinstance(doc, list):
-        raise ModelError(f"{where} must be a list of constraints")
-    return tuple(_constraint_from_json(c) for c in doc)
+        raise ModelError(f"{key} must be a list of constraints")
+    at = f"{at}.{key}"
+    out = []
+    for i, c in enumerate(doc):
+        if not isinstance(c, dict) or "expr" not in c or "rel" not in c:
+            raise ModelError(f"expected a constraint object with expr and rel, got {c!r}")
+        json_keys(c, "expr rel", f"{at}[{i}]")
+        out.append(AffineConstraint(_expr_from_json(c["expr"], f"{at}[{i}].expr"), c["rel"]))
+    return tuple(out)
 
 
 def lha_from_json(doc: dict) -> Lha:
     try:
+        json_keys(doc, "kind variables locations edges initial", "the automaton document")
         variables = tuple(str(v) for v in json_shape(doc["variables"], list, "variables"))
         locations = []
-        for loc in json_objects(doc["locations"], "locations"):
+        for i, loc in enumerate(json_objects(doc["locations"], "locations")):
+            at = f"locations[{i}]"
+            json_keys(loc, "name rates invariant tick_guard", at)
             rates = json_shape(loc.get("rates", {}), dict, "rates")
-            rates = {str(v): parse_rational(r) for v, r in rates.items()}
-            locations.append(
-                Location(
-                    str(loc["name"]),
-                    rates,
-                    _constraints_from_json(loc.get("invariant"), "invariant"),
-                    _constraints_from_json(loc.get("tick_guard"), "tick_guard"),
-                )
-            )
+            locations.append(Location(
+                str(loc["name"]),
+                {str(v): parse_rational(r) for v, r in rates.items()},
+                _constraints_from_json(loc, "invariant", at),
+                _constraints_from_json(loc, "tick_guard", at),
+            ))
         edges = []
-        for e in json_objects(doc.get("edges", []), "edges"):
-            assignments = tuple(
-                Assignment(str(a["var"]), _expr_from_json(a["expr"]))
-                for a in json_objects(e.get("assignments", []), "assignments")
-            )
-            edges.append(
-                Edge(
-                    str(e["source"]),
-                    str(e["target"]),
-                    str(e["label"]),
-                    _constraints_from_json(e.get("guard"), "guard"),
-                    assignments,
-                )
-            )
-        initial = json_shape(doc["initial"], dict, "initial")
+        for i, e in enumerate(json_objects(doc.get("edges", []), "edges")):
+            at = f"edges[{i}]"
+            json_keys(e, "source target label guard assignments", at)
+            assignments = []
+            for j, a in enumerate(json_objects(e.get("assignments", []), "assignments")):
+                here = f"{at}.assignments[{j}]"
+                json_keys(a, "var expr", here)
+                assignments.append(Assignment(str(a["var"]), _expr_from_json(a["expr"], f"{here}.expr")))
+            edges.append(Edge(
+                str(e["source"]), str(e["target"]), str(e["label"]),
+                _constraints_from_json(e, "guard", at), tuple(assignments),
+            ))
+        initial = json_keys(json_shape(doc["initial"], dict, "initial"), "location valuation", "initial")
         valuation = json_shape(initial["valuation"], dict, "initial valuation")
         valuation = {str(v): parse_rational(x) for v, x in valuation.items()}
         return Lha(variables, tuple(locations), tuple(edges), str(initial["location"]), valuation)

@@ -31,6 +31,7 @@ from .core import (
     TimedTransitionSystem,
     as_time,
     fraction_text,
+    json_keys,
     json_objects,
     json_shape,
     parse_rational,
@@ -338,13 +339,15 @@ class NResSystem(TimedTransitionSystem):
 
 def nres_from_json(doc: dict) -> NResState:
     try:
-        hose_doc = json_shape(doc["hose"], dict, "hose")
+        json_keys(doc, "kind hose reservoirs", "the reservoir document")
+        hose_doc = json_keys(json_shape(doc["hose"], dict, "hose"), "rate position", "hose")
         position = hose_doc["position"]
         if not isinstance(position, int) or isinstance(position, bool):
             raise ModelError(f"hose position must be an integer id, got {position!r}")
         hose = Hose(parse_rational(hose_doc["rate"]), position)
         tanks = []
-        for r in json_objects(doc["reservoirs"], "reservoirs"):
+        for i, r in enumerate(json_objects(doc["reservoirs"], "reservoirs")):
+            json_keys(r, "id lower upper level leak", f"reservoirs[{i}]")
             rid = r["id"]
             if not isinstance(rid, int) or isinstance(rid, bool):
                 raise ModelError(f"reservoir id must be an integer, got {rid!r}")

@@ -33,6 +33,7 @@ from .core import (
     TimedTransitionSystem,
     as_time,
     check_prop_name,
+    json_keys,
     json_objects,
     json_shape,
     parse_rational,
@@ -409,20 +410,21 @@ def component_kripke(component: Component | SyncProduct) -> Kripke:
 
 def component_from_json(doc: dict) -> Component:
     try:
+        json_keys(doc, "kind states initial rules props ticks", "the component document")
         states = [str(s) for s in json_shape(doc["states"], list, "states")]
         initial = str(doc["initial"])
-        rules = [
-            (str(r["label"]), str(r["source"]), str(r["target"]))
-            for r in json_objects(doc.get("rules", []), "rules")
-        ]
+        rules = []
+        for i, r in enumerate(json_objects(doc.get("rules", []), "rules")):
+            json_keys(r, "label source target", f"rules[{i}]")
+            rules.append((str(r["label"]), str(r["source"]), str(r["target"])))
         props = {
             str(name): [str(s) for s in json_shape(holds, list, f"proposition {name}")]
             for name, holds in json_shape(doc.get("props", {}), dict, "props").items()
         }
-        ticks = [
-            (str(t["source"]), str(t["target"]), parse_rational(t["duration"]))
-            for t in json_objects(doc.get("ticks", []), "ticks")
-        ]
+        ticks = []
+        for i, t in enumerate(json_objects(doc.get("ticks", []), "ticks")):
+            json_keys(t, "source target duration", f"ticks[{i}]")
+            ticks.append((str(t["source"]), str(t["target"]), parse_rational(t["duration"])))
     except KeyError as missing:
         raise ModelError(f"component document is missing {missing}") from None
     return Component(states, initial, rules, props, ticks)

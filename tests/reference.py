@@ -1,12 +1,13 @@
 """The plain ``Fraction`` reference semantics of the two models.
 
 ``NResSystem`` and ``LhaSystem`` compute on integer numerators over one
-common denominator; the functions here compute the same steps on the
-``NResState`` and ``LhaState`` descriptions with ``Fraction`` arithmetic, and
-the model tests walk both in lockstep.  Nothing here uses ``NResSystem`` or
-``LhaSystem``, only the data classes that describe a model.  The names the
-two models share carry a prefix: ``nres_`` for the reservoir ring, ``lha_``
-for the automaton.
+common denominator; the functions here compute the same steps on
+``NResState`` and ``FractionLhaState`` with ``Fraction`` arithmetic, and the
+model tests walk both in lockstep, comparing states by text and values.  Nothing
+here uses ``NResSystem`` or ``LhaSystem``, only the data classes that
+describe a model, save ``lha_valuation``, which reads a compiled automaton
+state's values.  The names the two models share carry a prefix: ``nres_``
+for the reservoir ring, ``lha_`` for the automaton.
 
 The eager synchronous product, ``eager_rt_sync_product`` and
 ``eager_safe_prop``, is the reference for the lazy one in
@@ -21,7 +22,7 @@ ticks and propositions as its definition enumerates them.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any, Iterable, Mapping, Optional
 
@@ -182,6 +183,19 @@ def nres_validate_pattern(pattern: SearchPattern, initial: Any) -> None:
 # the linear hybrid automaton
 
 
+@dataclass(frozen=True)
+class FractionLhaState:
+    """An automaton state as a location and a valuation of ``Fraction``s."""
+
+    location: str
+    valuation: Mapping[str, Fraction]
+
+
+def lha_valuation(lha: Lha, state: LhaState) -> dict[str, Fraction]:
+    """The values of a compiled automaton state, by variable."""
+    return {var: Fraction(n, state.den) for var, n in zip(lha.variables, state.nums)}
+
+
 def eval_affine(expr: AffineExpr, valuation: Mapping[str, Fraction]) -> Fraction:
     total = expr.const
     for var, coeff in expr.coeffs.items():
@@ -216,7 +230,7 @@ def flow(location: Location, valuation: Mapping[str, Fraction], delta: Fraction)
     return {var: value + location.rates.get(var, ZERO) * delta for var, value in valuation.items()}
 
 
-def lha_timed_successor(lha: Lha, state: LhaState, delta: Fraction) -> LhaState | None:
+def lha_timed_successor(lha: Lha, state: FractionLhaState, delta: Fraction) -> FractionLhaState | None:
     """Let delta time pass, or None if the location forbids it.
 
     Zero durations always succeed.  Otherwise the tick guard must hold at the
@@ -232,10 +246,10 @@ def lha_timed_successor(lha: Lha, state: LhaState, delta: Fraction) -> LhaState 
     target = flow(location, state.valuation, delta)
     if not holds_all(location.invariant, target):
         return None
-    return LhaState(state.location, target)
+    return FractionLhaState(state.location, target)
 
 
-def jump(lha: Lha, state: LhaState, edge: Edge) -> LhaState | None:
+def jump(lha: Lha, state: FractionLhaState, edge: Edge) -> FractionLhaState | None:
     """Apply one edge, or None if its guard or the target invariant fails."""
     if edge.source != state.location:
         return None
@@ -246,10 +260,10 @@ def jump(lha: Lha, state: LhaState, edge: Edge) -> LhaState | None:
         after[a.var] = eval_affine(a.expr, state.valuation)
     if not holds_all(lha.location_named(edge.target).invariant, after):
         return None
-    return LhaState(edge.target, after)
+    return FractionLhaState(edge.target, after)
 
 
-def lha_discrete_successors(lha: Lha, state: LhaState) -> list[tuple[str, LhaState]]:
+def lha_discrete_successors(lha: Lha, state: FractionLhaState) -> list[tuple[str, FractionLhaState]]:
     out = []
     for edge in lha.edges:
         succ = jump(lha, state, edge)
@@ -259,7 +273,7 @@ def lha_discrete_successors(lha: Lha, state: LhaState) -> list[tuple[str, LhaSta
     return out
 
 
-def lha_render_state(lha: Lha, state: LhaState) -> str:
+def lha_render_state(lha: Lha, state: FractionLhaState) -> str:
     values = ",".join(str(state.valuation[v]) for v in lha.variables)
     return f"{state.location},{values}"
 

@@ -41,7 +41,7 @@ from oracles import (
     random_formula,
     random_functional_kripke,
 )
-from reference import compatible, flow, tick
+from reference import compatible, flow, lha_valuation, tick
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 INIT2 = MODELS / "init2.json"
@@ -195,7 +195,8 @@ class TestCriterion6Flows:
                         break
                     succ = rng.choice(jumps)[1]
                 state = succ
-                assert state.valuation["x1"] + state.valuation["x2"] == total
+                levels = lha_valuation(system.lha, state)
+                assert levels["x1"] + levels["x2"] == total
                 checked += 1
         print(
             f"PASS: criterion 6a - flow additivity on 1000 cases and exact level"

@@ -10,7 +10,7 @@ import pytest
 from lhamc.cli import format_counterexample, main
 from lhamc.core import ModelError
 from lhamc.explore import build_kripke
-from lhamc.lha import LhaState, lha_from_json, lha_to_json, two_reservoir
+from lhamc.lha import lha_from_json, lha_to_json, two_reservoir
 from lhamc.ltl import (
     Counterexample,
     CounterexampleStep,
@@ -27,7 +27,7 @@ from lhamc.syncprod import (
     rt_sync_product,
     safe_prop,
 )
-from reference import component_to_json
+from reference import FractionLhaState, component_to_json
 from reference import lha_discrete_successors as discrete_successors
 from reference import lha_render_state as render_state
 from reference import lha_timed_successor as timed_successor
@@ -117,7 +117,7 @@ class TestSimulateAgainstFractions:
     def reference(bound: Fraction, increment: Fraction, model: str = TWO_RES):
         with open(model, encoding="utf-8") as fh:
             lha = lha_from_json(json.load(fh))
-        state = LhaState(lha.initial_location, dict(lha.initial_valuation))
+        state = FractionLhaState(lha.initial_location, dict(lha.initial_valuation))
         elapsed = Fraction(0)
         trace = [(state, elapsed)]
         stopped = "bound"
@@ -267,6 +267,65 @@ class TestSearch:
         assert [s["elapsed"] for s in doc["solutions"]] == ["0", "1", "2", "3", "3", "3"]
         last = doc["solutions"][5]
         assert [p["label"] for p in last["path"]] == ["tick", "tick", "tick", "move-hose"]
+
+
+class TestSearchAgainstFractions:
+    """search '*' on the two-tank automaton against a breadth-first walk of
+    the Fraction reference: solution texts, times, order and paths."""
+
+    @staticmethod
+    def reference(bound: Fraction, increment: Fraction) -> list[tuple[str, str, list]]:
+        """(text, elapsed, path) of each state reached below ``bound``,
+        ordered by elapsed time and then by discovery; a path lists
+        (label, duration, text) steps from the initial state."""
+        with open(TWO_RES, encoding="utf-8") as fh:
+            lha = lha_from_json(json.load(fh))
+
+        def key(state, elapsed):
+            return state.location, tuple(state.valuation[v] for v in lha.variables), elapsed
+
+        start = FractionLhaState(lha.initial_location, dict(lha.initial_valuation))
+        found = [(start, Fraction(0), [])]
+        seen = {key(start, Fraction(0))}
+        for state, elapsed, path in found:  # grows while it is walked
+            moves = [(label, succ, elapsed, 0) for label, succ in discrete_successors(lha, state)]
+            if elapsed + increment < bound:
+                after = timed_successor(lha, state, increment)
+                if after is not None:
+                    moves.append(("tick", after, elapsed + increment, increment))
+            for label, succ, at, duration in moves:
+                if key(succ, at) not in seen:
+                    seen.add(key(succ, at))
+                    found.append((succ, at, [*path, (label, str(duration), render_state(lha, succ))]))
+        found.sort(key=lambda f: f[1])
+        return [(render_state(lha, s), str(t), path) for s, t, path in found]
+
+    @pytest.mark.parametrize("increment", ["1", "1/2"])
+    def test_text_and_json(self, capsys, increment):
+        solutions = self.reference(Fraction(10), Fraction(increment))
+        assert any(label == "moveright" for _, _, path in solutions for label, _, _ in path)
+        assert any(label == "moveleft" for _, _, path in solutions for label, _, _ in path)
+        argv = ["search", "--model", TWO_RES, "--time-bound", "10", "--increment", increment, "--pattern", "*"]
+        assert main(argv) == 0
+        lines = []
+        for i, (text, elapsed, _) in enumerate(solutions, start=1):
+            lines += [f"Solution {i}", f"S:System --> {text}; TIME_ELAPSED:Time --> {elapsed}"]
+        assert capsys.readouterr().out == "\n".join([*lines, "No more solutions", ""])
+
+        assert main([*argv, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "kind": "search",
+            "count": len(solutions),
+            "solutions": [
+                {
+                    "state": text,
+                    "elapsed": elapsed,
+                    "bindings": {},
+                    "path": [{"label": label, "duration": d, "state": t} for label, d, t in path],
+                }
+                for text, elapsed, path in solutions
+            ],
+        }
 
 
 class TestCheck:
@@ -564,6 +623,42 @@ AT_LEAST_5 = [{"expr": {"coeffs": {"x": "1"}, "const": "-5"}, "rel": ">="}]
 OVER_Y = [{"expr": {"coeffs": {"y": "1"}}, "rel": ">="}]  # y is undeclared
 
 
+AT_LEAST_0 = [{"expr": {"coeffs": {"x": "1"}}, "rel": ">="}]
+LHA_EDGE = {
+    "source": "l",
+    "target": "l",
+    "label": "go",
+    "guard": AT_LEAST_5,
+    "assignments": [{"var": "x", "expr": {"coeffs": {"x": "1/2"}}}],
+}
+# documents that load but for one key their loader does not read, by the
+# place the error names
+UNKNOWN_KEYS = {
+    "'props' in the automaton document": {**LHA_DOC, "props": {"low": AT_LEAST_5}},
+    "'flow' in locations[0]": {**LHA_DOC, "locations": [{"name": "l", "flow": {"x": "10"}}]},
+    "'kind' in locations[0].invariant[0]": {
+        **LHA_DOC, "locations": [{"name": "l", "invariant": [{**AT_LEAST_0[0], "kind": "lha"}]}]
+    },
+    "'x' in edges[0].guard[0].expr": {
+        **LHA_DOC, "edges": [{**LHA_EDGE, "guard": [{"expr": {"x": "1"}, "rel": ">="}]}]
+    },
+    "'urgent' in edges[1]": {**LHA_DOC, "edges": [LHA_EDGE, {**LHA_EDGE, "urgent": True}]},
+    "'rel' in edges[0].assignments[0]": {
+        **LHA_DOC, "edges": [{**LHA_EDGE, "assignments": [{"var": "x", "expr": {}, "rel": "="}]}]
+    },
+    "'rel' in edges[0].assignments[0].expr": {
+        **LHA_DOC, "edges": [{**LHA_EDGE, "assignments": [{"var": "x", "expr": {"const": 1, "rel": "="}}]}]
+    },
+    "'time' in initial": {**LHA_DOC, "initial": {**LHA_DOC["initial"], "time": "0"}},
+    "'tanks' in the reservoir document": {**NRES_DOC, "tanks": []},
+    "'leak' in hose": {**NRES_DOC, "hose": {**NRES_DOC["hose"], "leak": "0"}},
+    "'hose' in reservoirs[0]": {**NRES_DOC, "reservoirs": [{**NRES_DOC["reservoirs"][0], "hose": True}]},
+    "'prop' in the component document": {**COMPONENT_DOC, "prop": {}},
+    "'duration' in rules[0]": {**COMPONENT_DOC, "rules": [{**COMPONENT_DOC["rules"][0], "duration": "1"}]},
+    "'label' in ticks[0]": {**COMPONENT_DOC, "ticks": [{**COMPONENT_DOC["ticks"][0], "label": "t"}]},
+}
+
+
 def load(path: str) -> Component:
     with open(path, encoding="utf-8") as fh:
         return component_from_json(json.load(fh))
@@ -593,6 +688,7 @@ class TestMalformedModels:
             {**COMPONENT_DOC, "states": "ab"},
             {**COMPONENT_DOC, "ticks": ["t"]},
             {**LHA_DOC, "locations": [*LHA_DOC["locations"], {"name": "b", "invariant": OVER_Y}]},
+            *UNKNOWN_KEYS.values(),
         ],
     )
     def test_exit_two_with_one_error_line(self, tmp_path, capsys, doc):
@@ -602,6 +698,12 @@ class TestMalformedModels:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("where", UNKNOWN_KEYS)
+    def test_an_unknown_key_is_named_with_its_place(self, tmp_path, capsys, where):
+        path = write_doc(tmp_path / "bad.json", UNKNOWN_KEYS[where])
+        assert main(["simulate", "--model", path, "--time-bound", "3"]) == 2
+        assert capsys.readouterr() == ("", f"error: unknown key {where}\n")
 
     def test_product_states_rendering_alike(self, tmp_path, capsys):
         left = write_doc(tmp_path / "left.json", {
@@ -624,6 +726,9 @@ class TestMalformedModels:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error:")
+
+
+UNFINISHED_FORMULA = "error: expected a formula but found 'end of input'\n"
 
 
 class TestModuleInvocation:
@@ -668,13 +773,17 @@ class TestModuleInvocation:
     @pytest.mark.parametrize(
         "args,error",
         [
-            (("check", "--formula", "p U"), "error: expected a formula but found 'end of input'\n"),
-            (("search", "--pattern", "(("), "error: cannot read pattern token '(('\n"),
+            (("check", "--formula", "p U", "--model", INIT2, "--time-bound", "3"), UNFINISHED_FORMULA),
+            (("search", "--pattern", "((", "--model", INIT2, "--time-bound", "3"),
+             "error: cannot read pattern token '(('\n"),
+            (("product-check", "--formula", "p U", "--left", str(MODELS / "missing.json"), "--right", RES1),
+             UNFINISHED_FORMULA),
         ],
     )
     def test_malformed_input_is_one_line_before_the_model_loads(self, args, error):
-        # the model would warn about its leak rate; the input is read first
-        done = self.run_module(*args, "--model", INIT2, "--time-bound", "3")
+        # the model would warn about its leak rate, and the operand file does
+        # not exist; the input is read first
+        done = self.run_module(*args)
         assert (done.returncode, done.stdout, done.stderr) == (2, "", error)
 
     def test_model_warning_is_one_line_before_the_error(self):
