@@ -4,6 +4,8 @@ Exit codes: 0 when the command succeeds and any stated expectation holds,
 1 when a property is violated or a search expectation fails, 2 for usage,
 input, or model errors, and 141 (128 + SIGPIPE), with nothing on standard
 error, when the reader of standard output closes it early, as ``head`` does.
+Model warnings go to standard error after the output, with exit 0 or 1 only;
+an exit 2 prints its one ``error:`` line alone.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Any, Optional
 
-from .core import ModelError, TimedTransitionSystem, as_time, fraction_text
+from .core import ModelError, TimedTransitionSystem, as_time, fraction_texts
 from .explore import Kripke, search
 from .lha import LhaSystem, lha_from_json
 from .ltl import Counterexample, model_check, parse_formula
@@ -49,20 +51,6 @@ def load_model(path: str) -> TimedTransitionSystem:
     raise ModelError(f"unknown model kind {kind!r}")
 
 
-# output formatting
-
-
-def _state_line(system: TimedTransitionSystem, state: Any, elapsed: str) -> str:
-    line = f"{{{system.serialize(state)}}} in time {elapsed}"
-    enabled = system.enabled_labels(state)
-    if enabled:
-        line += "  enabled: " + ",".join(enabled)
-    for name, facts in system.annotations(state).items():
-        if facts:
-            line += f"  {name.replace('_', '-')}: " + ",".join(map(str, facts))
-    return line
-
-
 def _sampling(args: argparse.Namespace) -> tuple[Fraction, Fraction]:
     """The time bound and the sampling increment of a timed subcommand."""
     time_bound = as_time(args.time_bound)
@@ -75,27 +63,28 @@ def _sampling(args: argparse.Namespace) -> tuple[Fraction, Fraction]:
 def run_simulate(args: argparse.Namespace) -> int:
     time_bound, increment = _sampling(args)
     system = load_model(args.model)
-    # trace[k] is at k increments; the step from k to k + 1 is taken while
-    # (k + 1) * increment < time_bound, that is while k < last
+    # the run's k-th state is at k increments; the step from k to k + 1 is
+    # taken while (k + 1) * increment < time_bound, that is while k < last
     last = math.ceil(time_bound / increment) - 1
-    initial = system.initial_state()
-    trace = [initial, *system.timed_run(initial, increment, last)]
-    stopped = "bound" if len(trace) > last else "blocked"
-    num, den = increment.numerator, increment.denominator
-    trace_times = [(s, fraction_text(k * num, den)) for k, s in enumerate(trace)]
+    segments = system.timed_trace(system.initial_state(), increment, last)
+    count = sum(len(texts) for texts, _, _ in segments)
+    stopped = "bound" if count > last else "blocked"
+    times = iter(fraction_texts(0, increment.numerator, increment.denominator, count))
     if args.format == "json":
         entries = [
-            {
-                "state": system.serialize(s),
-                "elapsed": t,
-                "enabled": system.enabled_labels(s),
-                **system.annotations(s),
-            }
-            for s, t in trace_times
+            {"state": text, "elapsed": next(times), "enabled": enabled, **facts}
+            for texts, enabled, facts in segments
+            for text in texts
         ]
         print(json.dumps({"kind": "simulation", "trace": entries, "stopped": stopped}, indent=2))
     else:
-        lines = [_state_line(system, s, t) for s, t in trace_times]
+        lines = []
+        for texts, enabled, facts in segments:
+            tail = "  enabled: " + ",".join(enabled) if enabled else ""
+            for name, items in facts.items():
+                if items:
+                    tail += f"  {name.replace('_', '-')}: " + ",".join(map(str, items))
+            lines += ["{" + text + "} in time " + time + tail for text, time in zip(texts, times)]
         lines.append("Time bound reached" if stopped == "bound" else "Timed evolution blocked")
         print("\n".join(lines))
     return 0
@@ -259,17 +248,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
-    print(f"warning: {message}", file=sys.stderr)
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    held = []
     with warnings.catch_warnings():
-        warnings.showwarning = _print_warning
+        # model warnings are printed only with a result, never before an error
+        warnings.showwarning = lambda message, *_: held.append(message)
         try:
-            return args.handler(args)
+            code = args.handler(args)
         except BrokenPipeError:
             # the rest of the output, flushed at exit, goes nowhere
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -281,6 +268,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             # deeply nested JSON documents; formulas fail closed with ModelError
             print("error: input nests too deeply", file=sys.stderr)
             return 2
+    for message in held:
+        print(f"warning: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -100,10 +100,35 @@ def fraction_text(num: int, den: int) -> str:
     return f"{num // g}/{den // g}"
 
 
+def fraction_texts(start: int, step: int, den: int, count: int) -> list[str]:
+    """``[fraction_text(start + k * step, den) for k in range(count)]``.
+
+    The reduced denominator of ``start + k * step`` over ``den`` repeats with
+    period ``den // gcd(step, den)`` in ``k``, so each residue class of ``k``
+    is one integer range over one denominator, rendered without a gcd per item.
+    """
+    if step == 0:
+        return [fraction_text(start, den)] * max(count, 0)
+    out = [""] * max(count, 0)
+    period = den // gcd(step, den)
+    for r in range(min(period, count)):
+        num = start + r * step
+        g = gcd(num, den)
+        first, stride, times = num // g, period * step // g, len(range(r, count, period))
+        suffix = "" if g == den else f"/{den // g}"
+        out[r::period] = [f"{n}{suffix}" for n in range(first, first + times * stride, stride)]
+    return out
+
+
 def check_prop_name(name: Any) -> str:
     if not isinstance(name, str) or not name:
         raise ModelError(f"proposition names are nonempty strings, got {name!r}")
     return name
+
+
+# consecutive state texts of a run, and the enabled labels and annotations
+# that each of them has
+Segment = tuple[list[str], list[str], dict[str, list]]
 
 
 class TimedTransitionSystem(ABC):
@@ -114,9 +139,11 @@ class TimedTransitionSystem(ABC):
     the same order, and :meth:`serialize` is injective on semantically
     distinct states (it doubles as the dedup key during search).
 
-    A simulation takes its whole run of ticks from :meth:`timed_run`.  A
-    linear hybrid automaton computes that run in closed form, and the states,
-    and so the output, are those of stepping one tick at a time.
+    A simulation takes its whole run of ticks from :meth:`timed_trace`, as
+    segments of consecutive state texts that share their enabled labels and
+    annotations.  A linear hybrid automaton computes those segments in closed
+    form, and the texts, labels and annotations, and so the output, are those
+    of stepping one tick at a time.
     """
 
     @abstractmethod
@@ -138,20 +165,26 @@ class TimedTransitionSystem(ABC):
         A zero duration always succeeds and returns ``state`` itself.
         """
 
-    def timed_run(self, state: Any, delta: Fraction, count: int) -> list[Any]:
-        """The states after 1, ..., ``count`` steps of ``delta`` from ``state``.
+    def timed_trace(self, state: Any, delta: Fraction, count: int) -> list[Segment]:
+        """The run of ``state`` and the states after 1, ..., ``count`` steps
+        of ``delta``, as (texts, enabled labels, annotations) segments.
 
-        The run ends early, before the first blocked step, and is empty when
-        ``count`` is not positive.  This default calls :meth:`timed_successor`
-        once per step; a model that overrides it returns the same states.
+        The texts of the segments, in order, are the run's states serialized;
+        every state of a segment has that segment's :meth:`enabled_labels` and
+        :meth:`annotations`.  The run ends early, before the first blocked
+        step, and is ``state`` alone when ``count`` is not positive.  This
+        default calls :meth:`timed_successor` once per step and makes one
+        segment per state; a model that overrides it returns the same texts,
+        labels and annotations.
         """
-        run = []
-        for _ in range(count):
-            state = self.timed_successor(state, delta)
-            if state is None:
-                break
-            run.append(state)
-        return run
+        segments = []
+        for k in range(max(count, 0) + 1):
+            if k:
+                state = self.timed_successor(state, delta)
+                if state is None:
+                    break
+            segments.append(([self.serialize(state)], self.enabled_labels(state), self.annotations(state)))
+        return segments
 
     @abstractmethod
     def prop_holds(self, state: Any, prop: str) -> bool:

@@ -13,15 +13,19 @@ read and identified through its canonical text.
 
 The same linearity gives a run of equal ticks in closed form: at the k-th
 tick each constraint's value is ``a + k * b`` for integers ``a`` and ``b``,
-so :meth:`LhaSystem.timed_run` finds the first blocked tick with one integer
-division per constraint and builds the run's states without evaluating any
-constraint again.  Its states, and the output made from them, are those of
-:meth:`LhaSystem.timed_successor` called once per tick.
+and so is each jump's guard, and its target's invariant after its
+assignments.  :meth:`LhaSystem.timed_trace` finds the first blocked tick, and
+the one interval of ticks on which each jump is enabled, with one integer
+division per constraint.  That splits the run into at most 2E + 1 segments
+of equal enabled labels, for the E jumps out of its location, and each
+variable's texts are one arithmetic progression, rendered by
+:func:`lhamc.core.fraction_texts`; no state is built.  The texts and labels
+are those of :meth:`LhaSystem.timed_successor` called once per tick.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -32,9 +36,11 @@ from typing import Any
 from .core import (
     ZERO,
     ModelError,
+    Segment,
     TimedTransitionSystem,
     as_time,
     fraction_text,
+    fraction_texts,
     json_keys,
     json_objects,
     json_shape,
@@ -247,14 +253,21 @@ def _satisfied(rows: tuple[Row, ...], nums: tuple[int, ...], den: int) -> bool:
     return True
 
 
-def _assign(scale: int, assignments: tuple, nums: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:
-    """The numerators and denominator after a jump's simultaneous assignments."""
+def _assigned(scale: int, assignments: tuple, nums: Sequence[int], den: int) -> list[int]:
+    """The numerators, over ``den * scale``, after a jump's simultaneous
+    assignments; they are linear in ``nums`` and ``den`` together."""
     after = [n * scale for n in nums]
     for i, terms, const in assignments:
         value = const * den
         for j, c in terms:
             value += c * nums[j]
         after[i] = value
+    return after
+
+
+def _assign(scale: int, assignments: tuple, nums: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:
+    """The numerators and denominator after a jump's simultaneous assignments."""
+    after = _assigned(scale, assignments, nums, den)
     den *= scale
     if scale != 1:
         g = gcd(den, *after)
@@ -263,20 +276,27 @@ def _assign(scale: int, assignments: tuple, nums: tuple[int, ...], den: int) -> 
     return tuple(after), den
 
 
-def _first_failure(a: int, b: int, signs: tuple[int, ...], j: int, limit: int) -> int:
-    """The least ``i`` in ``[j, limit)`` at which the sign of ``a + i * b`` is
-    not in ``signs``, or ``limit`` if there is none."""
+def _holding(row: Row, nums: Sequence[int], vector: Sequence[int], den: int, lo: int, hi: int) -> tuple[int, int]:
+    """``[lo, hi)`` narrowed to the ``i`` at which ``row`` holds on the
+    numerators ``nums + i * vector`` over ``den``.  The row's value there is
+    ``a + i * b``, monotone in ``i``, so this is one interval; an empty one
+    comes back as ``(lo, lo)``."""
+    terms, const, signs = row
+    a = const * den + sum(c * nums[i] for i, c in terms)
+    b = sum(c * vector[i] for i, c in terms)
     reach = 1 if 0 in signs else 0
     for side in (1, -1):
         if side in signs:
             continue
         # side * (a + i * b) must stay below reach, and moves by side * b
-        value, slope = side * (a + j * b), side * b
-        if value >= reach:
-            return j
+        value, slope = side * a, side * b
         if slope > 0:
-            limit = min(limit, j - (value - reach) // slope)
-    return limit
+            hi = min(hi, -((value - reach) // slope))
+        elif slope < 0:
+            lo = max(lo, (value - reach) // -slope + 1)
+        elif value >= reach:
+            hi = lo
+    return lo, max(lo, hi)
 
 
 class LhaState:
@@ -398,33 +418,44 @@ class LhaSystem(TimedTransitionSystem):
             return None
         return LhaState(state.location, after, den)
 
-    def timed_run(self, state: LhaState, delta: Fraction, count: int) -> list[LhaState]:
-        if count <= 0:
-            return []
-        tick = self._tick(state.location, delta)
-        if tick is None:
-            return [state] * count
-        guard, invariant, vector, step_den = tick
-        nums, den = state.nums, state.den
-        grown = lcm(den, step_den)
-        nums = [n * (grown // den) for n in nums]
-        vector = [s * (grown // step_den) for s in vector]
-        # tick k + 1 is taken while the tick guard holds after k ticks and
-        # the invariant after k + 1; a row's value after k ticks is a + k * b
-        steps = count
-        for rows, first in ((guard, 0), (invariant, 1)):
-            for terms, const, signs in rows:
-                a, b = const * grown, 0
-                for i, c in terms:
-                    a += c * nums[i]
-                    b += c * vector[i]
-                steps = _first_failure(a, b, signs, first, steps + first) - first
-        # each variable's numerators after 1, ..., steps ticks
-        columns = [
-            range(n + s, n + (steps + 1) * s, s) if s else repeat(n, steps) for n, s in zip(nums, vector)
+    def timed_trace(self, state: LhaState, delta: Fraction, count: int) -> list[Segment]:
+        location, nums, den = state.location, state.nums, state.den
+        vector, steps = (0,) * len(nums), max(count, 0)
+        tick = self._tick(location, delta) if steps else None
+        if tick is not None:
+            guard, invariant, vector, step_den = tick
+            grown = lcm(den, step_den)
+            nums = [n * (grown // den) for n in nums]
+            vector = [s * (grown // step_den) for s in vector]
+            den = grown
+            # tick k + 1 is taken while the tick guard holds after k ticks and
+            # the invariant after k + 1: the run is the interval from 0 on
+            # which all those rows hold
+            for rows, at in ((guard, nums), (invariant, list(map(add, nums, vector)))):
+                for row in rows:
+                    lo, hi = _holding(row, at, vector, den, 0, steps)
+                    steps = hi if lo == 0 else 0
+        # a jump is enabled on the interval where its guard rows hold, and its
+        # target's invariant rows after its assignments, which are affine too
+        cuts, spans = {0, steps + 1}, []
+        for label, _, guard, scale, assignments, invariant in self._jumps.get(location, ()):
+            lo, hi = 0, steps + 1
+            for row in guard:
+                lo, hi = _holding(row, nums, vector, den, lo, hi)
+            after, after_vector = _assigned(scale, assignments, nums, den), _assigned(scale, assignments, vector, 0)
+            for row in invariant:
+                lo, hi = _holding(row, after, after_vector, den * scale, lo, hi)
+            if lo < hi:
+                spans.append((label, lo, hi))
+                cuts.update((lo, hi))
+        columns = [fraction_texts(n, s, den, steps + 1) for n, s in zip(nums, vector)]
+        texts = list(map(",".join, zip(repeat(location), *columns)))
+        cuts = sorted(cuts)
+        # an automaton annotates no state
+        return [
+            (texts[lo:hi], sorted({label for label, start, end in spans if start <= lo < end}), {})
+            for lo, hi in zip(cuts, cuts[1:])
         ]
-        location = state.location
-        return [LhaState(location, after, grown) for after in zip(*columns)]
 
     def prop_holds(self, state: LhaState, prop: str) -> bool:
         raise ModelError(f"this automaton defines no propositions, got {prop!r}")
@@ -439,28 +470,23 @@ class LhaSystem(TimedTransitionSystem):
 
 
 def _expr_from_json(doc: Any, at: str) -> AffineExpr:
-    if not isinstance(doc, dict):
-        raise ModelError(f"expected an expression object, got {doc!r}")
-    coeffs = json_keys(doc, "coeffs const", at).get("coeffs", {})
-    if not isinstance(coeffs, dict):
-        raise ModelError("expression coeffs must be an object")
-    return AffineExpr.make(coeffs, doc.get("const", 0))
+    json_keys(json_shape(doc, dict, at), "coeffs const", at)
+    return AffineExpr.make(json_shape(doc.get("coeffs", {}), dict, f"{at}.coeffs"), doc.get("const", 0))
 
 
 def _constraints_from_json(parent: dict, key: str, at: str) -> tuple[AffineConstraint, ...]:
     """The constraint list under ``key`` of the object at path ``at``."""
-    doc = parent.get(key)
-    if doc is None:
-        return ()
-    if not isinstance(doc, list):
-        raise ModelError(f"{key} must be a list of constraints")
-    at = f"{at}.{key}"
+    doc, at = parent.get(key), f"{at}.{key}"
     out = []
-    for i, c in enumerate(doc):
+    for i, c in enumerate(() if doc is None else json_shape(doc, list, at)):
+        here = f"{at}[{i}]"
         if not isinstance(c, dict) or "expr" not in c or "rel" not in c:
-            raise ModelError(f"expected a constraint object with expr and rel, got {c!r}")
-        json_keys(c, "expr rel", f"{at}[{i}]")
-        out.append(AffineConstraint(_expr_from_json(c["expr"], f"{at}[{i}].expr"), c["rel"]))
+            raise ModelError(f"{here} must be a constraint object with expr and rel, got {c!r}")
+        json_keys(c, "expr rel", here)
+        expr = _expr_from_json(c["expr"], f"{here}.expr")
+        if c["rel"] not in RELATIONS:
+            raise ModelError(f"unknown relation {c['rel']!r} at {here}.rel, expected one of {RELATIONS}")
+        out.append(AffineConstraint(expr, c["rel"]))
     return tuple(out)
 
 

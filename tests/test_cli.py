@@ -658,6 +658,29 @@ UNKNOWN_KEYS = {
     "'label' in ticks[0]": {**COMPONENT_DOC, "ticks": [{**COMPONENT_DOC["ticks"][0], "label": "t"}]},
 }
 
+# automaton documents with one malformed constraint or expression, by the
+# error line that names its place
+MALFORMED_PLACES = {
+    "locations[1].invariant must be a JSON list, got 5": {
+        **LHA_DOC, "locations": [*LHA_DOC["locations"], {"name": "b", "invariant": 5}]
+    },
+    "edges[0].guard[0] must be a constraint object with expr and rel, got [1]": {
+        **LHA_DOC, "edges": [{**LHA_EDGE, "guard": [[1]]}]
+    },
+    "edges[0].guard[0].expr must be a JSON object, got 3": {
+        **LHA_DOC, "edges": [{**LHA_EDGE, "guard": [{"expr": 3, "rel": ">="}]}]
+    },
+    "edges[0].assignments[0].expr must be a JSON object, got 3": {
+        **LHA_DOC, "edges": [{**LHA_EDGE, "assignments": [{"var": "x", "expr": 3}]}]
+    },
+    "locations[0].tick_guard[0].expr.coeffs must be a JSON object, got ['x']": {
+        **LHA_DOC, "locations": [{"name": "l", "tick_guard": [{"expr": {"coeffs": ["x"]}, "rel": ">"}]}]
+    },
+    "unknown relation '!=' at edges[1].guard[0].rel, expected one of ('<', '<=', '=', '>=', '>')": {
+        **LHA_DOC, "edges": [LHA_EDGE, {**LHA_EDGE, "guard": [{**AT_LEAST_5[0], "rel": "!="}]}]
+    },
+}
+
 
 def load(path: str) -> Component:
     with open(path, encoding="utf-8") as fh:
@@ -704,6 +727,12 @@ class TestMalformedModels:
         path = write_doc(tmp_path / "bad.json", UNKNOWN_KEYS[where])
         assert main(["simulate", "--model", path, "--time-bound", "3"]) == 2
         assert capsys.readouterr() == ("", f"error: unknown key {where}\n")
+
+    @pytest.mark.parametrize("error", MALFORMED_PLACES)
+    def test_a_malformed_constraint_is_named_with_its_place(self, tmp_path, capsys, error):
+        path = write_doc(tmp_path / "bad.json", MALFORMED_PLACES[error])
+        assert main(["simulate", "--model", path, "--time-bound", "3"]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
 
     def test_product_states_rendering_alike(self, tmp_path, capsys):
         left = write_doc(tmp_path / "left.json", {
@@ -786,10 +815,21 @@ class TestModuleInvocation:
         done = self.run_module(*args)
         assert (done.returncode, done.stdout, done.stderr) == (2, "", error)
 
-    def test_model_warning_is_one_line_before_the_error(self):
-        done = self.run_module("search", "--model", INIT2, "--time-bound", "5", "--pattern", "hose=9")
-        assert done.returncode == 2
-        assert done.stderr == (
-            "warning: total leak rate 15 differs from hose rate 10; the system cannot stay balanced\n"
-            "error: pattern mentions unknown reservoir id 9\n"
+    def test_an_error_is_one_line_without_the_model_warning(self):
+        # init2's leaks do not balance its hose rate, which a result reports
+        for args, error in (
+            (("search", "--pattern", "hose=9"), "error: pattern mentions unknown reservoir id 9\n"),
+            (("check", "--formula", "[] foo"), "error: formula mentions unknown propositions: ['foo']\n"),
+        ):
+            done = self.run_module(*args, "--model", INIT2, "--time-bound", "5")
+            assert (done.returncode, done.stdout, done.stderr) == (2, "", error)
+
+    @pytest.mark.parametrize("args,code", [
+        (("search", "--pattern", "hose=1 R1.hth=15"), 0),
+        (("search", "--pattern", "hose=1 R1.hth=15", "--expect-none"), 1),
+    ])
+    def test_a_result_comes_with_the_model_warning(self, args, code):
+        done = self.run_module(*args, "--model", INIT2, "--time-bound", "5")
+        assert (done.returncode, done.stderr) == (
+            code, "warning: total leak rate 15 differs from hose rate 10; the system cannot stay balanced\n"
         )

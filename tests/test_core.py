@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from lhamc.core import ModelError, as_time, parse_rational
+from lhamc.core import ModelError, as_time, fraction_text, fraction_texts, parse_rational
 from reference import monus
 
 
@@ -72,3 +72,39 @@ class TestAsTime:
     def test_rejects_negative(self):
         with pytest.raises(ModelError):
             as_time("-1")
+
+
+class TestFractionTexts:
+    """``fraction_texts`` renders an arithmetic progression over one
+    denominator as ``fraction_text`` renders each of its terms."""
+
+    @staticmethod
+    def one_by_one(start, step, den, count):
+        texts = [fraction_text(start + k * step, den) for k in range(count)]
+        assert texts == [str(Fraction(start + k * step, den)) for k in range(count)]
+        return texts
+
+    @pytest.mark.parametrize(
+        "start,step,den,count",
+        [
+            (0, 1, 100, 250),  # positive step, many residue classes
+            (7, -3, 12, 40),  # negative step, crossing zero into negative numerators
+            (-30, 4, 6, 25),  # negative start
+            (5, 0, 10, 7),  # zero step
+            (-5, 0, 1, 3),
+            (3, 7, 1, 20),  # den 1
+            (-3, -7, 1, 20),
+            (1, 1, 1000, 9),  # fewer terms than one residue period
+            (0, 5, 15, 0),  # no terms
+            (2, 3, 4, -2),
+        ],
+    )
+    def test_matches_term_by_term(self, start, step, den, count):
+        assert fraction_texts(start, step, den, count) == self.one_by_one(start, step, den, count)
+
+    def test_random_progressions(self):
+        rng = random.Random(2121)
+        for _ in range(2000):
+            den = rng.choice((1, 2, 6, 7, 12, 100, rng.randint(1, 300)))
+            start, step, count = rng.randint(-400, 400), rng.randint(-60, 60), rng.randint(-2, 150)
+            assert fraction_texts(start, step, den, count) == self.one_by_one(start, step, den, count)

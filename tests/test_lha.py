@@ -325,14 +325,14 @@ class TestScaledSystem:
         with pytest.raises(ModelError):
             system.timed_successor(system.initial_state(), delta)
         with pytest.raises(ModelError):
-            system.timed_run(system.initial_state(), delta, 5)
+            system.timed_trace(system.initial_state(), delta, 5)
 
     def test_unknown_location(self):
         system = LhaSystem(two_reservoir(10, 5, 5, 15, 15, 30, 30))
         with pytest.raises(ModelError, match="unknown location 'middle'"):
             system.timed_successor(LhaState("middle", (30, 30), 1), F(1))
         with pytest.raises(ModelError, match="unknown location 'middle'"):
-            system.timed_run(LhaState("middle", (30, 30), 1), F(1), 3)
+            system.timed_trace(LhaState("middle", (30, 30), 1), F(1), 3)
 
     # 2/7 grows the denominator of states held over sixths
     RUN_INCREMENTS = (F(1), F(1, 2), F(1, 3), F(2, 7), F(0))
@@ -354,9 +354,10 @@ class TestScaledSystem:
         return rng.sample(seen, min(most, len(seen)))
 
     @staticmethod
-    def held(run):
-        """How the states of ``run`` are held: location, numerators, denominator."""
-        return [(s.location, s.nums, s.den) for s in run]
+    def flat(segments):
+        """The (text, enabled labels, annotations) of each state of a
+        segmented run, in order."""
+        return [(text, enabled, facts) for texts, enabled, facts in segments for text in texts]
 
     @staticmethod
     def failing_relations(lha, state, delta):
@@ -371,7 +372,7 @@ class TestScaledSystem:
 
     def test_timed_runs_agree_with_the_fraction_reference(self):
         rng = random.Random(1818)
-        blocked = blocked_later = 0
+        blocked = blocked_later = relabelled = 0
         binding = dict.fromkeys(RELATIONS, 0)
         for _ in range(60):
             lha = random_automaton(rng)
@@ -379,39 +380,38 @@ class TestScaledSystem:
             for start in self.reachable_states(rng, system, 2):
                 for delta in self.RUN_INCREMENTS:
                     origin = state = FractionLhaState(start.location, lha_valuation(lha, start))
-                    reference = []  # the reference run of up to 40 ticks
+                    reference = [origin]  # the reference run: the start and up to 40 ticks
                     for _ in range(40):
                         state = timed_successor(lha, state, delta)
                         if state is None:
                             break
                         reference.append(state)
-                    run = system.timed_run(start, delta, 40)
-                    assert len(run) == len(reference)
-                    assert [(s.location, lha_valuation(lha, s)) for s in run] == [
-                        (s.location, s.valuation) for s in reference
+                    run = self.flat(system.timed_trace(start, delta, 40))
+                    assert run == [
+                        (render_state(lha, s), sorted({label for label, _ in discrete_successors(lha, s)}), {})
+                        for s in reference
                     ]
-                    assert [system.serialize(s) for s in run] == [render_state(lha, s) for s in reference]
-                    # stepping one tick at a time holds the states alike, and
-                    # a shorter count is a prefix of the run
-                    held = self.held(run)
-                    assert self.held(TimedTransitionSystem.timed_run(system, start, delta, 40)) == held
+                    # stepping one tick at a time gives the same run, and a
+                    # shorter count a prefix of it
+                    assert self.flat(TimedTransitionSystem.timed_trace(system, start, delta, 40)) == run
                     for count in (-1, 0, *range(1, 40)):
-                        assert self.held(system.timed_run(start, delta, count)) == held[: max(count, 0)]
-                    if len(reference) < 40:
+                        assert self.flat(system.timed_trace(start, delta, count)) == run[: max(count, 0) + 1]
+                    relabelled += any(a[1] != b[1] for a, b in zip(run, run[1:]))
+                    if len(reference) <= 40:
                         blocked += 1
-                        blocked_later += len(reference) >= 2
-                        relations = self.failing_relations(lha, reference[-1] if reference else origin, delta)
+                        blocked_later += len(reference) >= 3
+                        relations = self.failing_relations(lha, reference[-1], delta)
                         if len(relations) == 1:
                             binding[relations[0]] += 1
-        report = (blocked, blocked_later, binding)
-        assert blocked >= 100 and blocked_later >= 20 and min(binding.values()) >= 1, report
+        report = (blocked, blocked_later, relabelled, binding)
+        assert blocked >= 100 and blocked_later >= 20 and relabelled >= 25 and min(binding.values()) >= 1, report
 
     def test_a_run_of_no_ticks_looks_nothing_up(self):
         system = LhaSystem(two_reservoir(10, 5, 5, 15, 15, 30, 30))
         nowhere = LhaState("middle", (30, 30), 1)
         for count in (0, -1):
-            assert system.timed_run(nowhere, 1.0, count) == []
-            assert TimedTransitionSystem.timed_run(system, nowhere, 1.0, count) == []
+            assert system.timed_trace(nowhere, 1.0, count) == [(["middle,30,30"], [], {})]
+            assert TimedTransitionSystem.timed_trace(system, nowhere, 1.0, count) == [(["middle,30,30"], [], {})]
 
 
 class TestIdentity:
