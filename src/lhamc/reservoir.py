@@ -232,6 +232,10 @@ class NResSystem(TimedTransitionSystem):
     def __init__(self, initial: NResState):
         self.initial = initial
         rate, tanks = initial.hose.rate, initial.reservoirs
+        for r in tanks:
+            # the hose must outpour every leak, wherever it is carried
+            if rate < r.leak:
+                raise ModelError(f"reservoir {r.id}: hose rate {rate} is below the leak rate {r.leak}")
         total_leak = sum((r.leak for r in tanks), Fraction(0))
         if total_leak != rate:
             warnings.warn(
@@ -308,9 +312,6 @@ class NResSystem(TimedTransitionSystem):
             if n <= low[i] and i != pos:
                 return None
         growth, fills, drains = self._steps.get(den) or self._step(den)
-        if fills[pos] < 0:
-            rate, rid, leak = self.initial.hose.rate, self._ids[pos], self._leaks[pos]
-            raise ModelError(f"reservoir {rid}: hose rate {rate} is below the leak rate {leak}")
         if growth != 1:
             nums = [n * growth for n in nums]
         after = [n - d if n > d else 0 for n, d in zip(nums, drains)]

@@ -10,11 +10,12 @@ A product is lazy and flat.  Its states are flat tuples of component states,
 generated from the initial state as an explorer asks for successors; an
 operand that is itself a product contributes its components, so a fold of
 binary products is one n-ary product.  Rule labels and tick durations are
-indexed once, per component, when the product is first explored, and a
-state's text fills the template of the operand tree (``"< < %s,%s >,%s >"``)
-with the components' cached texts, so it reads as the nested pairs of the
-fold.  Where a component's text holds a ``,``, two product states could
-render alike; the product then checks each text that exploration reads.
+indexed once, per component, when the product is first explored.  A
+state's text is rendered once, the first time it is asked for: it fills the
+template of the operand tree (``"< < %s,%s >,%s >"``) with the components'
+cached texts, so it reads as the nested pairs of the fold.  Where a
+component's text holds a ``,``, two product states could render alike; the
+product then checks each text when it is first rendered.
 The ``states`` and ``rules`` views enumerate the product as its definition
 does, but only when they are read; exploration never reads them.
 """
@@ -29,6 +30,7 @@ from typing import Any, Iterable, Iterator
 
 from .core import (
     ONE,
+    ZERO,
     ModelError,
     TimedTransitionSystem,
     as_time,
@@ -196,11 +198,13 @@ class SyncProduct(TimedTransitionSystem):
         self.initial = tuple(leaf.initial for leaf in leaves)
         if not self._compatible(self.initial):
             raise ModelError("the initial states disagree on a shared proposition")
+        self._rendered: dict[tuple, str] = {}  # state -> its text
         # splitting a text on "," recovers every component's text, unless one
-        # has a ","; then each text that exploration reads is checked instead
-        if any("," in text for texts in self._texts for text in texts.values()):
-            self._owners: dict[str, tuple] = {}
-            self.serialize = self._serialize_distinctly
+        # has a ","; then each text is checked when it is first rendered
+        commas = any("," in text for texts in self._texts for text in texts.values())
+        self._owners: dict[str, tuple] | None = {} if commas else None  # text -> state
+        self._delta: Any = ZERO  # the last tick duration, and its tables
+        self._tables: list[dict] | None = []
 
     # The successor indexes are built on first use, so that the inner
     # products of a fold, which are never explored, never build them.
@@ -289,11 +293,14 @@ class SyncProduct(TimedTransitionSystem):
         return out
 
     def timed_successor(self, state: tuple, delta: Fraction) -> tuple | None:
-        if type(delta) is not Fraction:  # 1.0 and True would find the tables of 1
-            delta = as_time(delta)
-        tables = self._ticks.get(delta)
-        if tables is None:  # a zero, a negative or an unknown duration
-            return state if as_time(delta) == 0 else None
+        if delta is not self._delta:  # validate a new duration and find its tables
+            d = delta if type(delta) is Fraction else as_time(delta)  # 1.0 and True would find those of 1
+            tables = self._ticks.get(d)
+            self._tables = [] if tables is None and as_time(d) == 0 else tables
+            self._delta = delta
+        tables = self._tables
+        if not tables:  # a zero duration, or one with no joint tick
+            return None if tables is None else state
         succ = []
         for targets, s in zip(tables, state):
             t = targets.get(s)
@@ -314,12 +321,14 @@ class SyncProduct(TimedTransitionSystem):
         return not negated
 
     def serialize(self, state: tuple) -> str:
-        return self._template % tuple(map(dict.__getitem__, self._texts, state))
-
-    def _serialize_distinctly(self, state: tuple) -> str:
-        text = SyncProduct.serialize(self, state)
-        if self._owners.setdefault(text, state) != state:
+        try:
+            return self._rendered[state]
+        except KeyError:
+            pass
+        text = self._template % tuple(map(dict.__getitem__, self._texts, state))
+        if self._owners is not None and self._owners.setdefault(text, state) != state:
             raise ModelError(f"two component states render as {text!r}")
+        self._rendered[state] = text
         return text
 
     def propositions(self) -> frozenset[str]:

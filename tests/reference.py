@@ -53,13 +53,26 @@ def monus(a: Fraction, b: Fraction) -> Fraction:
 # the reservoir ring
 
 
-def fill(tank: Reservoir, rate: Fraction, t: Fraction) -> Reservoir:
-    """Level after t time units under a hose pouring at ``rate``."""
-    t = as_time(t)
+def check_rate(tank: Reservoir, rate: Fraction) -> None:
+    """A hose pouring at ``rate`` must outpour the tank's leak."""
     if rate < tank.leak:
         raise ModelError(
             f"reservoir {tank.id}: hose rate {rate} is below the leak rate {tank.leak}"
         )
+
+
+def check_hose(state: NResState) -> NResState:
+    """The ring, if its hose outpours every tank's leak, wherever the hose
+    is; a ring is rejected when it is built, whatever is explored of it."""
+    for r in state.reservoirs:
+        check_rate(r, state.hose.rate)
+    return state
+
+
+def fill(tank: Reservoir, rate: Fraction, t: Fraction) -> Reservoir:
+    """Level after t time units under a hose pouring at ``rate``."""
+    t = as_time(t)
+    check_rate(tank, rate)
     return replace(tank, level=tank.level + (rate - tank.leak) * t)
 
 

@@ -399,6 +399,18 @@ class TestCheck:
         assert code == 0
         assert doc == {"kind": "check", "holds": True}
 
+    def test_a_ring_is_rejected_whatever_the_formula(self, tmp_path, capsys):
+        # checking "<> one-down" never lets time pass with the hose at tank 2
+        with open(INIT2, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["reservoirs"][2]["leak"] = "20"
+        model = write_doc(tmp_path / "leaky.json", doc)
+        for formula in ("[] ~ <> one-down", "[] true", "<> one-down"):
+            code = main(["check", "--model", model, "--formula", formula, "--time-bound", "8"])
+            assert (code, capsys.readouterr()) == (
+                2, ("", "error: reservoir 2: hose rate 10 is below the leak rate 20\n")
+            ), formula
+
 
 class TestProductCheck:
     def test_safety_violation_golden(self, capsys):

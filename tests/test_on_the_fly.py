@@ -54,7 +54,12 @@ def random_models(seed: int):
     """(system, durations, time bound) for a seeded ring, automaton, and two
     components with their untimed and timed products."""
     rng = random.Random(seed)
-    yield quiet_system(random_ring(rng)), (F(1, 2),), F(3)
+    try:
+        ring = quiet_system(random_ring(rng))
+    except ModelError:  # a hose below a leak: the ring is rejected
+        pass
+    else:
+        yield ring, (F(1, 2),), F(3)
     yield Located(random_automaton(rng)), (F(1), F(1, 2)), F(2)
     for c in random_components(seed):
         yield c, c.tick_durations(), None

@@ -21,6 +21,7 @@ from lhamc.reservoir import (
 )
 from reference import (
     above_upper,
+    check_hose,
     fill,
     move_hose_successors,
     needs_refill,
@@ -249,7 +250,7 @@ class FractionRing(TimedTransitionSystem):
     """The module functions as a model: the reference NResSystem must match."""
 
     def __init__(self, initial: NResState):
-        self.initial = initial
+        self.initial = check_hose(initial)
 
     def initial_state(self):
         return self.initial
@@ -288,10 +289,15 @@ class TestScaledSystem:
 
     def test_walks_agree_with_the_fraction_reference(self):
         rng = random.Random(2025)
-        steps = moves_taken = saturated = errors = 0
+        steps = moves_taken = saturated = errors = rejected = 0
         for _ in range(100):
             ref_initial = random_ring(rng)
-            system = quiet_system(ref_initial)
+            system = outcome(quiet_system, ref_initial)
+            if isinstance(system, str):  # a hose below a leak: the ring is rejected
+                assert system == outcome(check_hose, ref_initial)
+                rejected += 1
+                continue
+            assert check_hose(ref_initial) == ref_initial
             initial = (system.initial_state(), ref_initial)
             fast, ref = initial
             for _ in range(30):
@@ -318,7 +324,8 @@ class TestScaledSystem:
                         a.level == 0 < b.level for a, b in zip(ref_after.reservoirs, ref.reservoirs)
                     )
                 fast, ref = rng.choice(moves) if moves else initial
-        assert steps > 800 and moves_taken > 150 and saturated > 40 and errors > 10
+        # a ring is rejected when built, so no tick raises
+        assert steps > 800 and moves_taken > 150 and saturated > 40 and errors == 0 and rejected == 10
 
     def test_kripke_structures_are_identical(self):
         rng = random.Random(77)
@@ -331,9 +338,7 @@ class TestScaledSystem:
         cases.append((NResState.make(Hose(F(11), 2), tanks), (F(1, 10),), F(40)))
         compared = 0
         for ring, durations, bound in cases:
-            system = quiet_system(ring)
-            fast = outcome(whole_kripke, system, durations, bound)
-            ref = outcome(whole_kripke, FractionRing(ring), durations, bound)
+            system, fast, ref = explore_both(ring, durations, bound)
             if isinstance(ref, str):
                 assert fast == ref
                 continue
@@ -374,18 +379,30 @@ class TestScaledSystem:
             init2_system.timed_successor(init2_system.initial_state(), delta)
 
     def test_rate_below_the_hosed_leak(self):
-        system = quiet_system(NResState.make(Hose(F(3), 0), [tank(0, 30, leak=4), tank(1, 30, leak=1)]))
-        with pytest.raises(ModelError, match="hose rate 3 is below the leak rate 4"):
-            system.timed_successor(system.initial_state(), F(1, 2))
-        assert system.timed_successor(system.initial_state(), F(0)) == system.initial_state()
+        # rejected when built, whether or not the hose is at the leakier tank
+        for hosed in (0, 1):
+            ring = NResState.make(Hose(F(3), hosed), [tank(0, 30, leak=4), tank(1, 30, leak=1)])
+            with pytest.raises(ModelError, match="^reservoir 0: hose rate 3 is below the leak rate 4$"):
+                quiet_system(ring)
+            assert outcome(FractionRing, ring) == outcome(quiet_system, ring)
+
+
+def explore_both(ring: NResState, durations, bound):
+    """The compiled system and the whole structures of it and of the
+    Fraction reference, or the text of the ModelError that building or
+    exploring raised (the system is None when building it raised)."""
+    system = outcome(quiet_system, ring)
+    if isinstance(system, str):
+        assert outcome(FractionRing, ring) == system
+        return None, system, system
+    fast = outcome(whole_kripke, system, durations, bound)
+    return system, fast, outcome(whole_kripke, FractionRing(ring), durations, bound)
 
 
 def reachable_pairs(ring: NResState, durations, bound):
     """The system and (compiled state, Fraction state) pairs for every
-    reachable state, aligned by index; None if exploring raises."""
-    system = quiet_system(ring)
-    fast = outcome(whole_kripke, system, durations, bound)
-    ref = outcome(whole_kripke, FractionRing(ring), durations, bound)
+    reachable state, aligned by index; None if building or exploring raises."""
+    system, fast, ref = explore_both(ring, durations, bound)
     if isinstance(ref, str):
         assert fast == ref
         return system, None
@@ -488,9 +505,8 @@ class TestIdentity:
         compared = distinct = 0
         for ring in [thirds_ring()] + [random_ring(rng) for _ in range(40)]:
             by_text, by_state = {}, {}
-            system = quiet_system(ring)
             for durations, bound in samplings:
-                _, pairs = reachable_pairs(ring, durations, bound)
+                system, pairs = reachable_pairs(ring, durations, bound)
                 for fast, ref in pairs or ():
                     text = system.serialize(fast)
                     assert by_text.setdefault(text, ref) == ref

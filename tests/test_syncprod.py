@@ -224,6 +224,17 @@ class TestSyncProduct:
         with pytest.raises(ModelError, match="two component states render as"):
             len(component_kripke(rt_sync_product(left, right)))
 
+    def test_two_moves_under_one_label_must_render_distinctly(self):
+        # "go" leads to ("a", "b,c") and to ("a,b", "c"), both "< a,b,c >"; moves
+        # under one label are sorted by text, and that sort meets the clash
+        left = Component(("l", "a", "a,b"), "l", (("go", "l", "a"), ("go", "l", "a,b")), props={})
+        right = Component(("r", "b,c", "c"), "r", (("go", "r", "b,c"), ("go", "r", "c")), props={})
+        product = rt_sync_product(left, right)
+        with pytest.raises(ModelError, match="two component states render as '< a,b,c >'"):
+            product.discrete_successors(product.initial_state())
+        with pytest.raises(ModelError, match="two component states render as '< a,b,c >'"):
+            len(component_kripke(rt_sync_product(left, right)))
+
 
 class TestSafeProp:
     def test_safe_added(self):
@@ -708,6 +719,22 @@ class TestScaling:
         assert len(kripke) == 4096
         assert ce is None
         assert took < PRODUCT_BUDGET_SECONDS
+
+
+class TestRenderedOnce:
+    def test_each_state_is_rendered_once_however_many_edges_reach_it(self):
+        fills = Counter()
+
+        class CountedTemplate(str):
+            def __mod__(self, texts):
+                fills[texts] += 1
+                return str.__mod__(self, texts)
+
+        product = safe_prop(ladder(10))
+        product._template = CountedTemplate(product._template)
+        kripke = component_kripke(product)
+        assert len(kripke) == 2**10 and len(kripke.edges) > 4 * 2**10
+        assert len(fills) == sum(fills.values()) == 2**10
 
 
 class TestIdentity:
