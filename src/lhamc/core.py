@@ -1,4 +1,5 @@
-"""Exact arithmetic, the time domain, and the contract every model implements.
+"""Exact arithmetic, the time domain, the reader of model documents, and the
+contract every model implements.
 
 All quantities in the engine are exact rationals; the API takes them, and
 returns times, as ``fractions.Fraction``, save that a ``Kripke``'s ``clock``
@@ -17,6 +18,7 @@ any semantic computation.
 from __future__ import annotations
 
 import re
+import sys
 from abc import ABC, abstractmethod
 from fractions import Fraction
 from math import gcd
@@ -34,6 +36,8 @@ class ModelWarning(UserWarning):
     """A model is suspicious but still usable (e.g. unbalanced flow rates)."""
 
 
+_REQUIRED = object()  # a read's default where its key must be present
+_SHAPES = {dict: "a JSON object", list: "a JSON list", str: "a JSON string", int: "an integer id"}
 _RATIONAL_RE = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(\d+)\s*)?$")
 
 
@@ -53,35 +57,82 @@ def parse_rational(value: Any) -> Fraction:
     if isinstance(value, str):
         m = _RATIONAL_RE.match(value)
         if m:
-            num = int(m.group(1))
-            den = int(m.group(2)) if m.group(2) is not None else 1
+            try:
+                num = int(m.group(1))
+                den = int(m.group(2)) if m.group(2) is not None else 1
+            except ValueError:  # a numeral past sys.get_int_max_str_digits()
+                digits = max(len(m.group(1).lstrip("-")), len(m.group(2) or ""))
+                raise ModelError(f"not a rational: a numeral of {digits} digits, past the limit of "
+                                 f"{sys.get_int_max_str_digits()}") from None
             if den == 0:
                 raise ModelError(f"zero denominator in rational: {value!r}")
             return Fraction(num, den)
     raise ModelError(f"not a rational: {value!r} (expected 'p' or 'p/q')")
 
 
-def json_shape(value: Any, shape: type, where: str) -> Any:
-    """``value`` if it is a JSON object (``dict``) or list (``list``) as
-    ``shape`` says; model loaders check document shapes with it."""
-    if not isinstance(value, shape):
-        raise ModelError(f"{where} must be a JSON {'object' if shape is dict else 'list'}, got {value!r}")
-    return value
+class Doc:
+    """A JSON object or list in a model document, and its place there: the
+    document's name, such as ``the automaton document``, or a path below it,
+    such as ``edges[0].guard[1]``, rendered only for an error.  Each read
+    checks what it reads and raises :class:`ModelError` naming the place on
+    failure; a read with a ``default`` returns it where the key is absent.
+    """
 
+    __slots__ = ("value", "up", "key")
 
-def json_objects(value: Any, where: str) -> list[dict]:
-    """``value`` if it is a JSON list of objects."""
-    return [json_shape(item, dict, f"each entry of {where}") for item in json_shape(value, list, where)]
+    def __init__(self, value: Any, up: Doc | str, key: Any = None, known: tuple[str, ...] | None = None):
+        """``known``, where given, are the only keys the object may have; a
+        loader accepts only the keys it reads, and names the first other one."""
+        self.value, self.up, self.key = value, up, key
+        if known is not None:
+            for name in value:
+                if name not in known:
+                    raise ModelError(f"unknown key {name!r} in {self}")
 
+    def __str__(self) -> str:
+        return self.up if self.key is None else self.up.at(self.key)
 
-def json_keys(doc: dict, known: str, where: str) -> dict:
-    """``doc`` if each of its keys is one of the space-separated ``known``;
-    model loaders accept only the keys they read."""
-    unknown = doc.keys() - known.split()
-    if unknown:
-        key = next(key for key in doc if key in unknown)
-        raise ModelError(f"unknown key {key!r} in {where}")
-    return doc
+    def at(self, key: Any) -> str:
+        """The place of this document's entry ``key``."""
+        if isinstance(key, int):
+            return f"{self}[{key}]"
+        return key if self.key is None else f"{self}.{key}"
+
+    def get(self, key: Any, shape: type | None = None, default: Any = _REQUIRED) -> Any:
+        """The entry ``key``, which is of ``shape`` if one is given."""
+        try:
+            value = self.value[key]
+        except KeyError:
+            if default is _REQUIRED:
+                raise ModelError(f"{self} is missing {key!r}") from None
+            return default
+        if shape is None or type(value) is shape or isinstance(value, shape) and not isinstance(value, bool):
+            return value
+        raise ModelError(f"{self.at(key)} must be {_SHAPES[shape]}, got {value!r}")
+
+    def object(self, key: Any, known: tuple[str, ...] | None = None, default: Any = _REQUIRED) -> Doc:
+        return Doc(self.get(key, dict, default), self, key, known)
+
+    def objects(self, key: str, known: tuple[str, ...], default: Any = _REQUIRED) -> list[Doc]:
+        """The list at ``key``, of objects with only the ``known`` keys."""
+        entries = Doc(self.get(key, list, default), self, key)
+        return [Doc(entries.get(i, dict), entries, i, known) for i in range(len(entries.value))]
+
+    def strings(self, key: str) -> list[str]:
+        entries = Doc(self.get(key, list), self, key)
+        return [entries.get(i, str) for i in range(len(entries.value))]
+
+    def rational(self, key: str, default: Any = _REQUIRED) -> Fraction:
+        value = self.get(key, None, default)
+        try:
+            return parse_rational(value)
+        except ModelError as err:
+            raise ModelError(f"{self.at(key)}: {err}") from None
+
+    def rationals(self, key: str, default: Any = _REQUIRED) -> dict[str, Fraction]:
+        """The object at ``key``, of rationals."""
+        doc = self.object(key, None, default)
+        return {name: doc.rational(name) for name in doc.value}
 
 
 def as_time(value: Any) -> Fraction:

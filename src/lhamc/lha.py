@@ -35,15 +35,13 @@ from typing import Any
 
 from .core import (
     ZERO,
+    Doc,
     ModelError,
     Segment,
     TimedTransitionSystem,
     as_time,
     fraction_text,
     fraction_texts,
-    json_keys,
-    json_objects,
-    json_shape,
     parse_rational,
 )
 
@@ -469,61 +467,37 @@ class LhaSystem(TimedTransitionSystem):
         return f"{state.location},{values}"
 
 
-def _expr_from_json(doc: Any, at: str) -> AffineExpr:
-    json_keys(json_shape(doc, dict, at), "coeffs const", at)
-    return AffineExpr.make(json_shape(doc.get("coeffs", {}), dict, f"{at}.coeffs"), doc.get("const", 0))
+def _expr_from_json(parent: Doc) -> AffineExpr:
+    doc = parent.object("expr", ("coeffs", "const"))
+    return AffineExpr.make(doc.rationals("coeffs", {}), doc.rational("const", 0))
 
 
-def _constraints_from_json(parent: dict, key: str, at: str) -> tuple[AffineConstraint, ...]:
-    """The constraint list under ``key`` of the object at path ``at``."""
-    doc, at = parent.get(key), f"{at}.{key}"
+def _constraints_from_json(parent: Doc, key: str) -> tuple[AffineConstraint, ...]:
     out = []
-    for i, c in enumerate(() if doc is None else json_shape(doc, list, at)):
-        here = f"{at}[{i}]"
-        if not isinstance(c, dict) or "expr" not in c or "rel" not in c:
-            raise ModelError(f"{here} must be a constraint object with expr and rel, got {c!r}")
-        json_keys(c, "expr rel", here)
-        expr = _expr_from_json(c["expr"], f"{here}.expr")
-        if c["rel"] not in RELATIONS:
-            raise ModelError(f"unknown relation {c['rel']!r} at {here}.rel, expected one of {RELATIONS}")
-        out.append(AffineConstraint(expr, c["rel"]))
+    for c in parent.objects(key, ("expr", "rel"), []):
+        expr, rel = _expr_from_json(c), c.get("rel", str)
+        if rel not in RELATIONS:
+            raise ModelError(f"unknown relation {rel!r} at {c.at('rel')}, expected one of {RELATIONS}")
+        out.append(AffineConstraint(expr, rel))
     return tuple(out)
 
 
 def lha_from_json(doc: dict) -> Lha:
-    try:
-        json_keys(doc, "kind variables locations edges initial", "the automaton document")
-        variables = tuple(str(v) for v in json_shape(doc["variables"], list, "variables"))
-        locations = []
-        for i, loc in enumerate(json_objects(doc["locations"], "locations")):
-            at = f"locations[{i}]"
-            json_keys(loc, "name rates invariant tick_guard", at)
-            rates = json_shape(loc.get("rates", {}), dict, "rates")
-            locations.append(Location(
-                str(loc["name"]),
-                {str(v): parse_rational(r) for v, r in rates.items()},
-                _constraints_from_json(loc, "invariant", at),
-                _constraints_from_json(loc, "tick_guard", at),
-            ))
-        edges = []
-        for i, e in enumerate(json_objects(doc.get("edges", []), "edges")):
-            at = f"edges[{i}]"
-            json_keys(e, "source target label guard assignments", at)
-            assignments = []
-            for j, a in enumerate(json_objects(e.get("assignments", []), "assignments")):
-                here = f"{at}.assignments[{j}]"
-                json_keys(a, "var expr", here)
-                assignments.append(Assignment(str(a["var"]), _expr_from_json(a["expr"], f"{here}.expr")))
-            edges.append(Edge(
-                str(e["source"]), str(e["target"]), str(e["label"]),
-                _constraints_from_json(e, "guard", at), tuple(assignments),
-            ))
-        initial = json_keys(json_shape(doc["initial"], dict, "initial"), "location valuation", "initial")
-        valuation = json_shape(initial["valuation"], dict, "initial valuation")
-        valuation = {str(v): parse_rational(x) for v, x in valuation.items()}
-        return Lha(variables, tuple(locations), tuple(edges), str(initial["location"]), valuation)
-    except KeyError as missing:
-        raise ModelError(f"automaton document is missing {missing}") from None
+    doc = Doc(doc, "the automaton document", known=("kind", "variables", "locations", "edges", "initial"))
+    variables = tuple(doc.strings("variables"))
+    locations = tuple(
+        Location(loc.get("name", str), loc.rationals("rates", {}),
+                 _constraints_from_json(loc, "invariant"), _constraints_from_json(loc, "tick_guard"))
+        for loc in doc.objects("locations", ("name", "rates", "invariant", "tick_guard"))
+    )
+    edges = tuple(
+        Edge(e.get("source", str), e.get("target", str), e.get("label", str), _constraints_from_json(e, "guard"),
+             tuple(Assignment(a.get("var", str), _expr_from_json(a))
+                   for a in e.objects("assignments", ("var", "expr"), [])))
+        for e in doc.objects("edges", ("source", "target", "label", "guard", "assignments"), [])
+    )
+    initial = doc.object("initial", ("location", "valuation"))
+    return Lha(variables, locations, edges, initial.get("location", str), initial.rationals("valuation"))
 
 
 def _expr_to_json(expr: AffineExpr) -> dict:

@@ -26,14 +26,12 @@ from typing import Any, Iterable, Optional
 
 from .core import (
     ZERO,
+    Doc,
     ModelError,
     ModelWarning,
     TimedTransitionSystem,
     as_time,
     fraction_text,
-    json_keys,
-    json_objects,
-    json_shape,
     parse_rational,
 )
 
@@ -339,29 +337,12 @@ class NResSystem(TimedTransitionSystem):
 
 
 def nres_from_json(doc: dict) -> NResState:
-    try:
-        json_keys(doc, "kind hose reservoirs", "the reservoir document")
-        hose_doc = json_keys(json_shape(doc["hose"], dict, "hose"), "rate position", "hose")
-        position = hose_doc["position"]
-        if not isinstance(position, int) or isinstance(position, bool):
-            raise ModelError(f"hose position must be an integer id, got {position!r}")
-        hose = Hose(parse_rational(hose_doc["rate"]), position)
-        tanks = []
-        for i, r in enumerate(json_objects(doc["reservoirs"], "reservoirs")):
-            json_keys(r, "id lower upper level leak", f"reservoirs[{i}]")
-            rid = r["id"]
-            if not isinstance(rid, int) or isinstance(rid, bool):
-                raise ModelError(f"reservoir id must be an integer, got {rid!r}")
-            tanks.append(
-                Reservoir(
-                    rid,
-                    parse_rational(r["lower"]),
-                    parse_rational(r["upper"]),
-                    parse_rational(r["level"]),
-                    parse_rational(r["leak"]),
-                )
-            )
-    except KeyError as missing:
-        raise ModelError(f"reservoir document is missing {missing}") from None
+    doc = Doc(doc, "the reservoir document", known=("kind", "hose", "reservoirs"))
+    hose_doc = doc.object("hose", ("rate", "position"))
+    hose = Hose(hose_doc.rational("rate"), hose_doc.get("position", int))
+    tanks = [
+        Reservoir(r.get("id", int), r.rational("lower"), r.rational("upper"), r.rational("level"), r.rational("leak"))
+        for r in doc.objects("reservoirs", ("id", "lower", "upper", "level", "leak"))
+    ]
     return NResState.make(hose, tanks)
 

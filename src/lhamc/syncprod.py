@@ -31,14 +31,11 @@ from typing import Any, Iterable, Iterator
 from .core import (
     ONE,
     ZERO,
+    Doc,
     ModelError,
     TimedTransitionSystem,
     as_time,
     check_prop_name,
-    json_keys,
-    json_objects,
-    json_shape,
-    parse_rational,
 )
 from .explore import Kripke
 
@@ -418,23 +415,13 @@ def component_kripke(component: Component | SyncProduct) -> Kripke:
 
 
 def component_from_json(doc: dict) -> Component:
-    try:
-        json_keys(doc, "kind states initial rules props ticks", "the component document")
-        states = [str(s) for s in json_shape(doc["states"], list, "states")]
-        initial = str(doc["initial"])
-        rules = []
-        for i, r in enumerate(json_objects(doc.get("rules", []), "rules")):
-            json_keys(r, "label source target", f"rules[{i}]")
-            rules.append((str(r["label"]), str(r["source"]), str(r["target"])))
-        props = {
-            str(name): [str(s) for s in json_shape(holds, list, f"proposition {name}")]
-            for name, holds in json_shape(doc.get("props", {}), dict, "props").items()
-        }
-        ticks = []
-        for i, t in enumerate(json_objects(doc.get("ticks", []), "ticks")):
-            json_keys(t, "source target duration", f"ticks[{i}]")
-            ticks.append((str(t["source"]), str(t["target"]), parse_rational(t["duration"])))
-    except KeyError as missing:
-        raise ModelError(f"component document is missing {missing}") from None
+    doc = Doc(doc, "the component document", known=("kind", "states", "initial", "rules", "props", "ticks"))
+    states, initial = doc.strings("states"), doc.get("initial", str)
+    rules = [(r.get("label", str), r.get("source", str), r.get("target", str))
+             for r in doc.objects("rules", ("label", "source", "target"), [])]
+    props_doc = doc.object("props", default={})
+    props = {name: props_doc.strings(name) for name in props_doc.value}
+    ticks = [(t.get("source", str), t.get("target", str), t.rational("duration"))
+             for t in doc.objects("ticks", ("source", "target", "duration"), [])]
     return Component(states, initial, rules, props, ticks)
 

@@ -676,7 +676,7 @@ MALFORMED_PLACES = {
     "locations[1].invariant must be a JSON list, got 5": {
         **LHA_DOC, "locations": [*LHA_DOC["locations"], {"name": "b", "invariant": 5}]
     },
-    "edges[0].guard[0] must be a constraint object with expr and rel, got [1]": {
+    "edges[0].guard[0] must be a JSON object, got [1]": {
         **LHA_DOC, "edges": [{**LHA_EDGE, "guard": [[1]]}]
     },
     "edges[0].guard[0].expr must be a JSON object, got 3": {
@@ -692,6 +692,43 @@ MALFORMED_PLACES = {
         **LHA_DOC, "edges": [LHA_EDGE, {**LHA_EDGE, "guard": [{**AT_LEAST_5[0], "rel": "!="}]}]
     },
 }
+# one error of each family that a loader reports, by the error line that
+# names its place: a missing key, a wrong shape, a bad rational, a value that
+# is not a string, and an id that is not an integer
+LOAD_ERRORS = {
+    "initial is missing 'valuation'": {**LHA_DOC, "initial": {"location": "l"}},
+    "locations[0].rates must be a JSON object, got ['x']": {**LHA_DOC, "locations": [{"name": "l", "rates": ["x"]}]},
+    "locations[0].rates.x: not a rational: 'y' (expected 'p' or 'p/q')": {
+        **LHA_DOC, "locations": [{"name": "l", "rates": {"x": "y"}}]
+    },
+    "locations[0].name must be a JSON string, got None": {**LHA_DOC, "locations": [{"name": None}]},
+    "edges[0].label must be a JSON string, got None": {**LHA_DOC, "edges": [{**LHA_EDGE, "label": None}]},
+    "variables[0] must be a JSON string, got ['x']": {**LHA_DOC, "variables": [["x"]]},
+    "reservoirs[0] is missing 'level'": {
+        **NRES_DOC, "reservoirs": [{k: v for k, v in NRES_DOC["reservoirs"][0].items() if k != "level"}]
+    },
+    "reservoirs[0] must be a JSON object, got 'a'": {**NRES_DOC, "reservoirs": ["a"]},
+    "reservoirs[0].level: not a rational: 'x' (expected 'p' or 'p/q')": {
+        **NRES_DOC, "reservoirs": [{**NRES_DOC["reservoirs"][0], "level": "x"}]
+    },
+    "reservoirs[0].id must be an integer id, got '0'": {
+        **NRES_DOC, "reservoirs": [{**NRES_DOC["reservoirs"][0], "id": "0"}]
+    },
+    "hose.position must be an integer id, got True": {**NRES_DOC, "hose": {"rate": "10", "position": True}},
+    "ticks[0] is missing 'duration'": {**COMPONENT_DOC, "ticks": [{"source": "a", "target": "b"}]},
+    "props.p must be a JSON list, got 'a'": {**COMPONENT_DOC, "props": {"p": "a"}},
+    "ticks[0].duration: not a rational: 'x' (expected 'p' or 'p/q')": {
+        **COMPONENT_DOC, "ticks": [{**COMPONENT_DOC["ticks"][0], "duration": "x"}]
+    },
+    "rules[0].label must be a JSON string, got None": {
+        **COMPONENT_DOC, "rules": [{**COMPONENT_DOC["rules"][0], "label": None}]
+    },
+    "states[1] must be a JSON string, got 1": {**COMPONENT_DOC, "states": ["a", 1]},
+}
+PLACED_ERRORS = {**MALFORMED_PLACES, **LOAD_ERRORS}
+# the largest numeral the interpreter converts to an int has this many
+# digits, or 0 where it has no limit
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def load(path: str) -> Component:
@@ -740,10 +777,21 @@ class TestMalformedModels:
         assert main(["simulate", "--model", path, "--time-bound", "3"]) == 2
         assert capsys.readouterr() == ("", f"error: unknown key {where}\n")
 
-    @pytest.mark.parametrize("error", MALFORMED_PLACES)
+    @pytest.mark.parametrize("error", PLACED_ERRORS)
     def test_a_malformed_constraint_is_named_with_its_place(self, tmp_path, capsys, error):
-        path = write_doc(tmp_path / "bad.json", MALFORMED_PLACES[error])
+        path = write_doc(tmp_path / "bad.json", PLACED_ERRORS[error])
         assert main(["simulate", "--model", path, "--time-bound", "3"]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+
+    @pytest.mark.skipif(not DIGIT_LIMIT, reason="this interpreter converts numerals of any length")
+    def test_a_numeral_past_the_digit_limit_is_a_model_error(self, tmp_path, capsys):
+        numeral = "1" * (DIGIT_LIMIT + 1)
+        error = f"not a rational: a numeral of {DIGIT_LIMIT + 1} digits, past the limit of {DIGIT_LIMIT}"
+        doc = {**NRES_DOC, "reservoirs": [{**NRES_DOC["reservoirs"][0], "level": numeral}]}
+        path = write_doc(tmp_path / "bad.json", doc)
+        assert main(["simulate", "--model", path, "--time-bound", "3"]) == 2
+        assert capsys.readouterr() == ("", f"error: reservoirs[0].level: {error}\n")
+        assert main(["simulate", "--model", INIT2, "--time-bound", numeral]) == 2
         assert capsys.readouterr() == ("", f"error: {error}\n")
 
     def test_product_states_rendering_alike(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,14 @@ class TestParseRational:
     def test_rejects_non_rationals(self, bad):
         with pytest.raises(ModelError):
             parse_rational(bad)
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no digit limit")
+    @pytest.mark.parametrize("template", ["{}", "-{}", "1/{}", "{}/3"])
+    def test_a_numeral_past_the_digit_limit_is_a_model_error(self, template):
+        digits = sys.get_int_max_str_digits() + 1
+        with pytest.raises(ModelError) as err:
+            parse_rational(template.format("7" * digits))
+        assert str(err.value) == f"not a rational: a numeral of {digits} digits, past the limit of {digits - 1}"
 
     def test_text_round_trip(self):
         rng = random.Random(20260814)
