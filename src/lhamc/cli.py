@@ -18,9 +18,10 @@ import sys
 import warnings
 from fractions import Fraction
 from functools import reduce
-from typing import Any, Optional
+from json.encoder import encode_basestring_ascii as quote
+from typing import Optional
 
-from .core import ModelError, TimedTransitionSystem, as_time, fraction_texts
+from .core import ModelError, TimedTransitionSystem, as_time, fraction_texts, parse_int
 from .explore import Kripke, search
 from .lha import LhaSystem, lha_from_json
 from .ltl import Counterexample, model_check, parse_formula
@@ -38,7 +39,7 @@ from .syncprod import (
 def load_model(path: str) -> TimedTransitionSystem:
     """Read a model document and dispatch on its "kind"."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, parse_int=parse_int)  # a numeral past the digit limit is a model error
     if not isinstance(doc, dict):
         raise ModelError("a model document must be a JSON object")
     kind = doc.get("kind")
@@ -139,22 +140,28 @@ def format_counterexample(ce: Counterexample, timed: bool) -> str:
     return "\n".join(lines)
 
 
-def _ce_json(ce: Counterexample) -> dict:
-    def block(steps) -> list:
-        return [
-            {"state": s.text, "elapsed": str(s.elapsed), "label": s.label}
-            for s in steps
-        ]
+def check_json(ce: Optional[Counterexample]) -> str:
+    """``json.dumps(doc, indent=2)`` of the check document, written directly
+    with ``json``'s own string escaping: the indented encoder is pure Python,
+    and a lasso can have thousands of steps."""
+    if ce is None:
+        return '{\n  "kind": "check",\n  "holds": true\n}'
 
-    return {"prefix": block(ce.prefix), "cycle": block(ce.cycle)}
+    def block(steps) -> str:
+        items = ",\n".join(
+            f'      {{\n        "state": {quote(s.text)},\n        "elapsed": {quote(str(s.elapsed))},\n'
+            f'        "label": {quote(s.label)}\n      }}'
+            for s in steps
+        )
+        return f"[\n{items}\n    ]" if steps else "[]"
+
+    return (f'{{\n  "kind": "check",\n  "holds": false,\n  "counterexample": {{\n    "prefix": {block(ce.prefix)},\n'
+            f'    "cycle": {block(ce.cycle)}\n  }}\n}}')
 
 
 def _report_check(ce: Optional[Counterexample], args: argparse.Namespace, timed: bool) -> int:
     if args.format == "json":
-        doc: dict[str, Any] = {"kind": "check", "holds": ce is None}
-        if ce is not None:
-            doc["counterexample"] = _ce_json(ce)
-        print(json.dumps(doc, indent=2))
+        print(check_json(ce))
     else:
         if ce is None:
             print("Result Bool :")

@@ -57,17 +57,23 @@ def parse_rational(value: Any) -> Fraction:
     if isinstance(value, str):
         m = _RATIONAL_RE.match(value)
         if m:
-            try:
-                num = int(m.group(1))
-                den = int(m.group(2)) if m.group(2) is not None else 1
-            except ValueError:  # a numeral past sys.get_int_max_str_digits()
-                digits = max(len(m.group(1).lstrip("-")), len(m.group(2) or ""))
-                raise ModelError(f"not a rational: a numeral of {digits} digits, past the limit of "
-                                 f"{sys.get_int_max_str_digits()}") from None
+            num = parse_int(m.group(1))
+            den = parse_int(m.group(2)) if m.group(2) is not None else 1
             if den == 0:
                 raise ModelError(f"zero denominator in rational: {value!r}")
             return Fraction(num, den)
     raise ModelError(f"not a rational: {value!r} (expected 'p' or 'p/q')")
+
+
+def parse_int(numeral: str) -> int:
+    """The value of a decimal numeral, ``-`` allowed; past the interpreter's
+    digit limit, ``sys.get_int_max_str_digits()``, a :class:`ModelError`
+    that gives the digit count, not the value."""
+    try:
+        return int(numeral)
+    except ValueError:
+        raise ModelError(f"not a rational: a numeral of {len(numeral.lstrip('-'))} digits, past the limit of "
+                         f"{sys.get_int_max_str_digits()}") from None
 
 
 class Doc:

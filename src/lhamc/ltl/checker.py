@@ -7,12 +7,14 @@ to the blue stack, both iterative.  A product node (s, q) steps along every
 edge of s, in order, paired with every automaton target of q on the letter
 of s, in order; these lists are built on demand and never cached.  The
 letter of s holds only the formula's propositions: each is asked of the
-structure once per state (``holds(s, p)``) and the letter is kept for the
-check, so the automaton's memo sees as few distinct letters as the formula
-allows.  The search reads the structure one state at a time (``out(s)``,
-``holds(s, p)``), and a :class:`Kripke` is discovered as it is read, so the
-check is on-the-fly: only the states it visits are expanded, and a
-counterexample found early leaves the rest of the state space unbuilt.
+structure once per state (``holds(s, p)``).  The check keeps one row per
+distinct letter, the automaton targets of every automaton state on it, and
+maps s to its letter's row when it first meets s, so a product node's
+targets are one dict read and one index.  The search reads the structure
+one state at a time (``out(s)``, ``holds(s, p)``), and a :class:`Kripke` is
+discovered as it is read, so the check is on-the-fly: only the states it
+visits are expanded, and a counterexample found early leaves the rest of
+the state space unbuilt.
 """
 
 from __future__ import annotations
@@ -63,14 +65,19 @@ def model_check(kripke: Kripke, formula: Formula) -> Optional[Counterexample]:
     ba = to_buchi(negated_nnf(formula))
     out, holds = kripke.out, kripke.holds
     props = sorted(props_of(formula))
-    letters: dict[int, frozenset[str]] = {}  # over the formula's propositions only
+    rows: dict[frozenset[str], list[tuple[int, ...]]] = {}
+    row_of: dict[int, list[tuple[int, ...]]] = {}
 
     def succs(v: _ProductNode) -> list[_ProductNode]:
         s, q = v
-        letter = letters.get(s)
-        if letter is None:
-            letter = letters[s] = frozenset(p for p in props if holds(s, p))
-        targets = ba.successors(q, letter)
+        row = row_of.get(s)
+        if row is None:
+            letter = frozenset(p for p in props if holds(s, p))
+            row = rows.get(letter)
+            if row is None:
+                row = rows[letter] = [ba.successors(r, letter) for r in range(ba.size)]
+            row_of[s] = row
+        targets = row[q]
         return [(e.target, t) for e in out(s) for t in targets]
 
     init: _ProductNode = (kripke.initial, ba.initial)
@@ -142,8 +149,9 @@ def _extract(kripke, blue_path, red_path) -> Counterexample:
 
     def step(v, w) -> CounterexampleStep:
         s, t = v[0], w[0]
-        label = next(e.label for e in kripke.out(s) if e.target == t)
-        return CounterexampleStep(kripke.text(s), kripke.elapsed(s), label)
+        for e in kripke.out(s):
+            if e.target == t:
+                return CounterexampleStep(kripke.text(s), kripke.elapsed(s), e.label)
 
     prefix = [step(a, b) for a, b in zip(prefix_nodes, prefix_nodes[1:] + cycle_nodes[:1])]
     cycle = [step(a, b) for a, b in zip(cycle_nodes, cycle_nodes[1:] + cycle_nodes[:1])]

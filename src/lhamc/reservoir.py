@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import le
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from .core import (
     ZERO,
@@ -199,6 +199,19 @@ def parse_pattern(text: str) -> SearchPattern:
     return SearchPattern(hose=hose, reservoirs=reservoirs)
 
 
+class _Memo(dict):
+    """A dict that fills a missing key with ``make(key)`` and keeps it."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[[Any], Any]):
+        self.make = make
+
+    def __missing__(self, key: Any) -> Any:
+        value = self[key] = self.make(key)
+        return value
+
+
 class RingState:
     """A state of a compiled ring: the hosed tank's index and integer level
     numerators over one positive denominator (see :class:`NResSystem`).
@@ -222,9 +235,11 @@ class NResSystem(TimedTransitionSystem):
     methods take and return.  Every threshold is an integer numerator over
     every state's denominator, a tick adds one cached integer step vector per
     (duration, denominator), and the denominator grows by lcm only when a
-    step needs it.  Discrete successors are the hose moves, ordered by
-    numeric target id (which refines the generic label/text order when ids
-    reach two digits).
+    step needs it.  A state's text is the hose's head and each tank's text,
+    whose level is read from ``_levels``, a per-instance memo from
+    denominator to numerator to text, so each level is rendered once.
+    Discrete successors are the hose moves, ordered by numeric target id
+    (which refines the generic label/text order when ids reach two digits).
     """
 
     def __init__(self, initial: NResState):
@@ -247,7 +262,10 @@ class NResSystem(TimedTransitionSystem):
         # every state's denominator is a multiple of this one, so each threshold
         # is a whole numerator over it
         self._den = lcm(*(x.denominator for x in lowers + uppers))
-        self._bounds: dict[int, tuple] = {}  # den -> (lower, upper) numerators over den
+        # den -> (lower, upper) numerators over den
+        self._bounds = _Memo(lambda den: tuple(tuple(int(x * den) for x in xs) for xs in self._thresholds))
+        # den -> numerator -> fraction_text(numerator, den), each level's text
+        self._levels = _Memo(lambda den: _Memo(lambda n: fraction_text(n, den)))
         self._heads = [f"hose({rate},{r.id})" for r in tanks]
         # one "{}" per tank for its level
         self._texts = "".join(f" < {r.id} | thr:({r.lower},{r.upper}), hth: {{}}, rte: {r.leak} >"
@@ -261,12 +279,6 @@ class NResSystem(TimedTransitionSystem):
         self._initial = RingState(
             self, self._ids.index(initial.hose.position), tuple(int(r.level * den) for r in tanks), den
         )
-
-    def _bounds_at(self, den: int) -> tuple:
-        bounds = self._bounds.get(den)
-        if bounds is None:
-            bounds = self._bounds[den] = tuple(tuple(int(x * den) for x in xs) for xs in self._thresholds)
-        return bounds
 
     def _steps_for(self, delta: Any) -> dict | None:
         """The steps of ``delta``; a ``Fraction`` duration is validated once."""
@@ -292,7 +304,7 @@ class NResSystem(TimedTransitionSystem):
 
     def discrete_successors(self, state: RingState) -> list[tuple[str, RingState]]:
         pos, nums, den = state.pos, state.nums, state.den
-        low = self._bounds_at(den)[0]
+        low = self._bounds[den][0]
         if nums[pos] < low[pos]:
             return []
         return [
@@ -305,7 +317,7 @@ class NResSystem(TimedTransitionSystem):
         if self._steps is None:
             return state
         pos, nums, den = state.pos, state.nums, state.den
-        low = self._bounds_at(den)[0]
+        low = self._bounds[den][0]
         for i, n in enumerate(nums):
             if n <= low[i] and i != pos:
                 return None
@@ -317,7 +329,7 @@ class NResSystem(TimedTransitionSystem):
         return RingState(self, pos, tuple(after), den * growth)
 
     def prop_holds(self, state: RingState, prop: str) -> bool:
-        low = self._bounds_at(state.den)[0]
+        low = self._bounds[state.den][0]
         if prop == "one-down":
             return any(map(le, state.nums, low))
         if prop == "macondo":
@@ -325,12 +337,11 @@ class NResSystem(TimedTransitionSystem):
         raise ModelError(f"unknown proposition {prop!r}, expected one of {sorted(PROPOSITIONS)}")
 
     def annotations(self, state: RingState) -> dict[str, list]:
-        up = self._bounds_at(state.den)[1]
+        up = self._bounds[state.den][1]
         return {"above_upper": [rid for rid, n, u in zip(self._ids, state.nums, up) if n > u]}
 
     def serialize(self, state: RingState) -> str:
-        den = state.den
-        return self._heads[state.pos] + self._texts.format(*[fraction_text(n, den) for n in state.nums])
+        return self._heads[state.pos] + self._texts.format(*map(self._levels[state.den].__getitem__, state.nums))
 
     def propositions(self) -> frozenset[str]:
         return PROPOSITIONS

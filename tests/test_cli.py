@@ -2,12 +2,13 @@ import json
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from lhamc.cli import format_counterexample, main
+from lhamc.cli import check_json, format_counterexample, load_model, main
 from lhamc.core import ModelError
 from lhamc.explore import build_kripke
 from lhamc.lha import lha_from_json, lha_to_json, two_reservoir
@@ -27,11 +28,13 @@ from lhamc.syncprod import (
     rt_sync_product,
     safe_prop,
 )
+from oracles import random_formula
 from reference import FractionLhaState, component_to_json
 from reference import lha_discrete_successors as discrete_successors
 from reference import lha_render_state as render_state
 from reference import lha_timed_successor as timed_successor
 from test_lha import random_automaton
+from test_syncprod import tick_free
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 INIT2 = str(MODELS / "init2.json")
@@ -410,6 +413,60 @@ class TestCheck:
             assert (code, capsys.readouterr()) == (
                 2, ("", "error: reservoir 2: hose rate 10 is below the leak rate 20\n")
             ), formula
+
+
+# a quote, a backslash, a newline, a tab, a non-ASCII letter and a non-BMP
+# character, which JSON writes as a surrogate pair
+ODD = ('"', "\\", "\n", "\t", "\u00fc", "\U0001d11e")
+
+
+def check_doc(ce) -> dict:
+    """The check document as a plain value, for ``json.dumps``."""
+    doc = {"kind": "check", "holds": ce is None}
+    if ce is not None:
+        doc["counterexample"] = {
+            part: [{"state": s.text, "elapsed": str(s.elapsed), "label": s.label} for s in steps]
+            for part, steps in (("prefix", ce.prefix), ("cycle", ce.cycle))
+        }
+    return doc
+
+
+def odd_component(rng: random.Random, name: str) -> Component:
+    """1-4 states and 1-8 rules, whose names and labels hold ``ODD`` characters."""
+    states = [name + str(i) + "".join(rng.sample(ODD, 2)) for i in range(rng.randint(1, 4))]
+    rules = [
+        (rng.choice(("a", "b", name)) + rng.choice(ODD), rng.choice(states), rng.choice(states))
+        for _ in range(rng.randint(1, 8))
+    ]
+    ticks = [(s, rng.choice(states), 1) for s in states if rng.random() < 0.5]
+    return Component(states, states[0], rules, {f"q{name}": [s for s in states if rng.random() < 0.5]}, ticks)
+
+
+class TestCheckJson:
+    """The check document is written directly; it must be the bytes that
+    ``json.dumps(doc, indent=2)`` gives."""
+
+    def test_products_with_odd_names_match_json_dumps(self):
+        seen = Counter()
+        for seed in range(80):
+            rng = random.Random(seed)
+            left, right = odd_component(rng, "x"), odd_component(rng, "y")
+            for product in (rt_sync_product(left, right), rt_sync_product(tick_free(left), tick_free(right))):
+                ce = model_check(component_kripke(product), random_formula(rng, atoms=("qx", "qy")))
+                # the checker's lassos never start on their cycle: the automaton's initial state has no
+                # incoming transitions; the whole lasso as a cycle has an empty prefix
+                for lasso in (ce,) if ce is None else (ce, Counterexample([], ce.steps())):
+                    assert check_json(lasso) == json.dumps(check_doc(lasso), indent=2), seed
+                seen["holds" if ce is None else "refuted"] += 1
+                for c in ODD if ce is not None else ():
+                    seen[c] += any(c in s.text + s.label for s in ce.steps())
+        assert min(seen[case] for case in ("holds", "refuted", *ODD)) > 0, seen
+
+    @pytest.mark.parametrize("formula", ["[] ~ <> one-down", "<> macondo", "X X one-down", "~ [] <> macondo"])
+    def test_ring_checks_print_json_dumps(self, capsys, formula):
+        code = main(["check", "--model", INIT2, "--formula", formula, "--time-bound", "5", "--format", "json"])
+        ce = model_check(build_kripke(load_model(INIT2), Fraction(5), Fraction(1)), parse_formula(formula))
+        assert (code, capsys.readouterr().out) == (int(ce is not None), json.dumps(check_doc(ce), indent=2) + "\n")
 
 
 class TestProductCheck:
@@ -792,6 +849,17 @@ class TestMalformedModels:
         assert main(["simulate", "--model", path, "--time-bound", "3"]) == 2
         assert capsys.readouterr() == ("", f"error: reservoirs[0].level: {error}\n")
         assert main(["simulate", "--model", INIT2, "--time-bound", numeral]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+
+    @pytest.mark.skipif(not DIGIT_LIMIT, reason="this interpreter converts numerals of any length")
+    def test_an_unquoted_numeral_past_the_digit_limit_is_a_model_error(self, tmp_path, capsys):
+        # the JSON scanner converts a number before any loader reads it, so the error names no place
+        digits = max(5000, DIGIT_LIMIT + 1)
+        doc = {**NRES_DOC, "reservoirs": [{**NRES_DOC["reservoirs"][0], "level": 0}]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc).replace('"level": 0', '"level": ' + "1" * digits), encoding="utf-8")
+        assert main(["simulate", "--model", str(path), "--time-bound", "3"]) == 2
+        error = f"not a rational: a numeral of {digits} digits, past the limit of {DIGIT_LIMIT}"
         assert capsys.readouterr() == ("", f"error: {error}\n")
 
     def test_product_states_rendering_alike(self, tmp_path, capsys):

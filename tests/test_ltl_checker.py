@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from lhamc.core import ModelError
-from lhamc.explore import build_kripke
+from lhamc.explore import Kripke, build_kripke
 from lhamc.ltl import (
     Counterexample,
     CounterexampleStep,
@@ -137,6 +138,29 @@ class TestProductSuccessors:
         transitions = len(to_buchi(negated_nnf(formula)).transitions)
         props = props_of(formula)
         assert len(calls) <= transitions * len({letter & props for letter in kripke.labeling})
+
+    @pytest.mark.parametrize(
+        "text, holds",
+        [("([] <> one-down /\\ [] <> ~ one-down) -> [] <> macondo", True), ("[] (one-down -> <> macondo)", False)],
+    )
+    def test_each_state_is_asked_each_proposition_once(self, monkeypatch, text, holds):
+        plain = NResSystem.prop_holds
+        asked = Counter()
+
+        def counted(system, state, prop):
+            asked[id(state)] += 1  # the structure keeps every state it found, so ids are not reused
+            return plain(system, state, prop)
+
+        monkeypatch.setattr(NResSystem, "prop_holds", counted)
+        # the sustaining ring above
+        tanks = [(18, 57, 23, 3), (16, 40, 23, 4), (12, 32, 38, 2), (12, 47, 34, 1)]
+        state = NResState.make(
+            Hose(Fraction(13), 1), [Reservoir(i, *map(Fraction, t)) for i, t in enumerate(tanks)]
+        )
+        kripke = Kripke(NResSystem(state), (Fraction(1, 10),), Fraction(20))
+        formula = parse_formula(text)
+        assert (model_check(kripke, formula) is None) == holds
+        assert len(asked) > 150 and max(asked.values()) <= len(props_of(formula)) == 2
 
     def test_parallel_edges_give_the_first_label_in_move_order(self):
         # moves are sorted by label, so "alpha" comes before "zeta"

@@ -1,12 +1,15 @@
 import itertools
+import json
 import random
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from lhamc.core import ModelError, ModelWarning, TimedTransitionSystem
 from conftest import three_tank_state
+from lhamc.explore import Kripke
 from lhamc.lha import LhaSystem, two_reservoir
 from lhamc.reservoir import (
     PROPOSITIONS,
@@ -33,6 +36,8 @@ from reference import (
 )
 from reference import nres_render_state as render_state
 from oracles import whole_kripke
+
+INIT2 = Path(__file__).resolve().parent.parent / "models" / "init2.json"
 
 F = Fraction
 
@@ -515,3 +520,33 @@ class TestIdentity:
             assert len(by_text) == len(by_state)
             distinct += len(by_text)
         assert compared > 2000 and distinct > 1800, (compared, distinct)
+
+
+class TestLevelTextMemo:
+    """``serialize`` reads each level's text from a memo of its system, by
+    denominator and numerator."""
+
+    @staticmethod
+    def uncached(system: NResSystem, state) -> str:
+        ring = system.initial
+        tanks = [
+            Reservoir(r.id, r.lower, r.upper, F(n, state.den), r.leak) for r, n in zip(ring.reservoirs, state.nums)
+        ]
+        return render_state(NResState(Hose(ring.hose.rate, ring.reservoirs[state.pos].id), tuple(tanks)))
+
+    def test_texts_match_the_uncached_rendering_as_the_denominator_grows(self):
+        system = quiet_system(three_tank_state())
+        kripke = Kripke(system, (F(1, 3), F(1, 7)), F(4))
+        states = kripke.states
+        assert {s.den for s in states} == {1, 3, 7, 21} and len(states) > 70
+        for s, text in zip(states, kripke.texts):
+            assert text == system.serialize(s) == self.uncached(system, s)
+
+    def test_systems_from_one_document_keep_their_own_memo(self):
+        with open(INIT2, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        first, second = quiet_system(nres_from_json(doc)), quiet_system(nres_from_json(doc))
+        texts = Kripke(first, (F(1, 3),), F(2)).texts
+        assert first._levels and not second._levels
+        assert Kripke(second, (F(1, 3),), F(2)).texts == texts
+        assert all(first._levels[den] is not second._levels[den] for den in first._levels)
