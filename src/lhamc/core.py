@@ -1,5 +1,5 @@
-"""Exact arithmetic, the time domain, the reader of model documents, and the
-contract every model implements.
+"""Exact arithmetic, the time domain, the reader of model documents, a memo
+table (:class:`Memo`), and the contract every model implements.
 
 All quantities in the engine are exact rationals; the API takes them, and
 returns times, as ``fractions.Fraction``, save that a ``Kripke``'s ``clock``
@@ -22,7 +22,7 @@ import sys
 from abc import ABC, abstractmethod
 from fractions import Fraction
 from math import gcd
-from typing import Any
+from typing import Any, Callable
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -38,7 +38,7 @@ class ModelWarning(UserWarning):
 
 _REQUIRED = object()  # a read's default where its key must be present
 _SHAPES = {dict: "a JSON object", list: "a JSON list", str: "a JSON string", int: "an integer id"}
-_RATIONAL_RE = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(\d+)\s*)?$")
+_RATIONAL_RE = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(\d+)\s*)?$", re.ASCII)
 
 
 def parse_rational(value: Any) -> Fraction:
@@ -175,6 +175,19 @@ def fraction_texts(start: int, step: int, den: int, count: int) -> list[str]:
         suffix = "" if g == den else f"/{den // g}"
         out[r::period] = [f"{n}{suffix}" for n in range(first, first + times * stride, stride)]
     return out
+
+
+class Memo(dict):
+    """A dict that fills a missing key with ``make(key)`` and keeps it."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[[Any], Any]):
+        self.make = make
+
+    def __missing__(self, key: Any) -> Any:
+        value = self[key] = self.make(key)
+        return value
 
 
 def check_prop_name(name: Any) -> str:

@@ -68,7 +68,6 @@ class BuchiAutomaton:
         self.adjacency: list[list[BuchiTransition]] = [[] for _ in range(size)]
         for t in transitions:
             self.adjacency[t.source].append(t)
-        self._targets: dict[tuple[int, frozenset[str]], tuple[int, ...]] = {}
 
     @staticmethod
     def literals_hold(literals: frozenset[Literal], letter: frozenset[str]) -> bool:
@@ -76,14 +75,8 @@ class BuchiAutomaton:
 
     def successors(self, state: int, letter: frozenset[str]) -> tuple[int, ...]:
         """Targets of the transitions from ``state`` whose literals hold in
-        ``letter``, in adjacency order.  Memoized per (state, letter), so
-        each transition reads each distinct letter once."""
-        key = (state, letter)
-        out = self._targets.get(key)
-        if out is None:
-            out = tuple(t.target for t in self.adjacency[state] if self.literals_hold(t.literals, letter))
-            self._targets[key] = out
-        return out
+        ``letter``, in adjacency order."""
+        return tuple(t.target for t in self.adjacency[state] if self.literals_hold(t.literals, letter))
 
 
 class _Node:
@@ -268,48 +261,3 @@ def _reduced(ba: BuchiAutomaton) -> BuchiAutomaton:
         )
     return BuchiAutomaton(count, transitions, frozenset(block[q] for q in ba.accepting))
 
-
-def lasso_accepted(
-    ba: BuchiAutomaton,
-    prefix: list[frozenset[str]],
-    cycle: list[frozenset[str]],
-) -> bool:
-    """Whether the ultimately periodic word prefix . cycle^omega is accepted."""
-    if not cycle:
-        raise ModelError("the cycle of a lasso must be nonempty")
-    word = list(prefix) + list(cycle)
-    loop_start = len(prefix)
-    total = len(word)
-
-    def next_pos(pos: int) -> int:
-        return pos + 1 if pos + 1 < total else loop_start
-
-    # Product of the automaton with the lasso, then look for a reachable
-    # accepting product node that lies on a cycle.
-    start = (ba.initial, 0)
-    reached = {start}
-    queue = [start]
-    while queue:
-        state, pos = queue.pop()
-        for succ in ba.successors(state, word[pos]):
-            nxt = (succ, next_pos(pos))
-            if nxt not in reached:
-                reached.add(nxt)
-                queue.append(nxt)
-
-    candidates = [v for v in reached if v[0] in ba.accepting and v[1] >= loop_start]
-    for v in candidates:
-        state0, pos0 = v
-        work = [(succ, next_pos(pos0)) for succ in ba.successors(state0, word[pos0])]
-        seen = set(work)
-        while work:
-            u = work.pop()
-            if u == v:
-                return True
-            state, pos = u
-            for succ in ba.successors(state, word[pos]):
-                nxt = (succ, next_pos(pos))
-                if nxt not in seen:
-                    seen.add(nxt)
-                    work.append(nxt)
-    return False

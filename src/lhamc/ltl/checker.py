@@ -2,19 +2,20 @@
 
 The property is negated, normalized, and compiled to a Buchi automaton; an
 accepting lasso in the product with the Kripke structure is a counterexample.
-The outer search runs in postorder, the inner search hunts for a cycle back
-to the blue stack, both iterative.  A product node (s, q) steps along every
-edge of s, in order, paired with every automaton target of q on the letter
-of s, in order; these lists are built on demand and never cached.  The
-letter of s holds only the formula's propositions: each is asked of the
-structure once per state (``holds(s, p)``).  The check keeps one row per
-distinct letter, the automaton targets of every automaton state on it, and
-maps s to its letter's row when it first meets s, so a product node's
-targets are one dict read and one index.  The search reads the structure
-one state at a time (``out(s)``, ``holds(s, p)``), and a :class:`Kripke` is
-discovered as it is read, so the check is on-the-fly: only the states it
-visits are expanded, and a counterexample found early leaves the rest of
-the state space unbuilt.
+:func:`model_check` and :func:`lasso_accepted` share one search,
+:func:`_accepting_cycle`, over product nodes (Kripke state or lasso position,
+automaton state): the outer search runs in postorder, the inner search hunts
+for a cycle back to the blue stack, both iterative.  They share one row
+table too, :func:`_letter_rows`, which keeps for each distinct letter the
+automaton targets of every automaton state on it.  A product node (s, q)
+steps along every edge of s, in order, paired with every automaton target of
+q in the row of s's letter, in order.  The letter of s holds only the
+formula's propositions, each asked of the structure once per state
+(``holds(s, p)``), and s is mapped to its row when the check first meets it.
+The search reads the structure one state at a time (``out(s)``,
+``holds(s, p)``), and a :class:`Kripke` is discovered as it is read, so the
+check is on-the-fly: only the states it visits are expanded, and a
+counterexample found early leaves the rest of the state space unbuilt.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from ..core import ModelError
+from ..core import Memo, ModelError
 from ..explore import Kripke
-from .buchi import lasso_accepted, to_buchi
+from .buchi import BuchiAutomaton, to_buchi
 from .formula import Formula, negated_nnf, props_of
 
 
@@ -58,6 +59,12 @@ def _check_props(kripke: Kripke, formula: Formula) -> None:
         raise ModelError(f"formula mentions unknown propositions: {sorted(unknown)}")
 
 
+def _letter_rows(ba: BuchiAutomaton) -> Memo:
+    """Each letter's row, built on its first request: the targets of every
+    automaton state on that letter, indexed by state."""
+    return Memo(lambda letter: [ba.successors(q, letter) for q in range(ba.size)])
+
+
 def model_check(kripke: Kripke, formula: Formula) -> Optional[Counterexample]:
     """None if every run from the initial state satisfies the formula,
     otherwise a validated-shape counterexample lasso."""
@@ -65,25 +72,50 @@ def model_check(kripke: Kripke, formula: Formula) -> Optional[Counterexample]:
     ba = to_buchi(negated_nnf(formula))
     out, holds = kripke.out, kripke.holds
     props = sorted(props_of(formula))
-    rows: dict[frozenset[str], list[tuple[int, ...]]] = {}
-    row_of: dict[int, list[tuple[int, ...]]] = {}
+    rows = _letter_rows(ba)
+    row_of = Memo(lambda s: rows[frozenset(p for p in props if holds(s, p))])
 
     def succs(v: _ProductNode) -> list[_ProductNode]:
         s, q = v
-        row = row_of.get(s)
-        if row is None:
-            letter = frozenset(p for p in props if holds(s, p))
-            row = rows.get(letter)
-            if row is None:
-                row = rows[letter] = [ba.successors(r, letter) for r in range(ba.size)]
-            row_of[s] = row
-        targets = row[q]
+        targets = row_of[s][q]
         return [(e.target, t) for e in out(s) for t in targets]
 
-    init: _ProductNode = (kripke.initial, ba.initial)
-    blue: set[_ProductNode] = {init}
-    red: set[_ProductNode] = set()
-    on_stack: set[_ProductNode] = {init}
+    hit = _accepting_cycle((kripke.initial, ba.initial), succs, ba.accepting)
+    return None if hit is None else _extract(kripke, *hit)
+
+
+def lasso_accepted(
+    ba: BuchiAutomaton,
+    prefix: list[frozenset[str]],
+    cycle: list[frozenset[str]],
+) -> bool:
+    """Whether the ultimately periodic word prefix . cycle^omega is accepted:
+    whether the product of the automaton with the lasso, whose last position
+    steps back to the first of the cycle, has a reachable accepting cycle."""
+    if not cycle:
+        raise ModelError("the cycle of a lasso must be nonempty")
+    rows = _letter_rows(ba)
+    row_at = [rows[letter] for letter in (*prefix, *cycle)]
+    following = [*range(1, len(row_at)), len(prefix)]
+
+    def succs(v: tuple[int, int]) -> list[tuple[int, int]]:
+        pos, q = v
+        nxt = following[pos]
+        return [(nxt, t) for t in row_at[pos][q]]
+
+    return _accepting_cycle((0, ba.initial), succs, ba.accepting) is not None
+
+
+def _accepting_cycle(init, succs, accepting):
+    """The blue stack and the red return path of a reachable cycle through a
+    node whose second component is in ``accepting``, or None.
+
+    The outer search visits successors in order and runs the inner search
+    from each accepting node when it leaves it, in postorder.
+    """
+    blue = {init}
+    red = set()
+    on_stack = {init}
     stack = [(init, iter(succs(init)))]  # (node, its successors not yet tried)
 
     while stack:
@@ -96,10 +128,10 @@ def model_check(kripke: Kripke, formula: Formula) -> Optional[Counterexample]:
                 break
         else:
             # node fully explored: run the inner search if it is accepting
-            if node[1] in ba.accepting:
+            if node[1] in accepting:
                 hit = _red_search(node, succs, red, on_stack)
                 if hit is not None:
-                    return _extract(kripke, [v for v, _ in stack], hit)
+                    return [v for v, _ in stack], hit
             stack.pop()
             on_stack.discard(node)
     return None

@@ -22,16 +22,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import le
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Iterable, Optional
 
 from .core import (
     ZERO,
     Doc,
+    Memo,
     ModelError,
     ModelWarning,
     TimedTransitionSystem,
     as_time,
     fraction_text,
+    parse_int,
     parse_rational,
 )
 
@@ -162,7 +164,8 @@ def validate_pattern(pattern: SearchPattern, system: TimedTransitionSystem) -> N
             raise ModelError(f"pattern mentions unknown reservoir id {rid}")
 
 
-_PATTERN_TOKEN = re.compile(r"^R(\d+)\.hth=(.+)$")
+_PATTERN_TOKEN = re.compile(r"^R(\d+)\.hth=(.+)$", re.ASCII)
+_HOSE_TOKEN = re.compile(r"^hose=(\d+)$", re.ASCII)
 
 
 def parse_pattern(text: str) -> SearchPattern:
@@ -180,15 +183,15 @@ def parse_pattern(text: str) -> SearchPattern:
         if token.startswith("hose="):
             if hose is not None:
                 raise ModelError("duplicate hose constraint")
-            try:
-                hose = int(token[len("hose="):])
-            except ValueError:
-                raise ModelError(f"cannot read hose position in {token!r}") from None
+            m = _HOSE_TOKEN.match(token)
+            if m is None:
+                raise ModelError(f"cannot read hose position in {token!r}")
+            hose = parse_int(m.group(1))
             continue
         m = _PATTERN_TOKEN.match(token)
         if m is None:
             raise ModelError(f"cannot read pattern token {token!r}")
-        rid = int(m.group(1))
+        rid = parse_int(m.group(1))
         if rid in tanks:
             raise ModelError(f"duplicate constraint for reservoir {rid}")
         value = m.group(2)
@@ -197,19 +200,6 @@ def parse_pattern(text: str) -> SearchPattern:
         (rid, ReservoirPattern(level=level)) for rid, level in sorted(tanks.items())
     )
     return SearchPattern(hose=hose, reservoirs=reservoirs)
-
-
-class _Memo(dict):
-    """A dict that fills a missing key with ``make(key)`` and keeps it."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make: Callable[[Any], Any]):
-        self.make = make
-
-    def __missing__(self, key: Any) -> Any:
-        value = self[key] = self.make(key)
-        return value
 
 
 class RingState:
@@ -263,9 +253,9 @@ class NResSystem(TimedTransitionSystem):
         # is a whole numerator over it
         self._den = lcm(*(x.denominator for x in lowers + uppers))
         # den -> (lower, upper) numerators over den
-        self._bounds = _Memo(lambda den: tuple(tuple(int(x * den) for x in xs) for xs in self._thresholds))
+        self._bounds = Memo(lambda den: tuple(tuple(int(x * den) for x in xs) for xs in self._thresholds))
         # den -> numerator -> fraction_text(numerator, den), each level's text
-        self._levels = _Memo(lambda den: _Memo(lambda n: fraction_text(n, den)))
+        self._levels = Memo(lambda den: Memo(lambda n: fraction_text(n, den)))
         self._heads = [f"hose({rate},{r.id})" for r in tanks]
         # one "{}" per tank for its level
         self._texts = "".join(f" < {r.id} | thr:({r.lower},{r.upper}), hth: {{}}, rte: {r.leak} >"

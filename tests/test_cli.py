@@ -41,6 +41,9 @@ INIT2 = str(MODELS / "init2.json")
 RES1 = str(MODELS / "reservoir1.json")
 RES2 = str(MODELS / "reservoir2.json")
 TWO_RES = str(MODELS / "two_reservoir.json")
+# the largest numeral the interpreter converts to an int has this many
+# digits, or 0 where it has no limit
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 TANKS_30 = (
     "hose(10,0) < 0 | thr:(15,50), hth: 30, rte: 5 > "
@@ -73,6 +76,28 @@ class TestParsePattern:
     def test_rejects(self, bad):
         with pytest.raises(ModelError):
             parse_pattern(bad)
+
+    @pytest.mark.parametrize(
+        "pattern, error",
+        [
+            ("hose=1_0", "cannot read hose position in 'hose=1_0'"),
+            ("hose=+1", "cannot read hose position in 'hose=+1'"),
+            ("hose=\u0663", "cannot read hose position in 'hose=\u0663'"),
+            ("R\u0663.hth=1", "cannot read pattern token 'R\u0663.hth=1'"),
+        ],
+    )
+    def test_an_id_is_an_ascii_decimal_numeral(self, capsys, pattern, error):
+        assert main(["search", "--model", INIT2, "--time-bound", "5", "--pattern", pattern]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+
+    @pytest.mark.skipif(not DIGIT_LIMIT, reason="this interpreter converts numerals of any length")
+    @pytest.mark.parametrize("template", ["hose={}", "R{}.hth=1"])
+    def test_an_id_past_the_digit_limit_is_a_model_error(self, capsys, template):
+        digits = max(5000, DIGIT_LIMIT + 1)
+        pattern = template.format("9" * digits)
+        assert main(["search", "--model", INIT2, "--time-bound", "5", "--pattern", pattern]) == 2
+        error = f"not a rational: a numeral of {digits} digits, past the limit of {DIGIT_LIMIT}"
+        assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
 class TestSimulate:
@@ -768,6 +793,9 @@ LOAD_ERRORS = {
     "reservoirs[0].level: not a rational: 'x' (expected 'p' or 'p/q')": {
         **NRES_DOC, "reservoirs": [{**NRES_DOC["reservoirs"][0], "level": "x"}]
     },
+    "reservoirs[0].level: not a rational: '\u0663\u0660' (expected 'p' or 'p/q')": {
+        **NRES_DOC, "reservoirs": [{**NRES_DOC["reservoirs"][0], "level": "\u0663\u0660"}]
+    },
     "reservoirs[0].id must be an integer id, got '0'": {
         **NRES_DOC, "reservoirs": [{**NRES_DOC["reservoirs"][0], "id": "0"}]
     },
@@ -783,9 +811,6 @@ LOAD_ERRORS = {
     "states[1] must be a JSON string, got 1": {**COMPONENT_DOC, "states": ["a", 1]},
 }
 PLACED_ERRORS = {**MALFORMED_PLACES, **LOAD_ERRORS}
-# the largest numeral the interpreter converts to an int has this many
-# digits, or 0 where it has no limit
-DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def load(path: str) -> Component:

@@ -28,6 +28,13 @@ class TestParseRational:
         with pytest.raises(ModelError):
             parse_rational(bad)
 
+    # Arabic-Indic and fullwidth digits, and no-break spaces, are not ASCII
+    @pytest.mark.parametrize("text", ["\u0663/\u0664", "\uff13", "1\u00a0/\u00a02", "\u0663\u0660"])
+    def test_only_ascii_digits_and_spaces(self, text):
+        with pytest.raises(ModelError) as err:
+            parse_rational(text)
+        assert str(err.value) == f"not a rational: {text!r} (expected 'p' or 'p/q')"
+
     @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no digit limit")
     @pytest.mark.parametrize("template", ["{}", "-{}", "1/{}", "{}/3"])
     def test_a_numeral_past_the_digit_limit_is_a_model_error(self, template):

@@ -5,7 +5,9 @@ from itertools import product
 import pytest
 
 from lhamc.ltl import lasso_accepted, negated_nnf, parse_formula, props_of, to_buchi, to_nnf
+from lhamc.core import ModelError
 from lhamc.ltl.buchi import _degeneralized
+from lhamc.ltl.checker import _letter_rows
 from oracles import eval_on_lasso, random_formula, random_letters
 
 
@@ -43,7 +45,7 @@ class TestStructure:
 
 
 class TestSuccessors:
-    def test_memo_matches_the_plain_scan(self):
+    def test_successors_and_rows_match_the_plain_scan(self):
         rng = random.Random(2718)
         for _ in range(200):
             f = random_formula(rng, temporal_budget=2)
@@ -53,15 +55,16 @@ class TestSuccessors:
                 frozenset(n for n, on in zip(names, bits) if on)
                 for bits in product((False, True), repeat=len(names))
             ]
-            for _ in range(2):  # the second read comes from the memo
-                for q in range(ba.size):
-                    for letter in letters:
-                        scan = tuple(
-                            t.target
-                            for t in ba.adjacency[q]
-                            if all((name in letter) == positive for name, positive in t.literals)
-                        )
-                        assert ba.successors(q, letter) == scan
+            rows = _letter_rows(ba)
+            for q in range(ba.size):
+                for letter in letters:
+                    scan = tuple(
+                        t.target
+                        for t in ba.adjacency[q]
+                        if all((name in letter) == positive for name, positive in t.literals)
+                    )
+                    assert ba.successors(q, letter) == scan
+                    assert rows[letter][q] == scan
 
 
 class TestKnownFormulas:
@@ -198,6 +201,19 @@ class TestAgainstLassoEvaluator:
             prefix, cycle = random_letters(rng)
             expected = eval_on_lasso(f, prefix, cycle)
             assert lasso_accepted(ba, prefix, cycle) == expected, (render_case(f, prefix, cycle))
+
+    def test_long_lassos_on_reduced_and_unreduced_automata(self):
+        rng = random.Random(2505)
+        for _ in range(400):
+            f = random_formula(rng, temporal_budget=3)
+            prefix, cycle = random_letters(rng, max_prefix=8, max_cycle=8)
+            expected = eval_on_lasso(f, prefix, cycle)
+            for ba in (to_buchi(f), _degeneralized(to_nnf(f))):
+                assert lasso_accepted(ba, prefix, cycle) == expected, render_case(f, prefix, cycle)
+
+    def test_an_empty_cycle_is_an_error(self):
+        with pytest.raises(ModelError, match="the cycle of a lasso must be nonempty"):
+            lasso_accepted(automaton_for("p"), [frozenset({"p"})], [])
 
     def test_negation_is_complement_on_lassos(self):
         from lhamc.ltl import negated_nnf
