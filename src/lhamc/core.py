@@ -10,9 +10,11 @@ each state is read and identified through its canonical text; the explorer
 and its Kripke structures keep elapsed time as one integer clock over the
 lcm of the durations' denominators, and :func:`fraction_text` renders such a
 pair exactly as ``str(Fraction)`` would.
-Durations ("time") are nonnegative rationals validated by :func:`as_time`;
-atomic propositions are plain nonempty strings.  Floating point never enters
-any semantic computation.
+Durations ("time") are nonnegative rationals validated by :func:`as_time`,
+and every model reads its ticks through one :class:`TickTables`: it
+validates a duration once, compiles its tick table once, and returns the
+state itself for a zero duration.  Atomic propositions are plain nonempty
+strings.  Floating point never enters any semantic computation.
 """
 
 from __future__ import annotations
@@ -65,14 +67,14 @@ def parse_rational(value: Any) -> Fraction:
     raise ModelError(f"not a rational: {value!r} (expected 'p' or 'p/q')")
 
 
-def parse_int(numeral: str) -> int:
+def parse_int(numeral: str, what: str = "rational") -> int:
     """The value of a decimal numeral, ``-`` allowed; past the interpreter's
     digit limit, ``sys.get_int_max_str_digits()``, a :class:`ModelError`
-    that gives the digit count, not the value."""
+    that names ``what`` the numeral is and gives its digit count, not its value."""
     try:
         return int(numeral)
     except ValueError:
-        raise ModelError(f"not a rational: a numeral of {len(numeral.lstrip('-'))} digits, past the limit of "
+        raise ModelError(f"not a {what}: a numeral of {len(numeral.lstrip('-'))} digits, past the limit of "
                          f"{sys.get_int_max_str_digits()}") from None
 
 
@@ -188,6 +190,30 @@ class Memo(dict):
     def __missing__(self, key: Any) -> Any:
         value = self[key] = self.make(key)
         return value
+
+
+class TickTables(Memo):
+    """A model's compiled tick tables by duration.
+
+    ``of(delta)`` validates a duration object it did not see last with
+    :func:`as_time` before any lookup, since ``1.0`` and ``True`` hash like
+    ``Fraction(1)``; it builds the table with ``make`` once per distinct
+    duration, and is None for a zero duration.  The last duration object is
+    recognised by identity, so an explorer that passes one ``Fraction`` on
+    every tick pays one comparison.
+    """
+
+    __slots__ = ("last", "table")
+
+    def __init__(self, make: Callable[[Fraction], Any]):
+        super().__init__(make)
+        self.last, self.table = ZERO, None
+
+    def of(self, delta: Any) -> Any:
+        if delta is not self.last:
+            d = as_time(delta)
+            self.table, self.last = self[d] if d else None, delta
+        return self.table
 
 
 def check_prop_name(name: Any) -> str:

@@ -182,8 +182,10 @@ class Kripke:
 
     def index_of(self, text: str, elapsed: Fraction) -> Optional[int]:
         """The discovered state with this text and time, if any."""
-        n = Fraction(elapsed) * self.scale  # an integer exactly when on the clock's grid
-        return self._index.get((text, n.numerator)) if n.denominator == 1 else None
+        if not isinstance(elapsed, Fraction):
+            elapsed = Fraction(elapsed)
+        k, r = divmod(self.scale, elapsed.denominator)  # on the clock's grid exactly when r == 0
+        return self._index.get((text, elapsed.numerator * k)) if r == 0 else None
 
     def has_edge(self, source: int, target: int, label: str) -> bool:
         return any(e.target == target and e.label == label for e in self.out(source))

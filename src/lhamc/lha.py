@@ -38,8 +38,8 @@ from .core import (
     Doc,
     ModelError,
     Segment,
+    TickTables,
     TimedTransitionSystem,
-    as_time,
     fraction_text,
     fraction_texts,
     parse_rational,
@@ -345,28 +345,19 @@ class LhaSystem(TimedTransitionSystem):
                 self._invariants[edge.target],
             ))
         # duration -> location -> (tick guard rows, invariant rows, vector,
-        # den): the step adds vector / den; None for a zero duration
-        self._by_delta: dict[Fraction, dict[str, tuple] | None] = {}
-        self._delta: Any = ZERO  # the last duration, and its steps
-        self._ticks = self._ticks_for(ZERO)
+        # den): the step adds vector / den
+        self._tick_tables = TickTables(self._ticks_of)
         self._initial = LhaState(lha.initial_location, *_scaled(index, lha.initial_valuation))
 
-    def _ticks_for(self, delta: Any) -> dict[str, tuple] | None:
-        """Each location's integer step for ``delta``; a ``Fraction`` duration
-        is validated and compiled once."""
-        if type(delta) is not Fraction:
-            delta = as_time(delta)
-        if delta not in self._by_delta:
-            ticks = None
-            if as_time(delta) != 0:
-                ticks = {}
-                for loc in self.lha.locations:
-                    steps = [parse_rational(loc.rates.get(var, ZERO)) * delta for var in self.lha.variables]
-                    den = lcm(*(s.denominator for s in steps))
-                    vector = tuple(int(s * den) for s in steps)
-                    ticks[loc.name] = (self._tick_guards[loc.name], self._invariants[loc.name], vector, den)
-            self._by_delta[delta] = ticks
-        return self._by_delta[delta]
+    def _ticks_of(self, delta: Fraction) -> dict[str, tuple]:
+        """Each location's integer step for a positive ``delta``."""
+        ticks = {}
+        for loc in self.lha.locations:
+            steps = [parse_rational(loc.rates.get(var, ZERO)) * delta for var in self.lha.variables]
+            den = lcm(*(s.denominator for s in steps))
+            vector = tuple(int(s * den) for s in steps)
+            ticks[loc.name] = (self._tick_guards[loc.name], self._invariants[loc.name], vector, den)
+        return ticks
 
     def initial_state(self) -> LhaState:
         return self._initial
@@ -387,11 +378,10 @@ class LhaSystem(TimedTransitionSystem):
     def _tick(self, location: str, delta: Fraction) -> tuple | None:
         """The location's (tick guard rows, invariant rows, vector, den) for
         ``delta``, or None for a zero duration."""
-        if delta is not self._delta:
-            self._delta, self._ticks = delta, self._ticks_for(delta)
-        if self._ticks is None:
+        ticks = self._tick_tables.of(delta)
+        if ticks is None:
             return None
-        tick = self._ticks.get(location)
+        tick = ticks.get(location)
         if tick is None:
             self.lha.location_named(location)  # raises: unknown location
         return tick

@@ -25,13 +25,12 @@ from operator import le
 from typing import Any, Iterable, Optional
 
 from .core import (
-    ZERO,
     Doc,
     Memo,
     ModelError,
     ModelWarning,
+    TickTables,
     TimedTransitionSystem,
-    as_time,
     fraction_text,
     parse_int,
     parse_rational,
@@ -186,12 +185,12 @@ def parse_pattern(text: str) -> SearchPattern:
             m = _HOSE_TOKEN.match(token)
             if m is None:
                 raise ModelError(f"cannot read hose position in {token!r}")
-            hose = parse_int(m.group(1))
+            hose = parse_int(m.group(1), "reservoir id")
             continue
         m = _PATTERN_TOKEN.match(token)
         if m is None:
             raise ModelError(f"cannot read pattern token {token!r}")
-        rid = parse_int(m.group(1))
+        rid = parse_int(m.group(1), "reservoir id")
         if rid in tanks:
             raise ModelError(f"duplicate constraint for reservoir {rid}")
         value = m.group(2)
@@ -261,33 +260,19 @@ class NResSystem(TimedTransitionSystem):
         self._texts = "".join(f" < {r.id} | thr:({r.lower},{r.upper}), hth: {{}}, rte: {r.leak} >"
                               for r in tanks)
         # duration -> den -> (growth, fills, drains): a step from levels over
-        # den moves to den * growth; None for a zero duration
-        self._by_delta: dict[Fraction, dict | None] = {}
-        self._delta: Any = ZERO  # the last duration, and its steps
-        self._steps = self._steps_for(ZERO)
+        # den moves to den * growth
+        self._tick_tables = TickTables(lambda delta: Memo(lambda den: self._step(delta, den)))
         den = lcm(self._den, *(r.level.denominator for r in tanks))
         self._initial = RingState(
             self, self._ids.index(initial.hose.position), tuple(int(r.level * den) for r in tanks), den
         )
 
-    def _steps_for(self, delta: Any) -> dict | None:
-        """The steps of ``delta``; a ``Fraction`` duration is validated once."""
-        if type(delta) is not Fraction:
-            delta = as_time(delta)
-        if delta not in self._by_delta:
-            self._by_delta[delta] = {} if as_time(delta) else None
-        return self._by_delta[delta]
-
-    def _step(self, den: int) -> tuple:
-        """The step of the last duration from levels over ``den``."""
-        delta = as_time(self._delta)
+    def _step(self, delta: Fraction, den: int) -> tuple:
+        """The step of ``delta`` from levels over ``den``."""
         fills = [(self.initial.hose.rate - leak) * delta for leak in self._leaks]
         drains = [leak * delta for leak in self._leaks]
         grown = lcm(den, *(x.denominator for x in fills + drains))
-        step = self._steps[den] = (
-            grown // den, tuple(int(x * grown) for x in fills), tuple(int(x * grown) for x in drains)
-        )
-        return step
+        return grown // den, tuple(int(x * grown) for x in fills), tuple(int(x * grown) for x in drains)
 
     def initial_state(self) -> RingState:
         return self._initial
@@ -302,16 +287,15 @@ class NResSystem(TimedTransitionSystem):
         ]
 
     def timed_successor(self, state: RingState, delta: Fraction) -> RingState | None:
-        if delta is not self._delta:
-            self._delta, self._steps = delta, self._steps_for(delta)
-        if self._steps is None:
+        steps = self._tick_tables.of(delta)
+        if steps is None:
             return state
         pos, nums, den = state.pos, state.nums, state.den
         low = self._bounds[den][0]
         for i, n in enumerate(nums):
             if n <= low[i] and i != pos:
                 return None
-        growth, fills, drains = self._steps.get(den) or self._step(den)
+        growth, fills, drains = steps[den]
         if growth != 1:
             nums = [n * growth for n in nums]
         after = [n - d if n > d else 0 for n, d in zip(nums, drains)]

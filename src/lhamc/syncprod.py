@@ -30,9 +30,10 @@ from typing import Any, Iterable, Iterator
 
 from .core import (
     ONE,
-    ZERO,
     Doc,
+    Memo,
     ModelError,
+    TickTables,
     TimedTransitionSystem,
     as_time,
     check_prop_name,
@@ -116,6 +117,7 @@ class Component(TimedTransitionSystem):
         self._text = text
         # successors are indexed so that a state's successors cost its out-degree
         self._tick_targets: dict[Fraction, dict[Any, Any]] = {}  # duration -> source -> target
+        self._tick_tables = TickTables(lambda d: self._tick_targets.get(d, {}))
         for s, t, d in ticks:
             targets = self._tick_targets.setdefault(d, {})
             if s in targets:
@@ -144,11 +146,8 @@ class Component(TimedTransitionSystem):
         return list(self._moves.get(state, ()))
 
     def timed_successor(self, state: Any, delta: Fraction) -> Any | None:
-        delta = as_time(delta)
-        if delta == 0:
-            return state
-        targets = self._tick_targets.get(delta)
-        return None if targets is None else targets.get(state)
+        targets = self._tick_tables.of(delta)
+        return state if targets is None else targets.get(state)
 
     def prop_holds(self, state: Any, prop: str) -> bool:
         try:
@@ -195,13 +194,14 @@ class SyncProduct(TimedTransitionSystem):
         self.initial = tuple(leaf.initial for leaf in leaves)
         if not self._compatible(self.initial):
             raise ModelError("the initial states disagree on a shared proposition")
-        self._rendered: dict[tuple, str] = {}  # state -> its text
+        self._rendered = Memo(self._render)  # state -> its text
         # splitting a text on "," recovers every component's text, unless one
         # has a ","; then each text is checked when it is first rendered
         commas = any("," in text for texts in self._texts for text in texts.values())
         self._owners: dict[str, tuple] | None = {} if commas else None  # text -> state
-        self._delta: Any = ZERO  # the last tick duration, and its tables
-        self._tables: list[dict] | None = []
+        # duration -> each component's tick targets; one empty table, which
+        # blocks every state, for a duration with no joint tick
+        self._tick_tables = TickTables(lambda d: self._ticks.get(d, ({},)))
 
     # The successor indexes are built on first use, so that the inner
     # products of a fold, which are never explored, never build them.
@@ -290,14 +290,9 @@ class SyncProduct(TimedTransitionSystem):
         return out
 
     def timed_successor(self, state: tuple, delta: Fraction) -> tuple | None:
-        if delta is not self._delta:  # validate a new duration and find its tables
-            d = delta if type(delta) is Fraction else as_time(delta)  # 1.0 and True would find those of 1
-            tables = self._ticks.get(d)
-            self._tables = [] if tables is None and as_time(d) == 0 else tables
-            self._delta = delta
-        tables = self._tables
-        if not tables:  # a zero duration, or one with no joint tick
-            return None if tables is None else state
+        tables = self._tick_tables.of(delta)
+        if tables is None:
+            return state
         succ = []
         for targets, s in zip(tables, state):
             t = targets.get(s)
@@ -318,14 +313,12 @@ class SyncProduct(TimedTransitionSystem):
         return not negated
 
     def serialize(self, state: tuple) -> str:
-        try:
-            return self._rendered[state]
-        except KeyError:
-            pass
+        return self._rendered[state]
+
+    def _render(self, state: tuple) -> str:
         text = self._template % tuple(map(dict.__getitem__, self._texts, state))
         if self._owners is not None and self._owners.setdefault(text, state) != state:
             raise ModelError(f"two component states render as {text!r}")
-        self._rendered[state] = text
         return text
 
     def propositions(self) -> frozenset[str]:

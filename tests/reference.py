@@ -413,7 +413,7 @@ def eager_safe_prop(component: Component) -> Component:
     # the operand's structure and indexes with one more proposition, read
     # attribute by attribute so that a delegating wrapper works as well
     derived = Component.__new__(Component)
-    for name in ("states", "initial", "rules", "ticks", "_text", "_tick_targets", "_moves"):
+    for name in ("states", "initial", "rules", "ticks", "_text", "_tick_targets", "_tick_tables", "_moves"):
         setattr(derived, name, getattr(component, name))
     derived.props = {**component.props, "safe": safe}
     return derived

@@ -96,7 +96,7 @@ class TestParsePattern:
         digits = max(5000, DIGIT_LIMIT + 1)
         pattern = template.format("9" * digits)
         assert main(["search", "--model", INIT2, "--time-bound", "5", "--pattern", pattern]) == 2
-        error = f"not a rational: a numeral of {digits} digits, past the limit of {DIGIT_LIMIT}"
+        error = f"not a reservoir id: a numeral of {digits} digits, past the limit of {DIGIT_LIMIT}"
         assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
@@ -602,6 +602,70 @@ class TestProductCheck:
 
         ce = Counterexample(prefix=steps("prefix"), cycle=steps("cycle"))
         assert validate_counterexample(kripke, parse_formula("[] safe"), ce)
+
+
+class TestComponentModel:
+    """Goldens of ``simulate``, ``search`` and ``check`` on one component: an
+    ``ok`` state whose 1-tick leads to ``below``, and ``fill1`` back."""
+
+    @staticmethod
+    def run(capsys, *args):
+        code = main([args[0], "--model", RES1, *args[1:]])
+        text = capsys.readouterr().out
+        code_json = main([args[0], "--model", RES1, *args[1:], "--format", "json"])
+        out = capsys.readouterr()
+        assert out.err == "" and code_json == code
+        return code, text, out.out
+
+    @staticmethod
+    def dumped(doc) -> str:
+        return json.dumps(doc, indent=2) + "\n"
+
+    @staticmethod
+    def entry(state, elapsed, **more):
+        return {"state": state, "elapsed": str(elapsed), **more}
+
+    def test_simulate(self, capsys):
+        code, text, doc = self.run(capsys, "simulate", "--time-bound", "4", "--increment", "1")
+        assert code == 0
+        assert text == "{ok} in time 0\n{below} in time 1  enabled: fill1\nTimed evolution blocked\n"
+        trace = [self.entry("ok", 0, enabled=[]), self.entry("below", 1, enabled=["fill1"])]
+        assert doc == self.dumped({"kind": "simulation", "trace": trace, "stopped": "blocked"})
+
+    def test_simulate_blocks_at_once_off_the_tick_duration(self, capsys):
+        code, text, doc = self.run(capsys, "simulate", "--time-bound", "4", "--increment", "1/2")
+        assert code == 0
+        assert text == "{ok} in time 0\nTimed evolution blocked\n"
+        trace = [self.entry("ok", 0, enabled=[])]
+        assert doc == self.dumped({"kind": "simulation", "trace": trace, "stopped": "blocked"})
+
+    def test_search(self, capsys):
+        code, text, doc = self.run(capsys, "search", "--time-bound", "3")
+        assert code == 0
+        found = [("ok", 0), ("below", 1), ("ok", 1), ("below", 2), ("ok", 2)]
+        assert text == "".join(
+            f"Solution {i}\nS:System --> {state}; TIME_ELAPSED:Time --> {elapsed}\n"
+            for i, (state, elapsed) in enumerate(found, 1)
+        ) + "No more solutions\n"
+        tick = {"label": "tick", "duration": "1", "state": "below"}
+        fill = {"label": "fill1", "duration": "0", "state": "ok"}
+        paths = [[], [tick], [tick, fill], [tick, fill, tick], [tick, fill, tick, fill]]
+        solutions = [self.entry(s, e, bindings={}, path=p) for (s, e), p in zip(found, paths)]
+        assert doc == self.dumped({"kind": "search", "count": 5, "solutions": solutions})
+
+    def test_check(self, capsys):
+        code, text, doc = self.run(capsys, "check", "--time-bound", "4", "--formula", "[] ~ refill1?")
+        assert code == 1
+        prefix = [("ok", 0, "tick"), ("below", 1, "fill1"), ("ok", 1, "tick"),
+                  ("below", 2, "fill1"), ("ok", 2, "tick"), ("below", 3, "fill1")]
+        lines = [f"    {{{s} in time {e},'{label}}}" for s, e, label in prefix]
+        lines += ["    ,", "    {ok in time 3,'stutter}"]
+        assert text == "\n".join(["Result ModelCheckResult :", "  counterexample(", *lines, "  )", ""])
+        ce = {
+            "prefix": [self.entry(s, e, label=label) for s, e, label in prefix],
+            "cycle": [self.entry("ok", 3, label="stutter")],
+        }
+        assert doc == self.dumped({"kind": "check", "holds": False, "counterexample": ce})
 
 
 class TestErrors:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from lhamc.core import ModelError, as_time, fraction_text, fraction_texts, parse_rational
+from lhamc.core import ModelError, TickTables, as_time, fraction_text, fraction_texts, parse_rational
 from reference import monus
 
 
@@ -88,6 +88,58 @@ class TestAsTime:
     def test_rejects_negative(self):
         with pytest.raises(ModelError):
             as_time("-1")
+
+
+# Durations every model rejects, also after a tick of Fraction(1): 1.0 and
+# True hash and compare equal to Fraction(1).
+BAD_DURATIONS = [Fraction(-1), -1, 1.0, True, "x"]
+
+
+def assert_the_duration_rule(model, delta) -> None:
+    """The duration rule of every model: after a tick of ``Fraction(1)``, the
+    bad duration ``delta`` raises in ``timed_successor`` and ``timed_trace``,
+    and a zero duration returns the state itself."""
+    state = model.initial_state()
+    model.timed_successor(state, Fraction(1))
+    with pytest.raises(ModelError):
+        model.timed_successor(state, delta)
+    with pytest.raises(ModelError):
+        model.timed_trace(state, delta, 5)
+    assert model.timed_successor(state, Fraction(0)) is state
+
+
+class TestTickTables:
+    @staticmethod
+    def counted():
+        made = []
+        return made, TickTables(lambda d: made.append(d) or f"table of {d}")
+
+    def test_one_table_per_distinct_duration(self):
+        made, tables = self.counted()
+        for delta in (Fraction(1, 2), Fraction(2, 4), Fraction(1, 2), 1, Fraction(1), "1", Fraction(1, 2)):
+            assert tables.of(delta) == f"table of {as_time(delta)}"
+        assert made == [Fraction(1, 2), Fraction(1)]
+
+    def test_the_last_duration_is_known_by_identity(self):
+        made, tables = self.counted()
+        delta = Fraction(3)
+        assert tables.of(delta) is tables.of(delta) is tables.table
+        assert tables.last is delta and made == [delta]
+
+    def test_zero_has_no_table(self):
+        made, tables = self.counted()
+        for zero in (Fraction(0), 0, "0", "0/5", Fraction(0, 3)):
+            assert tables.of(zero) is None
+            assert tables.of(Fraction(2)) == "table of 2"
+        assert made == [Fraction(2)]
+
+    @pytest.mark.parametrize("delta", BAD_DURATIONS)
+    def test_a_bad_duration_raises_after_one_was_seen(self, delta):
+        made, tables = self.counted()
+        tables.of(Fraction(1))
+        with pytest.raises(ModelError):
+            tables.of(delta)
+        assert tables.of(Fraction(1)) == "table of 1" and made == [Fraction(1)]
 
 
 class TestFractionTexts:

@@ -1,3 +1,4 @@
+import random
 import time
 from collections import Counter, deque
 from fractions import Fraction
@@ -240,6 +241,28 @@ class TestKripke:
         assert k.index_of(k.texts[i], F(3, 10)) == i
         j = k.clock.index(1)
         assert k.index_of(k.texts[j], F(1, 30)) is None  # its numerator over 10 is 1/3, not 1
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_index_of_matches_the_fraction_lookup(self, init2_system, seed):
+        # the clock-grid lookup against the Fraction expression it replaced,
+        # on timed and time-abstract structures of a ring and of components
+        rng = random.Random(seed)
+        durations = rng.sample([F(1), F(1, 2), F(1, 3), F(2, 5), F(3, 4), F(5, 6)], rng.randint(1, 3))
+        systems = [init2_system, *random_components(seed)]
+        for k in [whole_kripke(system, durations, bound) for system in systems for bound in (F(3), None)]:
+            def fraction_lookup(text, elapsed):
+                n = Fraction(elapsed) * k.scale
+                return k.index.get((text, n.numerator)) if n.denominator == 1 else None
+
+            for i in range(len(k)):
+                text, now = k.texts[rng.randrange(len(k))], k.elapsed(i)
+                off = F(1, rng.choice([7, 11, 2 * k.scale, 3 * k.scale]))
+                times = [now, now + off, now - off, -now - 1, int(now), rng.randint(-2, 4)]
+                times.append(F(rng.randrange(13), 12))
+                for elapsed in times:
+                    assert k.index_of(k.texts[i], elapsed) == fraction_lookup(k.texts[i], elapsed)
+                    assert k.index_of(text, elapsed) == fraction_lookup(text, elapsed)
+                assert k.index_of(k.texts[i], now) == i
 
     def test_off_grid_lasso_step_is_rejected(self, init2_system):
         k = build_kripke(init2_system, F(1), F(1, 10))

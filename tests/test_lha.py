@@ -23,6 +23,7 @@ from reference import FractionLhaState, eval_affine, flow, holds, lha_valuation
 from reference import lha_discrete_successors as discrete_successors
 from reference import lha_render_state as render_state
 from reference import lha_timed_successor as timed_successor
+from test_core import BAD_DURATIONS, assert_the_duration_rule
 
 F = Fraction
 
@@ -318,14 +319,9 @@ class TestScaledSystem:
         assert system.serialize(after) == "left,65/2,55/2"
         assert (after.nums, after.den) == ((65, 55), 2)
 
-    @pytest.mark.parametrize("delta", [F(-1), -1, 1.0, True, "x"])
+    @pytest.mark.parametrize("delta", BAD_DURATIONS)
     def test_durations_are_validated(self, delta):
-        system = LhaSystem(two_reservoir(10, 5, 5, 15, 15, 30, 30))
-        system.timed_successor(system.initial_state(), F(1))
-        with pytest.raises(ModelError):
-            system.timed_successor(system.initial_state(), delta)
-        with pytest.raises(ModelError):
-            system.timed_trace(system.initial_state(), delta, 5)
+        assert_the_duration_rule(LhaSystem(two_reservoir(10, 5, 5, 15, 15, 30, 30)), delta)
 
     def test_unknown_location(self):
         system = LhaSystem(two_reservoir(10, 5, 5, 15, 15, 30, 30))

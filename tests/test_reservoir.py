@@ -36,6 +36,7 @@ from reference import (
 )
 from reference import nres_render_state as render_state
 from oracles import whole_kripke
+from test_core import BAD_DURATIONS, assert_the_duration_rule
 
 INIT2 = Path(__file__).resolve().parent.parent / "models" / "init2.json"
 
@@ -377,11 +378,9 @@ class TestScaledSystem:
         assert system.timed_successor(blocked, F(0)) is blocked
         assert system.timed_successor(blocked, F(1)) is None
 
-    @pytest.mark.parametrize("delta", [F(-1), -1, 1.0, True, "x"])
+    @pytest.mark.parametrize("delta", BAD_DURATIONS)
     def test_durations_are_validated(self, init2_system, delta):
-        init2_system.timed_successor(init2_system.initial_state(), F(1))
-        with pytest.raises(ModelError):
-            init2_system.timed_successor(init2_system.initial_state(), delta)
+        assert_the_duration_rule(init2_system, delta)
 
     def test_rate_below_the_hosed_leak(self):
         # rejected when built, whether or not the hose is at the leakier tank
