@@ -21,7 +21,7 @@ from functools import reduce
 from json.encoder import encode_basestring_ascii as quote
 from typing import Optional
 
-from .core import ModelError, TimedTransitionSystem, as_time, fraction_texts, parse_int
+from .core import ModelError, TimedTransitionSystem, as_time, fraction_texts, json_int
 from .explore import Kripke, search
 from .lha import LhaSystem, lha_from_json
 from .ltl import Counterexample, model_check, parse_formula
@@ -39,7 +39,7 @@ from .syncprod import (
 def load_model(path: str) -> TimedTransitionSystem:
     """Read a model document and dispatch on its "kind"."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh, parse_int=parse_int)  # a numeral past the digit limit is a model error
+        doc = json.load(fh, parse_int=json_int)  # a numeral past the digit limit fails where it is read
     if not isinstance(doc, dict):
         raise ModelError("a model document must be a JSON object")
     kind = doc.get("kind")

@@ -52,7 +52,7 @@ def parse_rational(value: Any) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, bool):
+    if isinstance(value, (bool, LongNumeral)):
         raise ModelError(f"not a rational: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
@@ -67,15 +67,38 @@ def parse_rational(value: Any) -> Fraction:
     raise ModelError(f"not a rational: {value!r} (expected 'p' or 'p/q')")
 
 
-def parse_int(numeral: str, what: str = "rational") -> int:
-    """The value of a decimal numeral, ``-`` allowed; past the interpreter's
-    digit limit, ``sys.get_int_max_str_digits()``, a :class:`ModelError`
-    that names ``what`` the numeral is and gives its digit count, not its value."""
+class LongNumeral:
+    """A numeral past the interpreter's digit limit,
+    ``sys.get_int_max_str_digits()``, kept by its digit count, not its value;
+    a model document's JSON reader leaves one where the numeral stood, and
+    the :class:`Doc` read of it names its place."""
+
+    __slots__ = ("digits",)
+
+    def __init__(self, numeral: str):
+        self.digits = len(numeral.lstrip("-"))
+
+    def __repr__(self) -> str:
+        return f"a numeral of {self.digits} digits, past the limit of {sys.get_int_max_str_digits()}"
+
+
+def json_int(numeral: str) -> int | LongNumeral:
+    """The value of a decimal numeral, ``-`` allowed, or a
+    :class:`LongNumeral` past the digit limit."""
     try:
         return int(numeral)
     except ValueError:
-        raise ModelError(f"not a {what}: a numeral of {len(numeral.lstrip('-'))} digits, past the limit of "
-                         f"{sys.get_int_max_str_digits()}") from None
+        return LongNumeral(numeral)
+
+
+def parse_int(numeral: str, what: str = "rational") -> int:
+    """The value of a decimal numeral, ``-`` allowed; past the digit limit,
+    a :class:`ModelError` that names ``what`` the numeral is and gives its
+    digit count, not its value."""
+    value = json_int(numeral)
+    if isinstance(value, LongNumeral):
+        raise ModelError(f"not a {what}: {value!r}")
+    return value
 
 
 class Doc:

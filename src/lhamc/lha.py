@@ -45,7 +45,9 @@ from .core import (
     parse_rational,
 )
 
-RELATIONS = ("<", "<=", "=", ">=", ">")
+# The signs of an affine expression that satisfy each relation against zero.
+_SIGNS = {"<": (-1,), "<=": (-1, 0), "=": (0,), ">=": (0, 1), ">": (1,)}
+RELATIONS = tuple(_SIGNS)
 
 
 @dataclass(frozen=True)
@@ -220,8 +222,6 @@ def _scaled(index: dict[str, int], valuation: Mapping[str, Any]) -> tuple[tuple[
 # numerators n over denominator d when the sign of
 # sum(c * n[i] for i, c in terms) + const * d is in signs.
 Row = tuple[tuple[tuple[int, int], ...], int, tuple[int, ...]]
-
-_SIGNS = {"<": (-1,), "<=": (-1, 0), "=": (0,), ">=": (0, 1), ">": (1,)}
 
 
 def _scaled_terms(

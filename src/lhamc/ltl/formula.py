@@ -5,20 +5,15 @@ Concrete syntax::
     f ::= ident | true | false | ~ f | [] f | <> f | X f
         | f /\\ f | f \\/ f | f -> f | f U f | f R f | ( f )
 
-Binary operators, loosest first:
+Binary operators, loosest first: ``->`` (right), ``\\/`` (left), ``/\\``
+(left), then ``U`` and ``R`` (right).  The prefix operators ``~ [] <> X``
+bind tighter than any of them.  Identifiers may contain hyphens and a
+trailing question mark, so atomic propositions like ``one-down`` and
+``refill1?`` parse as single names.
 
-    ======  =============  ==========
-    level   operators      associates
-    ======  =============  ==========
-    0       ``->``         right
-    1       ``\\/``         left
-    2       ``/\\``         left
-    3       ``U``, ``R``   right
-    ======  =============  ==========
-
-The prefix operators ``~ [] <> X`` bind tighter than any of them.
-Identifiers may contain hyphens and a trailing question mark, so atomic
-propositions like ``one-down`` and ``refill1?`` parse as single names.
+Each operator is stated once, in one table, ``_OPERATORS``: its symbol, its
+precedence and associativity, and its dual under negation.  The tokenizer,
+parser, printer and negation normal form all read that row.
 
 Formula nodes are interned: building the same structure twice returns the
 same object, so equality is identity and hashing never walks the tree, at
@@ -42,42 +37,49 @@ class Formula:
     __slots__ = ()
 
     def __new__(cls, *args: Any, **kwargs: Any) -> Formula:
-        """The node with these fields, made on first request.  The
-        dataclass ``__init__`` then checks the arguments and sets the same
-        values again."""
+        """The node with these fields, made and filled on first request;
+        the arguments bind to the fields as a dataclass ``__init__`` would
+        bind them."""
+        names = cls.__match_args__
         if kwargs:
-            args += tuple(kwargs[name] for name in cls.__match_args__[len(args):] if name in kwargs)
+            if kwargs.keys() - names[len(args):]:
+                raise TypeError(f"{cls.__name__}() got an unexpected or repeated keyword among {sorted(kwargs)}")
+            args += tuple(kwargs[name] for name in names[len(args):] if name in kwargs)
+        if len(args) != len(names):
+            raise TypeError(f"{cls.__name__}() takes the fields {names}, got {len(args)} arguments")
         key = (cls, *args)
         node = _NODES.get(key)
         if node is None:
             node = _NODES[key] = super().__new__(cls)
+            for name, value in zip(names, args):
+                object.__setattr__(node, name, value)
         return node
 
     def __reduce__(self) -> tuple:
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Bottom(Formula):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Prop(Formula):
     name: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Unary(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Binary(Formula):
     left: Formula
     right: Formula
@@ -119,63 +121,37 @@ class Release(Binary):
     pass
 
 
-# Each operator once: the token kind that builds it, its binary precedence
-# level (loosest 0) and whether it associates to the right, its printed
-# symbol, and the operator a negation swaps it for.
-_CONSTANT = {"true": Top, "false": Bottom}
-_PREFIX = {"not": Not, "lbox": Always, "diamond": Eventually, "X": Next}
-_INFIX = {
-    "implies": (Implies, 0, True),
-    "or": (Or, 1, False),
-    "and": (And, 2, False),
-    "U": (Until, 3, True),
-    "R": (Release, 3, True),
+# Each operator once, by its node class: its symbol, its binary precedence
+# level (loosest 0) and whether it associates to the right, both None for a
+# prefix operator or a constant, and the operator a negation swaps it for,
+# None where the negation normal form rewrites it instead.
+_OPERATORS: dict[type, tuple[str, int | None, bool | None, type | None]] = {
+    Top: ("true", None, None, Bottom),
+    Bottom: ("false", None, None, Top),
+    Not: ("~", None, None, None),
+    Next: ("X", None, None, Next),
+    Always: ("[]", None, None, Eventually),
+    Eventually: ("<>", None, None, Always),
+    Implies: ("->", 0, True, None),
+    Or: ("\\/", 1, False, And),
+    And: ("/\\", 2, False, Or),
+    Until: ("U", 3, True, Release),
+    Release: ("R", 3, True, Until),
 }
-_SYMBOL = {
-    Top: "true",
-    Bottom: "false",
-    Not: "~",
-    Next: "X",
-    Always: "[]",
-    Eventually: "<>",
-    And: "/\\",
-    Or: "\\/",
-    Implies: "->",
-    Until: "U",
-    Release: "R",
-}
-_DUAL = {
-    Top: Bottom,
-    Bottom: Top,
-    Next: Next,
-    Always: Eventually,
-    Eventually: Always,
-    And: Or,
-    Or: And,
-    Until: Release,
-    Release: Until,
-}
+_NODE_OF = {row[0]: node for node, row in _OPERATORS.items()}  # each symbol's node class
 
-
+# The identifier alternative comes first, so an identifier that spells a
+# symbol (X, U, R, true, false) is read whole, and then as that operator.
 _TOKEN_RE = re.compile(
-    r"""\s*(?:
-        (?P<lbox>\[\])
-      | (?P<diamond><>)
-      | (?P<and>/\\)
-      | (?P<or>\\/)
-      | (?P<implies>->)
-      | (?P<not>~)
-      | (?P<lparen>\()
-      | (?P<rparen>\))
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*\??)
-    )""",
-    re.VERBOSE,
+    r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*\??)|(?P<lparen>\()|(?P<rparen>\))|(?P<op>"
+    + "|".join(map(re.escape, sorted(_NODE_OF, key=len, reverse=True)))
+    + "))"
 )
 
-_KEYWORDS = {"X", "U", "R", "true", "false"}
 
-
-def _tokenize(text: str) -> list[tuple[str, str]]:
+def _tokenize(text: str) -> list[tuple[Any, str]]:
+    """(kind, text) tokens: the kind is an operator's node class, or
+    ``ident``, ``lparen`` or ``rparen``."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -186,64 +162,52 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
                 break
             raise ModelError(f"cannot read formula at: {rest!r}")
         pos = m.end()
-        kind = m.lastgroup
-        value = m.group(kind)
-        if kind == "ident" and value in _KEYWORDS:
-            kind = value
-        tokens.append((kind, value))
+        value = m.group(m.lastgroup)
+        tokens.append((_NODE_OF.get(value, m.lastgroup), value))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[tuple[str, str]]):
-        self.tokens = tokens
+    def __init__(self, tokens: list[tuple[Any, str]]):
+        self.tokens = [*tokens, (None, "end of input")]
         self.pos = 0
 
-    def peek(self) -> str | None:
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
-
-    def take(self) -> tuple[str, str]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> None:
-        if self.peek() != kind:
-            got = self.tokens[self.pos][1] if self.pos < len(self.tokens) else "end of input"
-            raise ModelError(f"expected {kind!r} but found {got!r}")
-        self.pos += 1
+    def peek(self) -> Any:
+        return self.tokens[self.pos][0]
 
     def binary(self, loosest: int = 0) -> Formula:
         """A formula whose binary operators are at level ``loosest`` or
         tighter, by precedence climbing."""
         f = self.unary()
-        while (infix := _INFIX.get(self.peek())) is not None and infix[1] >= loosest:
-            node, level, right = infix
-            self.take()
+        while (node := self.peek()) in _OPERATORS and issubclass(node, Binary):
+            _, level, right, _ = _OPERATORS[node]
+            if level < loosest:
+                break
+            self.pos += 1
             f = node(f, self.binary(level if right else level + 1))
         return f
 
     def unary(self) -> Formula:
-        node = _PREFIX.get(self.peek())
-        if node is None:
+        node = self.peek()
+        if node not in _OPERATORS or not issubclass(node, Unary):
             return self.primary()
-        self.take()
+        self.pos += 1
         return node(self.unary())
 
     def primary(self) -> Formula:
-        kind = self.peek()
-        if kind in _CONSTANT:
-            self.take()
-            return _CONSTANT[kind]()
+        kind, text = self.tokens[self.pos]
+        self.pos += 1
         if kind == "ident":
-            return Prop(self.take()[1])
+            return Prop(text)
+        if kind in _OPERATORS and not issubclass(kind, Binary):  # a constant
+            return kind()
         if kind == "lparen":
-            self.take()
             f = self.binary()
-            self.expect("rparen")
+            if self.peek() != "rparen":
+                raise ModelError(f"expected 'rparen' but found {self.tokens[self.pos][1]!r}")
+            self.pos += 1
             return f
-        got = self.tokens[self.pos][1] if self.pos < len(self.tokens) else "end of input"
-        raise ModelError(f"expected a formula but found {got!r}")
+        raise ModelError(f"expected a formula but found {text!r}")
 
 
 # Parsing and the recursive walks below recurse once per nesting level; past
@@ -279,12 +243,12 @@ def _render(f: Formula) -> str:
     match f:
         case Prop(name):
             return name
-        case Top() | Bottom():
-            return _SYMBOL[type(f)]
         case Unary(sub):
-            return f"{_SYMBOL[type(f)]} {_render(sub)}"
+            return f"{_OPERATORS[type(f)][0]} {_render(sub)}"
         case Binary(a, b):
-            return f"({_render(a)} {_SYMBOL[type(f)]} {_render(b)})"
+            return f"({_render(a)} {_OPERATORS[type(f)][0]} {_render(b)})"
+        case Top() | Bottom():
+            return _OPERATORS[type(f)][0]
     raise ModelError(f"not a formula: {f!r}")
 
 
@@ -301,6 +265,7 @@ def negated_nnf(f: Formula) -> Formula:
 def _nnf(f: Formula, negate: bool = False) -> Formula:
     """Negation normal form of f, or of ~f when ``negate``: a negation
     swaps each operator for its dual."""
+    node = _OPERATORS[type(f)][3] if negate and type(f) in _OPERATORS else type(f)
     match f:
         case Prop(_):
             return Not(f) if negate else f
@@ -308,12 +273,12 @@ def _nnf(f: Formula, negate: bool = False) -> Formula:
             return _nnf(sub, not negate)
         case Implies(a, b):
             return (And if negate else Or)(_nnf(a, not negate), _nnf(b, negate))
-        case Top() | Bottom():
-            return _DUAL[type(f)]() if negate else f
         case Unary(a):
-            return (_DUAL[type(f)] if negate else type(f))(_nnf(a, negate))
+            return node(_nnf(a, negate))
         case Binary(a, b):
-            return (_DUAL[type(f)] if negate else type(f))(_nnf(a, negate), _nnf(b, negate))
+            return node(_nnf(a, negate), _nnf(b, negate))
+        case Top() | Bottom():
+            return node()
     raise ModelError(f"not a formula: {f!r}")
 
 

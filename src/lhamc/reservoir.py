@@ -36,7 +36,10 @@ from .core import (
     parse_rational,
 )
 
-PROPOSITIONS = frozenset({"one-down", "macondo"})
+# Each proposition of a ring, and whether it asks that any tank or that all
+# tanks be at or below their lower bounds.
+_QUANTIFIERS = {"one-down": any, "macondo": all}
+PROPOSITIONS = frozenset(_QUANTIFIERS)
 
 MOVE_HOSE = "move-hose"
 
@@ -303,12 +306,10 @@ class NResSystem(TimedTransitionSystem):
         return RingState(self, pos, tuple(after), den * growth)
 
     def prop_holds(self, state: RingState, prop: str) -> bool:
-        low = self._bounds[state.den][0]
-        if prop == "one-down":
-            return any(map(le, state.nums, low))
-        if prop == "macondo":
-            return all(map(le, state.nums, low))
-        raise ModelError(f"unknown proposition {prop!r}, expected one of {sorted(PROPOSITIONS)}")
+        quantifier = _QUANTIFIERS.get(prop)
+        if quantifier is None:
+            raise ModelError(f"unknown proposition {prop!r}, expected one of {sorted(PROPOSITIONS)}")
+        return quantifier(map(le, state.nums, self._bounds[state.den][0]))
 
     def annotations(self, state: RingState) -> dict[str, list]:
         up = self._bounds[state.den][1]

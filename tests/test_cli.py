@@ -942,14 +942,19 @@ class TestMalformedModels:
 
     @pytest.mark.skipif(not DIGIT_LIMIT, reason="this interpreter converts numerals of any length")
     def test_an_unquoted_numeral_past_the_digit_limit_is_a_model_error(self, tmp_path, capsys):
-        # the JSON scanner converts a number before any loader reads it, so the error names no place
+        # the JSON reader keeps such a numeral by its digit count, and the read of it names its place
         digits = max(5000, DIGIT_LIMIT + 1)
-        doc = {**NRES_DOC, "reservoirs": [{**NRES_DOC["reservoirs"][0], "level": 0}]}
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc).replace('"level": 0', '"level": ' + "1" * digits), encoding="utf-8")
-        assert main(["simulate", "--model", str(path), "--time-bound", "3"]) == 2
-        error = f"not a rational: a numeral of {digits} digits, past the limit of {DIGIT_LIMIT}"
-        assert capsys.readouterr() == ("", f"error: {error}\n")
+        numeral = f"a numeral of {digits} digits, past the limit of {DIGIT_LIMIT}"
+        doc = json.dumps({**NRES_DOC, "reservoirs": [{**NRES_DOC["reservoirs"][0], "level": 0}]})
+        for key, error in [
+            ("level", f"reservoirs[0].level: not a rational: {numeral}"),
+            ("position", f"hose.position must be an integer id, got {numeral}"),
+            ("id", f"reservoirs[0].id must be an integer id, got {numeral}"),
+        ]:
+            path = tmp_path / f"{key}.json"
+            path.write_text(doc.replace(f'"{key}": 0', f'"{key}": ' + "1" * digits), encoding="utf-8")
+            assert main(["simulate", "--model", str(path), "--time-bound", "3"]) == 2
+            assert capsys.readouterr() == ("", f"error: {error}\n")
 
     def test_product_states_rendering_alike(self, tmp_path, capsys):
         left = write_doc(tmp_path / "left.json", {

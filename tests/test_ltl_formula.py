@@ -1,6 +1,8 @@
 import copy
+import hashlib
 import pickle
 import random
+from pathlib import Path
 
 import pytest
 
@@ -24,10 +26,12 @@ from lhamc.ltl import (
     render,
     to_nnf,
 )
-from lhamc.ltl.formula import _DUAL, _INFIX, _PREFIX, _SYMBOL, Binary, Unary, subformulas
+from lhamc.cli import main
+from lhamc.ltl.formula import _NODE_OF, _OPERATORS, Binary, Unary, subformulas
 from oracles import eval_on_lasso, random_formula, random_letters, temporal_count
 
 p, q, r = Prop("p"), Prop("q"), Prop("r")
+INIT2 = str(Path(__file__).resolve().parent.parent / "models" / "init2.json")
 
 
 class TestParser:
@@ -109,23 +113,72 @@ class TestParser:
             assert parse_formula(render(f)) is f
 
 
+class TestOutcomesArePinned:
+    """The parser's outcomes, recorded before the operators became one
+    table: the exact error line of each malformed formula through the
+    command line, and a digest of the rendered text or error message of
+    seeded random token strings, so that a change to the tokenizer or
+    parser that alters any outcome fails here."""
+
+    MALFORMED = [
+        ("", "empty formula"),
+        ("p q", "trailing input after formula: 'q'"),
+        ("(p", "expected 'rparen' but found 'end of input'"),
+        ("p /\\", "expected a formula but found 'end of input'"),
+        ("p U", "expected a formula but found 'end of input'"),
+        ("p & q", "cannot read formula at: '& q'"),
+        ("U p", "expected a formula but found 'U'"),
+        ("->", "expected a formula but found '->'"),
+        ("(p))", "trailing input after formula: ')'"),
+        ("p)", "trailing input after formula: ')'"),
+        ("p -> -> q", "expected a formula but found '->'"),
+        ("X", "expected a formula but found 'end of input'"),
+        ("[] <>", "expected a formula but found 'end of input'"),
+        (")", "expected a formula but found ')'"),
+        ("(" * 3000, "input nests too deeply"),
+    ]
+    TOKENS = ("~", "[]", "<>", "/\\", "\\/", "->", "(", ")", "X", "U", "R", "true", "false", "&", "-", "?")
+    IDENTS = ("p", "q", "one-down", "refill1?")
+    DIGEST = "4a55a7d75cef241d81f9c0c515b81433ef3bdaa21aa936ace4e8453911e0d8da"
+
+    @pytest.mark.parametrize("text,error", MALFORMED, ids=range(len(MALFORMED)))
+    def test_malformed_formula_error_lines(self, text, error, capsys):
+        assert main(["check", "--model", INIT2, "--time-bound", "5", "--formula=" + text]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+
+    def test_outcomes_match_the_recorded_digest(self):
+        rng = random.Random(27027)
+        tokens = self.TOKENS + self.IDENTS * 3
+        digest = hashlib.sha256()
+        for n in range(5000):
+            text = (" " if n % 2 else "").join(rng.choice(tokens) for _ in range(rng.randint(1, 9)))
+            try:
+                outcome = render(parse_formula(text))
+            except ModelError as err:
+                outcome = f"error: {err}"
+            digest.update(f"{text}\0{outcome}\n".encode())
+        assert digest.hexdigest() == self.DIGEST
+
+
 class TestTables:
     NODES = (Top, Bottom, Not, Next, Always, Eventually, And, Or, Implies, Until, Release)
 
     def test_every_node_class_has_a_symbol(self):
-        assert set(_SYMBOL) == set(self.NODES)
-        assert len(set(_SYMBOL.values())) == len(self.NODES)
-        assert {node for node in self.NODES if issubclass(node, Binary)} == {node for node, _, _ in _INFIX.values()}
-        assert {node for node in self.NODES if issubclass(node, Unary)} == set(_PREFIX.values())
+        assert set(_OPERATORS) == set(self.NODES)
+        assert len(_NODE_OF) == len(self.NODES)
+        for node, (_, level, right, _) in _OPERATORS.items():
+            assert issubclass(node, Binary) == (level is not None) == (right is not None)
+            assert issubclass(node, Unary) == (level is None and bool(node.__match_args__))
 
     def test_dual_is_an_involution(self):
-        assert set(_DUAL) == set(self.NODES) - {Not, Implies}
-        for node, dual in _DUAL.items():
-            assert _DUAL[dual] is node
-            assert issubclass(dual, (Unary, Binary)) == issubclass(node, (Unary, Binary))
+        duals = {node: row[3] for node, row in _OPERATORS.items() if row[3] is not None}
+        assert set(duals) == set(self.NODES) - {Not, Implies}
+        for node, dual in duals.items():
+            assert duals[dual] is node
+            assert dual.__match_args__ == node.__match_args__
 
     def test_each_symbol_parses_to_its_node(self):
-        for node, symbol in _SYMBOL.items():
+        for symbol, node in _NODE_OF.items():
             if issubclass(node, Binary):
                 f, text = node(p, q), f"(p {symbol} q)"
             elif issubclass(node, Unary):
