@@ -13,9 +13,9 @@ binary products is one n-ary product.  Rule labels and tick durations are
 indexed once, per component, when the product is first explored.  A
 state's text is rendered once, the first time it is asked for: it fills the
 template of the operand tree (``"< < %s,%s >,%s >"``) with the components'
-cached texts, so it reads as the nested pairs of the fold.  Where a
-component's text holds a ``,``, two product states could render alike; the
-product then checks each text when it is first rendered.
+cached texts, so it reads as the nested pairs of the fold.  Text is a
+state's identity, so a component or product checks once, when it is built,
+that no two of its states can render alike.
 The ``states`` and ``rules`` views enumerate the product as its definition
 does, but only when they are read; exploration never reads them.
 """
@@ -47,12 +47,53 @@ Tick = tuple[Any, Any, Fraction]  # (source, target, duration)
 Flags = tuple[bool, tuple[tuple[int, frozenset], ...]]
 
 
-def _check_distinct_texts(text: dict[Any, str]) -> None:
-    """Text is a state's identity in exploration: two states must not render alike."""
-    by_text = {t: s for s, t in text.items()}
-    if len(by_text) != len(text):
-        clash = next(t for s, t in text.items() if by_text[t] != s)
-        raise ModelError(f"two component states render as {clash!r}")
+def _prefix_pairs(texts: Iterable[str]) -> Iterator[tuple[str, str]]:
+    """Each pair of the texts where the first is a prefix of the second."""
+    chain: list[str] = []  # the texts so far that are prefixes of the next
+    for y in sorted(texts):
+        while chain and not y.startswith(chain[-1]):
+            chain.pop()
+        for x in chain:
+            yield x, y
+        chain.append(y)
+
+
+def _check_rendering(template: str, leaves: tuple[Component, ...]) -> None:
+    """Raise unless distinct tuples of the leaves' states render distinct texts.
+
+    Two readings of one text agree up to the first slot whose texts differ,
+    one a prefix of the other.  From each such pair a walk after Sardinas and
+    Patterson (1953) follows both over the template's literals and slots.  A
+    node is (the leader's next item, the trailer's next item, w, at), where
+    the trailer has yet to match w[at:].  Readings that meet at one item share
+    the rest; a trailer at the end is shorter, a product ending in " >".
+    """
+    if all(leaf._prefix_free for leaf in leaves):
+        return
+    literals = template.split("%s")
+    items = [[literals[0]]]
+    for leaf, literal in zip(leaves, literals[1:]):
+        items += [list(leaf._text.values()), [literal]]
+    seen = set()  # the nodes that lead on, as a walk starts at every prefix pair
+    for k, leaf in enumerate(leaves):
+        head = "".join(item[0] for item in items[: 2 * k + 1])
+        for x, y in _prefix_pairs(leaf._text.values()):
+            todo = [(2 * k + 2, 2 * k + 2, y, len(x), head + y)]  # each with the leader's text
+            while todo:
+                i, j, w, at, text = todo.pop()
+                if at == len(w) and i == j:
+                    text += "".join(item[0] for item in items[i:])
+                    raise ModelError(f"two component states render as {text!r}")
+                if j == len(items) or (i, j, w, at) in seen:
+                    continue
+                rest, before = w[at:], len(todo)
+                for t in items[j]:
+                    if rest.startswith(t):
+                        todo.append((i, j + 1, w, at + len(t), text))
+                    elif t.startswith(rest):
+                        todo.append((j + 1, i, t, len(rest), text + t[len(rest) :]))
+                if len(todo) > before:
+                    seen.add((i, j, w, at))
 
 
 def render_component_state(state: Any) -> str:
@@ -108,13 +149,17 @@ class Component(TimedTransitionSystem):
             if d == 0:
                 raise ModelError("tick durations must be positive")
         text = {s: render_component_state(s) for s in states}
-        _check_distinct_texts(text)
+        # text is a state's identity, and products of prefix-free texts skip the walk
+        self._text, self._prefix_free = text, True
+        for x, y in _prefix_pairs(text.values()):
+            if x == y:
+                raise ModelError(f"two component states render as {y!r}")
+            self._prefix_free = False
         self.states = states
         self.initial = initial
         self.rules = rules
         self.props = checked
         self.ticks = ticks
-        self._text = text
         # successors are indexed so that a state's successors cost its out-degree
         self._tick_targets: dict[Fraction, dict[Any, Any]] = {}  # duration -> source -> target
         self._tick_tables = TickTables(lambda d: self._tick_targets.get(d, {}))
@@ -194,11 +239,8 @@ class SyncProduct(TimedTransitionSystem):
         self.initial = tuple(leaf.initial for leaf in leaves)
         if not self._compatible(self.initial):
             raise ModelError("the initial states disagree on a shared proposition")
-        self._rendered = Memo(self._render)  # state -> its text
-        # splitting a text on "," recovers every component's text, unless one
-        # has a ","; then each text is checked when it is first rendered
-        commas = any("," in text for texts in self._texts for text in texts.values())
-        self._owners: dict[str, tuple] | None = {} if commas else None  # text -> state
+        _check_rendering(template, leaves)
+        self._rendered = Memo(lambda s: self._template % tuple(map(dict.__getitem__, self._texts, s)))
         # duration -> each component's tick targets; one empty table, which
         # blocks every state, for a duration with no joint tick
         self._tick_tables = TickTables(lambda d: self._ticks.get(d, ({},)))
@@ -314,12 +356,6 @@ class SyncProduct(TimedTransitionSystem):
 
     def serialize(self, state: tuple) -> str:
         return self._rendered[state]
-
-    def _render(self, state: tuple) -> str:
-        text = self._template % tuple(map(dict.__getitem__, self._texts, state))
-        if self._owners is not None and self._owners.setdefault(text, state) != state:
-            raise ModelError(f"two component states render as {text!r}")
-        return text
 
     def propositions(self) -> frozenset[str]:
         return frozenset(self._flags)

@@ -17,13 +17,16 @@ every rule and tick up front, and a fold of it nests pairs.
 The program reads models from JSON but never writes them; the tests write
 them with ``nres_to_json`` and ``component_to_json``.  ``compatible``,
 ``product_ticks`` and ``product_props`` state a product's agreement, joint
-ticks and propositions as its definition enumerates them.
+ticks and propositions as its definition enumerates them, and
+``rendered_alike`` finds two tuples of states that render alike by rendering
+every tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import product as cartesian
 from typing import Any, Iterable, Mapping, Optional
 
 from lhamc.core import ZERO, ModelError, as_time
@@ -343,6 +346,18 @@ def component_to_json(component: Component | SyncProduct) -> dict:
     }
 
 
+def rendered_alike(template: str, texts: list[list[str]]) -> str | None:
+    """A text that two distinct tuples of states render into the template, or
+    None.  ``texts[k]`` lists component k's state texts, one per state, and
+    every tuple of states is rendered."""
+    owners: dict[str, tuple] = {}
+    for at in cartesian(*(range(len(t)) for t in texts)):
+        text = template % tuple(t[i] for t, i in zip(texts, at))
+        if owners.setdefault(text, at) != at:
+            return text
+    return None
+
+
 def _signatures(c: Component, shared: list[str]) -> tuple[dict, dict]:
     """Each state's signature, the truth values of the shared propositions,
     and the states with each signature in the component's order."""
@@ -413,7 +428,8 @@ def eager_safe_prop(component: Component) -> Component:
     # the operand's structure and indexes with one more proposition, read
     # attribute by attribute so that a delegating wrapper works as well
     derived = Component.__new__(Component)
-    for name in ("states", "initial", "rules", "ticks", "_text", "_tick_targets", "_tick_tables", "_moves"):
+    copied = ("states", "initial", "rules", "ticks", "_text", "_prefix_free", "_tick_targets", "_tick_tables", "_moves")
+    for name in copied:
         setattr(derived, name, getattr(component, name))
     derived.props = {**component.props, "safe": safe}
     return derived

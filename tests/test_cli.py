@@ -882,6 +882,62 @@ def load(path: str) -> Component:
         return component_from_json(json.load(fh))
 
 
+ALIKE_LEFT = {
+    "kind": "component",
+    "states": ["a,b", "a"],
+    "initial": "a,b",
+    "rules": [{"label": "go1", "source": "a,b", "target": "a"}],
+    "props": {"p": ["a"]},
+}
+ALIKE_RIGHT = {
+    "kind": "component",
+    "states": ["c", "b,c"],
+    "initial": "c",
+    "rules": [{"label": "go2", "source": "c", "target": "b,c"}],
+    "props": {"q": ["b,c"]},
+}
+PRODUCT_FORMULAS = ("[] safe", "[] <> safe", "~ safe", "X safe", "safe U ~ safe")
+OTHER_TYPES = (None, True, 0, 7, 1.5, "x", [], {}, ["ok"], {"ok": 1})
+BAD_RATIONALS = ("1/0", "-1", "0", "0/5", "1.5.2", "abc", "", "1/-2", "1 /2", "--1")
+# names holding a ",", of which "ok,ok" and "below,below" make the states of
+# two reservoirs render alike when they rename the other state of both
+COMMA_NAMES = ("a,b", "< ok,below >", "ok,", ",below", "o,k", "ok,ok", "below,below")
+
+
+def mutate_operands(rng: random.Random, docs: list[dict]) -> None:
+    """Change component documents in place: one value of one document to
+    another JSON type, a bad rational or a name holding a ``,``, one key
+    deleted, or a state of every document renamed to such a name."""
+    doc = rng.choice(docs)
+    places = []  # (container, key or index)
+
+    def walk(node):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            places.append((node, key))
+            if isinstance(child, (dict, list)):
+                walk(child)
+
+    walk(doc)
+    node, key = rng.choice(places)
+    kind = rng.choice(("type", "rational", "comma", "rename", "rename", "delete"))
+    if kind == "type":
+        node[key] = rng.choice(OTHER_TYPES)
+    elif kind == "rational":
+        ticks = doc.get("ticks")
+        if isinstance(ticks, list) and ticks and isinstance(ticks[0], dict):
+            node, key = ticks[0], "duration"
+        node[key] = rng.choice(BAD_RATIONALS)
+    elif kind == "comma":
+        node[key] = rng.choice(COMMA_NAMES)
+    elif kind == "rename":
+        old, new = json.dumps(rng.choice(("ok", "below"))), json.dumps(rng.choice(COMMA_NAMES))
+        docs[:] = [json.loads(json.dumps(d).replace(old, new)) for d in docs]
+    elif isinstance(node, dict):
+        del node[key]
+    else:
+        node.pop(key)
+
+
 def write_doc(path: Path, doc: dict) -> str:
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
@@ -977,6 +1033,43 @@ class TestMalformedModels:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("formula", ["p", "X p", "[] true", "~ p", "true"])
+    def test_product_rendering_alike_is_rejected_whatever_the_formula(self, formula, tmp_path, capsys):
+        # ("a,b", "c") and ("a", "b,c") render alike, though only the first is reachable
+        left = write_doc(tmp_path / "left.json", ALIKE_LEFT)
+        right = write_doc(tmp_path / "right.json", ALIKE_RIGHT)
+        assert main(["product-check", "--left", left, "--right", right, "--formula", formula]) == 2
+        assert capsys.readouterr() == ("", "error: two component states render as '< a,b,c >'\n")
+
+    def test_mutated_product_operands(self, tmp_path, capsys):
+        """A seeded campaign over mutated copies of the reservoir components:
+        no traceback, every exit 2 is one error line with nothing on stdout,
+        and a set of operands is rejected with one line whatever the formula."""
+        rng = random.Random(17)
+        originals = [json.loads((MODELS / f"reservoir{i}.json").read_text(encoding="utf-8")) for i in (1, 2, 3)]
+        outcomes = Counter()
+        for run in range(150):
+            docs = [json.loads(json.dumps(doc)) for doc in rng.sample(originals, rng.choice((2, 3)))]
+            for _ in range(rng.randint(1, 3)):
+                mutate_operands(rng, docs)
+            paths = []
+            for k, doc in enumerate(docs):
+                paths += ["--component", write_doc(tmp_path / f"{run}-{k}.json", doc)]
+            errors = set()
+            for formula in PRODUCT_FORMULAS:
+                code = main(["product-check", *paths, "--formula", formula])
+                out, err = capsys.readouterr()
+                if code == 2:
+                    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (docs, err)
+                else:
+                    assert code in (0, 1) and err == "", (docs, err)
+                errors.add(err)
+            # rejected with one line for every formula, or for none
+            assert len(errors) == 1, (docs, errors)
+            outcomes[errors.pop() or "accepted"] += 1
+        alike = [line for line in outcomes if line.startswith("error: two component states render as")]
+        assert outcomes["accepted"] > 10 and len(outcomes) > 20 and alike, outcomes
 
 
 UNFINISHED_FORMULA = "error: expected a formula but found 'end of input'\n"

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import json
 import random
@@ -36,6 +37,7 @@ from reference import (
     eager_safe_prop,
     product_props,
     product_ticks,
+    rendered_alike,
 )
 from test_core import BAD_DURATIONS, assert_the_duration_rule
 
@@ -223,12 +225,12 @@ class TestSyncProduct:
             len(component_kripke(rt_sync_product(left, right)))
 
     def test_two_moves_under_one_label_must_render_distinctly(self):
-        # "go" leads to ("a", "b,c") and to ("a,b", "c"), both "< a,b,c >"; moves
-        # under one label are sorted by text, and that sort meets the clash
+        # "go" leads to ("a", "b,c") and to ("a,b", "c"), both "< a,b,c >"; the
+        # product is rejected when it is built, before moves are sorted by text
         left = Component(("l", "a", "a,b"), "l", (("go", "l", "a"), ("go", "l", "a,b")), props={})
         right = Component(("r", "b,c", "c"), "r", (("go", "r", "b,c"), ("go", "r", "c")), props={})
-        product = rt_sync_product(left, right)
         with pytest.raises(ModelError, match="two component states render as '< a,b,c >'"):
+            product = rt_sync_product(left, right)
             product.discrete_successors(product.initial_state())
         with pytest.raises(ModelError, match="two component states render as '< a,b,c >'"):
             len(component_kripke(rt_sync_product(left, right)))
@@ -752,3 +754,79 @@ class TestIdentity:
             reachable += len(found)
             held += len(c.states)
         assert reachable > 400 and held > 600, (reachable, held)
+
+
+# alphabets for the state texts of one product: all of "ab,<> ", and some
+# that favour the template's own separators, so that clashes are frequent
+ALIKE_ALPHABETS = ("ab,<> ", ",", ",", "a,", "a,", "a,", "ab,", "a, >", "a,< ")
+# most components add no state; some add tuple states, and some the tuple
+# state ("a",) beside the state "< a >", which renders alike
+ALIKE_EXTRAS = ((),) * 27 + ((("a",),), ("< a >", ("a",)), (("a",), ("a", ",")))
+
+
+class TestRenderingCheckedAtBuild:
+    """A component or product is rejected when it is built exactly when two
+    distinct tuples of its states render alike, as enumerating every tuple
+    finds, and the text it names is one that two distinct tuples render."""
+
+    def checked(self, make, template: str, texts: list[list[str]], verdicts: Counter):
+        """``make()`` with ``texts[k]`` component k's state texts, or None
+        where it is rejected, checked against :func:`rendered_alike`."""
+        clash = rendered_alike(template, texts)
+        kind = "component" if template == "%s" else "product"
+        try:
+            model = make()
+        except ModelError as err:
+            named = ast.literal_eval(str(err).removeprefix("two component states render as "))
+            assert str(err) == f"two component states render as {named!r}"
+            assert clash is not None, (template, texts)
+            renders = [template % tuple(t) for t in itertools.product(*texts)]
+            assert renders.count(named) >= 2, (template, texts, named)
+            verdicts["rejected", kind] += 1
+            return None
+        assert clash is None, (template, texts, clash)
+        verdicts["accepted", kind] += 1
+        return model
+
+    def product(self, parts: list, verdicts: Counter):
+        """The product of parts, each (model, template, texts), or None."""
+        template = "< " + ",".join(t for _, t, _ in parts) + " >"
+        texts = [t for _, _, ts in parts for t in ts]
+        model = self.checked(lambda: rt_sync_product(*(m for m, _, _ in parts)), template, texts, verdicts)
+        return model and (model, template, texts)
+
+    def test_the_check_agrees_with_enumerating_every_tuple(self):
+        rng = random.Random(28)
+        verdicts, shapes = Counter(), Counter()
+        for _ in range(5000):
+            alphabet = rng.choice(ALIKE_ALPHABETS)
+            parts = []
+            for _ in range(rng.randint(1, 4)):
+                words = ("".join(rng.choices(alphabet, k=rng.randint(0, 4))) for _ in range(rng.randint(1, 4)))
+                states = [*dict.fromkeys(words), *rng.choice(ALIKE_EXTRAS)]
+                texts = [render_component_state(s) for s in states]
+                component = self.checked(lambda: Component(states, states[0], (), {}), "%s", [texts], verdicts)
+                parts.append(component and (component, "%s", [texts]))
+            shape = rng.choice(("flat", "left fold", "nested")) if len(parts) > 1 else "component"
+            shapes[shape] += 1
+            if None in parts or shape == "component":
+                continue
+            if shape == "flat":
+                self.product(parts, verdicts)
+            elif shape == "left fold":
+                folded = parts[0]
+                for part in parts[1:]:
+                    folded = folded and self.product([folded, part], verdicts)
+            else:
+                # products of products: the parts in groups of one to three
+                groups, at = [], 0
+                while at < len(parts):
+                    size = rng.randint(1, 3)
+                    group = parts[at : at + size]
+                    groups.append(group[0] if len(group) == 1 else self.product(group, verdicts))
+                    at += size
+                if None not in groups and len(groups) > 1:
+                    self.product(groups, verdicts)
+        assert verdicts["rejected", "product"] > 300 and verdicts["accepted", "product"] > 3000, verdicts
+        assert verdicts["rejected", "component"] > 200, verdicts
+        assert min(shapes.values()) > 1000, shapes
