@@ -21,7 +21,7 @@ from functools import reduce
 from json.encoder import encode_basestring_ascii as quote
 from typing import Optional
 
-from .core import ModelError, TimedTransitionSystem, as_time, fraction_texts, json_int
+from .core import ModelError, TimedTransitionSystem, as_time, fraction_text, fraction_texts, json_int
 from .explore import Kripke, search
 from .lha import LhaSystem, lha_from_json
 from .ltl import Counterexample, model_check, parse_formula
@@ -54,11 +54,7 @@ def load_model(path: str) -> TimedTransitionSystem:
 
 def _sampling(args: argparse.Namespace) -> tuple[Fraction, Fraction]:
     """The time bound and the sampling increment of a timed subcommand."""
-    time_bound = as_time(args.time_bound)
-    increment = as_time(args.increment)
-    if increment == 0:
-        raise ModelError("the sampling increment must be positive")
-    return time_bound, increment
+    return as_time(args.time_bound), as_time(args.increment, "the sampling increment")
 
 
 def run_simulate(args: argparse.Namespace) -> int:
@@ -101,7 +97,7 @@ def run_search(args: argparse.Namespace) -> int:
         print(json.dumps({"kind": "search", "count": len(solutions), "solutions": [
             {
                 "state": sol.text,
-                "elapsed": str(sol.elapsed),
+                "elapsed": fraction_text(sol.clock, sol.scale),
                 "bindings": {k: sol.bindings[k] for k in sorted(sol.bindings)},
                 "path": [
                     {"label": st.label, "duration": str(st.duration), "state": st.text}
@@ -111,15 +107,13 @@ def run_search(args: argparse.Namespace) -> int:
             for sol in solutions
         ]}, indent=2))
     else:
-        if not solutions:
-            print("No solution")
-        else:
-            for i, sol in enumerate(solutions, start=1):
-                print(f"Solution {i}")
-                print(f"S:System --> {sol.text}; TIME_ELAPSED:Time --> {sol.elapsed}")
-                for key in sorted(sol.bindings):
-                    print(f"{key} --> {sol.bindings[key]}")
-            print("No more solutions")
+        lines = []  # printed as one document
+        for i, sol in enumerate(solutions, start=1):
+            time = fraction_text(sol.clock, sol.scale)
+            lines.append(f"Solution {i}\nS:System --> {sol.text}; TIME_ELAPSED:Time --> {time}")
+            if sol.bindings:
+                lines += [f"{key} --> {sol.bindings[key]}" for key in sorted(sol.bindings)]
+        print("\n".join([*lines, "No more solutions"]) if solutions else "No solution")
     found = bool(solutions)
     if args.expect_none:
         return 1 if found else 0
@@ -129,7 +123,7 @@ def run_search(args: argparse.Namespace) -> int:
 def format_counterexample(ce: Counterexample, timed: bool) -> str:
     def step_text(step) -> str:
         if timed:
-            return f"    {{{step.text} in time {step.elapsed},'{step.label}}}"
+            return f"    {{{step.text} in time {fraction_text(step.clock, step.scale)},'{step.label}}}"
         return f"    {{{step.text},'{step.label}}}"
 
     lines = ["Result ModelCheckResult :", "  counterexample("]
@@ -149,7 +143,8 @@ def check_json(ce: Optional[Counterexample]) -> str:
 
     def block(steps) -> str:
         items = ",\n".join(
-            f'      {{\n        "state": {quote(s.text)},\n        "elapsed": {quote(str(s.elapsed))},\n'
+            f'      {{\n        "state": {quote(s.text)},\n'
+            f'        "elapsed": {quote(fraction_text(s.clock, s.scale))},\n'
             f'        "label": {quote(s.label)}\n      }}'
             for s in steps
         )

@@ -2,14 +2,16 @@
 table (:class:`Memo`), and the contract every model implements.
 
 All quantities in the engine are exact rationals; the API takes them, and
-returns times, as ``fractions.Fraction``, save that a ``Kripke``'s ``clock``
-view holds integer numerators.  Linear hybrid automaton and reservoir ring states hold
-integer numerators over one common positive denominator (see
-:class:`lhamc.lha.LhaSystem` and :class:`lhamc.reservoir.NResSystem`), and
-each state is read and identified through its canonical text; the explorer
-and its Kripke structures keep elapsed time as one integer clock over the
-lcm of the durations' denominators, and :func:`fraction_text` renders such a
-pair exactly as ``str(Fraction)`` would.
+returns times, as ``fractions.Fraction``.  Linear hybrid automaton and
+reservoir ring states hold integer numerators over one common positive
+denominator (see :class:`lhamc.lha.LhaSystem` and
+:class:`lhamc.reservoir.NResSystem`), and each state is read and identified
+through its canonical text.  The explorer, its Kripke structures, and the
+search hits and lasso steps they give (each a :class:`Timed` record) keep
+elapsed time as one integer clock numerator over the lcm of the durations'
+denominators: a ``Fraction`` is built only when a caller reads ``elapsed``,
+and :func:`fraction_text` renders such a time exactly as ``str(Fraction)``
+would.
 Durations ("time") are nonnegative rationals validated by :func:`as_time`,
 and every model reads its ticks through one :class:`TickTables`: it
 validates a duration once, compiles its tick table once, and returns the
@@ -153,10 +155,11 @@ class Doc:
         entries = Doc(self.get(key, list), self, key)
         return [entries.get(i, str) for i in range(len(entries.value))]
 
-    def rational(self, key: str, default: Any = _REQUIRED) -> Fraction:
+    def rational(self, key: str, default: Any = _REQUIRED, read: Callable = parse_rational) -> Fraction:
+        """The rational at ``key``, as ``read`` parses and validates it."""
         value = self.get(key, None, default)
         try:
-            return parse_rational(value)
+            return read(value)
         except ModelError as err:
             raise ModelError(f"{self.at(key)}: {err}") from None
 
@@ -166,11 +169,14 @@ class Doc:
         return {name: doc.rational(name) for name in doc.value}
 
 
-def as_time(value: Any) -> Fraction:
-    """Validate a duration: an exact rational that is >= 0."""
+def as_time(value: Any, step: str = "") -> Fraction:
+    """Validate a duration: an exact rational that is >= 0, and > 0 if it is
+    a ``step``, such as a sampling increment, that time advances by."""
     t = parse_rational(value)
     if t < 0:
         raise ModelError(f"negative duration: {t}")
+    if step and t == 0:
+        raise ModelError(f"{step} must be positive")
     return t
 
 
@@ -200,6 +206,30 @@ def fraction_texts(start: int, step: int, den: int, count: int) -> list[str]:
         suffix = "" if g == den else f"/{den // g}"
         out[r::period] = [f"{n}{suffix}" for n in range(first, first + times * stride, stride)]
     return out
+
+
+class Timed:
+    """A record whose time is an integer ``clock`` numerator over a positive
+    ``scale``, as the explorer keeps it; ``elapsed``, its ``Fraction``, is
+    built when read.  Records of a class compare, hash and print by their
+    ``_fields``, as a dataclass of those fields would."""
+
+    __slots__ = ("clock", "scale")
+    _fields: tuple[str, ...] = ()
+    elapsed = property(lambda self: Fraction(self.clock, self.scale))
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: Any) -> Any:
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key()))
+        return f"{type(self).__name__}({fields})"
 
 
 class Memo(dict):

@@ -15,19 +15,20 @@ the states it visits.  Reading a whole view expands every state left, in
 index order, which is breadth-first.  :func:`build_kripke` returns the
 graph expanded whole, and :func:`search` reads the whole graph and takes
 each state's discovering edge, the last step of its path, from its edges.
-A ``Fraction`` is built only where a caller reads a time: a search hit, a
-lasso step, an index lookup.
+A :class:`Solution` keeps its state's clock numerator and ``scale``, as a
+lasso step does, so a ``Fraction`` is built only where a caller reads one:
+``Kripke.elapsed``, or the ``elapsed`` of a solution or a lasso step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import ceil, lcm
 from typing import Any, Callable, Iterable, NamedTuple, Optional
 
-from .core import ZERO, ModelError, TimedTransitionSystem, as_time
+from .core import ZERO, ModelError, Timed, TimedTransitionSystem, as_time
 
 TICK = "tick"
 STUTTER = "stutter"
@@ -49,20 +50,21 @@ class KripkeEdge(NamedTuple):
     duration: Fraction
 
 
-@dataclass
-class Solution:
-    """A state the search predicate accepted, with how it was reached.
+class Solution(Timed):
+    """A state the search predicate accepted, how it was reached, and when:
+    at ``elapsed / scale``, for a ``Fraction`` or an integer clock ``elapsed``.
 
     It keeps the explorer's whole ``parents`` and ``texts`` lists alive; copy
     ``path`` before holding many solutions for long."""
 
-    state: Any
-    elapsed: Fraction
-    text: str
-    bindings: dict[str, str]
-    edge: Optional[KripkeEdge] = field(repr=False, compare=False)  # None for the initial state
-    parents: list[Optional[KripkeEdge]] = field(repr=False, compare=False)
-    texts: list[str] = field(repr=False, compare=False)
+    __slots__ = ("state", "text", "bindings", "edge", "parents", "texts")
+    _fields = ("state", "elapsed", "text", "bindings")
+
+    def __init__(self, state: Any, elapsed: Any, text: str, bindings: dict[str, str],
+                 edge: Optional[KripkeEdge], parents: list[Optional[KripkeEdge]], texts: list[str], scale: int = 1):
+        self.state, self.text, self.bindings = state, text, bindings
+        self.edge, self.parents, self.texts = edge, parents, texts  # edge is None for the initial state
+        self.clock, self.scale = elapsed.numerator, elapsed.denominator * scale
 
     @property
     def path(self) -> tuple[Step, ...]:
@@ -90,11 +92,11 @@ class Kripke:
     ``out(i)`` expands state i the first time it is asked for and keeps its
     out-list; ``letter(i)`` and ``holds(i, prop)`` ask the system afresh and
     keep nothing.  The per-state readers (``out``, ``letter``, ``holds``,
-    ``text``, ``elapsed``, ``index_of``, ``has_edge``) expand at most the
-    state they are asked about.  The whole views (``len``, ``states``,
-    ``texts``, ``clock``, ``index``, ``adjacency``, ``labeling``, ``edges``)
-    first expand every state left, in index order; ``labeling`` evaluates
-    every letter on each read.
+    ``text``, ``elapsed``, ``clock_of``, ``index_of``, ``has_edge``) expand
+    at most the state they are asked about.  The whole views (``len``,
+    ``states``, ``texts``, ``clock``, ``index``, ``adjacency``, ``labeling``,
+    ``edges``) first expand every state left, in index order; ``labeling``
+    evaluates every letter on each read.
 
     ``time_bound`` None explores time-abstractly.  Discovering a state beyond
     the first ``max_states`` raises :class:`ModelError`.
@@ -110,9 +112,7 @@ class Kripke:
         timed = time_bound is not None
         if timed:
             time_bound = as_time(time_bound)
-        durations = tuple(as_time(d) for d in durations)
-        if ZERO in durations:
-            raise ModelError("the sampling increment must be positive")
+        durations = tuple(as_time(d, "the sampling increment") for d in durations)
         self.scale = scale = lcm(*(d.denominator for d in durations))
         initial = system.initial_state()
         self._system = system
@@ -180,12 +180,16 @@ class Kripke:
     def elapsed(self, i: int) -> Fraction:
         return Fraction(self._clock[i], self.scale)
 
-    def index_of(self, text: str, elapsed: Fraction) -> Optional[int]:
-        """The discovered state with this text and time, if any."""
-        if not isinstance(elapsed, Fraction):
-            elapsed = Fraction(elapsed)
-        k, r = divmod(self.scale, elapsed.denominator)  # on the clock's grid exactly when r == 0
-        return self._index.get((text, elapsed.numerator * k)) if r == 0 else None
+    def clock_of(self, i: int) -> int:
+        return self._clock[i]
+
+    def index_of(self, text: str, elapsed: Any, scale: int = 1) -> Optional[int]:
+        """The discovered state with this text and time, ``elapsed / scale``
+        for a rational ``elapsed``, if any."""
+        if scale == self.scale:  # a non-integral Fraction matches no clock
+            return self._index.get((text, elapsed))
+        n, r = divmod(elapsed.numerator * self.scale, elapsed.denominator * scale)
+        return self._index.get((text, n)) if r == 0 else None  # on the clock's grid exactly when r == 0
 
     def has_edge(self, source: int, target: int, label: str) -> bool:
         return any(e.target == target and e.label == label for e in self.out(source))
@@ -246,7 +250,7 @@ def search(
             hits.append((clock[i], i, bindings))
     hits.sort()  # by elapsed time, then discovery order
     return [
-        Solution(states[i], Fraction(n, graph.scale), texts[i], bindings, parents[i], parents, texts)
+        Solution(states[i], n, texts[i], bindings, parents[i], parents, texts, graph.scale)
         for n, i, bindings in hits
     ]
 

@@ -16,27 +16,31 @@ The search reads the structure one state at a time (``out(s)``,
 ``holds(s, p)``), and a :class:`Kripke` is discovered as it is read, so the
 check is on-the-fly: only the states it visits are expanded, and a
 counterexample found early leaves the rest of the state space unbuilt.
+A lasso step keeps its state's integer clock numerator and the structure's
+scale, and replay looks it up by that key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
+from typing import Any, Optional
 
-from ..core import Memo, ModelError
+from ..core import Memo, ModelError, Timed
 from ..explore import Kripke
 from .buchi import BuchiAutomaton, to_buchi
 from .formula import Formula, negated_nnf, props_of
 
 
-@dataclass(frozen=True)
-class CounterexampleStep:
-    """One position of the lasso plus the edge label leaving it."""
+class CounterexampleStep(Timed):
+    """One position of the lasso, at ``elapsed / scale`` for a ``Fraction``
+    or an integer clock ``elapsed``, plus the edge label leaving it."""
 
-    text: str
-    elapsed: Fraction
-    label: str
+    __slots__ = ("text", "label")
+    _fields = ("text", "elapsed", "label")
+
+    def __init__(self, text: str, elapsed: Any, label: str, scale: int = 1):
+        self.text, self.label = text, label
+        self.clock, self.scale = elapsed.numerator, elapsed.denominator * scale
 
 
 @dataclass
@@ -183,7 +187,7 @@ def _extract(kripke, blue_path, red_path) -> Counterexample:
         s, t = v[0], w[0]
         for e in kripke.out(s):
             if e.target == t:
-                return CounterexampleStep(kripke.text(s), kripke.elapsed(s), e.label)
+                return CounterexampleStep(kripke.text(s), kripke.clock_of(s), e.label, kripke.scale)
 
     prefix = [step(a, b) for a, b in zip(prefix_nodes, prefix_nodes[1:] + cycle_nodes[:1])]
     cycle = [step(a, b) for a, b in zip(cycle_nodes, cycle_nodes[1:] + cycle_nodes[:1])]
@@ -203,7 +207,7 @@ def validate_counterexample(kripke: Kripke, formula: Formula, ce: Counterexample
         return False
     steps = ce.steps()
     cycle_start = len(ce.prefix)
-    i = kripke.index_of(steps[0].text, steps[0].elapsed)
+    i = kripke.index_of(steps[0].text, steps[0].clock, steps[0].scale)
     if i != kripke.initial:
         return False
     indices = []
@@ -211,7 +215,7 @@ def validate_counterexample(kripke: Kripke, formula: Formula, ce: Counterexample
         indices.append(i)
         kripke.out(i)  # discovers every state the lasso may step to
         nxt = steps[pos + 1] if pos + 1 < len(steps) else steps[cycle_start]
-        i = kripke.index_of(nxt.text, nxt.elapsed)
+        i = kripke.index_of(nxt.text, nxt.clock, nxt.scale)
         if i is None or not kripke.has_edge(indices[-1], i, step.label):
             return False
     letters = [kripke.letter(i) for i in indices]

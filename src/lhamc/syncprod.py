@@ -23,7 +23,7 @@ does, but only when they are read; exploration never reads them.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import product as cartesian
 from operator import itemgetter
 from typing import Any, Iterable, Iterator
@@ -42,6 +42,7 @@ from .explore import Kripke
 
 Rule = tuple[str, Any, Any]  # (label, source, target)
 Tick = tuple[Any, Any, Fraction]  # (source, target, duration)
+_tick_duration = partial(as_time, step="tick durations")  # validated: a rational > 0
 # How a product evaluates a proposition: whether the value is negated, and
 # the (component index, states where it holds) flags that must all be raised.
 Flags = tuple[bool, tuple[tuple[int, frozenset], ...]]
@@ -142,12 +143,10 @@ class Component(TimedTransitionSystem):
             if not holds <= member:
                 raise ModelError(f"proposition {name!r} marks unknown states")
             checked[name] = holds
-        ticks = tuple((s, t, as_time(d)) for s, t, d in ticks)
+        ticks = tuple((s, t, _tick_duration(d)) for s, t, d in ticks)
         for s, t, d in ticks:
             if s not in member or t not in member:
                 raise ModelError("tick uses unknown states")
-            if d == 0:
-                raise ModelError("tick durations must be positive")
         text = {s: render_component_state(s) for s in states}
         # text is a state's identity, and products of prefix-free texts skip the walk
         self._text, self._prefix_free = text, True
@@ -450,7 +449,7 @@ def component_from_json(doc: dict) -> Component:
              for r in doc.objects("rules", ("label", "source", "target"), [])]
     props_doc = doc.object("props", default={})
     props = {name: props_doc.strings(name) for name in props_doc.value}
-    ticks = [(t.get("source", str), t.get("target", str), t.rational("duration"))
+    ticks = [(t.get("source", str), t.get("target", str), t.rational("duration", read=_tick_duration))
              for t in doc.objects("ticks", ("source", "target", "duration"), [])]
     return Component(states, initial, rules, props, ticks)
 

@@ -985,6 +985,20 @@ class TestMalformedModels:
         assert main(["simulate", "--model", path, "--time-bound", "3"]) == 2
         assert capsys.readouterr() == ("", f"error: {error}\n")
 
+    @pytest.mark.parametrize(
+        "duration, error",
+        [
+            ("-1", "negative duration: -1"),
+            ("0", "tick durations must be positive"),
+            ("0/5", "tick durations must be positive"),
+        ],
+    )
+    def test_a_tick_duration_that_is_not_positive_is_named_with_its_place(self, tmp_path, capsys, duration, error):
+        doc = {**COMPONENT_DOC, "ticks": [{**COMPONENT_DOC["ticks"][0], "duration": duration}]}
+        path = write_doc(tmp_path / "bad.json", doc)
+        assert main(["product-check", "--left", path, "--right", RES1, "--formula", "[] true"]) == 2
+        assert capsys.readouterr() == ("", f"error: ticks[0].duration: {error}\n")
+
     @pytest.mark.skipif(not DIGIT_LIMIT, reason="this interpreter converts numerals of any length")
     def test_a_numeral_past_the_digit_limit_is_a_model_error(self, tmp_path, capsys):
         numeral = "1" * (DIGIT_LIMIT + 1)
