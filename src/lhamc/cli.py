@@ -111,7 +111,7 @@ def run_search(args: argparse.Namespace) -> int:
         for i, sol in enumerate(solutions, start=1):
             time = fraction_text(sol.clock, sol.scale)
             lines.append(f"Solution {i}\nS:System --> {sol.text}; TIME_ELAPSED:Time --> {time}")
-            if sol.bindings:
+            if sol.bindings:  # saves a sort and a list per hit of a pattern that binds nothing
                 lines += [f"{key} --> {sol.bindings[key]}" for key in sorted(sol.bindings)]
         print("\n".join([*lines, "No more solutions"]) if solutions else "No solution")
     found = bool(solutions)

@@ -4,14 +4,12 @@ table (:class:`Memo`), and the contract every model implements.
 All quantities in the engine are exact rationals; the API takes them, and
 returns times, as ``fractions.Fraction``.  Linear hybrid automaton and
 reservoir ring states hold integer numerators over one common positive
-denominator (see :class:`lhamc.lha.LhaSystem` and
-:class:`lhamc.reservoir.NResSystem`), and each state is read and identified
-through its canonical text.  The explorer, its Kripke structures, and the
-search hits and lasso steps they give (each a :class:`Timed` record) keep
-elapsed time as one integer clock numerator over the lcm of the durations'
-denominators: a ``Fraction`` is built only when a caller reads ``elapsed``,
-and :func:`fraction_text` renders such a time exactly as ``str(Fraction)``
-would.
+denominator (see :class:`lhamc.lha.LhaSystem` and :class:`lhamc.reservoir.NResSystem`),
+and each state is read and identified through its canonical text.  The
+explorer, and the search hits and lasso steps it gives (:class:`Timed`
+records), keep elapsed time as one integer clock over the lcm of the
+durations' denominators; a ``Fraction`` is built only when ``elapsed`` is
+read, and :func:`fraction_text` renders such a time as ``str(Fraction)`` would.
 Durations ("time") are nonnegative rationals validated by :func:`as_time`,
 and every model reads its ticks through one :class:`TickTables`: it
 validates a duration once, compiles its tick table once, and returns the
@@ -208,9 +206,15 @@ def fraction_texts(start: int, step: int, den: int, count: int) -> list[str]:
     return out
 
 
+def as_clock(elapsed: Any, scale: int = 1) -> tuple[int, int]:
+    """The time ``elapsed / scale`` as (integer numerator, positive scale)."""
+    t = elapsed if isinstance(elapsed, (int, Fraction)) else Fraction(elapsed)
+    return t.numerator, t.denominator * scale
+
+
 class Timed:
     """A record whose time is an integer ``clock`` numerator over a positive
-    ``scale``, as the explorer keeps it; ``elapsed``, its ``Fraction``, is
+    ``scale``, as :func:`as_clock` reads it; ``elapsed``, its ``Fraction``, is
     built when read.  Records of a class compare, hash and print by their
     ``_fields``, as a dataclass of those fields would."""
 

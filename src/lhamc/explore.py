@@ -16,8 +16,7 @@ index order, which is breadth-first.  :func:`build_kripke` returns the
 graph expanded whole, and :func:`search` reads the whole graph and takes
 each state's discovering edge, the last step of its path, from its edges.
 A :class:`Solution` keeps its state's clock numerator and ``scale``, as a
-lasso step does, so a ``Fraction`` is built only where a caller reads one:
-``Kripke.elapsed``, or the ``elapsed`` of a solution or a lasso step.
+lasso step does, so a ``Fraction`` is built only where ``elapsed`` is read.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from itertools import chain
 from math import ceil, lcm
 from typing import Any, Callable, Iterable, NamedTuple, Optional
 
-from .core import ZERO, ModelError, Timed, TimedTransitionSystem, as_time
+from .core import ZERO, ModelError, Timed, TimedTransitionSystem, as_clock, as_time
 
 TICK = "tick"
 STUTTER = "stutter"
@@ -51,20 +50,21 @@ class KripkeEdge(NamedTuple):
 
 
 class Solution(Timed):
-    """A state the search predicate accepted, how it was reached, and when:
-    at ``elapsed / scale``, for a ``Fraction`` or an integer clock ``elapsed``.
+    """A state the search predicate accepted, how it was reached, and when
+    (``elapsed / scale``); it can be changed, so it is not hashable.
 
     It keeps the explorer's whole ``parents`` and ``texts`` lists alive; copy
     ``path`` before holding many solutions for long."""
 
     __slots__ = ("state", "text", "bindings", "edge", "parents", "texts")
     _fields = ("state", "elapsed", "text", "bindings")
+    __hash__ = None
 
     def __init__(self, state: Any, elapsed: Any, text: str, bindings: dict[str, str],
                  edge: Optional[KripkeEdge], parents: list[Optional[KripkeEdge]], texts: list[str], scale: int = 1):
         self.state, self.text, self.bindings = state, text, bindings
         self.edge, self.parents, self.texts = edge, parents, texts  # edge is None for the initial state
-        self.clock, self.scale = elapsed.numerator, elapsed.denominator * scale
+        self.clock, self.scale = as_clock(elapsed, scale)
 
     @property
     def path(self) -> tuple[Step, ...]:
@@ -184,11 +184,9 @@ class Kripke:
         return self._clock[i]
 
     def index_of(self, text: str, elapsed: Any, scale: int = 1) -> Optional[int]:
-        """The discovered state with this text and time, ``elapsed / scale``
-        for a rational ``elapsed``, if any."""
-        if scale == self.scale:  # a non-integral Fraction matches no clock
-            return self._index.get((text, elapsed))
-        n, r = divmod(elapsed.numerator * self.scale, elapsed.denominator * scale)
+        """The discovered state with this text and time, ``elapsed / scale``, if any."""
+        clock, scale = as_clock(elapsed, scale)
+        n, r = divmod(clock * self.scale, scale)
         return self._index.get((text, n)) if r == 0 else None  # on the clock's grid exactly when r == 0
 
     def has_edge(self, source: int, target: int, label: str) -> bool:

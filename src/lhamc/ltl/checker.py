@@ -22,25 +22,33 @@ scale, and replay looks it up by that key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Any, Optional
 
-from ..core import Memo, ModelError, Timed
+from ..core import Memo, ModelError, Timed, as_clock
 from ..explore import Kripke
 from .buchi import BuchiAutomaton, to_buchi
 from .formula import Formula, negated_nnf, props_of
 
 
 class CounterexampleStep(Timed):
-    """One position of the lasso, at ``elapsed / scale`` for a ``Fraction``
-    or an integer clock ``elapsed``, plus the edge label leaving it."""
+    """One position of the lasso, at ``elapsed / scale``, plus the edge label
+    leaving it; it cannot be changed once built."""
 
     __slots__ = ("text", "label")
     _fields = ("text", "elapsed", "label")
 
     def __init__(self, text: str, elapsed: Any, label: str, scale: int = 1):
-        self.text, self.label = text, label
-        self.clock, self.scale = elapsed.numerator, elapsed.denominator * scale
+        clock, scale = as_clock(elapsed, scale)
+        object.__setattr__(self, "text", text)  # past __setattr__, which refuses
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "clock", clock)
+        object.__setattr__(self, "scale", scale)
+
+    def __setattr__(self, name: str, *value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
 
 
 @dataclass

@@ -11,6 +11,8 @@ the structure's grid.
 
 import json
 import random
+from dataclasses import FrozenInstanceError
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -216,3 +218,39 @@ class TestReplayOffTheGrid:
         assert kripke.index_of(text, 3, 7) is None
         ce = Counterexample([], [CounterexampleStep(text, 1, "tick", 3)])
         assert validate_counterexample(kripke, parse_formula("[] ~ macondo"), ce) is False
+
+
+class TestRecords:
+    """A lasso step cannot be changed once built; a solution can, and is not
+    hashable.  Both read a time as ``Fraction`` does, as ``Kripke.index_of``
+    does."""
+
+    def test_a_step_cannot_be_changed(self):
+        step = CounterexampleStep("a", 2, "x", 6)
+        held = {step}
+        for name in ("text", "elapsed", "label", "clock", "scale"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(step, name, 1)
+            with pytest.raises(FrozenInstanceError):
+                delattr(step, name)
+        assert (step.text, step.clock, step.scale, step.label) == ("a", 2, 6, "x")
+        assert CounterexampleStep("a", F(1, 3), "x") in held
+
+    def test_a_solution_can_be_changed_and_is_not_hashable(self):
+        sol = Solution("s", F(1, 3), "t", {}, None, [None], ["t"])
+        with pytest.raises(TypeError, match="unhashable type: 'Solution'"):
+            hash(sol)
+        sol.text = "u"
+        assert sol == Solution("s", F(1, 3), "u", {}, None, [None], ["t"])
+
+    @pytest.mark.parametrize("time", [0.3, Decimal("0.3"), "3/10", F(3, 10), 0.5, Decimal("0.5"), "1/2"])
+    def test_a_time_is_read_as_fraction_reads_it(self, time):
+        kripke = build_kripke(load_model(INIT2), F(1), F(1, 10))
+        exact = F(time)  # 0.3 as a float is not 3/10, so no state is at it
+        i = kripke.clock.index(exact * 10) if exact * 10 in kripke.clock else None
+        text = kripke.text(i if i is not None else 0)
+        assert kripke.index_of(text, time) == i
+        step = CounterexampleStep(text, time, "tick")
+        assert step == CounterexampleStep(text, exact, "tick") and hash(step) == hash((text, exact, "tick"))
+        assert (step.clock, step.scale) == (exact.numerator, exact.denominator)
+        assert Solution("s", time, text, {}, None, [None], [text]).elapsed == exact
