@@ -8,8 +8,10 @@ reservoir that needs it.
 
 :class:`NResState` describes a ring with ``Fraction`` levels, as a model file
 does.  :class:`NResSystem` compiles it once and computes on integers: its
-:class:`RingState`s hold the hosed tank's index and integer level numerators
-over one common denominator, and a state is read through its canonical text.
+:class:`RingState`s hold the hosed tank's index, integer level numerators
+over one common denominator and the indices of the tanks at or below their
+lower thresholds, judged once when the levels are made; a state is read
+through its canonical text.
 The search pattern grammar lives here too: :func:`parse_pattern` reads a
 :class:`SearchPattern`, and :func:`match` applies it to a state.
 """
@@ -20,6 +22,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import lcm
 from operator import le
 from typing import Any, Iterable, Optional
@@ -36,10 +39,10 @@ from .core import (
     parse_rational,
 )
 
-# Each proposition of a ring, and whether it asks that any tank or that all
-# tanks be at or below their lower bounds.
-_QUANTIFIERS = {"one-down": any, "macondo": all}
-PROPOSITIONS = frozenset(_QUANTIFIERS)
+# Each proposition of a ring, and how many of its n tanks it asks to be at or
+# below their lower bounds.
+_LOW_COUNTS = {"one-down": lambda n: 1, "macondo": lambda n: n}
+PROPOSITIONS = frozenset(_LOW_COUNTS)
 
 MOVE_HOSE = "move-hose"
 
@@ -205,15 +208,17 @@ def parse_pattern(text: str) -> SearchPattern:
 
 
 class RingState:
-    """A state of a compiled ring: the hosed tank's index and integer level
-    numerators over one positive denominator (see :class:`NResSystem`).
-    Its identity is its text, ``ring.serialize(state)``.
+    """A state of a compiled ring: the hosed tank's index, integer level
+    numerators over one positive denominator (see :class:`NResSystem`), and
+    ``low``, the indices of the tanks at or below their lower thresholds in
+    tank order, which the ring derives once from the levels it makes.
+    Its identity is its text, ``ring.serialize(state)``; ``low`` is no part of it.
     """
 
-    __slots__ = ("ring", "pos", "nums", "den")
+    __slots__ = ("ring", "pos", "nums", "den", "low")
 
-    def __init__(self, ring: "NResSystem", pos: int, nums: tuple[int, ...], den: int):
-        self.ring, self.pos, self.nums, self.den = ring, pos, nums, den
+    def __init__(self, ring: "NResSystem", pos: int, nums: tuple[int, ...], den: int, low: tuple[int, ...]):
+        self.ring, self.pos, self.nums, self.den, self.low = ring, pos, nums, den, low
 
     def __repr__(self) -> str:
         return f"RingState({self.ring.serialize(self)!r})"
@@ -227,9 +232,12 @@ class NResSystem(TimedTransitionSystem):
     methods take and return.  Every threshold is an integer numerator over
     every state's denominator, a tick adds one cached integer step vector per
     (duration, denominator), and the denominator grows by lcm only when a
-    step needs it.  A state's text is the hose's head and each tank's text,
-    whose level is read from ``_levels``, a per-instance memo from
-    denominator to numerator to text, so each level is rendered once.
+    step needs it.  Each state's low tanks are found once, when a tick makes
+    its levels (a hose move keeps its parent's levels and low tanks); the
+    hose moves, the blocking of a tick and both propositions read them.  A
+    state's text is the hose's head and each tank's text, whose level is
+    read from ``_levels``, a per-instance memo from denominator to numerator
+    to text, so each level is rendered once.
     Discrete successors are the hose moves, ordered by numeric target id
     (which refines the generic label/text order when ids reach two digits).
     """
@@ -250,6 +258,8 @@ class NResSystem(TimedTransitionSystem):
                 stacklevel=2,
             )
         self._ids, lowers, uppers, self._leaks = zip(*[(r.id, r.lower, r.upper, r.leak) for r in tanks])
+        self._indices = range(len(tanks))
+        self._low_counts = {prop: count(len(tanks)) for prop, count in _LOW_COUNTS.items()}
         self._thresholds = (lowers, uppers)
         # every state's denominator is a multiple of this one, so each threshold
         # is a whole numerator over it
@@ -259,16 +269,15 @@ class NResSystem(TimedTransitionSystem):
         # den -> numerator -> fraction_text(numerator, den), each level's text
         self._levels = Memo(lambda den: Memo(lambda n: fraction_text(n, den)))
         self._heads = [f"hose({rate},{r.id})" for r in tanks]
-        # one "{}" per tank for its level
-        self._texts = "".join(f" < {r.id} | thr:({r.lower},{r.upper}), hth: {{}}, rte: {r.leak} >"
+        # one "%s" per tank for its level; ids and rationals hold no "%"
+        self._texts = "".join(f" < {r.id} | thr:({r.lower},{r.upper}), hth: %s, rte: {r.leak} >"
                               for r in tanks)
         # duration -> den -> (growth, fills, drains): a step from levels over
         # den moves to den * growth
         self._tick_tables = TickTables(lambda delta: Memo(lambda den: self._step(delta, den)))
         den = lcm(self._den, *(r.level.denominator for r in tanks))
-        self._initial = RingState(
-            self, self._ids.index(initial.hose.position), tuple(int(r.level * den) for r in tanks), den
-        )
+        nums = tuple(int(r.level * den) for r in tanks)
+        self._initial = RingState(self, self._ids.index(initial.hose.position), nums, den, self._low(nums, den))
 
     def _step(self, delta: Fraction, den: int) -> tuple:
         """The step of ``delta`` from levels over ``den``."""
@@ -277,46 +286,47 @@ class NResSystem(TimedTransitionSystem):
         grown = lcm(den, *(x.denominator for x in fills + drains))
         return grown // den, tuple(int(x * grown) for x in fills), tuple(int(x * grown) for x in drains)
 
+    def _low(self, nums: Iterable[int], den: int) -> tuple[int, ...]:
+        """Indices of the tanks whose level numerators over ``den`` are at or below their lower thresholds."""
+        return tuple(compress(self._indices, map(le, nums, self._bounds[den][0])))
+
     def initial_state(self) -> RingState:
         return self._initial
 
     def discrete_successors(self, state: RingState) -> list[tuple[str, RingState]]:
-        pos, nums, den = state.pos, state.nums, state.den
-        low = self._bounds[den][0]
-        if nums[pos] < low[pos]:
+        pos, nums, den, low = state.pos, state.nums, state.den, state.low
+        # the hose leaves only once its tank is back at its lower threshold
+        if not low or pos in low and nums[pos] < self._bounds[den][0][pos]:
             return []
-        return [
-            (MOVE_HOSE, RingState(self, i, nums, den)) for i, n in enumerate(nums) if n <= low[i] and i != pos
-        ]
+        return [(MOVE_HOSE, RingState(self, i, nums, den, low)) for i in low if i != pos]
 
     def timed_successor(self, state: RingState, delta: Fraction) -> RingState | None:
         steps = self._tick_tables.of(delta)
         if steps is None:
             return state
-        pos, nums, den = state.pos, state.nums, state.den
-        low = self._bounds[den][0]
-        for i, n in enumerate(nums):
-            if n <= low[i] and i != pos:
-                return None
+        pos, nums, den, low = state.pos, state.nums, state.den, state.low
+        if low and low != (pos,):  # a tank away from the hose is low
+            return None
         growth, fills, drains = steps[den]
         if growth != 1:
             nums = [n * growth for n in nums]
+            den *= growth
         after = [n - d if n > d else 0 for n, d in zip(nums, drains)]
         after[pos] = nums[pos] + fills[pos]
-        return RingState(self, pos, tuple(after), den * growth)
+        return RingState(self, pos, tuple(after), den, self._low(after, den))
 
     def prop_holds(self, state: RingState, prop: str) -> bool:
-        quantifier = _QUANTIFIERS.get(prop)
-        if quantifier is None:
+        count = self._low_counts.get(prop)
+        if count is None:
             raise ModelError(f"unknown proposition {prop!r}, expected one of {sorted(PROPOSITIONS)}")
-        return quantifier(map(le, state.nums, self._bounds[state.den][0]))
+        return len(state.low) >= count
 
     def annotations(self, state: RingState) -> dict[str, list]:
         up = self._bounds[state.den][1]
         return {"above_upper": [rid for rid, n, u in zip(self._ids, state.nums, up) if n > u]}
 
     def serialize(self, state: RingState) -> str:
-        return self._heads[state.pos] + self._texts.format(*map(self._levels[state.den].__getitem__, state.nums))
+        return self._heads[state.pos] + self._texts % tuple(map(self._levels[state.den].__getitem__, state.nums))
 
     def propositions(self) -> frozenset[str]:
         return PROPOSITIONS

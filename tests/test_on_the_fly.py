@@ -15,7 +15,7 @@ from lhamc.ltl import model_check, parse_formula, props_of, validate_counterexam
 from lhamc.syncprod import abstract_reservoir, component_kripke, rt_sync_product, safe_prop
 from oracles import counterexample_letters, eval_on_lasso, find_violating_lasso, random_formula, whole_kripke
 from test_lha import random_automaton
-from test_reservoir import quiet_system, random_ring
+from test_reservoir import quiet_system, random_ring, tenths_ring
 from test_syncprod import random_components
 
 
@@ -30,12 +30,13 @@ class Located(LhaSystem):
 
 
 class Counted:
-    """Delegates to a model, counting the states it is asked to expand and
-    the propositions it is asked to evaluate."""
+    """Delegates to a model, counting the states it is asked to expand, the
+    ticks it is asked to take and the propositions it is asked to evaluate."""
 
     def __init__(self, model):
         self._model = model
         self.expanded = 0
+        self.ticked = 0
         self.evaluated = 0
 
     def __getattr__(self, name):
@@ -44,6 +45,10 @@ class Counted:
     def discrete_successors(self, state):
         self.expanded += 1
         return self._model.discrete_successors(state)
+
+    def timed_successor(self, state, delta):
+        self.ticked += 1
+        return self._model.timed_successor(state, delta)
 
     def prop_holds(self, state, prop):
         self.evaluated += 1
@@ -145,6 +150,17 @@ class TestOnTheFly:
         else:
             assert validate_counterexample(whole, formula, ce)
             assert not eval_on_lasso(formula, *counterexample_letters(whole, ce))
+
+    def test_a_ring_check_expands_only_what_the_search_reads(self):
+        # the negated precedence pattern's automaton has no run past the ring's
+        # first state with a low tank, so the search stops long before its 414 states
+        ring = Counted(quiet_system(tenths_ring()))
+        kripke = Kripke(ring, (F(1, 10),), F(40))
+        assert ring.expanded == ring.ticked == 0
+        formula = parse_formula("(~ macondo U one-down) \\/ [] ~ macondo")
+        assert model_check(kripke, formula) is None
+        assert (ring.expanded, ring.ticked, ring.evaluated) == (33, 33, 66)
+        assert len(kripke) == 414
 
     def test_a_refutation_within_the_cap_is_returned(self):
         product = ladder(14)

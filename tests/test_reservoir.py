@@ -238,6 +238,13 @@ def random_ring(rng) -> NResState:
     return NResState.make(Hose(max(rate, F(0)), rng.choice(ids)), tanks)
 
 
+def tenths_ring() -> NResState:
+    """A ring like the benchmark's, with levels in tenths, to sample every 1/10."""
+    tanks = [Reservoir(i, F(lo), F(lo + 30), F(lv, 10), F(leak))
+             for i, (lo, lv, leak) in enumerate([(12, 251, 3), (7, 180, 2), (15, 305, 4), (9, 122, 1)])]
+    return NResState.make(Hose(F(11), 2), tanks)
+
+
 def quiet_system(initial: NResState) -> NResSystem:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ModelWarning)
@@ -287,6 +294,7 @@ class TestScaledSystem:
 
     def assert_same(self, system, fast, ref):
         assert system.serialize(fast) == render_state(ref)
+        assert fast.low == tuple(i for i, r in enumerate(ref.reservoirs) if r.level <= r.lower)
         for prop in sorted(PROPOSITIONS):
             assert system.prop_holds(fast, prop) == valuation(ref, prop)
         assert system.annotations(fast) == {"above_upper": list(above_upper(ref))}
@@ -309,6 +317,7 @@ class TestScaledSystem:
             for _ in range(30):
                 self.assert_same(system, fast, ref)
                 fast_moves = system.discrete_successors(fast)
+                assert all(s.low is fast.low for _, s in fast_moves)  # a hose move keeps the levels
                 ref_moves = move_hose_successors(ref)
                 assert [(label, system.serialize(s)) for label, s in fast_moves] == [
                     (label, render_state(s)) for label, s in ref_moves
@@ -338,10 +347,7 @@ class TestScaledSystem:
         samplings = (((F(1),), F(6)), ((F(1, 2), F(1, 3)), F(3)), ((F(1, 3),), F(7, 4)))
         cases = [(ring, *sampling) for ring in [three_tank_state()] + [random_ring(rng) for _ in range(40)]
                  for sampling in samplings]
-        # a ring like the benchmark's: levels in tenths, sampled every 1/10
-        tanks = [Reservoir(i, F(lo), F(lo + 30), F(lv, 10), F(leak))
-                 for i, (lo, lv, leak) in enumerate([(12, 251, 3), (7, 180, 2), (15, 305, 4), (9, 122, 1)])]
-        cases.append((NResState.make(Hose(F(11), 2), tanks), (F(1, 10),), F(40)))
+        cases.append((tenths_ring(), (F(1, 10),), F(40)))
         compared = 0
         for ring, durations, bound in cases:
             system, fast, ref = explore_both(ring, durations, bound)
@@ -355,6 +361,8 @@ class TestScaledSystem:
                 (e.source, e.target, e.label, e.duration) for e in ref.edges
             ]
             assert fast.labeling == ref.labeling
+            for a, b in zip(fast.states, ref.states):
+                self.assert_same(system, a, b)
             compared += len(ref)
         assert compared > 1500
 
@@ -368,6 +376,7 @@ class TestScaledSystem:
             initial = system.initial_state()
             self.assert_same(system, initial, ring)
             moves = system.discrete_successors(initial)
+            assert all(s.low is initial.low for _, s in moves)
             assert [(label, system.serialize(s)) for label, s in moves] == [
                 (label, render_state(s)) for label, s in move_hose_successors(ring)
             ]
