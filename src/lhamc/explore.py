@@ -98,8 +98,8 @@ class Kripke:
     ``edges``) first expand every state left, in index order; ``labeling``
     evaluates every letter on each read.
 
-    ``time_bound`` None explores time-abstractly.  Discovering a state beyond
-    the first ``max_states`` raises :class:`ModelError`.
+    ``time_bound`` None explores time-abstractly, and ``timed`` is False.  A
+    state discovered beyond the first ``max_states`` raises :class:`ModelError`.
     """
 
     def __init__(
@@ -207,6 +207,7 @@ class Kripke:
     clock = property(lambda self: self._whole(self._clock))
     index = property(lambda self: self._whole(self._index))
     adjacency = property(lambda self: self._whole(self._out))
+    timed = property(lambda self: self._limit is not None)
 
     def __len__(self) -> int:
         return len(self.states)

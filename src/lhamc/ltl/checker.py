@@ -1,23 +1,22 @@
-"""LTL model checking over Kripke structures by nested depth-first search.
+"""LTL model checking over Kripke structures by clock layers and nested DFS.
 
 The property is negated, normalized, and compiled to a Buchi automaton; an
 accepting lasso in the product with the Kripke structure is a counterexample.
-:func:`model_check` and :func:`lasso_accepted` share one search,
-:func:`_accepting_cycle`, over product nodes (Kripke state or lasso position,
-automaton state): the outer search runs in postorder, the inner search hunts
-for a cycle back to the blue stack, both iterative.  They share one row
-table too, :func:`_letter_rows`, which keeps for each distinct letter the
+One row table, :func:`_letter_rows`, keeps for each distinct letter the
 automaton targets of every automaton state on it.  A product node (s, q)
 steps along every edge of s, in order, paired with every automaton target of
 q in the row of s's letter, in order.  The letter of s holds only the
 formula's propositions, each asked of the structure once per state
 (``holds(s, p)``), and s is mapped to its row when the check first meets it.
-The search reads the structure one state at a time (``out(s)``,
-``holds(s, p)``), and a :class:`Kripke` is discovered as it is read, so the
-check is on-the-fly: only the states it visits are expanded, and a
-counterexample found early leaves the rest of the state space unbuilt.
-A lasso step keeps its state's integer clock numerator and the structure's
-scale, and replay looks it up by that key.
+With a time bound every cycle lies in one clock value, its layer, and
+:func:`_layered_cycle` decides the check layer by layer.  The nested search,
+:func:`_accepting_cycle`, runs in postorder and hunts for a cycle back to the
+blue stack; it runs from the initial node only for a refuted or time-abstract
+check, and it decides :func:`lasso_accepted` too.  The check reads the
+structure one state at a time (``out(s)``, ``holds(s, p)``), and a
+:class:`Kripke` is discovered as it is read, so only the states the check
+reads are expanded.  A lasso step keeps its state's integer clock numerator
+and the structure's scale, and replay looks it up by that key.
 """
 
 from __future__ import annotations
@@ -90,10 +89,58 @@ def model_check(kripke: Kripke, formula: Formula) -> Optional[Counterexample]:
     def succs(v: _ProductNode) -> list[_ProductNode]:
         s, q = v
         targets = row_of[s][q]
-        return [(e.target, t) for e in out(s) for t in targets]
+        return [(e.target, t) for e in out(s) for t in targets] if targets else []
 
+    if kripke.timed and not _layered_cycle(kripke, ba, row_of, succs):
+        return None
     hit = _accepting_cycle((kripke.initial, ba.initial), succs, ba.accepting)
     return None if hit is None else _extract(kripke, *hit)
+
+
+def _layered_cycle(kripke: Kripke, ba: BuchiAutomaton, row_of: Memo, succs) -> bool:
+    """Whether a timed structure's product with the automaton has a reachable
+    accepting cycle.  Each layer is carried to its fixpoint, in clock order: a
+    state holds the mask of its automaton states and passes on what that
+    steps to.  A layer is searched for a cycle only if one of its own edges
+    returns to a state already carried from."""
+    clock_of = kripke.clock_of
+    images: dict[tuple[int, int], int] = {}  # (id of a row, mask) -> the mask it steps to
+    mask = {kripke.initial: 1 << ba.initial}
+    pending = {0: [kripke.initial]}  # clock -> the states first reached at it
+
+    def within(v: _ProductNode) -> list[_ProductNode]:
+        """Layer c's own product edges; its root, (None, None), steps to its reached nodes."""
+        if v[0] is None:
+            return [(s, q) for s in carried for q in range(ba.size) if mask[s] >> q & 1]
+        return [w for w in succs(v) if clock_of(w[0]) == c]
+
+    while pending:
+        c = min(pending)
+        work = pending.pop(c)
+        carried: dict[int, int] = {}  # state -> the mask last carried from it
+        inner = False
+        while work:
+            s = work.pop()
+            if carried.get(s) == mask[s]:
+                continue
+            m = carried[s] = mask[s]
+            row = row_of[s]
+            image = images.get((id(row), m))
+            if image is None:
+                image = images[id(row), m] = sum({1 << t for q, ts in enumerate(row) if m >> q & 1 for t in ts})
+            for e in kripke.out(s) if image else ():
+                t = e.target
+                old = mask.get(t, 0)
+                mask[t] = old | image
+                if clock_of(t) == c:
+                    inner = inner or t in carried  # every cycle in the layer has such an edge
+                    if mask[t] != old:
+                        work.append(t)
+                elif not old:  # first reached, in a later layer
+                    pending.setdefault(clock_of(t), []).append(t)
+        if inner and _accepting_cycle((None, None), within, ba.accepting):
+            return True
+    return False
 
 
 def lasso_accepted(

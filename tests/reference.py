@@ -20,6 +20,10 @@ them with ``nres_to_json`` and ``component_to_json``.  ``compatible``,
 ticks and propositions as its definition enumerates them, and
 ``rendered_alike`` finds two tuples of states that render alike by rendering
 every tuple.
+
+``nested_model_check`` is the reference for :func:`lhamc.ltl.model_check`:
+the nested depth-first search alone, from the initial product node, on every
+structure, timed or not.
 """
 
 from __future__ import annotations
@@ -30,7 +34,10 @@ from itertools import product as cartesian
 from typing import Any, Iterable, Mapping, Optional
 
 from lhamc.core import ZERO, ModelError, as_time
+from lhamc.explore import Kripke
 from lhamc.lha import AffineConstraint, AffineExpr, Edge, Lha, LhaState, Location
+from lhamc.ltl import Counterexample, Formula, negated_nnf, props_of, to_buchi
+from lhamc.ltl.checker import _accepting_cycle, _extract
 from lhamc.reservoir import (
     MOVE_HOSE,
     PROPOSITIONS,
@@ -433,3 +440,21 @@ def eager_safe_prop(component: Component) -> Component:
         setattr(derived, name, getattr(component, name))
     derived.props = {**component.props, "safe": safe}
     return derived
+
+
+# the LTL check
+
+
+def nested_model_check(kripke: Kripke, formula: Formula) -> Optional[Counterexample]:
+    """``model_check`` by the nested search alone: the product's successors
+    in the checker's order, each state's letter asked afresh."""
+    ba = to_buchi(negated_nnf(formula))
+    props = props_of(formula)
+
+    def succs(v: tuple[int, int]) -> list[tuple[int, int]]:
+        s, q = v
+        targets = ba.successors(q, kripke.letter(s) & props)
+        return [(e.target, t) for e in kripke.out(s) for t in targets]
+
+    hit = _accepting_cycle((kripke.initial, ba.initial), succs, ba.accepting)
+    return None if hit is None else _extract(kripke, *hit)

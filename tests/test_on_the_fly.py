@@ -1,6 +1,10 @@
 """Checking while discovering: on a ``Kripke``, discovered as it is read, the
-nested DFS expands only the states it visits, and it gives the same verdicts
-and counterexamples as on the structure ``whole_kripke`` expands whole."""
+check expands only the states it reads, and it gives the same verdicts and
+counterexamples as on the structure ``whole_kripke`` expands whole.  A timed
+check is decided one clock layer at a time, expanding only states whose
+automaton states step on, and it runs the nested DFS from the initial state
+only to build a counterexample; its verdicts and counterexamples are those
+of the nested DFS alone, ``reference.nested_model_check``."""
 
 import random
 from fractions import Fraction as F
@@ -9,11 +13,14 @@ from functools import reduce
 import pytest
 
 from lhamc.core import ModelError
-from lhamc.explore import Kripke
+from lhamc.explore import STUTTER, Kripke
 from lhamc.lha import LhaSystem
-from lhamc.ltl import model_check, parse_formula, props_of, validate_counterexample
+from lhamc.ltl import checker, model_check, parse_formula, props_of, validate_counterexample
+from lhamc.reservoir import MOVE_HOSE, PROPOSITIONS
 from lhamc.syncprod import abstract_reservoir, component_kripke, rt_sync_product, safe_prop
+from conftest import three_tank_state
 from oracles import counterexample_letters, eval_on_lasso, find_violating_lasso, random_formula, whole_kripke
+from reference import nested_model_check
 from test_lha import random_automaton
 from test_reservoir import quiet_system, random_ring, tenths_ring
 from test_syncprod import random_components
@@ -70,6 +77,44 @@ def random_models(seed: int):
         yield c, c.tick_durations(), None
 
 
+def timed_models(seed: int):
+    """(system, durations, time bound) for seeded rings sampled every 1, 1/3
+    and 1/10, an automaton sampled at two durations, and two components with
+    their untimed and timed products, each under a time bound."""
+    rng = random.Random(seed)
+    for increment in (F(1), F(1, 3), F(1, 10)):
+        try:
+            yield quiet_system(random_ring(rng)), (increment,), F(2)
+        except ModelError:  # a hose below a leak: the ring is rejected
+            pass
+    yield Located(random_automaton(rng)), (F(1), F(1, 2)), F(2)
+    for c in random_components(seed):
+        yield c, c.tick_durations(), F(3)
+
+
+# the benchmark's ring patterns whose negations have more than two automaton states
+RING_PATTERNS = tuple(map(parse_formula, (
+    "[] (one-down -> <> ~ one-down)",
+    "(~ macondo U one-down) \\/ [] ~ macondo",
+    "([] <> one-down /\\ [] <> ~ one-down) -> [] <> macondo",
+    "[] <> one-down -> [] <> ~ macondo",
+)))
+FAIR_MACONDO = RING_PATTERNS[2]
+
+
+def searches(monkeypatch) -> list:
+    """The first node of every nested search the checker runs from now on."""
+    calls = []
+
+    def counted(init, succs, accepting):
+        calls.append(init)
+        return accepting_cycle(init, succs, accepting)
+
+    accepting_cycle = checker._accepting_cycle
+    monkeypatch.setattr(checker, "_accepting_cycle", counted)
+    return calls
+
+
 def ladder(k: int):
     """``[] safe`` is refuted on it by a 30-step lasso at k = 14."""
     return safe_prop(reduce(rt_sync_product, [abstract_reservoir(i) for i in range(1, k + 1)]))
@@ -120,6 +165,66 @@ class TestAgainstTheExpandedStructure:
         assert all(lazy.index_of(t, F(0)) == i for i, t in enumerate(lazy.texts))
 
 
+class TestAgainstTheNestedSearch:
+    @staticmethod
+    def same(system, durations, bound, formula):
+        """The check's counterexample, or None, once it is the nested search's."""
+        ce = model_check(Kripke(system, durations, bound, max_states=300), formula)
+        assert ce == nested_model_check(Kripke(system, durations, bound, max_states=300), formula)
+        return ce
+
+    def test_timed_models(self):
+        rng = random.Random(3131)
+        held = refuted = zero_time = 0
+        for seed in range(30):
+            for system, durations, bound in timed_models(seed):
+                try:
+                    whole_kripke(system, durations, bound, max_states=300)
+                except ModelError:
+                    continue
+                atoms = tuple(sorted(system.propositions()))
+                formulas = [random_formula(rng, atoms, temporal_budget=2) for _ in range(3)]
+                for f in formulas + list(RING_PATTERNS if set(atoms) == PROPOSITIONS else ()):
+                    ce = self.same(system, durations, bound, f)
+                    if ce is None:
+                        held += 1
+                        continue
+                    refuted += 1
+                    # a cycle along which time does not advance, and not a stutter
+                    zero_time += len({s.clock for s in ce.cycle}) == 1 and any(s.label != STUTTER for s in ce.cycle)
+        assert held > 500 and refuted > 300 and zero_time > 75, (held, refuted, zero_time)
+
+    @pytest.mark.parametrize("increment", [F(1), F(1, 3), F(1, 10)])
+    def test_a_ring_with_zero_time_hose_cycles(self, init2_system, increment):
+        # two tanks are low from time 3 on, and the hose moves between them forever
+        texts = ("[] ~ one-down", "<> macondo", "[] <> ~ one-down", "<> [] ~ macondo", "[] ~ macondo")
+        ces = [self.same(init2_system, (increment,), F(5), f) for f in (*map(parse_formula, texts), *RING_PATTERNS)]
+        assert sum(ce is None for ce in ces) == 5
+        for ce in filter(None, ces):
+            assert {(s.elapsed, s.label) for s in ce.cycle} == {(F(3), MOVE_HOSE)}
+
+
+class TestLayers:
+    @pytest.mark.parametrize("ring, increment, bound", [
+        (three_tank_state(), F(1, 3), F(5)),
+        (random_ring(random.Random(0)), F(1, 3), F(10)),
+    ])
+    def test_a_held_check_runs_no_nested_search_from_the_initial_state(self, monkeypatch, ring, increment, bound):
+        calls = searches(monkeypatch)
+        kripke = Kripke(quiet_system(ring), (increment,), bound)
+        assert model_check(kripke, FAIR_MACONDO) is None
+        assert calls  # the last layer, where the ring stutters or its hose cycles
+        assert (kripke.initial, 0) not in calls
+
+    def test_a_refuted_check_runs_the_nested_search_once(self, monkeypatch, init2_system):
+        calls = searches(monkeypatch)
+        kripke = Kripke(init2_system, (F(1, 3),), F(5))
+        formula = parse_formula("[] ~ one-down")
+        ce = model_check(kripke, formula)
+        assert calls.count((kripke.initial, 0)) == 1
+        assert ce is not None and validate_counterexample(kripke, formula, ce)
+
+
 class TestOnTheFly:
     def test_a_refuted_invariant_expands_under_one_percent(self):
         product = Counted(ladder(14))
@@ -153,13 +258,15 @@ class TestOnTheFly:
 
     def test_a_ring_check_expands_only_what_the_search_reads(self):
         # the negated precedence pattern's automaton has no run past the ring's
-        # first state with a low tank, so the search stops long before its 414 states
+        # first state with a low tank, so the check stops long before its 414
+        # states; it evaluates that state, but no automaton state steps on from
+        # it, so the layered pass does not expand it, where the nested search did
         ring = Counted(quiet_system(tenths_ring()))
         kripke = Kripke(ring, (F(1, 10),), F(40))
         assert ring.expanded == ring.ticked == 0
         formula = parse_formula("(~ macondo U one-down) \\/ [] ~ macondo")
         assert model_check(kripke, formula) is None
-        assert (ring.expanded, ring.ticked, ring.evaluated) == (33, 33, 66)
+        assert (ring.expanded, ring.ticked, ring.evaluated) == (32, 32, 66)
         assert len(kripke) == 414
 
     def test_a_refutation_within_the_cap_is_returned(self):
@@ -176,3 +283,8 @@ class TestOnTheFly:
         kripke = Kripke(product, product.tick_durations(), None, max_states=200)
         with pytest.raises(ModelError, match="state space exceeds 200 states"):
             model_check(kripke, parse_formula("[] <> safe"))
+
+    def test_a_timed_property_that_holds_still_hits_the_cap(self):
+        kripke = Kripke(quiet_system(tenths_ring()), (F(1, 10),), F(40), max_states=200)
+        with pytest.raises(ModelError, match="state space exceeds 200 states"):
+            model_check(kripke, FAIR_MACONDO)
