@@ -296,7 +296,7 @@ class TimedTransitionSystem(ABC):
     segments of consecutive state texts that share their enabled labels and
     annotations.  A linear hybrid automaton computes those segments in closed
     form, and the texts, labels and annotations, and so the output, are those
-    of stepping one tick at a time.
+    of stepping one tick at a time.  A check leaps over :meth:`quiet` stretches.
     """
 
     @abstractmethod
@@ -317,6 +317,12 @@ class TimedTransitionSystem(ABC):
 
         A zero duration always succeeds and returns ``state`` itself.
         """
+
+    def quiet(self, state: Any, delta: Fraction, limit: int) -> tuple[int, Any] | None:
+        """``(k, the state after k ticks of delta)``, 1 < k <= ``limit``, when
+        ``state`` and the k - 1 states after it have no discrete successor, an
+        unblocked tick and ``state``'s propositions; else None, as always here."""
+        return None
 
     def timed_trace(self, state: Any, delta: Fraction, count: int) -> list[Segment]:
         """The run of ``state`` and the states after 1, ..., ``count`` steps

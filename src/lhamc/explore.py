@@ -11,8 +11,10 @@ their duration, so runs may loop through them.
 ``Kripke(system, durations, time_bound)`` is the one explored graph and
 the only way to build one: it discovers the initial state, and expands a
 state the first time its out-list is asked for, so a nested DFS builds only
-the states it visits.  Reading a whole view expands every state left, in
-index order, which is breadth-first.  :func:`build_kripke` returns the
+the states it visits; timed at one duration, it leaps over a model's quiet
+stretches (:meth:`TimedTransitionSystem.quiet`), discovering only each one's
+last state.  Reading a whole view expands every state left, in index order,
+which is breadth-first.  :func:`build_kripke` returns the
 graph expanded whole, and :func:`search` reads the whole graph and takes
 each state's discovering edge, the last step of its path, from its edges.
 A :class:`Solution` keeps its state's clock numerator and ``scale``, as a
@@ -99,7 +101,8 @@ class Kripke:
     evaluates every letter on each read.
 
     ``time_bound`` None explores time-abstractly, and ``timed`` is False.  A
-    state discovered beyond the first ``max_states`` raises :class:`ModelError`.
+    state discovered beyond the first ``max_states`` raises :class:`ModelError`;
+    the cap counts the states indexed, and a leap indexes one per stretch.
     """
 
     def __init__(
@@ -133,8 +136,7 @@ class Kripke:
         """Discover state i's successors in edge order, its discrete moves
         and then one tick per duration, and keep and return its out-list."""
         system = self._system
-        states, index = self._states, self._index
-        state = states[i]
+        state = self._states[i]
         now = self._clock[i]
         # (label, successor, its elapsed numerator, edge duration)
         moves: list[tuple[str, Any, int, Fraction]] = [
@@ -147,9 +149,15 @@ class Kripke:
             after = system.timed_successor(state, d)
             if after is not None:
                 moves.append((TICK, after, later, d))
-        out: list[KripkeEdge] = []
+        out = self._out[i] = self._discover(i, moves) or [KripkeEdge(i, i, STUTTER, ZERO)]
+        return out
+
+    def _discover(self, i: int, moves: list[tuple[str, Any, int, Fraction]]) -> list[KripkeEdge]:
+        """State i's edges to its moves' successors, in order, indexing each
+        successor not discovered yet."""
+        states, index, serialize, out = self._states, self._index, self._system.serialize, []
         for label, succ, n, duration in moves:
-            text = system.serialize(succ)
+            text = serialize(succ)
             j = index.setdefault((text, n), len(states))
             if j == len(states):  # first reached by this edge
                 if j >= self._max_states:
@@ -159,8 +167,18 @@ class Kripke:
                 self._clock.append(n)
                 self._out.append(None)
             out.append(KripkeEdge(i, j, label, duration))
-        out = self._out[i] = out or [KripkeEdge(i, i, STUTTER, ZERO)]
         return out
+
+    def leap(self, i: int) -> Optional[tuple[int, int]]:
+        """``(k, j)`` when a timed structure of one duration ticks from state
+        i through a quiet stretch of k > 1 ticks (:meth:`TimedTransitionSystem.quiet`)
+        to state j, the only one of them it discovers; else None."""
+        if self._limit is None or len(self._ticks) != 1:
+            return None
+        (d, step), = self._ticks
+        now = self._clock[i]
+        hop = self._system.quiet(self._states[i], d, (self._limit - 1 - now) // step)
+        return hop and (hop[0], self._discover(i, [(TICK, hop[1], now + hop[0] * step, d)])[0].target)
 
     def out(self, i: int) -> list[KripkeEdge]:
         """State i's out-list, built the first time it is asked for."""

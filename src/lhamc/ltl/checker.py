@@ -9,7 +9,9 @@ q in the row of s's letter, in order.  The letter of s holds only the
 formula's propositions, each asked of the structure once per state
 (``holds(s, p)``), and s is mapped to its row when the check first meets it.
 With a time bound every cycle lies in one clock value, its layer, and
-:func:`_layered_cycle` decides the check layer by layer.  The nested search,
+:func:`_layered_cycle` decides the check layer by layer; a state that leaps
+k ticks (``Kripke.leap``) passes its mask, stepped k times, to the leap's end
+alone, so a held ring check reads the ring's letter changes, not its ticks.  The nested search,
 :func:`_accepting_cycle`, runs in postorder and hunts for a cycle back to the
 blue stack; it runs from the initial node only for a refuted or time-abstract
 check, and it decides :func:`lasso_accepted` too.  The check reads the
@@ -22,6 +24,7 @@ and the structure's scale, and replay looks it up by that key.
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
+from functools import partial
 from typing import Any, Optional
 
 from ..core import Memo, ModelError, Timed, as_clock
@@ -103,8 +106,15 @@ def _layered_cycle(kripke: Kripke, ba: BuchiAutomaton, row_of: Memo, succs) -> b
     state holds the mask of its automaton states and passes on what that
     steps to.  A layer is searched for a cycle only if one of its own edges
     returns to a state already carried from."""
-    clock_of = kripke.clock_of
+    clock_of, leap = kripke.clock_of, kripke.leap
     images: dict[tuple[int, int], int] = {}  # (id of a row, mask) -> the mask it steps to
+
+    def step(row: list, m: int) -> int:
+        image = images.get((id(row), m))
+        if image is None:
+            image = images[id(row), m] = sum({1 << t for q, ts in enumerate(row) if m >> q & 1 for t in ts})
+        return image
+
     mask = {kripke.initial: 1 << ba.initial}
     pending = {0: [kripke.initial]}  # clock -> the states first reached at it
 
@@ -125,11 +135,13 @@ def _layered_cycle(kripke: Kripke, ba: BuchiAutomaton, row_of: Memo, succs) -> b
                 continue
             m = carried[s] = mask[s]
             row = row_of[s]
-            image = images.get((id(row), m))
-            if image is None:
-                image = images[id(row), m] = sum({1 << t for q, ts in enumerate(row) if m >> q & 1 for t in ts})
-            for e in kripke.out(s) if image else ():
-                t = e.target
+            image = step(row, m)
+            hop = image and leap(s)
+            if hop:  # (k, t): k ticks through s's letter, to t in a later layer
+                image, targets = _power(partial(step, row), image, hop[0] - 1), hop[1:]
+            else:
+                targets = [e.target for e in kripke.out(s)] if image else ()
+            for t in targets if image else ():
                 old = mask.get(t, 0)
                 mask[t] = old | image
                 if clock_of(t) == c:
@@ -141,6 +153,17 @@ def _layered_cycle(kripke: Kripke, ba: BuchiAutomaton, row_of: Memo, succs) -> b
         if inner and _accepting_cycle((None, None), within, ba.accepting):
             return True
     return False
+
+
+def _power(f, m: int, k: int) -> int:
+    """``f`` applied k times to ``m``: until a value repeats, then by the period."""
+    seen: dict[int, int] = {}  # value -> the steps left when it was met
+    while k and m not in seen:
+        seen[m] = k
+        m, k = f(m), k - 1
+    for _ in range(k and k % (seen[m] - k)):
+        m = f(m)
+    return m
 
 
 def lasso_accepted(

@@ -315,6 +315,27 @@ class NResSystem(TimedTransitionSystem):
         after[pos] = nums[pos] + fills[pos]
         return RingState(self, pos, tuple(after), den, self._low(after, den))
 
+    def quiet(self, state: RingState, delta: Fraction, limit: int) -> tuple[int, RingState] | None:
+        """The ticks until ``low`` changes, by one division per tank, and the
+        state after them; None where the tick would grow the denominator."""
+        steps = self._tick_tables.of(delta)
+        pos, nums, den, low = state.pos, state.nums, state.den, state.low
+        # no tick, a move or a blocked tick, or a tick that grows the denominator
+        if steps is None or low and low != (pos,) or steps[den][0] != 1:
+            return None
+        _, fills, drains = steps[den]
+        lowers = self._bounds[den][0]
+        # a drained tank is low after ceil((n - lower) / drain) ticks, a low hosed one not after (lower - n) // fill + 1
+        k = min([limit] + [(n - lower - 1) // d + 1 for i, (n, lower, d) in enumerate(zip(nums, lowers, drains))
+                           if d and i != pos])
+        if low and fills[pos]:
+            k = min(k, (lowers[pos] - nums[pos]) // fills[pos] + 1)
+        if k < 2:
+            return None
+        after = [n - k * d if n > k * d else 0 for n, d in zip(nums, drains)]
+        after[pos] = nums[pos] + k * fills[pos]
+        return k, RingState(self, pos, tuple(after), den, self._low(after, den))
+
     def prop_holds(self, state: RingState, prop: str) -> bool:
         count = self._low_counts.get(prop)
         if count is None:

@@ -139,11 +139,10 @@ class TestProductSuccessors:
         props = props_of(formula)
         assert len(calls) <= transitions * len({letter & props for letter in kripke.labeling})
 
-    @pytest.mark.parametrize(
-        "text, holds",
-        [("([] <> one-down /\\ [] <> ~ one-down) -> [] <> macondo", True), ("[] (one-down -> <> macondo)", False)],
-    )
-    def test_each_state_is_asked_each_proposition_once(self, monkeypatch, text, holds):
+    @staticmethod
+    def asked(monkeypatch, text, durations) -> tuple[bool, Counter]:
+        """Whether the formula holds on the sustaining ring above, and how
+        often the check asks each state a proposition."""
         plain = NResSystem.prop_holds
         asked = Counter()
 
@@ -152,15 +151,30 @@ class TestProductSuccessors:
             return plain(system, state, prop)
 
         monkeypatch.setattr(NResSystem, "prop_holds", counted)
-        # the sustaining ring above
         tanks = [(18, 57, 23, 3), (16, 40, 23, 4), (12, 32, 38, 2), (12, 47, 34, 1)]
         state = NResState.make(
             Hose(Fraction(13), 1), [Reservoir(i, *map(Fraction, t)) for i, t in enumerate(tanks)]
         )
-        kripke = Kripke(NResSystem(state), (Fraction(1, 10),), Fraction(20))
-        formula = parse_formula(text)
-        assert (model_check(kripke, formula) is None) == holds
-        assert len(asked) > 150 and max(asked.values()) <= len(props_of(formula)) == 2
+        kripke = Kripke(NResSystem(state), durations, Fraction(20))
+        return model_check(kripke, parse_formula(text)) is None, asked
+
+    FAIR = "([] <> one-down /\\ [] <> ~ one-down) -> [] <> macondo"
+
+    # a structure of two durations never leaps, and a refuted check's nested
+    # search reads every tick, so each visits more than 150 states
+    @pytest.mark.parametrize(
+        "text, holds, durations",
+        [(FAIR, True, (Fraction(1, 10), Fraction(1, 5))), ("[] (one-down -> <> macondo)", False, (Fraction(1, 10),))],
+        ids=[f"{FAIR}-True", "[] (one-down -> <> macondo)-False"],
+    )
+    def test_each_state_is_asked_each_proposition_once(self, monkeypatch, text, holds, durations):
+        result, asked = self.asked(monkeypatch, text, durations)
+        assert result == holds
+        assert len(asked) > 150 and max(asked.values()) <= len(props_of(parse_formula(text))) == 2
+
+    def test_a_held_check_that_leaps_asks_only_the_ends_of_quiet_stretches(self, monkeypatch):
+        holds, asked = self.asked(monkeypatch, self.FAIR, (Fraction(1, 10),))
+        assert holds and len(asked) == 12 and max(asked.values()) <= 2
 
     def test_parallel_edges_give_the_first_label_in_move_order(self):
         # moves are sorted by label, so "alpha" comes before "zeta"

@@ -2,9 +2,10 @@
 check expands only the states it reads, and it gives the same verdicts and
 counterexamples as on the structure ``whole_kripke`` expands whole.  A timed
 check is decided one clock layer at a time, expanding only states whose
-automaton states step on, and it runs the nested DFS from the initial state
-only to build a counterexample; its verdicts and counterexamples are those
-of the nested DFS alone, ``reference.nested_model_check``."""
+automaton states step on and leaping over a ring's quiet stretches, and it
+runs the nested DFS from the initial state only to build a counterexample;
+its verdicts and counterexamples are those of the nested DFS alone,
+``reference.nested_model_check``."""
 
 import random
 from fractions import Fraction as F
@@ -14,7 +15,7 @@ import pytest
 
 from lhamc.core import ModelError
 from lhamc.explore import STUTTER, Kripke
-from lhamc.lha import LhaSystem
+from lhamc.lha import LhaSystem, two_reservoir
 from lhamc.ltl import checker, model_check, parse_formula, props_of, validate_counterexample
 from lhamc.reservoir import MOVE_HOSE, PROPOSITIONS
 from lhamc.syncprod import abstract_reservoir, component_kripke, rt_sync_product, safe_prop
@@ -258,15 +259,16 @@ class TestOnTheFly:
 
     def test_a_ring_check_expands_only_what_the_search_reads(self):
         # the negated precedence pattern's automaton has no run past the ring's
-        # first state with a low tank, so the check stops long before its 414
-        # states; it evaluates that state, but no automaton state steps on from
-        # it, so the layered pass does not expand it, where the nested search did
+        # first state with a low tank; the initial state leaps over its quiet
+        # stretch straight to that state, which the pass evaluates, but no
+        # automaton state steps on from it, so the check expands no state and
+        # ticks none, of the ring's 414
         ring = Counted(quiet_system(tenths_ring()))
         kripke = Kripke(ring, (F(1, 10),), F(40))
         assert ring.expanded == ring.ticked == 0
         formula = parse_formula("(~ macondo U one-down) \\/ [] ~ macondo")
         assert model_check(kripke, formula) is None
-        assert (ring.expanded, ring.ticked, ring.evaluated) == (32, 32, 66)
+        assert (ring.expanded, ring.ticked, ring.evaluated) == (0, 0, 4)
         assert len(kripke) == 414
 
     def test_a_refutation_within_the_cap_is_returned(self):
@@ -285,6 +287,86 @@ class TestOnTheFly:
             model_check(kripke, parse_formula("[] <> safe"))
 
     def test_a_timed_property_that_holds_still_hits_the_cap(self):
-        kripke = Kripke(quiet_system(tenths_ring()), (F(1, 10),), F(40), max_states=200)
-        with pytest.raises(ModelError, match="state space exceeds 200 states"):
+        # the cap counts the states a check indexes: the leaping pass indexes
+        # 44 of the ring's 414, so it passes under a cap of 200 and hits one of 40
+        ring = quiet_system(tenths_ring())
+        assert model_check(Kripke(ring, (F(1, 10),), F(40), max_states=200), FAIR_MACONDO) is None
+        kripke = Kripke(ring, (F(1, 10),), F(40), max_states=40)
+        with pytest.raises(ModelError, match="state space exceeds 40 states"):
             model_check(kripke, FAIR_MACONDO)
+
+
+class TestLeaps:
+    """A timed check of a ring leaps over each quiet stretch, where the ring
+    only drains and fills, to the stretch's last state; its verdicts and
+    counterexamples stay those of the nested search over every tick."""
+
+    def test_verdicts_and_counterexamples_on_long_ring_runs(self):
+        rng = random.Random(3232)
+        held = refuted = 0
+        for _ in range(40):
+            try:
+                ring = quiet_system(random_ring(rng))
+            except ModelError:  # a hose below a leak: the ring is rejected
+                continue
+            for increment in (F(1), F(1, 3), F(1, 10)):
+                formulas = [random_formula(rng, tuple(sorted(PROPOSITIONS)), temporal_budget=2) for _ in range(2)]
+                for f in formulas + list(RING_PATTERNS):
+                    try:
+                        ce = model_check(Kripke(ring, (increment,), F(20), max_states=400), f)
+                    except ModelError:
+                        continue
+                    assert ce == nested_model_check(Kripke(ring, (increment,), F(20), max_states=400), f)
+                    held += ce is None
+                    refuted += ce is not None
+        assert held > 400 and refuted > 100, (held, refuted)
+
+    @pytest.mark.parametrize("increment, ticks", [(F(1), 4), (F(1, 2), 7)])
+    def test_a_leap_passes_on_the_mask_after_each_of_its_ticks(self, increment, ticks):
+        # X^j reads the letter j ticks on, so a leap whose mask steps one
+        # time too few or too many shifts the verdict of one of these
+        ring = quiet_system(tenths_ring())
+        assert Kripke(ring, (increment,), F(40)).leap(0) == (ticks, 1)
+        for j in range(1, 14):
+            for p in ("one-down", "~ one-down"):
+                f = parse_formula("X " * j + p)
+                assert model_check(Kripke(ring, (increment,), F(40)), f) == \
+                    nested_model_check(Kripke(ring, (increment,), F(40)), f)
+
+    def test_a_mask_steps_by_its_period_once_it_repeats(self):
+        rng = random.Random(3232)
+        for _ in range(300):
+            f = [rng.randrange(12) for _ in range(12)].__getitem__  # a tail into a cycle, from each start
+            m, k = rng.randrange(12), rng.randrange(40)
+            stepped = m
+            for _ in range(k):
+                stepped = f(stepped)
+            assert checker._power(f, m, k) == stepped
+
+    @pytest.mark.parametrize("formula", RING_PATTERNS + tuple(map(parse_formula, (
+        "[] ~ macondo", "[] <> ~ one-down", "<> [] ~ macondo", "[] (one-down -> <> ~ one-down)"))))
+    def test_a_held_ring_check_expands_about_its_letter_changes(self, formula):
+        # a ring like the benchmark's, 2,037 states over 200 time units
+        whole = whole_kripke(quiet_system(tenths_ring()), (F(1, 10),), F(200))
+        letters = whole.labeling
+        changes = sum(letters[e.source] != letters[e.target] for e in whole.edges)
+        moves = sum(e.label == MOVE_HOSE for e in whole.edges)
+        assert (len(whole), changes, moves) == (2037, 74, 37)
+        ring = Counted(quiet_system(tenths_ring()))
+        assert model_check(Kripke(ring, (F(1, 10),), F(200)), formula) is None
+        assert ring.expanded <= 2 * changes + moves, ring.expanded
+
+    def test_only_a_timed_ring_of_one_duration_leaps(self):
+        ring = quiet_system(tenths_ring())
+        assert Kripke(ring, (F(1, 10),), F(40)).leap(0) == (32, 1)  # the initial state and the next 31 are quiet
+        untimed = Kripke(ring, (F(1, 10),), None)  # its levels grow without bound
+        for i in range(100):
+            assert untimed.leap(i) is None
+            untimed.out(i)
+        for kripke in (
+            Kripke(ring, (F(1, 10), F(1, 5)), F(4)),
+            Kripke(LhaSystem(two_reservoir(10, 5, 5, 15, 15, 30, 40)), (F(1, 10),), F(20)),
+            Kripke(abstract_reservoir(1), (F(1),), F(5)),
+            Kripke(ladder(3), (F(1),), F(5)),
+        ):
+            assert all(kripke.leap(i) is None for i in range(len(kripke)))

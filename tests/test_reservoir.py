@@ -558,3 +558,80 @@ class TestLevelTextMemo:
         assert first._levels and not second._levels
         assert Kripke(second, (F(1, 3),), F(2)).texts == texts
         assert all(first._levels[den] is not second._levels[den] for den in first._levels)
+
+
+
+def stepped_stretch(system: NResSystem, state, delta, limit: int) -> list:
+    """``state`` and the states after it, one tick at a time, while the last
+    has no move, an unblocked tick and ``state``'s propositions, for at most
+    ``limit`` ticks: what :meth:`NResSystem.quiet` leaps over."""
+    def letter(s):
+        return {p for p in PROPOSITIONS if system.prop_holds(s, p)}
+
+    run = [state]
+    while len(run) <= limit:
+        s = run[-1]
+        after = system.timed_successor(s, delta)
+        if system.discrete_successors(s) or after is None or letter(s) != letter(state):
+            break
+        run.append(after)
+    return run
+
+
+class TestQuietStretch:
+    """``quiet`` is one division per tank; stepping ``timed_successor`` one
+    tick at a time is the judge of its length and its end state."""
+
+    LIMITS = (0, 1, 2, 3, 7, 300)
+
+    @staticmethod
+    def rings():
+        """Seeded rings, and two built for the corner cases: a tank that never
+        leaks beside a low hosed tank that the hose only keeps level (fill 0),
+        and a drain that clamps to 0 on the stretch's last tick."""
+        rng = random.Random(3232)
+        for _ in range(40):
+            yield random_ring(rng)
+        yield NResState.make(Hose(F(2), 0), [Reservoir(0, F(4), F(9), F(3), F(2)), Reservoir(1, F(1), F(5), F(3), F(0))])
+        yield NResState.make(Hose(F(3), 1), [Reservoir(0, F(0), F(9), F(5), F(2)), Reservoir(1, F(2), F(9), F(4), F(1))])
+
+    def test_a_leap_ends_where_ticking_one_step_at_a_time_does(self):
+        seen = dict.fromkeys(("leap", "none", "no leak", "no fill", "clamped", "grown", "cut"), 0)
+        for ring in self.rings():
+            try:
+                system = quiet_system(ring)
+            except ModelError:  # a hose below a leak: the ring is rejected
+                continue
+            leaks = [r.leak for r in ring.reservoirs]
+            for delta in (F(1), F(1, 3), F(1, 10)):
+                kripke = Kripke(system, (delta,), F(6), max_states=200)
+                try:
+                    states = kripke.states
+                except ModelError:
+                    states = kripke._states  # the states found below the cap
+                for state in states:
+                    longest = stepped_stretch(system, state, delta, max(self.LIMITS) + 1)
+                    for limit in self.LIMITS:
+                        run = longest[:limit + 1]
+                        k, end = len(run) - 1, run[-1]
+                        leap = system.quiet(state, delta, limit)
+                        if k < 2 or run[1].den != state.den:
+                            assert leap is None, (system.serialize(state), delta, limit)
+                            seen["none"] += 1
+                            seen["grown"] += k > 1
+                            continue
+                        assert leap is not None and leap[0] == k, (system.serialize(state), delta, limit)
+                        assert system.serialize(leap[1]) == system.serialize(end)
+                        assert (leap[1].den, leap[1].low) == (end.den, end.low)
+                        # the longest stretch: the state after it has other low tanks, or limit cut it
+                        cut = len(longest) > k + 1
+                        assert cut and k == limit or end.low != state.low
+                        drained = [i for i in range(len(leaks)) if i != state.pos]
+                        seen["leap"] += 1
+                        seen["cut"] += cut
+                        seen["no leak"] += any(leaks[i] == 0 for i in drained)
+                        seen["no fill"] += bool(state.low) and ring.hose.rate == leaks[state.pos]
+                        # a drained tank's step is run[-3] - run[-2] until it clamps
+                        seen["clamped"] += any(0 == end.nums[i] < run[-2].nums[i] < run[-3].nums[i] - run[-2].nums[i]
+                                               for i in drained)
+        assert min(seen.values()) > 100 and seen["leap"] > 5000, seen
