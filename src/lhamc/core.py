@@ -329,12 +329,12 @@ class TimedTransitionSystem(ABC):
         of ``delta``, as (texts, enabled labels, annotations) segments.
 
         The texts of the segments, in order, are the run's states serialized;
-        every state of a segment has that segment's :meth:`enabled_labels` and
-        :meth:`annotations`.  The run ends early, before the first blocked
-        step, and is ``state`` alone when ``count`` is not positive.  This
-        default calls :meth:`timed_successor` once per step and makes one
-        segment per state; a model that overrides it returns the same texts,
-        labels and annotations.
+        every state of a segment has its segment's :meth:`annotations` and
+        labels, the sorted labels of its discrete steps.  The run ends early,
+        before the first blocked step, and is ``state`` alone when ``count``
+        is not positive.  This default calls :meth:`timed_successor` once per
+        step and makes one segment per state; a model that overrides it
+        returns the same texts, labels and annotations.
         """
         segments = []
         for k in range(max(count, 0) + 1):
@@ -342,7 +342,8 @@ class TimedTransitionSystem(ABC):
                 state = self.timed_successor(state, delta)
                 if state is None:
                     break
-            segments.append(([self.serialize(state)], self.enabled_labels(state), self.annotations(state)))
+            labels = sorted({label for label, _ in self.discrete_successors(state)})
+            segments.append(([self.serialize(state)], labels, self.annotations(state)))
         return segments
 
     @abstractmethod
@@ -356,10 +357,6 @@ class TimedTransitionSystem(ABC):
     def propositions(self) -> frozenset[str]:
         """The atomic propositions this model can evaluate."""
         return frozenset()
-
-    def enabled_labels(self, state: Any) -> list[str]:
-        """The sorted distinct labels of the discrete steps from ``state``."""
-        return sorted({label for label, _ in self.discrete_successors(state)})
 
     def annotations(self, state: Any) -> dict[str, list]:
         """Named lists of facts about ``state`` that a simulation reports."""

@@ -94,11 +94,11 @@ class Kripke:
     ``out(i)`` expands state i the first time it is asked for and keeps its
     out-list; ``letter(i)`` and ``holds(i, prop)`` ask the system afresh and
     keep nothing.  The per-state readers (``out``, ``letter``, ``holds``,
-    ``text``, ``elapsed``, ``clock_of``, ``index_of``, ``has_edge``) expand
-    at most the state they are asked about.  The whole views (``len``,
-    ``states``, ``texts``, ``clock``, ``index``, ``adjacency``, ``labeling``,
-    ``edges``) first expand every state left, in index order; ``labeling``
-    evaluates every letter on each read.
+    ``text``, ``elapsed``, ``clock_of``, ``index_of``) expand at most the
+    state they are asked about.  The whole views (``len``, ``states``,
+    ``texts``, ``clock``, ``index``, ``adjacency``, ``labeling``, ``edges``)
+    first expand every state left, in index order; ``labeling`` evaluates
+    every letter on each read.
 
     ``time_bound`` None explores time-abstractly, and ``timed`` is False.  A
     state discovered beyond the first ``max_states`` raises :class:`ModelError`;
@@ -206,9 +206,6 @@ class Kripke:
         clock, scale = as_clock(elapsed, scale)
         n, r = divmod(clock * self.scale, scale)
         return self._index.get((text, n)) if r == 0 else None  # on the clock's grid exactly when r == 0
-
-    def has_edge(self, source: int, target: int, label: str) -> bool:
-        return any(e.target == target and e.label == label for e in self.out(source))
 
     def _whole(self, view: Any) -> Any:
         """``view`` once every state left is expanded, in index order."""

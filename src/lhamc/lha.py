@@ -449,11 +449,7 @@ class LhaSystem(TimedTransitionSystem):
         raise ModelError(f"this automaton defines no propositions, got {prop!r}")
 
     def serialize(self, state: LhaState) -> str:
-        den = state.den
-        if den == 1:
-            values = ",".join(map(str, state.nums))
-        else:
-            values = ",".join(map(fraction_text, state.nums, repeat(den)))
+        values = ",".join(map(fraction_text, state.nums, repeat(state.den)))
         return f"{state.location},{values}"
 
 

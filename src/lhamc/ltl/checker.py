@@ -156,13 +156,9 @@ def _layered_cycle(kripke: Kripke, ba: BuchiAutomaton, row_of: Memo, succs) -> b
 
 
 def _power(f, m: int, k: int) -> int:
-    """``f`` applied k times to ``m``: until a value repeats, then by the period."""
-    seen: dict[int, int] = {}  # value -> the steps left when it was met
-    while k and m not in seen:
-        seen[m] = k
-        m, k = f(m), k - 1
-    for _ in range(k and k % (seen[m] - k)):
-        m = f(m)
+    """``f`` applied k times to ``m``, stopping once ``m`` maps to itself."""
+    while k and (image := f(m)) != m:
+        m, k = image, k - 1
     return m
 
 
@@ -291,10 +287,10 @@ def validate_counterexample(kripke: Kripke, formula: Formula, ce: Counterexample
     indices = []
     for pos, step in enumerate(steps):
         indices.append(i)
-        kripke.out(i)  # discovers every state the lasso may step to
+        out = kripke.out(i)  # discovers every state the lasso may step to
         nxt = steps[pos + 1] if pos + 1 < len(steps) else steps[cycle_start]
         i = kripke.index_of(nxt.text, nxt.clock, nxt.scale)
-        if i is None or not kripke.has_edge(indices[-1], i, step.label):
+        if i is None or not any(e.target == i and e.label == step.label for e in out):
             return False
     letters = [kripke.letter(i) for i in indices]
     ba = to_buchi(negated_nnf(formula))

@@ -14,8 +14,8 @@ indexed once, per component, when the product is first explored.  A
 state's text is rendered once, the first time it is asked for: it fills the
 template of the operand tree (``"< < %s,%s >,%s >"``) with the components'
 cached texts, so it reads as the nested pairs of the fold.  Text is a
-state's identity, so a component or product checks once, when it is built,
-that no two of its states can render alike.
+state's identity, so a component or :func:`rt_sync_product` checks once, when
+built, that no two states render alike; :func:`safe_prop` keeps those texts.
 The ``states`` and ``rules`` views enumerate the product as its definition
 does, but only when they are read; exploration never reads them.
 """
@@ -77,8 +77,10 @@ def _check_rendering(template: str, leaves: tuple[Component, ...]) -> None:
         items += [list(leaf._text.values()), [literal]]
     seen = set()  # the nodes that lead on, as a walk starts at every prefix pair
     for k, leaf in enumerate(leaves):
-        head = "".join(item[0] for item in items[: 2 * k + 1])
+        head, lit = "".join(item[0] for item in items[: 2 * k + 1]), literals[k + 1]
         for x, y in _prefix_pairs(leaf._text.values()):
+            if not (y.startswith(lit, len(x)) or lit.startswith(y[len(x) :])):
+                continue  # the walk's first step: y's overhang must match the literal after slot k
             todo = [(2 * k + 2, 2 * k + 2, y, len(x), head + y)]  # each with the leader's text
             while todo:
                 i, j, w, at, text = todo.pop()
@@ -238,7 +240,6 @@ class SyncProduct(TimedTransitionSystem):
         self.initial = tuple(leaf.initial for leaf in leaves)
         if not self._compatible(self.initial):
             raise ModelError("the initial states disagree on a shared proposition")
-        _check_rendering(template, leaves)
         self._rendered = Memo(lambda s: self._template % tuple(map(dict.__getitem__, self._texts, s)))
         # duration -> each component's tick targets; one empty table, which
         # blocks every state, for a duration with no joint tick
@@ -392,7 +393,9 @@ def rt_sync_product(c1: Any, c2: Any, *more: Any) -> SyncProduct:
             flags.setdefault(name, (negated, tuple((len(leaves) + i, holds) for i, holds in at)))
         leaves.extend(operand._leaves)
     template = "< " + ",".join(operand._template for operand in operands) + " >"
-    return SyncProduct(tuple(leaves), template, flags)
+    product = SyncProduct(tuple(leaves), template, flags)
+    _check_rendering(template, product._leaves)
+    return product
 
 
 def abstract_reservoir(i: int) -> Component:

@@ -8,6 +8,7 @@ its verdicts and counterexamples are those of the nested DFS alone,
 ``reference.nested_model_check``."""
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 from functools import reduce
 
@@ -195,6 +196,29 @@ class TestAgainstTheNestedSearch:
                     zero_time += len({s.clock for s in ce.cycle}) == 1 and any(s.label != STUTTER for s in ce.cycle)
         assert held > 500 and refuted > 300 and zero_time > 75, (held, refuted, zero_time)
 
+    def test_under_a_cap_wherever_both_return_they_agree(self):
+        # the check carries whole clock layers and the nested search runs depth
+        # first, so under a small cap either may hit it where the other returns
+        rng = random.Random(7373)
+        cases = Counter()
+        for seed in range(30):
+            for system, durations, bound in timed_models(seed):
+                atoms = tuple(sorted(system.propositions()))
+                for _ in range(3):
+                    f, cap = random_formula(rng, atoms, temporal_budget=2), rng.randint(5, 40)
+                    results = []
+                    for check in (model_check, nested_model_check):
+                        try:
+                            results.append(check(Kripke(system, durations, bound, max_states=cap), f))
+                        except ModelError as err:
+                            assert str(err) == f"state space exceeds {cap} states"
+                    if len(results) < 2:
+                        cases["capped"] += 1
+                        continue
+                    assert results[0] == results[1], (seed, f, cap)
+                    cases["held" if results[0] is None else "refuted"] += 1
+        assert cases["held"] > 250 and cases["refuted"] > 250 and cases["capped"] > 25, cases
+
     @pytest.mark.parametrize("increment", [F(1), F(1, 3), F(1, 10)])
     def test_a_ring_with_zero_time_hose_cycles(self, init2_system, increment):
         # two tanks are low from time 3 on, and the hose moves between them forever
@@ -342,6 +366,17 @@ class TestLeaps:
             for _ in range(k):
                 stepped = f(stepped)
             assert checker._power(f, m, k) == stepped
+
+    def test_a_mask_stops_stepping_at_a_fixed_point(self):
+        calls = []
+
+        def f(m):
+            calls.append(m)
+            assert len(calls) <= 4, "stepped on from the fixed point"
+            return min(m + 1, 3)
+
+        assert checker._power(f, 0, 10**9) == 3
+        assert calls == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("formula", RING_PATTERNS + tuple(map(parse_formula, (
         "[] ~ macondo", "[] <> ~ one-down", "<> [] ~ macondo", "[] (one-down -> <> ~ one-down)"))))

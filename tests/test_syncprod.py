@@ -1,7 +1,9 @@
 import ast
+import inspect
 import itertools
 import json
 import random
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -11,6 +13,7 @@ import pytest
 
 from lhamc.cli import main
 from lhamc.core import ModelError
+from lhamc import syncprod
 from lhamc.explore import STUTTER, TICK
 from lhamc.ltl import (
     Counterexample,
@@ -830,3 +833,50 @@ class TestRenderingCheckedAtBuild:
         assert verdicts["rejected", "product"] > 300 and verdicts["accepted", "product"] > 3000, verdicts
         assert verdicts["rejected", "component"] > 200, verdicts
         assert min(shapes.values()) > 1000, shapes
+
+
+class TestRenderingCheckedOnce:
+    """``rt_sync_product`` checks its texts once, after the product is built;
+    ``safe_prop`` keeps its operand's leaves and template and checks nothing.
+    A walk starts only from a prefix pair whose overhang can meet the literal
+    after its slot."""
+
+    @staticmethod
+    def counted(monkeypatch, build) -> tuple[int, int]:
+        """The rendering checks ``build()`` runs and the walks they start."""
+        check = syncprod._check_rendering
+        lines, first = inspect.getsourcelines(check)
+        start = first + next(i for i, line in enumerate(lines) if "todo = [" in line)
+        checks = walks = 0
+
+        def counting(*args):
+            nonlocal checks
+            checks += 1
+            return check(*args)
+
+        def in_check(frame, event, arg):
+            nonlocal walks
+            walks += event == "line" and frame.f_lineno == start
+            return in_check
+
+        monkeypatch.setattr(syncprod, "_check_rendering", counting)
+        outer = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: in_check if frame.f_code is check.__code__ else None)
+        try:
+            build()
+        finally:
+            sys.settrace(outer)
+            monkeypatch.setattr(syncprod, "_check_rendering", check)
+        return checks, walks
+
+    def test_a_prefix_chain_starts_no_walk(self, monkeypatch):
+        chain = Component(["a" * n for n in range(1, 101)], "a", [], {"p": ["a"]})
+        fold = lambda: rt_sync_product(rt_sync_product(chain, abstract_reservoir(1)), abstract_reservoir(2))
+        assert self.counted(monkeypatch, fold) == (2, 0)
+        folded = fold()
+        assert self.counted(monkeypatch, lambda: safe_prop(folded)) == (0, 0)
+
+    def test_an_overhang_that_meets_the_literal_starts_a_walk(self, monkeypatch):
+        left = Component(["a", "a,x"], "a", [], {})
+        assert self.counted(monkeypatch, lambda: rt_sync_product(left, Component(["y"], "y", [], {}))) == (1, 1)
+        assert self.counted(monkeypatch, lambda: safe_prop(abstract_reservoir(1))) == (0, 0)
