@@ -25,7 +25,7 @@ from .core import ModelError, TimedTransitionSystem, as_time, fraction_text, fra
 from .explore import Kripke, search
 from .lha import LhaSystem, lha_from_json
 from .ltl import Counterexample, model_check, parse_formula
-from .reservoir import NResSystem, nres_from_json, parse_pattern, validate_pattern
+from .reservoir import NResSystem, nres_from_json, parse_pattern
 from .syncprod import (
     Component,
     component_from_json,
@@ -91,8 +91,7 @@ def run_search(args: argparse.Namespace) -> int:
     time_bound, increment = _sampling(args)
     pattern = parse_pattern(args.pattern)
     system = load_model(args.model)
-    validate_pattern(pattern, system)
-    solutions = search(system, pattern, time_bound, increment)
+    solutions = search(system, pattern.bind(system), time_bound, increment)
     if args.format == "json":
         print(json.dumps({"kind": "search", "count": len(solutions), "solutions": [
             {

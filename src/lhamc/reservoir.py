@@ -13,7 +13,8 @@ over one common denominator and the indices of the tanks at or below their
 lower thresholds, judged once when the levels are made; a state is read
 through its canonical text.
 The search pattern grammar lives here too: :func:`parse_pattern` reads a
-:class:`SearchPattern`, and :func:`match` applies it to a state.
+:class:`SearchPattern`, and :meth:`SearchPattern.bind` makes it a search
+predicate for one model.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 from itertools import compress
 from math import lcm
 from operator import le
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from .core import (
     Doc,
@@ -89,84 +90,59 @@ class NResState:
                 raise ModelError(f"reservoir {r.id}: lower threshold {r.lower} exceeds upper {r.upper}")
         return cls(hose, tanks)
 
-    def reservoir(self, rid: int) -> Reservoir:
-        for r in self.reservoirs:
-            if r.id == rid:
-                return r
-        raise ModelError(f"no reservoir with id {rid}")
-
-
-@dataclass(frozen=True)
-class ReservoirPattern:
-    """Pin on one reservoir's level; None leaves the level free."""
-
-    level: Optional[Fraction] = None
-
 
 @dataclass(frozen=True)
 class SearchPattern:
     """What to look for: optional hose position, per-reservoir level pins.
 
-    The empty pattern is the wildcard; it matches every state of every model.
-    Any reservoir-specific content restricts matching to reservoir models.
-    Calling a pattern on a state is :func:`match`, so a pattern is a search
-    predicate.
+    A pin is a level, or None to leave the level free.  The empty pattern is
+    the wildcard, which applies to every model; any other pattern applies to
+    reservoir models only.  :meth:`bind` checks a pattern against a model
+    and gives its search predicate.
     """
 
     hose: Optional[int] = None
-    reservoirs: tuple[tuple[int, ReservoirPattern], ...] = ()
+    reservoirs: tuple[tuple[int, Optional[Fraction]], ...] = ()
 
-    def is_wildcard(self) -> bool:
-        return self.hose is None and not self.reservoirs
+    def bind(self, system: TimedTransitionSystem) -> Callable[[Any], Optional[dict[str, str]]]:
+        """The predicate mapping a state of ``system`` to bindings if it fits
+        the pattern, else None.
 
-    def __call__(self, state: Any) -> Optional[dict[str, str]]:
-        return match(self, state)
+        The wildcard maps every state to empty bindings.  Each listed
+        reservoir binds "R<id>" to the text of the attributes the pattern
+        left unconstrained.  A level pin p/q holds when the level's numerator
+        n over the state's denominator d has n * q == p * d.
+        """
+        if self.hose is None and not self.reservoirs:
+            return lambda state: {}
+        # read through the start state, so that a model wrapping a ring binds too
+        if not isinstance(system.initial_state(), RingState):
+            raise ModelError("reservoir-specific patterns only apply to reservoir models")
+        tanks = system.initial.reservoirs
+        index = {r.id: i for i, r in enumerate(tanks)}
+        for rid in ([] if self.hose is None else [self.hose]) + [rid for rid, _ in self.reservoirs]:
+            if rid not in index:
+                raise ModelError(f"pattern mentions unknown reservoir id {rid}")
+        hose = index.get(self.hose)
+        # per pin: its key, tank index, level and the texts around a free level
+        pins = [(f"R{rid}", index[rid], level, f"thr:({r.lower},{r.upper})", f", rte: {r.leak}")
+                for rid, level in self.reservoirs for r in [tanks[index[rid]]]]
 
+        def bindings(state: RingState) -> Optional[dict[str, str]]:
+            if hose is not None and state.pos != hose:
+                return None
+            found = {}
+            for key, i, level, thr, rte in pins:
+                n = state.nums[i]
+                if level is None:
+                    found[key] = f"{thr}, hth: {fraction_text(n, state.den)}{rte}"
+                elif n * level.denominator != level.numerator * state.den:
+                    return None
+                else:
+                    found[key] = thr + rte
+            return found
 
-def match(pattern: SearchPattern, state: Any) -> Optional[dict[str, str]]:
-    """Bindings if ``state`` fits the pattern, else None.
-
-    The wildcard matches anything with empty bindings.  A reservoir-specific
-    pattern only applies to reservoir states; each listed reservoir binds
-    "R<id>" to the text of the attributes the pattern left unconstrained.
-    A level pin p/q holds when the level's numerator n over the state's
-    denominator d has n * q == p * d.
-    """
-    if pattern.is_wildcard():
-        return {}
-    if not isinstance(state, RingState):
-        raise ModelError("reservoir-specific patterns only apply to reservoir models")
-    ring = state.ring
-    if pattern.hose is not None and ring._ids[state.pos] != pattern.hose:
-        return None
-    bindings: dict[str, str] = {}
-    for rid, pat in pattern.reservoirs:
-        tank = ring.initial.reservoir(rid)  # raises: unknown id
-        n = state.nums[ring._ids.index(rid)]
-        level = pat.level
-        if level is None:
-            hth = f", hth: {fraction_text(n, state.den)}"
-        elif n * level.denominator != level.numerator * state.den:
-            return None
-        else:
-            hth = ""
-        bindings[f"R{rid}"] = f"thr:({tank.lower},{tank.upper}){hth}, rte: {tank.leak}"
-    return bindings
-
-
-def validate_pattern(pattern: SearchPattern, system: TimedTransitionSystem) -> None:
-    """Reject patterns that can never apply to this model."""
-    if pattern.is_wildcard():
-        return
-    initial = system.initial_state()
-    if not isinstance(initial, RingState):
-        raise ModelError("reservoir-specific patterns only apply to reservoir models")
-    known = set(initial.ring._ids)
-    if pattern.hose is not None and pattern.hose not in known:
-        raise ModelError(f"pattern mentions unknown reservoir id {pattern.hose}")
-    for rid, _ in pattern.reservoirs:
-        if rid not in known:
-            raise ModelError(f"pattern mentions unknown reservoir id {rid}")
+        return bindings
 
 
 _PATTERN_TOKEN = re.compile(r"^R(\d+)\.hth=(.+)$", re.ASCII)
@@ -201,10 +177,7 @@ def parse_pattern(text: str) -> SearchPattern:
             raise ModelError(f"duplicate constraint for reservoir {rid}")
         value = m.group(2)
         tanks[rid] = None if value == "*" else parse_rational(value)
-    reservoirs = tuple(
-        (rid, ReservoirPattern(level=level)) for rid, level in sorted(tanks.items())
-    )
-    return SearchPattern(hose=hose, reservoirs=reservoirs)
+    return SearchPattern(hose, tuple(sorted(tanks.items())))
 
 
 class RingState:
@@ -212,16 +185,16 @@ class RingState:
     numerators over one positive denominator (see :class:`NResSystem`), and
     ``low``, the indices of the tanks at or below their lower thresholds in
     tank order, which the ring derives once from the levels it makes.
-    Its identity is its text, ``ring.serialize(state)``; ``low`` is no part of it.
+    Its identity is its text, the ring's ``serialize(state)``; ``low`` is no part of it.
     """
 
-    __slots__ = ("ring", "pos", "nums", "den", "low")
+    __slots__ = ("pos", "nums", "den", "low")
 
-    def __init__(self, ring: "NResSystem", pos: int, nums: tuple[int, ...], den: int, low: tuple[int, ...]):
-        self.ring, self.pos, self.nums, self.den, self.low = ring, pos, nums, den, low
+    def __init__(self, pos: int, nums: tuple[int, ...], den: int, low: tuple[int, ...]):
+        self.pos, self.nums, self.den, self.low = pos, nums, den, low
 
     def __repr__(self) -> str:
-        return f"RingState({self.ring.serialize(self)!r})"
+        return f"RingState({self.pos!r}, {self.nums!r}, {self.den!r})"
 
 
 class NResSystem(TimedTransitionSystem):
@@ -277,7 +250,7 @@ class NResSystem(TimedTransitionSystem):
         self._tick_tables = TickTables(lambda delta: Memo(lambda den: self._step(delta, den)))
         den = lcm(self._den, *(r.level.denominator for r in tanks))
         nums = tuple(int(r.level * den) for r in tanks)
-        self._initial = RingState(self, self._ids.index(initial.hose.position), nums, den, self._low(nums, den))
+        self._initial = RingState(self._ids.index(initial.hose.position), nums, den, self._low(nums, den))
 
     def _step(self, delta: Fraction, den: int) -> tuple:
         """The step of ``delta`` from levels over ``den``."""
@@ -298,7 +271,7 @@ class NResSystem(TimedTransitionSystem):
         # the hose leaves only once its tank is back at its lower threshold
         if not low or pos in low and nums[pos] < self._bounds[den][0][pos]:
             return []
-        return [(MOVE_HOSE, RingState(self, i, nums, den, low)) for i in low if i != pos]
+        return [(MOVE_HOSE, RingState(i, nums, den, low)) for i in low if i != pos]
 
     def timed_successor(self, state: RingState, delta: Fraction) -> RingState | None:
         steps = self._tick_tables.of(delta)
@@ -313,7 +286,7 @@ class NResSystem(TimedTransitionSystem):
             den *= growth
         after = [n - d if n > d else 0 for n, d in zip(nums, drains)]
         after[pos] = nums[pos] + fills[pos]
-        return RingState(self, pos, tuple(after), den, self._low(after, den))
+        return RingState(pos, tuple(after), den, self._low(after, den))
 
     def quiet(self, state: RingState, delta: Fraction, limit: int) -> tuple[int, RingState] | None:
         """The ticks until ``low`` changes, by one division per tank, and the
@@ -334,7 +307,7 @@ class NResSystem(TimedTransitionSystem):
             return None
         after = [n - k * d if n > k * d else 0 for n, d in zip(nums, drains)]
         after[pos] = nums[pos] + k * fills[pos]
-        return k, RingState(self, pos, tuple(after), den, self._low(after, den))
+        return k, RingState(pos, tuple(after), den, self._low(after, den))
 
     def prop_holds(self, state: RingState, prop: str) -> bool:
         count = self._low_counts.get(prop)

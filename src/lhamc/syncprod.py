@@ -244,6 +244,7 @@ class SyncProduct(TimedTransitionSystem):
         # duration -> each component's tick targets; one empty table, which
         # blocks every state, for a duration with no joint tick
         self._tick_tables = TickTables(lambda d: self._ticks.get(d, ({},)))
+        self._dead_ends: set[tuple] = set()  # see _joint_ticks
 
     # The successor indexes are built on first use, so that the inner
     # products of a fold, which are never explored, never build them.
@@ -293,17 +294,27 @@ class SyncProduct(TimedTransitionSystem):
 
     def _joint_ticks(self, d: Fraction, sources: tuple, targets: tuple) -> Iterator[tuple[tuple, tuple]]:
         """The compatible joint d-ticks that extend the given components'
-        ticks, in the order of the components' tick lists."""
+        ticks, in the order of the components' tick lists.  An extension that
+        yields none is remembered by all that its completion depends on: d, j
+        and where the shared propositions spanning j hold at the given ticks."""
         j = len(sources)
         if j == len(self._leaves):
             yield sources, targets
             return
+        key = (d, j, tuple((sources[i] in hi, targets[i] in hi) for i, hi, k, _ in self._agree if i < j <= k))
+        if key in self._dead_ends:
+            return
         checks = [(i, hi, hj) for i, hi, k, hj in self._agree if k == j]
+        found = False
         for s, t, dj in self._leaves[j].ticks:
             if dj == d and all(
                 (sources[i] in hi) == (s in hj) and (targets[i] in hi) == (t in hj) for i, hi, hj in checks
             ):
-                yield from self._joint_ticks(d, sources + (s,), targets + (t,))
+                for tick in self._joint_ticks(d, sources + (s,), targets + (t,)):
+                    found = True
+                    yield tick
+        if not found:
+            self._dead_ends.add(key)
 
     # model contract
 

@@ -44,7 +44,6 @@ from lhamc.reservoir import (
     Hose,
     NResState,
     Reservoir,
-    ReservoirPattern,
     SearchPattern,
 )
 from lhamc.syncprod import Component, SyncProduct
@@ -111,13 +110,20 @@ def tick(state: NResState, t: Fraction) -> NResState | None:
     return NResState(state.hose, tuple(new_tanks))
 
 
+def nres_reservoir(state: NResState, rid: int) -> Reservoir:
+    for r in state.reservoirs:
+        if r.id == rid:
+            return r
+    raise ModelError(f"no reservoir with id {rid}")
+
+
 def move_hose_successors(state: NResState) -> list[tuple[str, NResState]]:
     """All ways to carry the hose to a tank that has fallen to its threshold.
 
     Allowed only once the currently hosed tank is back at or above its own
     threshold.  Targets are ordered by reservoir id.
     """
-    current = state.reservoir(state.hose.position)
+    current = nres_reservoir(state, state.hose.position)
     if current.level < current.lower:
         return []
     out = []
@@ -147,9 +153,9 @@ def nres_render_state(state: NResState) -> str:
     return " ".join(parts)
 
 
-def _unconstrained_text(tank: Reservoir, pat: ReservoirPattern) -> str:
+def _unconstrained_text(tank: Reservoir, level: Optional[Fraction]) -> str:
     parts = [f"thr:({tank.lower},{tank.upper})"]
-    if pat.level is None:
+    if level is None:
         parts.append(f"hth: {tank.level}")
     parts.append(f"rte: {tank.leak}")
     return ", ".join(parts)
@@ -173,25 +179,25 @@ def nres_to_json(state: NResState) -> dict:
 
 
 def nres_match(pattern: SearchPattern, state: Any) -> Optional[dict[str, str]]:
-    """``lhamc.reservoir.match`` on a ``Fraction`` ring state."""
-    if pattern.is_wildcard():
+    """A bound ``SearchPattern``'s predicate on a ``Fraction`` ring state."""
+    if pattern == SearchPattern():
         return {}
     if not isinstance(state, NResState):
         raise ModelError("reservoir-specific patterns only apply to reservoir models")
     if pattern.hose is not None and state.hose.position != pattern.hose:
         return None
     bindings: dict[str, str] = {}
-    for rid, pat in pattern.reservoirs:
-        tank = state.reservoir(rid)
-        if pat.level is not None and tank.level != pat.level:
+    for rid, level in pattern.reservoirs:
+        tank = nres_reservoir(state, rid)
+        if level is not None and tank.level != level:
             return None
-        bindings[f"R{rid}"] = _unconstrained_text(tank, pat)
+        bindings[f"R{rid}"] = _unconstrained_text(tank, level)
     return bindings
 
 
 def nres_validate_pattern(pattern: SearchPattern, initial: Any) -> None:
-    """``lhamc.reservoir.validate_pattern`` on a model's ``Fraction`` start state."""
-    if pattern.is_wildcard():
+    """``SearchPattern.bind``'s checks on a model's ``Fraction`` start state."""
+    if pattern == SearchPattern():
         return
     if not isinstance(initial, NResState):
         raise ModelError("reservoir-specific patterns only apply to reservoir models")
@@ -314,15 +320,26 @@ def compatible(c1: Any, s1: Any, c2: Any, s2: Any) -> bool:
 
 
 def product_ticks(c: Component | SyncProduct) -> tuple[Tick, ...]:
-    """A component's ticks, or a product's joint ticks in the order of its
-    components' tick lists."""
+    """A component's ticks, or a product's joint ticks: every choice of one
+    tick per component, the first component's outermost, whose ticks share
+    one duration and whose sources and targets agree on every shared
+    proposition."""
     if isinstance(c, Component):
         return c.ticks
+    leaves = c._leaves
+    names = {name for leaf in leaves for name in leaf.props}
+
+    def agree(states: tuple) -> bool:
+        return all(
+            len({s in leaf.props[name] for leaf, s in zip(leaves, states) if name in leaf.props}) == 1
+            for name in names
+        )
+
     return tuple(
-        (sources, targets, d)
-        for s, t, d in c._leaves[0].ticks
-        if d in c._ticks
-        for sources, targets in c._joint_ticks(d, (s,), (t,))
+        (sources, targets, durations[0])
+        for ticks in cartesian(*(leaf.ticks for leaf in leaves))
+        for sources, targets, durations in [tuple(zip(*ticks))]
+        if len(set(durations)) == 1 and agree(sources) and agree(targets)
     )
 
 

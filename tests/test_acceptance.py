@@ -73,7 +73,7 @@ class TestCriterion1:
     def test_c1_bounded_search_finds_all_six_states(self):
         system = load_init2()
         started = time.perf_counter()
-        solutions = search(system, SearchPattern(), Fraction(5), Fraction(1))
+        solutions = search(system, SearchPattern().bind(system), Fraction(5), Fraction(1))
         took = time.perf_counter() - started
         got = [(s.text, s.elapsed) for s in solutions]
         assert got == [
@@ -94,7 +94,7 @@ class TestCriterion2:
         system = load_init2()
         pattern = parse_pattern("R0.hth=45 R1.hth=10 R2.hth=10")
         started = time.perf_counter()
-        solutions = search(system, pattern, Fraction(100), Fraction(1))
+        solutions = search(system, pattern.bind(system), Fraction(100), Fraction(1))
         took = time.perf_counter() - started
         assert solutions == []
         assert took < NO_SOLUTION_BUDGET_SECONDS
@@ -377,7 +377,7 @@ class TestCriterion7:
     def test_c7_long_bound_saturates_quickly(self):
         system = load_init2()
         started = time.perf_counter()
-        solutions = search(system, SearchPattern(), Fraction(50), Fraction(1))
+        solutions = search(system, SearchPattern().bind(system), Fraction(50), Fraction(1))
         took = time.perf_counter() - started
         assert len(solutions) == 6
         assert took < LONG_BOUND_BUDGET_SECONDS

@@ -19,7 +19,7 @@ from lhamc.ltl import (
     parse_formula,
     validate_counterexample,
 )
-from lhamc.reservoir import NResSystem, ReservoirPattern, SearchPattern, nres_from_json, parse_pattern
+from lhamc.reservoir import NResSystem, SearchPattern, nres_from_json, parse_pattern
 from lhamc.syncprod import (
     Component,
     abstract_reservoir,
@@ -61,13 +61,7 @@ class TestParsePattern:
 
     def test_hose_and_levels(self):
         got = parse_pattern("hose=2 R1.hth=15 R0.hth=*")
-        assert got == SearchPattern(
-            hose=2,
-            reservoirs=(
-                (0, ReservoirPattern(level=None)),
-                (1, ReservoirPattern(level=Fraction(15))),
-            ),
-        )
+        assert got == SearchPattern(hose=2, reservoirs=((0, None), (1, Fraction(15))))
 
     @pytest.mark.parametrize(
         "bad",

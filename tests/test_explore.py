@@ -9,10 +9,10 @@ from lhamc.core import ModelError
 from lhamc.explore import Kripke, build_kripke, search
 from lhamc.lha import AffineExpr, Assignment, Edge, Lha, LhaSystem, Location, two_reservoir
 from lhamc.ltl import Counterexample, CounterexampleStep, parse_formula, validate_counterexample
-from lhamc.reservoir import NResSystem, ReservoirPattern, SearchPattern, match
+from lhamc.reservoir import NResSystem, SearchPattern, parse_pattern
 from lhamc.syncprod import Component
 from oracles import whole_kripke
-from test_syncprod import random_components
+from test_syncprod import Delegate, random_components
 
 F = Fraction
 
@@ -66,7 +66,7 @@ def assert_breadth_first_paths(system, increment, time_bound, kripke) -> None:
     first = {}
     for e in kripke.edges:
         first.setdefault(e.target, e)
-    solutions = search(system, WILD, time_bound, increment, max_states=len(kripke))
+    solutions = search(system, WILD.bind(system), time_bound, increment, max_states=len(kripke))
     assert len(solutions) == len(kripke)
     for sol in solutions:
         i = kripke.initial
@@ -82,17 +82,16 @@ def assert_breadth_first_paths(system, increment, time_bound, kripke) -> None:
             assert edge == first[i]
 
 
-def pattern(hose=None, **levels) -> SearchPattern:
-    tanks = tuple(
-        (int(key[1:]), ReservoirPattern(level=F(value))) for key, value in sorted(levels.items())
-    )
-    return SearchPattern(hose=hose, reservoirs=tanks)
+def pattern(system, hose=None, **levels):
+    """A pattern with a hose pin and level pins, bound to ``system``."""
+    tanks = tuple((int(key[1:]), F(value)) for key, value in sorted(levels.items()))
+    return SearchPattern(hose, tanks).bind(system)
 
 
 class TestSearch:
     def test_finds_exactly_the_six_reachable_states(self, init2_system):
         # hand-stepped: three ticks to (45,15,15), then two hose moves
-        sols = search(init2_system, WILD, F(5), F(1))
+        sols = search(init2_system, WILD.bind(init2_system), F(5), F(1))
         assert [s.elapsed for s in sols] == [F(0), F(1), F(2), F(3), F(3), F(3)]
         levels = ["30, rte", "35, rte", "40, rte", "45, rte", "45, rte", "45, rte"]
         for sol, snippet in zip(sols, levels):
@@ -102,26 +101,26 @@ class TestSearch:
         ]
 
     def test_hose_constraint(self, init2_system):
-        sols = search(init2_system, pattern(hose=1), F(5), F(1))
+        sols = search(init2_system, pattern(init2_system, hose=1), F(5), F(1))
         assert len(sols) == 1
         assert sols[0].elapsed == F(3)
         assert sols[0].bindings == {}
 
     def test_level_constraint_and_bindings(self, init2_system):
-        sols = search(init2_system, pattern(R1=25), F(5), F(1))
+        sols = search(init2_system, pattern(init2_system, R1=25), F(5), F(1))
         assert len(sols) == 1
         assert sols[0].bindings == {"R1": "thr:(15,50), rte: 5"}
 
     def test_larger_increment(self, init2_system):
-        sols = search(init2_system, WILD, F(10), F(3))
+        sols = search(init2_system, WILD.bind(init2_system), F(10), F(3))
         assert [s.elapsed for s in sols] == [F(0), F(3), F(3), F(3)]
 
     def test_bound_is_strict(self, init2_system):
-        sols = search(init2_system, WILD, F(2), F(1))
+        sols = search(init2_system, WILD.bind(init2_system), F(2), F(1))
         assert [s.elapsed for s in sols] == [F(0), F(1)]
 
     def test_paths_replay(self, init2_system):
-        for sol in search(init2_system, WILD, F(5), F(1)):
+        for sol in search(init2_system, WILD.bind(init2_system), F(5), F(1)):
             replay(init2_system, sol)
 
     def test_paths_are_breadth_first_in_branching_models(self):
@@ -143,59 +142,72 @@ class TestSearch:
         # made it quadratic in the solution count: about 8 s here
         system = LhaSystem(two_reservoir(2, 1, 1, 1, 1, 5, 3))
         start = time.perf_counter()
-        sols = search(system, WILD, F(100), F(1, 25))
+        sols = search(system, WILD.bind(system), F(100), F(1, 25))
         assert time.perf_counter() - start < 3
         assert len(sols) == 2517
         assert len(sols[-1].path) == 2516
         replay(system, sols[-1])
 
     def test_path_reads_are_equal(self, init2_system):
-        sol = search(init2_system, WILD, F(5), F(1))[-1]
+        sol = search(init2_system, WILD.bind(init2_system), F(5), F(1))[-1]
         first = sol.path
         assert [step.label for step in first] == ["tick", "tick", "tick", "move-hose"]
         assert sol.path == first
 
     def test_wildcard_works_on_any_model(self):
         system = LhaSystem(two_reservoir(10, 5, 5, 15, 15, 30, 30))
-        sols = search(system, WILD, F(2), F(1))
+        sols = search(system, WILD.bind(system), F(2), F(1))
         assert [s.text for s in sols] == ["left,30,30", "left,35,25"]
 
     def test_reservoir_pattern_rejected_on_other_models(self):
         system = LhaSystem(two_reservoir(10, 5, 5, 15, 15, 30, 30))
         with pytest.raises(ModelError):
-            search(system, pattern(hose=0), F(2), F(1))
+            search(system, pattern(system, hose=0), F(2), F(1))
+
+    def test_a_pinned_pattern_binds_through_a_delegating_wrapper(self, init2_system):
+        # a wrapper that forwards every attribute, as a tracing one does: bind reads the ring through it
+        wrapped, pat = Delegate(init2_system), parse_pattern("hose=0 R1.hth=* R2.hth=20")
+        via = search(wrapped, pat.bind(wrapped), F(5), F(1))
+        bare = search(init2_system, pat.bind(init2_system), F(5), F(1))
+        assert [(s.text, s.clock, s.bindings) for s in via] == [(s.text, s.clock, s.bindings) for s in bare]
+        assert [s.bindings for s in via] == [{"R1": "thr:(15,50), hth: 20, rte: 5", "R2": "thr:(15,50), rte: 5"}]
 
     def test_unknown_reservoir_id_rejected(self, init2_system):
         with pytest.raises(ModelError):
-            search(init2_system, pattern(R7=10), F(5), F(1))
+            search(init2_system, pattern(init2_system, R7=10), F(5), F(1))
 
     def test_zero_increment_rejected(self, init2_system):
         with pytest.raises(ModelError):
-            search(init2_system, WILD, F(5), F(0))
+            search(init2_system, WILD.bind(init2_system), F(5), F(0))
 
     def test_state_cap(self, init2_system):
         with pytest.raises(ModelError):
-            search(init2_system, WILD, F(5), F(1), max_states=3)
+            search(init2_system, WILD.bind(init2_system), F(5), F(1), max_states=3)
 
 
 class TestMatch:
+    """A pattern bound to a model, applied to its states."""
+
     def test_wildcard_binds_nothing(self, init2_state):
-        assert match(WILD, NResSystem(init2_state).initial_state()) == {}
-        assert match(WILD, "anything") == {}
+        ring = NResSystem(init2_state)
+        assert WILD.bind(ring)(ring.initial_state()) == {}
+        lha = LhaSystem(two_reservoir(10, 5, 5, 15, 15, 30, 30))
+        assert WILD.bind(lha)(lha.initial_state()) == {}
 
     def test_mismatch_returns_none(self, init2_state):
-        ring = NResSystem(init2_state).initial_state()
-        assert match(pattern(hose=2), ring) is None
-        assert match(pattern(R0=99), ring) is None
+        system = NResSystem(init2_state)
+        ring = system.initial_state()
+        assert pattern(system, hose=2)(ring) is None
+        assert pattern(system, R0=99)(ring) is None
 
     def test_unconstrained_attributes_are_reported(self, init2_state):
-        ring = NResSystem(init2_state).initial_state()
-        bindings = match(SearchPattern(reservoirs=((0, ReservoirPattern()),)), ring)
+        system = NResSystem(init2_state)
+        bindings = SearchPattern(reservoirs=((0, None),)).bind(system)(system.initial_state())
         assert bindings == {"R0": "thr:(15,50), hth: 30, rte: 5"}
 
     def test_reservoir_pattern_needs_a_reservoir_state(self):
-        with pytest.raises(ModelError):
-            match(pattern(hose=0), "left,30,30")
+        with pytest.raises(ModelError, match="^reservoir-specific patterns only apply to reservoir models$"):
+            pattern(LhaSystem(two_reservoir(10, 5, 5, 15, 15, 30, 30)), hose=0)
 
 
 class TestKripke:

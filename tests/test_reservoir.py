@@ -17,10 +17,9 @@ from lhamc.reservoir import (
     NResState,
     NResSystem,
     Reservoir,
-    match,
+    SearchPattern,
     nres_from_json,
     parse_pattern,
-    validate_pattern,
 )
 from reference import (
     above_upper,
@@ -455,9 +454,10 @@ def random_pattern_text(rng, ids, levels) -> str:
 
 
 class TestMatchAgainstFractions:
-    """match reads a ring state's numerators and validate_pattern the ids of
-    the model's start state; over the reachable states of seeded random rings
-    both agree with the Fraction matcher, errors included."""
+    """A pattern binds to a ring by the ids of its start state, and its
+    predicate reads a ring state's numerators; over the reachable states of
+    seeded random rings, a state's outcome, the bind error or the
+    predicate's bindings, agrees with the Fraction matcher's."""
 
     def test_match_and_validate_agree_with_the_fraction_matcher(self):
         rng = random.Random(4242)
@@ -473,13 +473,14 @@ class TestMatchAgainstFractions:
                 levels = sorted({r.level for _, ref in pairs for r in ref.reservoirs})
                 for _ in range(12):
                     pat = parse_pattern(random_pattern_text(rng, ids, levels))
-                    checked = outcome(validate_pattern, pat, system)
-                    assert checked == outcome(nres_validate_pattern, pat, ring)
+                    predicate = outcome(pat.bind, system)
+                    checked = outcome(nres_validate_pattern, pat, ring)
+                    assert (predicate if isinstance(predicate, str) else None) == checked
                     seen["rejected"] += checked is not None
                     for fast, ref in pairs:
-                        got = outcome(match, pat, fast)
-                        assert got == outcome(nres_match, pat, ref), (pat, system.serialize(fast))
-                        if pat.is_wildcard():
+                        got = checked or outcome(predicate, fast)
+                        assert got == (checked or outcome(nres_match, pat, ref)), (pat, system.serialize(fast))
+                        if pat == SearchPattern():
                             seen["wildcard"] += 1
                         elif isinstance(got, str):
                             seen["error"] += 1
@@ -487,13 +488,14 @@ class TestMatchAgainstFractions:
                             seen["miss"] += 1
                         else:
                             seen["hit"] += 1
-                            seen["pinned hit"] += any(p.level is not None for _, p in pat.reservoirs)
+                            seen["pinned hit"] += any(level is not None for _, level in pat.reservoirs)
         assert min(seen.values()) > 50, seen
 
     def test_thirds_pin_hits_only_where_the_level_is_a_third(self):
         system, pairs = reachable_pairs(thirds_ring(), (F(1, 10),), F(2))
         pat = parse_pattern("R1.hth=1/3")
-        hits = [system.serialize(fast) for fast, ref in pairs if match(pat, fast) is not None]
+        predicate = pat.bind(system)
+        hits = [system.serialize(fast) for fast, ref in pairs if predicate(fast) is not None]
         assert hits and all("< 1 | thr:(0,4), hth: 1/3, rte: 1/2 >" in h for h in hits)
         assert len(hits) == sum(nres_match(pat, ref) is not None for _, ref in pairs)
 
@@ -501,10 +503,10 @@ class TestMatchAgainstFractions:
         lha = LhaSystem(two_reservoir(10, 5, 5, 15, 15, 30, 30))
         pat = parse_pattern("hose=0 R0.hth=*")
         initial = lha.initial_state()
-        assert outcome(validate_pattern, pat, lha) == outcome(nres_validate_pattern, pat, initial)
-        assert outcome(match, pat, initial) == outcome(nres_match, pat, initial)
-        assert isinstance(outcome(match, pat, initial), str)
-        assert match(parse_pattern("*"), initial) == nres_match(parse_pattern("*"), initial) == {}
+        refused = outcome(pat.bind, lha)
+        assert refused == outcome(nres_validate_pattern, pat, initial) == outcome(nres_match, pat, initial)
+        assert isinstance(refused, str)
+        assert parse_pattern("*").bind(lha)(initial) == nres_match(parse_pattern("*"), initial) == {}
 
 
 class TestIdentity:

@@ -880,3 +880,44 @@ class TestRenderingCheckedOnce:
         left = Component(["a", "a,x"], "a", [], {})
         assert self.counted(monkeypatch, lambda: rt_sync_product(left, Component(["y"], "y", [], {}))) == (1, 1)
         assert self.counted(monkeypatch, lambda: safe_prop(abstract_reservoir(1))) == (0, 0)
+
+
+def no_joint_tick(k: int, *first_ticks) -> list[Component]:
+    """k components of 1-ticks where no joint tick agrees on ``p``: it holds
+    only at the first one's start, which has no tick of its own unless
+    ``first_ticks`` gives one, and at every state of the last one."""
+    one = Fraction(1)
+    first = Component(["a"] + [f"x{i}" for i in range(8)], "a", [], {"p": ["a"]},
+                      [(f"x{i}", f"x{i}", one) for i in range(8)] + list(first_ticks))
+    middle = [Component([f"m{i}" for i in range(8)], "m0", [], {}, [(f"m{i}", f"m{i}", one) for i in range(8)])
+              for _ in range(k - 2)]
+    return [first, *middle, Component(["z"], "z", [], {"p": ["z"]}, [("z", "z", one)])]
+
+
+class TestJointTicks:
+    """Whether a joint tick exists is decided by a search that remembers its
+    dead ends, so it tries each once instead of every combination of the
+    middle components' ticks before ``p`` refuses the last one."""
+
+    @staticmethod
+    def counted(monkeypatch, product) -> tuple[list, int]:
+        """``product.tick_durations()`` and the ``_joint_ticks`` calls it makes."""
+        joint_ticks, calls = SyncProduct._joint_ticks, 0
+
+        def counting(self, *args):
+            nonlocal calls
+            calls += 1
+            return joint_ticks(self, *args)
+
+        monkeypatch.setattr(SyncProduct, "_joint_ticks", counting)
+        return product.tick_durations(), calls
+
+    def test_a_refused_tick_costs_polynomially_many_calls(self, monkeypatch):
+        k = 6
+        durations, calls = self.counted(monkeypatch, rt_sync_product(*no_joint_tick(k)))
+        assert durations == [] and calls <= 10 * k, calls
+
+    def test_a_tick_after_the_dead_ends_is_still_found(self, monkeypatch):
+        k = 6
+        durations, calls = self.counted(monkeypatch, rt_sync_product(*no_joint_tick(k, ("a", "a", Fraction(1)))))
+        assert durations == [Fraction(1)] and calls <= 10 * k, calls

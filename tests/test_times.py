@@ -66,7 +66,7 @@ class TestSearchTimes:
         system = load_model(model)
         kripke = build_kripke(system, bound, increment)
         assert all(kripke.elapsed(i) == F(kripke.clock[i], kripke.scale) for i in range(len(kripke)))
-        solutions = search(system, SearchPattern(), bound, increment)
+        solutions = search(system, SearchPattern().bind(system), bound, increment)
         assert len(solutions) == len(kripke)
         for sol in solutions:
             assert sol.scale == kripke.scale
