@@ -103,6 +103,8 @@ class Kripke:
     ``time_bound`` None explores time-abstractly, and ``timed`` is False.  A
     state discovered beyond the first ``max_states`` raises :class:`ModelError`;
     the cap counts the states indexed, and a leap indexes one per stretch.
+    ``stretch(i)`` builds the states inside state i's leap, for printing a
+    lasso, and indexes none of them.
     """
 
     def __init__(
@@ -129,6 +131,7 @@ class Kripke:
         self._out: list[Optional[list[KripkeEdge]]] = [None]  # None until expanded
         self._index = {(self._texts[0], 0): 0}
         self._expanded = 0  # every state below this one is expanded
+        self._leaps: dict[int, Optional[tuple[int, int]]] = {}  # state -> its leap, once asked
         self.props = system.propositions()
         self.initial = 0
 
@@ -172,13 +175,27 @@ class Kripke:
     def leap(self, i: int) -> Optional[tuple[int, int]]:
         """``(k, j)`` when a timed structure of one duration ticks from state
         i through a quiet stretch of k > 1 ticks (:meth:`TimedTransitionSystem.quiet`)
-        to state j, the only one of them it discovers; else None."""
+        to state j, the only one of them it discovers; else None.  Each state
+        is asked of the system once."""
         if self._limit is None or len(self._ticks) != 1:
             return None
+        if i not in self._leaps:
+            (d, step), = self._ticks
+            now = self._clock[i]
+            hop = self._system.quiet(self._states[i], d, (self._limit - 1 - now) // step)
+            self._leaps[i] = hop and (hop[0], self._discover(i, [(TICK, hop[1], now + hop[0] * step, d)])[0].target)
+        return self._leaps[i]
+
+    def stretch(self, i: int) -> list[tuple[str, int]]:
+        """The text and clock numerator of each of the k - 1 states inside
+        state i's leap, in tick order, ticked one at a time and not indexed."""
         (d, step), = self._ticks
-        now = self._clock[i]
-        hop = self._system.quiet(self._states[i], d, (self._limit - 1 - now) // step)
-        return hop and (hop[0], self._discover(i, [(TICK, hop[1], now + hop[0] * step, d)])[0].target)
+        state, now = self._states[i], self._clock[i]
+        inside = []
+        for m in range(1, self.leap(i)[0]):
+            state = self._system.timed_successor(state, d)
+            inside.append((self._system.serialize(state), now + m * step))
+        return inside
 
     def out(self, i: int) -> list[KripkeEdge]:
         """State i's out-list, built the first time it is asked for."""

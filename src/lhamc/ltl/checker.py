@@ -14,7 +14,12 @@ k ticks (``Kripke.leap``) passes its mask, stepped k times, to the leap's end
 alone, so a held ring check reads the ring's letter changes, not its ticks.  The nested search,
 :func:`_accepting_cycle`, runs in postorder and hunts for a cycle back to the
 blue stack; it runs from the initial node only for a refuted or time-abstract
-check, and it decides :func:`lasso_accepted` too.  The check reads the
+check, and it decides :func:`lasso_accepted` too.  From the initial node it
+leaps as well: a stretch's inner states each have one tick edge and the
+letter of its first state, so they stand as (state, ticks taken) nodes,
+one for one with the nodes of stepping every tick, and the lasso is the
+same.  A lasso's stretch states are built for printing but not indexed, and
+``max_states`` counts the indexed states.  The check reads the
 structure one state at a time (``out(s)``, ``holds(s, p)``), and a
 :class:`Kripke` is discovered as it is read, so only the states the check
 reads are expanded.  A lasso step keeps its state's integer clock numerator
@@ -28,7 +33,7 @@ from functools import partial
 from typing import Any, Optional
 
 from ..core import Memo, ModelError, Timed, as_clock
-from ..explore import Kripke
+from ..explore import TICK, Kripke
 from .buchi import BuchiAutomaton, to_buchi
 from .formula import Formula, negated_nnf, props_of
 
@@ -64,7 +69,7 @@ class Counterexample:
         return list(self.prefix) + list(self.cycle)
 
 
-_ProductNode = tuple[int, int]  # (Kripke state, automaton state)
+_ProductNode = tuple[Any, int]  # (Kripke state, or (state, ticks into its leap), automaton state)
 
 
 def _check_props(kripke: Kripke, formula: Formula) -> None:
@@ -84,7 +89,7 @@ def model_check(kripke: Kripke, formula: Formula) -> Optional[Counterexample]:
     otherwise a validated-shape counterexample lasso."""
     _check_props(kripke, formula)
     ba = to_buchi(negated_nnf(formula))
-    out, holds = kripke.out, kripke.holds
+    out, holds, leap = kripke.out, kripke.holds, kripke.leap
     props = sorted(props_of(formula))
     rows = _letter_rows(ba)
     row_of = Memo(lambda s: rows[frozenset(p for p in props if holds(s, p))])
@@ -94,9 +99,20 @@ def model_check(kripke: Kripke, formula: Formula) -> Optional[Counterexample]:
         targets = row_of[s][q]
         return [(e.target, t) for e in out(s) for t in targets] if targets else []
 
+    def leaping(v: _ProductNode) -> list[_ProductNode]:
+        """``succs`` through leaps: ((i, m), q) is state i after m of its
+        leap's k ticks, on i's letter, with one tick edge, and never indexed."""
+        s, q = v
+        if type(s) is not tuple:
+            if not (row_of[s][q] and leap(s)):
+                return succs(v)
+            s = (s, 0)
+        (i, m), (k, j) = s, leap(s[0])
+        return [(j if m + 1 == k else (i, m + 1), t) for t in row_of[i][q]]
+
     if kripke.timed and not _layered_cycle(kripke, ba, row_of, succs):
         return None
-    hit = _accepting_cycle((kripke.initial, ba.initial), succs, ba.accepting)
+    hit = _accepting_cycle((kripke.initial, ba.initial), leaping if kripke.timed else succs, ba.accepting)
     return None if hit is None else _extract(kripke, *hit)
 
 
@@ -251,17 +267,21 @@ def _red_search(seed, succs, red, on_stack):
 def _extract(kripke, blue_path, red_path) -> Counterexample:
     """Assemble the lasso from the blue stack and the red return path.  The
     automaton reads only the source's letter, so the first product successor
-    reaching a node comes through the first Kripke edge: its label is used."""
+    reaching a node comes through the first Kripke edge: its label is used.
+    A leap's inner states are built, by ``Kripke.stretch``, but not indexed."""
     u = red_path[-1]
     j = blue_path.index(u)
     cycle_nodes = blue_path[j:] + red_path[1:-1]  # u ... seed, then back toward u
     prefix_nodes = blue_path[:j]
+    inside = Memo(kripke.stretch)
 
     def step(v, w) -> CounterexampleStep:
         s, t = v[0], w[0]
-        for e in kripke.out(s):
-            if e.target == t:
-                return CounterexampleStep(kripke.text(s), kripke.clock_of(s), e.label, kripke.scale)
+        if type(s) is tuple:  # (i, m), inside a leap: a tick on
+            text, clock = inside[s[0]][s[1] - 1]
+            return CounterexampleStep(text, clock, TICK, kripke.scale)
+        label = TICK if type(t) is tuple else next(e.label for e in kripke.out(s) if e.target == t)
+        return CounterexampleStep(kripke.text(s), kripke.clock_of(s), label, kripke.scale)
 
     prefix = [step(a, b) for a, b in zip(prefix_nodes, prefix_nodes[1:] + cycle_nodes[:1])]
     cycle = [step(a, b) for a, b in zip(cycle_nodes, cycle_nodes[1:] + cycle_nodes[:1])]

@@ -14,7 +14,7 @@ from functools import reduce
 
 import pytest
 
-from lhamc.core import ModelError
+from lhamc.core import ModelError, TimedTransitionSystem
 from lhamc.explore import STUTTER, Kripke
 from lhamc.lha import LhaSystem, two_reservoir
 from lhamc.ltl import checker, model_check, parse_formula, props_of, validate_counterexample
@@ -40,13 +40,17 @@ class Located(LhaSystem):
 
 class Counted:
     """Delegates to a model, counting the states it is asked to expand, the
-    ticks it is asked to take and the propositions it is asked to evaluate."""
+    ticks it is asked to take and the propositions it is asked to evaluate,
+    and how often each state, by id, is asked for its quiet stretch or a
+    proposition."""
 
     def __init__(self, model):
         self._model = model
         self.expanded = 0
         self.ticked = 0
         self.evaluated = 0
+        self.quieted = Counter()
+        self.asked = Counter()
 
     def __getattr__(self, name):
         return getattr(self._model, name)
@@ -59,9 +63,77 @@ class Counted:
         self.ticked += 1
         return self._model.timed_successor(state, delta)
 
+    def quiet(self, state, delta, limit):
+        self.quieted[id(state)] += 1
+        return self._model.quiet(state, delta, limit)
+
     def prop_holds(self, state, prop):
         self.evaluated += 1
+        self.asked[id(state)] += 1
         return self._model.prop_holds(state, prop)
+
+
+class Branches(TimedTransitionSystem):
+    """Parallel timelines: state (b, v) is branch b after v ticks.  A tick
+    adds 1 to v and a move to another branch keeps it, so a move may land
+    inside that branch's quiet stretch, at the same clock.  Each branch's
+    letter changes, and it has moves and blocked ticks, at seeded places;
+    ``quiet`` leaps at most ``reach[b][v]`` ticks, so some stretches end
+    before the letter changes.  ``leaps`` keeps each leap it gave."""
+
+    def __init__(self, rng: random.Random, horizon: int):
+        self.horizon = horizon
+        letters = [frozenset(), frozenset("p"), frozenset("q"), frozenset("pq")]
+        self.letters, self.moves, self.blocked, self.reach = [], [], [], []
+        branches = rng.randint(2, 4)
+        for b in range(branches):
+            row = [rng.choice(letters)]
+            for _ in range(horizon):
+                row.append(rng.choice(letters) if rng.random() < 0.25 else row[-1])
+            self.letters.append(row)
+            others = [c for c in range(branches) if c != b]
+            self.moves.append([sorted(rng.sample(others, rng.randint(1, len(others)))) if rng.random() < 0.2 else []
+                               for _ in range(horizon + 1)])
+            self.blocked.append([rng.random() < 0.04 for _ in range(horizon + 1)])
+            self.reach.append([rng.choice((2, 3, 5, horizon)) for _ in range(horizon + 1)])
+        self.leaps = {}
+
+    def initial_state(self):
+        return (0, 0)
+
+    def discrete_successors(self, state):
+        b, v = state
+        return [(f"go{c}", (c, v)) for c in self.moves[b][v]]
+
+    def timed_successor(self, state, delta):
+        b, v = state
+        return state if delta == 0 else None if self.blocked[b][v] else (b, v + 1)
+
+    def quiet(self, state, delta, limit):
+        b, v = state
+        n = 0
+        while (n < limit and not self.moves[b][v + n] and not self.blocked[b][v + n]
+               and self.letters[b][v + n] == self.letters[b][v]):
+            n += 1
+        k = min(n, self.reach[b][v])
+        if k < 2:
+            return None
+        self.leaps[state] = k
+        return k, (b, v + k)
+
+    def prop_holds(self, state, prop):
+        b, v = state
+        return prop in self.letters[b][v]
+
+    def serialize(self, state):
+        return "%d@%d" % state
+
+    def propositions(self):
+        return frozenset("pq")
+
+    def merged(self) -> bool:
+        """Whether a state strictly inside a leap was itself asked to leap."""
+        return any(0 < v - w < k for b, v in self.leaps for (c, w), k in self.leaps.items() if c == b)
 
 
 def random_models(seed: int):
@@ -390,6 +462,52 @@ class TestLeaps:
         ring = Counted(quiet_system(tenths_ring()))
         assert model_check(Kripke(ring, (F(1, 10),), F(200)), formula) is None
         assert ring.expanded <= 2 * changes + moves, ring.expanded
+
+    def test_a_refuted_check_asks_only_the_states_it_indexes(self):
+        # the nested search steps through each stretch on its first state's
+        # letter, and the lasso's stretch states are built but not indexed:
+        # the check indexes 44 of the ring's 414 states, and the lasso, to
+        # the end of time, has all 414
+        ring = Counted(quiet_system(tenths_ring()))
+        kripke = Kripke(ring, (F(1, 10),), F(40))
+        formula = parse_formula("[] ~ one-down")
+        ce = model_check(kripke, formula)
+        indexed = {id(state) for state in kripke._states}
+        assert len(indexed) == 44 and len(ce.steps()) == 414
+        assert ring.asked.keys() == indexed and max(ring.asked.values()) == 1
+        assert sum(kripke.index_of(s.text, s.clock, s.scale) is None for s in ce.steps()) == 370
+        assert validate_counterexample(kripke, formula, ce)
+
+    def test_each_state_is_asked_for_its_leap_once(self):
+        # the pass and the nested search share each state's one quiet call
+        ring = Counted(quiet_system(tenths_ring()))
+        kripke = Kripke(ring, (F(1, 10),), F(200))
+        assert model_check(kripke, parse_formula("[] (one-down -> <> macondo)")) is not None
+        assert len(ring.quieted) == len(kripke._states) == 113 and max(ring.quieted.values()) == 1
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_leaping_searches_over_merging_branches(self, seed):
+        # a move into another branch's stretch gives that state a second
+        # identity in the search, beside the stretch's own; the lasso stays
+        # the one the nested search finds over every tick
+        rng = random.Random(seed)
+        cases = Counter()
+        for _ in range(40):
+            toy = Branches(rng, rng.randint(8, 14))
+            for _ in range(30):
+                f = random_formula(rng, ("p", "q"), temporal_budget=2)
+                toy.leaps.clear()
+                kripke = Kripke(toy, (F(1),), F(toy.horizon))
+                ce = model_check(kripke, f)
+                assert ce == nested_model_check(Kripke(toy, (F(1),), F(toy.horizon)), f), (seed, f)
+                if ce is None:
+                    cases["held"] += 1
+                    continue
+                cases["refuted"] += 1
+                cases["leapt"] += any(kripke.index_of(s.text, s.clock, s.scale) is None for s in ce.steps())
+                cases["merged"] += toy.merged()
+                assert validate_counterexample(kripke, f, ce)
+        assert cases["refuted"] > 500 and cases["leapt"] > 450 and cases["merged"] > 120, cases
 
     def test_only_a_timed_ring_of_one_duration_leaps(self):
         ring = quiet_system(tenths_ring())
