@@ -294,9 +294,11 @@ class TimedTransitionSystem(ABC):
 
     A simulation takes its whole run of ticks from :meth:`timed_trace`, as
     segments of consecutive state texts that share their enabled labels and
-    annotations.  A linear hybrid automaton computes those segments in closed
-    form, and the texts, labels and annotations, and so the output, are those
-    of stepping one tick at a time.  A check leaps over :meth:`quiet` stretches.
+    annotations.  A linear hybrid automaton and a reservoir ring compute
+    those segments in closed form, and the texts, labels and annotations, and
+    so the output, are those of stepping one tick at a time.  A check leaps
+    over :meth:`quiet` stretches, and reads the texts of a lasso's stretch
+    from :meth:`timed_trace`.
     """
 
     @abstractmethod
@@ -334,7 +336,8 @@ class TimedTransitionSystem(ABC):
         before the first blocked step, and is ``state`` alone when ``count``
         is not positive.  This default calls :meth:`timed_successor` once per
         step and makes one segment per state; a model that overrides it
-        returns the same texts, labels and annotations.
+        returns the same texts, labels and annotations.  A check prints the
+        states inside a :meth:`quiet` stretch with the texts of this run.
         """
         segments = []
         for k in range(max(count, 0) + 1):

@@ -13,7 +13,9 @@ the only way to build one: it discovers the initial state, and expands a
 state the first time its out-list is asked for, so a nested DFS builds only
 the states it visits; timed at one duration, it leaps over a model's quiet
 stretches (:meth:`TimedTransitionSystem.quiet`), discovering only each one's
-last state.  Reading a whole view expands every state left, in index order,
+last state; a lasso's states inside a stretch are read, not discovered, from
+the model's :meth:`~TimedTransitionSystem.timed_trace`, and the replay ticks
+through them.  Reading a whole view expands every state left, in index order,
 which is breadth-first.  :func:`build_kripke` returns the
 graph expanded whole, and :func:`search` reads the whole graph and takes
 each state's discovering edge, the last step of its path, from its edges.
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import ceil, lcm
-from typing import Any, Callable, Iterable, NamedTuple, Optional
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .core import ZERO, ModelError, Timed, TimedTransitionSystem, as_clock, as_time
 
@@ -103,8 +105,10 @@ class Kripke:
     ``time_bound`` None explores time-abstractly, and ``timed`` is False.  A
     state discovered beyond the first ``max_states`` raises :class:`ModelError`;
     the cap counts the states indexed, and a leap indexes one per stretch.
-    ``stretch(i)`` builds the states inside state i's leap, for printing a
-    lasso, and indexes none of them.
+    ``stretch(i)`` reads the texts of the states inside state i's leap from
+    the model's ``timed_trace``, for printing a lasso, and ``ticked(i)`` ticks
+    the model on from state i, for replaying one; neither indexes a state.
+    ``system`` is the model explored.
     """
 
     def __init__(
@@ -120,7 +124,7 @@ class Kripke:
         durations = tuple(as_time(d, "the sampling increment") for d in durations)
         self.scale = scale = lcm(*(d.denominator for d in durations))
         initial = system.initial_state()
-        self._system = system
+        self.system = system
         self._max_states = max_states
         # (duration, its numerator over scale); 0 when time-abstract
         self._ticks = [(d, d.numerator * (scale // d.denominator) if timed else 0) for d in durations]
@@ -138,7 +142,7 @@ class Kripke:
     def _expand(self, i: int) -> list[KripkeEdge]:
         """Discover state i's successors in edge order, its discrete moves
         and then one tick per duration, and keep and return its out-list."""
-        system = self._system
+        system = self.system
         state = self._states[i]
         now = self._clock[i]
         # (label, successor, its elapsed numerator, edge duration)
@@ -158,7 +162,7 @@ class Kripke:
     def _discover(self, i: int, moves: list[tuple[str, Any, int, Fraction]]) -> list[KripkeEdge]:
         """State i's edges to its moves' successors, in order, indexing each
         successor not discovered yet."""
-        states, index, serialize, out = self._states, self._index, self._system.serialize, []
+        states, index, serialize, out = self._states, self._index, self.system.serialize, []
         for label, succ, n, duration in moves:
             text = serialize(succ)
             j = index.setdefault((text, n), len(states))
@@ -182,20 +186,28 @@ class Kripke:
         if i not in self._leaps:
             (d, step), = self._ticks
             now = self._clock[i]
-            hop = self._system.quiet(self._states[i], d, (self._limit - 1 - now) // step)
+            hop = self.system.quiet(self._states[i], d, (self._limit - 1 - now) // step)
             self._leaps[i] = hop and (hop[0], self._discover(i, [(TICK, hop[1], now + hop[0] * step, d)])[0].target)
         return self._leaps[i]
 
     def stretch(self, i: int) -> list[tuple[str, int]]:
         """The text and clock numerator of each of the k - 1 states inside
-        state i's leap, in tick order, ticked one at a time and not indexed."""
+        state i's leap, in tick order, read from the model's
+        :meth:`~TimedTransitionSystem.timed_trace` and not indexed."""
+        (d, step), = self._ticks
+        now = self._clock[i]
+        run = self.system.timed_trace(self._states[i], d, self.leap(i)[0] - 1)
+        return [(text, now + m * step) for m, text in enumerate(chain.from_iterable(texts for texts, _, _ in run)) if m]
+
+    def ticked(self, i: int) -> Iterator[tuple[Any, int]]:
+        """The model state after each tick of state i by the one duration, and
+        its clock numerator, asked of the system one tick at a time and not
+        indexed, up to the first blocked tick."""
         (d, step), = self._ticks
         state, now = self._states[i], self._clock[i]
-        inside = []
-        for m in range(1, self.leap(i)[0]):
-            state = self._system.timed_successor(state, d)
-            inside.append((self._system.serialize(state), now + m * step))
-        return inside
+        while (state := self.system.timed_successor(state, d)) is not None:
+            now += step
+            yield state, now
 
     def out(self, i: int) -> list[KripkeEdge]:
         """State i's out-list, built the first time it is asked for."""
@@ -207,7 +219,7 @@ class Kripke:
 
     def holds(self, i: int, prop: str) -> bool:
         """Whether ``prop`` holds in state i, asked of the system afresh."""
-        return self._system.prop_holds(self._states[i], prop)
+        return self.system.prop_holds(self._states[i], prop)
 
     def text(self, i: int) -> str:
         return self._texts[i]

@@ -18,8 +18,10 @@ check, and it decides :func:`lasso_accepted` too.  From the initial node it
 leaps as well: a stretch's inner states each have one tick edge and the
 letter of its first state, so they stand as (state, ticks taken) nodes,
 one for one with the nodes of stepping every tick, and the lasso is the
-same.  A lasso's stretch states are built for printing but not indexed, and
-``max_states`` counts the indexed states.  The check reads the
+same.  A lasso's stretch states are not indexed: their texts are read from
+the model's ``timed_trace`` (``Kripke.stretch``), in closed form for a ring,
+and the replay ticks through them; ``max_states`` counts the indexed states,
+so a lasso returned under a cap replays under it.  The check reads the
 structure one state at a time (``out(s)``, ``holds(s, p)``), and a
 :class:`Kripke` is discovered as it is read, so only the states the check
 reads are expanded.  A lasso step keeps its state's integer clock numerator
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
 from functools import partial
+from itertools import islice
 from typing import Any, Optional
 
 from ..core import Memo, ModelError, Timed, as_clock
@@ -46,16 +49,21 @@ class CounterexampleStep(Timed):
     _fields = ("text", "elapsed", "label")
 
     def __init__(self, text: str, elapsed: Any, label: str, scale: int = 1):
-        clock, scale = as_clock(elapsed, scale)
-        object.__setattr__(self, "text", text)  # past __setattr__, which refuses
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "clock", clock)
-        object.__setattr__(self, "scale", scale)
+        if type(elapsed) is not int:  # an engine's integer clock numerator is taken as it is
+            elapsed, scale = as_clock(elapsed, scale)
+        _set_text(self, text)  # past __setattr__, which refuses
+        _set_label(self, label)
+        _set_clock(self, elapsed)
+        _set_scale(self, scale)
 
     def __setattr__(self, name: str, *value: Any) -> None:
         raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
 
     __delattr__ = __setattr__
+
+
+_set_text, _set_label, _set_clock, _set_scale = (
+    getattr(CounterexampleStep, name).__set__ for name in ("text", "label", "clock", "scale"))
 
 
 @dataclass
@@ -268,7 +276,9 @@ def _extract(kripke, blue_path, red_path) -> Counterexample:
     """Assemble the lasso from the blue stack and the red return path.  The
     automaton reads only the source's letter, so the first product successor
     reaching a node comes through the first Kripke edge: its label is used.
-    A leap's inner states are built, by ``Kripke.stretch``, but not indexed."""
+    A leap's inner states are not indexed; their texts are read from the
+    model's run, by ``Kripke.stretch``.  A step keeps the engine's integer
+    clock numerator as it is."""
     u = red_path[-1]
     j = blue_path.index(u)
     cycle_nodes = blue_path[j:] + red_path[1:-1]  # u ... seed, then back toward u
@@ -294,7 +304,10 @@ def validate_counterexample(kripke: Kripke, formula: Formula, ce: Counterexample
     The lasso must start at the initial state, follow labeled edges of the
     structure (including the wrap back to the cycle start), and its induced
     trace must violate the formula.  On a structure still being discovered
-    the replay expands the lasso's states, one after the other.
+    the replay expands the lasso's states, one after the other.  Through a
+    leap (``Kripke.leap``) it ticks the model on from the leap's first state
+    (``Kripke.ticked``), asks each state inside afresh for its text, letter and
+    moves, which must be none, and indexes none of them.
     """
     _check_props(kripke, formula)
     if not ce.cycle:
@@ -304,14 +317,27 @@ def validate_counterexample(kripke: Kripke, formula: Formula, ce: Counterexample
     i = kripke.index_of(steps[0].text, steps[0].clock, steps[0].scale)
     if i != kripke.initial:
         return False
-    indices = []
-    for pos, step in enumerate(steps):
-        indices.append(i)
-        out = kripke.out(i)  # discovers every state the lasso may step to
+    system, letters, pos = kripke.system, [], 0
+    while pos < len(steps):
+        letters.append(kripke.letter(i))
+        hop = kripke.leap(i)
+        if hop:  # i ticks through the k - 1 states inside its leap to j
+            k, j = hop
+            run = list(islice(kripke.ticked(i), k))
+            end = (system.serialize(run[-1][0]), run[-1][1]) if len(run) == k else None
+            if pos + k > len(steps) or end != (kripke.text(j), kripke.clock_of(j)):
+                return False
+            for state, clock in run[:-1]:
+                pos += 1
+                at = (steps[pos - 1].label, steps[pos].text, steps[pos].clock * kripke.scale)
+                if at != (TICK, system.serialize(state), clock * steps[pos].scale) or system.discrete_successors(state):
+                    return False
+                letters.append(frozenset(p for p in kripke.props if system.prop_holds(state, p)))
+        out = [(TICK, j)] if hop else [(e.label, e.target) for e in kripke.out(i)]
         nxt = steps[pos + 1] if pos + 1 < len(steps) else steps[cycle_start]
         i = kripke.index_of(nxt.text, nxt.clock, nxt.scale)
-        if i is None or not any(e.target == i and e.label == step.label for e in out):
+        if i is None or (steps[pos].label, i) not in out:
             return False
-    letters = [kripke.letter(i) for i in indices]
+        pos += 1
     ba = to_buchi(negated_nnf(formula))
     return lasso_accepted(ba, letters[:cycle_start], letters[cycle_start:])

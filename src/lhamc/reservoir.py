@@ -23,16 +23,17 @@ import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, repeat
 from math import lcm
 from operator import le
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .core import (
     Doc,
     Memo,
     ModelError,
     ModelWarning,
+    Segment,
     TickTables,
     TimedTransitionSystem,
     fraction_text,
@@ -207,10 +208,12 @@ class NResSystem(TimedTransitionSystem):
     (duration, denominator), and the denominator grows by lcm only when a
     step needs it.  Each state's low tanks are found once, when a tick makes
     its levels (a hose move keeps its parent's levels and low tanks); the
-    hose moves, the blocking of a tick and both propositions read them.  A
-    state's text is the hose's head and each tank's text, whose level is
-    read from ``_levels``, a per-instance memo from denominator to numerator
-    to text, so each level is rendered once.
+    hose moves, the blocking of a tick and both propositions read them.  One
+    tick and the k ticks of a :meth:`quiet` stretch are the same arithmetic,
+    and :meth:`timed_trace` builds a run in closed form from it.  A state's
+    text fills its hose position's template with each tank's level text, read
+    from ``_levels``, a per-instance memo from denominator to numerator to
+    text, so each level is rendered once.
     Discrete successors are the hose moves, ordered by numeric target id
     (which refines the generic label/text order when ids reach two digits).
     """
@@ -241,10 +244,9 @@ class NResSystem(TimedTransitionSystem):
         self._bounds = Memo(lambda den: tuple(tuple(int(x * den) for x in xs) for xs in self._thresholds))
         # den -> numerator -> fraction_text(numerator, den), each level's text
         self._levels = Memo(lambda den: Memo(lambda n: fraction_text(n, den)))
-        self._heads = [f"hose({rate},{r.id})" for r in tanks]
-        # one "%s" per tank for its level; ids and rationals hold no "%"
-        self._texts = "".join(f" < {r.id} | thr:({r.lower},{r.upper}), hth: %s, rte: {r.leak} >"
-                              for r in tanks)
+        # per hose position, a state's text with one "%s" per tank for its level; ids and rationals hold no "%"
+        tail = "".join(f" < {r.id} | thr:({r.lower},{r.upper}), hth: %s, rte: {r.leak} >" for r in tanks)
+        self._texts = [f"hose({rate},{r.id})" + tail for r in tanks]
         # duration -> den -> (growth, fills, drains): a step from levels over
         # den moves to den * growth
         self._tick_tables = TickTables(lambda delta: Memo(lambda den: self._step(delta, den)))
@@ -284,9 +286,7 @@ class NResSystem(TimedTransitionSystem):
         if growth != 1:
             nums = [n * growth for n in nums]
             den *= growth
-        after = [n - d if n > d else 0 for n, d in zip(nums, drains)]
-        after[pos] = nums[pos] + fills[pos]
-        return RingState(pos, tuple(after), den, self._low(after, den))
+        return self._ticked(pos, nums, den, fills, drains, 1)
 
     def quiet(self, state: RingState, delta: Fraction, limit: int) -> tuple[int, RingState] | None:
         """The ticks until ``low`` changes, by one division per tank, and the
@@ -297,17 +297,48 @@ class NResSystem(TimedTransitionSystem):
         if steps is None or low and low != (pos,) or steps[den][0] != 1:
             return None
         _, fills, drains = steps[den]
+        k = self._drained(pos, nums, den, drains, limit)
+        if low and fills[pos]:  # a low hosed tank is not low after (lower - n) // fill + 1 ticks
+            k = min(k, (self._bounds[den][0][pos] - nums[pos]) // fills[pos] + 1)
+        return None if k < 2 else (k, self._ticked(pos, nums, den, fills, drains, k))
+
+    def _drained(self, pos: int, nums: Sequence[int], den: int, drains: tuple, limit: int) -> int:
+        """The ticks until a tank away from the hose is low, ceil((n - lower) / drain), and at most ``limit``."""
         lowers = self._bounds[den][0]
-        # a drained tank is low after ceil((n - lower) / drain) ticks, a low hosed one not after (lower - n) // fill + 1
-        k = min([limit] + [(n - lower - 1) // d + 1 for i, (n, lower, d) in enumerate(zip(nums, lowers, drains))
-                           if d and i != pos])
-        if low and fills[pos]:
-            k = min(k, (lowers[pos] - nums[pos]) // fills[pos] + 1)
-        if k < 2:
-            return None
+        return min([limit] + [(n - lower - 1) // d + 1 for i, (n, lower, d) in enumerate(zip(nums, lowers, drains))
+                              if d and i != pos])
+
+    def _ticked(self, pos: int, nums: Sequence[int], den: int, fills: tuple, drains: tuple, k: int) -> RingState:
+        """The state k ticks after levels ``nums`` over ``den``; a drained level stops at 0."""
         after = [n - k * d if n > k * d else 0 for n, d in zip(nums, drains)]
         after[pos] = nums[pos] + k * fills[pos]
-        return k, RingState(pos, tuple(after), den, self._low(after, den))
+        return RingState(pos, tuple(after), den, self._low(after, den))
+
+    def timed_trace(self, state: RingState, delta: Fraction, count: int) -> list[Segment]:
+        """The run in closed form.  Its first tick may grow the denominator;
+        j ticks on, a level numerator n is n + j * step, the hose's fill or
+        minus a drain, up to the last state, the only one where a drain may
+        stop at 0 or a tank away from the hose be low.  The first and last
+        states are segments of their own, and those between are cut where
+        ``above_upper`` changes."""
+        first = self.timed_successor(state, delta) if count > 0 else None
+        if first is None or first is state:  # blocked, no tick, or a zero duration
+            return super().timed_trace(state, delta, count)
+        pos, nums, den = first.pos, first.nums, first.den
+        _, fills, drains = self._tick_tables.of(delta)[den]
+        k = 0 if first.low and first.low != (pos,) else self._drained(pos, nums, den, drains, count - 1)
+        steps = [fills[i] if i == pos else -d for i, d in enumerate(drains)]
+        levels, uppers = self._levels[den], self._bounds[den][1]
+        columns = [map(levels.__getitem__, range(n, n + k * s, s)) if s else repeat(levels[n], k)
+                   for n, s in zip(nums, steps)]
+        texts = list(map(self._texts[pos].__mod__, zip(*columns)))
+        # n + j * s > u starts or stops holding at j = (u - n) // s + 1, or (u - n + 1) // s + 1 where s < 0
+        cuts = sorted({0, k, *(j for n, s, u in zip(nums, steps, uppers) if s
+                               for j in [(u - n + (s < 0)) // s + 1] if 0 < j < k)})
+        between = [(texts[lo:hi], [], {"above_upper": [rid for rid, n, s, u in zip(self._ids, nums, steps, uppers)
+                                                       if n + lo * s > u]}) for lo, hi in zip(cuts, cuts[1:])]
+        last = self._ticked(pos, nums, den, fills, drains, k)
+        return super().timed_trace(state, delta, 0) + between + super().timed_trace(last, delta, 0)
 
     def prop_holds(self, state: RingState, prop: str) -> bool:
         count = self._low_counts.get(prop)
@@ -320,7 +351,7 @@ class NResSystem(TimedTransitionSystem):
         return {"above_upper": [rid for rid, n, u in zip(self._ids, state.nums, up) if n > u]}
 
     def serialize(self, state: RingState) -> str:
-        return self._heads[state.pos] + self._texts % tuple(map(self._levels[state.den].__getitem__, state.nums))
+        return self._texts[state.pos] % tuple(map(self._levels[state.den].__getitem__, state.nums))
 
     def propositions(self) -> frozenset[str]:
         return PROPOSITIONS

@@ -23,7 +23,9 @@ every tuple.
 
 ``nested_model_check`` is the reference for :func:`lhamc.ltl.model_check`:
 the nested depth-first search alone, from the initial product node, on every
-structure, timed or not.
+structure, timed or not.  ``indexed_replay`` is the reference for
+:func:`lhamc.ltl.validate_counterexample`: it looks every lasso step up among
+the structure's indexed states, so it discovers every state inside a leap.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from lhamc.core import ZERO, ModelError, as_time
 from lhamc.explore import Kripke
 from lhamc.lha import AffineConstraint, AffineExpr, Edge, Lha, LhaState, Location
 from lhamc.ltl import Counterexample, Formula, negated_nnf, props_of, to_buchi
-from lhamc.ltl.checker import _accepting_cycle, _extract
+from lhamc.ltl.checker import _accepting_cycle, _extract, lasso_accepted
 from lhamc.reservoir import (
     MOVE_HOSE,
     PROPOSITIONS,
@@ -475,3 +477,29 @@ def nested_model_check(kripke: Kripke, formula: Formula) -> Optional[Counterexam
 
     hit = _accepting_cycle((kripke.initial, ba.initial), succs, ba.accepting)
     return None if hit is None else _extract(kripke, *hit)
+
+
+def indexed_replay(kripke: Kripke, formula: Formula, ce: Counterexample) -> bool:
+    """``validate_counterexample`` over indexed states alone: each step is
+    looked up by its text and time, and must follow a labeled edge of the
+    structure to the next one (the last one to the cycle's first); the trace
+    of their letters must violate the formula.  Every state the replay
+    steps to is discovered, so it counts against ``max_states``."""
+    if not ce.cycle:
+        return False
+    steps = ce.steps()
+    cycle_start = len(ce.prefix)
+    i = kripke.index_of(steps[0].text, steps[0].clock, steps[0].scale)
+    if i != kripke.initial:
+        return False
+    indices = []
+    for pos, step in enumerate(steps):
+        indices.append(i)
+        out = kripke.out(i)  # discovers every state the lasso may step to
+        nxt = steps[pos + 1] if pos + 1 < len(steps) else steps[cycle_start]
+        i = kripke.index_of(nxt.text, nxt.clock, nxt.scale)
+        if i is None or not any(e.target == i and e.label == step.label for e in out):
+            return False
+    letters = [kripke.letter(i) for i in indices]
+    ba = to_buchi(negated_nnf(formula))
+    return lasso_accepted(ba, letters[:cycle_start], letters[cycle_start:])

@@ -5,7 +5,9 @@ check is decided one clock layer at a time, expanding only states whose
 automaton states step on and leaping over a ring's quiet stretches, and it
 runs the nested DFS from the initial state only to build a counterexample;
 its verdicts and counterexamples are those of the nested DFS alone,
-``reference.nested_model_check``."""
+``reference.nested_model_check``.  A lasso replays through its leaps without
+indexing their states, as ``reference.indexed_replay`` would replay it over
+every state."""
 
 import random
 from collections import Counter
@@ -15,14 +17,22 @@ from functools import reduce
 import pytest
 
 from lhamc.core import ModelError, TimedTransitionSystem
-from lhamc.explore import STUTTER, Kripke
+from lhamc.explore import STUTTER, TICK, Kripke
 from lhamc.lha import LhaSystem, two_reservoir
-from lhamc.ltl import checker, model_check, parse_formula, props_of, validate_counterexample
-from lhamc.reservoir import MOVE_HOSE, PROPOSITIONS
+from lhamc.ltl import (
+    Counterexample,
+    CounterexampleStep,
+    checker,
+    model_check,
+    parse_formula,
+    props_of,
+    validate_counterexample,
+)
+from lhamc.reservoir import MOVE_HOSE, PROPOSITIONS, Hose, NResState, Reservoir
 from lhamc.syncprod import abstract_reservoir, component_kripke, rt_sync_product, safe_prop
 from conftest import three_tank_state
 from oracles import counterexample_letters, eval_on_lasso, find_violating_lasso, random_formula, whole_kripke
-from reference import nested_model_check
+from reference import indexed_replay, nested_model_check
 from test_lha import random_automaton
 from test_reservoir import quiet_system, random_ring, tenths_ring
 from test_syncprod import random_components
@@ -523,3 +533,197 @@ class TestLeaps:
             Kripke(ladder(3), (F(1),), F(5)),
         ):
             assert all(kripke.leap(i) is None for i in range(len(kripke)))
+
+
+def leaping_models(rng: random.Random):
+    """(system, durations, time bound) for seeded ``timed_models``,
+    ``Branches`` toys and the rings of ``TestLeaps``; the rings and toys,
+    sampled at one duration, leap."""
+    for seed in range(12):
+        yield from timed_models(seed)
+    for _ in range(12):
+        toy = Branches(rng, rng.randint(8, 14))
+        yield toy, (F(1),), F(toy.horizon)
+    rings = random.Random(3232)
+    for _ in range(8):
+        try:
+            ring = quiet_system(random_ring(rings))
+        except ModelError:  # a hose below a leak: the ring is rejected
+            continue
+        for increment in (F(1), F(1, 3), F(1, 10)):
+            yield ring, (increment,), F(20)
+
+
+def mutations(rng: random.Random, ce: Counterexample):
+    """(kind, lasso) for seeded changes of ``ce``: one step's text, time or
+    label, a step dropped or doubled, and the cycle's start moved."""
+    steps = ce.steps()
+    texts, labels = sorted({s.text for s in steps}) + ["nowhere"], sorted({s.label for s in steps} | {TICK, STUTTER})
+    cut = len(ce.prefix)
+
+    def split(new_steps, start=cut):
+        return Counterexample(new_steps[:start], new_steps[start:])
+
+    def at(pos, text=None, clock=None, label=None):
+        s = steps[pos]
+        new = CounterexampleStep(s.text if text is None else text, s.clock if clock is None else clock,
+                                 s.label if label is None else label, s.scale)
+        return split(steps[:pos] + [new] + steps[pos + 1:])
+
+    pos = rng.randrange(len(steps))
+    yield "text", at(pos, text=rng.choice([t for t in texts if t != steps[pos].text]))
+    yield "time", at(pos, clock=steps[pos].clock + rng.choice((-1, 1, steps[pos].scale)))
+    yield "label", at(pos, label=rng.choice([label for label in labels if label != steps[pos].label]))
+    yield "dropped", split(steps[:pos] + steps[pos + 1:], cut - (pos < cut))
+    yield "doubled", split(steps[:pos] + [steps[pos]] + steps[pos:], cut + (pos < cut))
+    start = cut + rng.choice([d for d in (-3, -2, -1, 1, 2, 3) if 0 <= cut + d < len(steps)] or [0])
+    yield "cycle start", split(steps, start)
+
+
+class TestReplayThroughLeaps:
+    """``validate_counterexample`` walks each leap's stretch by ticking from
+    the leap's first state, and indexes none of it: a lasso that the check
+    returns under ``max_states`` replays under that cap.  On a structure
+    without a cap its verdicts are those of the replay over indexed states,
+    ``reference.indexed_replay``."""
+
+    def test_a_capped_ring_lasso_replays_under_its_cap(self):
+        # the check indexes 44 of the ring's 414 states, and the lasso, to the
+        # end of time, has all 414: the replay over indexed states runs past the cap
+        ring = quiet_system(tenths_ring())
+        formula = parse_formula("[] ~ one-down")
+        kripke = Kripke(ring, (F(1, 10),), F(40), max_states=100)
+        ce = model_check(kripke, formula)
+        assert len(kripke._states) == 44 and len(ce.steps()) == 414
+        assert validate_counterexample(kripke, formula, ce)
+        assert len(kripke._states) == 44
+        assert validate_counterexample(Kripke(ring, (F(1, 10),), F(40), max_states=100), formula, ce)
+        with pytest.raises(ModelError, match="state space exceeds 100 states"):
+            indexed_replay(Kripke(ring, (F(1, 10),), F(40), max_states=100), formula, ce)
+        assert indexed_replay(Kripke(ring, (F(1, 10),), F(40)), formula, ce)
+
+    def test_every_lasso_returned_under_a_cap_replays_under_it(self):
+        rng = random.Random(4747)
+        cases = Counter()
+        for system, durations, bound in leaping_models(rng):
+            atoms = tuple(sorted(system.propositions()))
+            for _ in range(6):
+                f, cap = random_formula(rng, atoms, temporal_budget=2), round(5 * 80 ** rng.random())  # 5 to 400
+                kripke = Kripke(system, durations, bound, max_states=cap)
+                try:
+                    ce = model_check(kripke, f)
+                except ModelError as err:
+                    assert str(err) == f"state space exceeds {cap} states"
+                    cases["capped"] += 1
+                    continue
+                if ce is None:
+                    cases["held"] += 1
+                    continue
+                cases["refuted"] += 1
+                indexed = len(kripke._states)
+                assert validate_counterexample(kripke, f, ce), (f, cap)
+                assert len(kripke._states) == indexed
+                assert validate_counterexample(Kripke(system, durations, bound, max_states=cap), f, ce), (f, cap)
+                try:
+                    assert indexed_replay(Kripke(system, durations, bound, max_states=cap), f, ce)
+                except ModelError:
+                    cases["past the cap when indexed"] += 1
+        assert cases["refuted"] > 250 and cases["past the cap when indexed"] > 20 and cases["capped"] > 15, cases
+
+    def test_verdicts_are_those_of_the_indexed_replay(self):
+        rng = random.Random(5151)
+        verdicts = Counter()
+        for system, durations, bound in leaping_models(rng):
+            atoms = tuple(sorted(system.propositions()))
+            for _ in range(3):
+                f = random_formula(rng, atoms, temporal_budget=2)
+                try:
+                    ce = model_check(Kripke(system, durations, bound, max_states=3000), f)
+                except ModelError:
+                    continue
+                if ce is None:
+                    continue
+                for kind, lasso in [("found", ce), *mutations(rng, ce)]:
+                    verdict = validate_counterexample(Kripke(system, durations, bound), f, lasso)
+                    assert verdict == indexed_replay(Kripke(system, durations, bound), f, lasso), (kind, f)
+                    verdicts[kind, verdict] += 1
+        assert verdicts["found", True] > 150 and not verdicts["found", False], verdicts
+        for kind in ("text", "time", "label", "dropped", "doubled", "cycle start"):
+            assert verdicts[kind, False] > 60, verdicts
+        assert sum(verdicts[kind, True] for kind in ("dropped", "doubled", "cycle start")) > 60, verdicts
+
+    def test_a_leap_one_tick_too_far_is_rejected(self):
+        # the hosed tank fills a tenth as fast as it drains: at 1/10 the hose
+        # reaches it at 49/5, and it stays low for the 4 ticks after; the leap
+        # takes one more, to 101/10, so the check reads the state at 201/20,
+        # X^7 on, as low, and refutes X^7 ~ one-down, which holds
+        slow = NResState.make(Hose(F(11, 2), 1), [Reservoir(0, F(10), F(40), F(103, 10), F(5)),
+                                                  Reservoir(1, F(5), F(40), F(30), F(1, 2))])
+        honest, ring = quiet_system(slow), quiet_system(slow)
+        quiet = ring.quiet
+
+        def too_far(state, delta, limit):
+            hop = quiet(state, delta, limit - 1)
+            after = hop and ring.timed_successor(hop[1], delta)
+            return after and (hop[0] + 1, after)
+
+        ring.quiet = too_far
+        rejected = []
+        for j in range(1, 60):
+            for p in ("one-down", "~ one-down"):
+                f = parse_formula("X " * j + p)
+                ce = model_check(Kripke(ring, (F(1, 10),), F(40)), f)
+                if ce is not None:
+                    verdict = validate_counterexample(Kripke(ring, (F(1, 10),), F(40)), f, ce)
+                    assert verdict == indexed_replay(Kripke(honest, (F(1, 10),), F(40)), f, ce), f
+                    rejected += [] if verdict else [(j, p)]
+        assert rejected == [(7, "~ one-down")]
+
+    def test_a_leap_to_a_later_end_is_rejected(self):
+        # the ring's last leap, cut by the time bound, keeps its length but
+        # ends one tick on: the lasso's tick into that end is no edge of the ring
+        honest, ring = quiet_system(tenths_ring()), quiet_system(tenths_ring())
+        quiet = ring.quiet
+
+        def one_on(state, delta, limit):
+            hop = quiet(state, delta, limit - 1)
+            after = hop and ring.timed_successor(hop[1], delta)
+            return after and (hop[0], after)
+
+        ring.quiet = one_on
+        formula = parse_formula("[] ~ one-down")
+        ce = model_check(Kripke(ring, (F(1, 10),), F(40)), formula)
+        assert ce is not None and len(ce.steps()) == 414
+        assert not indexed_replay(Kripke(honest, (F(1, 10),), F(40)), formula, ce)
+        assert not validate_counterexample(Kripke(ring, (F(1, 10),), F(40)), formula, ce)
+
+    def test_a_leap_over_moves_is_rejected(self):
+        # toys whose quiet leaps over states with moves: a lasso through such
+        # a state is a run of the toy, but the leap hid the state's moves
+        rng = random.Random(6161)
+        cases = Counter()
+        for _ in range(30):
+            toy = Branches(rng, rng.randint(8, 14))
+            honest = Kripke(toy, (F(1),), F(toy.horizon))
+
+            def over_moves(state, delta, limit, toy=toy):
+                b, v = state
+                n = 0
+                while n < limit and not toy.blocked[b][v + n] and toy.letters[b][v + n] == toy.letters[b][v]:
+                    n += 1
+                return (n, (b, v + n)) if n > 1 else None
+
+            toy.quiet = over_moves
+            for _ in range(10):
+                f = random_formula(rng, ("p", "q"), temporal_budget=2)
+                kripke = Kripke(toy, (F(1),), F(toy.horizon))
+                ce = model_check(kripke, f)
+                if ce is None:
+                    continue
+                inside = [tuple(map(int, s.text.split("@"))) for s in ce.steps()
+                          if kripke.index_of(s.text, s.clock, s.scale) is None]
+                hidden = any(toy.moves[b][v] for b, v in inside)
+                verdict = validate_counterexample(Kripke(toy, (F(1),), F(toy.horizon)), f, ce)
+                assert verdict == (not hidden and indexed_replay(honest, f, ce)), f
+                cases["hidden" if hidden else "shown"] += 1
+        assert cases["hidden"] > 20 and cases["shown"] > 20, cases

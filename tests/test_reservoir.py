@@ -2,11 +2,13 @@ import itertools
 import json
 import random
 import warnings
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from lhamc.cli import main
 from lhamc.core import ModelError, ModelWarning, TimedTransitionSystem
 from conftest import three_tank_state
 from lhamc.explore import Kripke
@@ -637,3 +639,85 @@ class TestQuietStretch:
                         seen["clamped"] += any(0 == end.nums[i] < run[-2].nums[i] < run[-3].nums[i] - run[-2].nums[i]
                                                for i in drained)
         assert min(seen.values()) > 100 and seen["leap"] > 5000, seen
+
+
+def flat(segments) -> list:
+    """A run's (text, labels, annotations), one per state."""
+    return [(text, labels, facts) for texts, labels, facts in segments for text in texts]
+
+
+class TestClosedFormRun:
+    """``NResSystem.timed_trace`` computes a run in closed form, and
+    ``Kripke.stretch`` reads a leap's states from it; ticking
+    ``timed_successor`` one state at a time, as the default
+    ``TimedTransitionSystem.timed_trace`` does, is the judge of both."""
+
+    def test_stretch_texts_are_those_of_ticking(self):
+        seen = Counter()
+        for ring in TestQuietStretch.rings():
+            try:
+                system = quiet_system(ring)
+            except ModelError:  # a hose below a leak: the ring is rejected
+                continue
+            for delta in (F(1), F(1, 3), F(1, 10)):
+                kripke = Kripke(system, (delta,), F(6), max_states=400)
+                (_, step), = kripke._ticks
+                try:
+                    leaps = [(i, kripke.leap(i)) for i in range(len(kripke)) if kripke.leap(i)]
+                except ModelError:
+                    continue
+                for i, (k, j) in leaps:
+                    run = [kripke.states[i]]
+                    for _ in range(k):
+                        run.append(system.timed_successor(run[-1], delta))
+                    ticked = [(system.serialize(s), kripke.clock_of(i) + m * step) for m, s in enumerate(run) if m]
+                    assert kripke.stretch(i) == ticked[:-1]
+                    assert ticked[-1] == (kripke.text(j), kripke.clock_of(j))
+                    seen["leap"] += 1
+                    seen["cut by the bound"] += system.quiet(run[0], delta, 10**6)[0] > k
+                    seen["lower 0"] += 0 in [r.lower for r in ring.reservoirs]
+                    # a drain that stops at 0 on the leap's last tick
+                    seen["clamped"] += any(0 == a < b < c - b for a, b, c in zip(run[-1].nums, run[-2].nums, run[-3].nums))
+        assert min(seen.values()) > 20, seen
+
+    def test_runs_are_those_of_ticking(self):
+        # from every state a seeded ring reaches, for counts short of, at and past its blocking
+        rng = random.Random(3636)
+        seen = Counter()
+        for _ in range(60):
+            try:
+                system = quiet_system(random_ring(rng))
+            except ModelError:  # a hose below a leak: the ring is rejected
+                continue
+            for delta in (F(1), F(1, 3), F(2, 7)):
+                try:
+                    states = Kripke(system, (delta,), F(4), max_states=60).states
+                except ModelError:
+                    continue
+                for start in states:
+                    ticked = flat(TimedTransitionSystem.timed_trace(system, start, delta, 60))
+                    for count in {-1, 0, 1, 2, 5, len(ticked) - 2, len(ticked) - 1, min(len(ticked), 60)}:
+                        assert flat(system.timed_trace(start, delta, count)) == ticked[:max(count, 0) + 1]
+                    run = [start]
+                    while len(run) < len(ticked):
+                        run.append(system.timed_successor(run[-1], delta))
+                    seen["blocked"] += len(ticked) < 61
+                    seen["grown"] += len(run) > 1 and run[1].den != start.den
+                    seen["clamped"] += any(0 == a < b for s, t in zip(run, run[1:]) for a, b in zip(t.nums, s.nums))
+                    seen["moves at the end"] += bool(ticked[-1][1]) and len(ticked) > 1
+                    seen["above upper changes inside"] += len({str(facts) for _, _, facts in ticked[1:-1]}) > 1
+        assert min(seen.values()) > 50, seen
+
+    @pytest.mark.parametrize("increment", ["1/10", "1/3", "1"])
+    def test_simulate_prints_the_bytes_of_ticking(self, tmp_path, capsys, monkeypatch, increment):
+        rings = [tenths_ring(), *TestQuietStretch.rings()][:12]
+        for n, ring in enumerate(rings):
+            path = tmp_path / f"ring{n}.json"
+            path.write_text(json.dumps(nres_to_json(ring)), encoding="utf-8")
+            for fmt in ("text", "json"):
+                argv = ["simulate", "--model", str(path), "--time-bound", "40", "--increment", increment, "--format", fmt]
+                outputs = []
+                for trace in (NResSystem.timed_trace, TimedTransitionSystem.timed_trace):
+                    monkeypatch.setattr(NResSystem, "timed_trace", trace)
+                    outputs.append((main(argv), capsys.readouterr()))
+                assert outputs[0] == outputs[1], (n, fmt)

@@ -114,12 +114,13 @@ class TestLassoTimes:
         kripke = Kripke(system, (increment,), bound)
         ce = model_check(kripke, parse_formula(formula))
         assert ce is not None
-        # the check indexes no state inside a leap; the replay discovers each lasso state
+        # neither the check nor the replay indexes a state inside a leap; the whole structure has each lasso state
         assert validate_counterexample(kripke, parse_formula(formula), ce)
+        whole = build_kripke(system, bound, increment)
         for step in ce.steps():
-            assert step.scale == kripke.scale
-            i = kripke.index_of(step.text, step.clock, step.scale)
-            assert step.elapsed == F(step.clock, step.scale) == kripke.elapsed(i)
+            assert step.scale == kripke.scale == whole.scale
+            i = whole.index_of(step.text, step.clock, step.scale)
+            assert step.elapsed == F(step.clock, step.scale) == whole.elapsed(i)
         hand = Counterexample(by_hand(ce.prefix), by_hand(ce.cycle))
         assert hand == ce
         for made, found in zip(hand.steps(), ce.steps()):
