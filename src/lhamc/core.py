@@ -24,7 +24,7 @@ import sys
 from abc import ABC, abstractmethod
 from fractions import Fraction
 from math import gcd
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -298,7 +298,8 @@ class TimedTransitionSystem(ABC):
     those segments in closed form, and the texts, labels and annotations, and
     so the output, are those of stepping one tick at a time.  A check leaps
     over :meth:`quiet` stretches, and reads the texts of a lasso's stretch
-    from :meth:`timed_trace`.
+    from :meth:`quiet_run`; a whole exploration fills each stretch's states
+    from it.  Both models compute a stretch in closed form too.
     """
 
     @abstractmethod
@@ -326,6 +327,15 @@ class TimedTransitionSystem(ABC):
         unblocked tick and ``state``'s propositions; else None, as always here."""
         return None
 
+    def quiet_run(self, state: Any, delta: Fraction, k: int) -> tuple[Iterable, list[str]]:
+        """The states after ticks 1, ..., k of ``delta`` from ``state``, whose
+        :meth:`quiet` stretch has at least k ticks, and their texts, by one
+        :meth:`timed_successor` per tick; an override gives the same texts."""
+        states = []
+        for _ in range(k):
+            states.append(state := self.timed_successor(state, delta))
+        return states, list(map(self.serialize, states))
+
     def timed_trace(self, state: Any, delta: Fraction, count: int) -> list[Segment]:
         """The run of ``state`` and the states after 1, ..., ``count`` steps
         of ``delta``, as (texts, enabled labels, annotations) segments.
@@ -336,8 +346,7 @@ class TimedTransitionSystem(ABC):
         before the first blocked step, and is ``state`` alone when ``count``
         is not positive.  This default calls :meth:`timed_successor` once per
         step and makes one segment per state; a model that overrides it
-        returns the same texts, labels and annotations.  A check prints the
-        states inside a :meth:`quiet` stretch with the texts of this run.
+        returns the same texts, labels and annotations.
         """
         segments = []
         for k in range(max(count, 0) + 1):

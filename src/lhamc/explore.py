@@ -11,14 +11,17 @@ their duration, so runs may loop through them.
 ``Kripke(system, durations, time_bound)`` is the one explored graph and
 the only way to build one: it discovers the initial state, and expands a
 state the first time its out-list is asked for, so a nested DFS builds only
-the states it visits; timed at one duration, it leaps over a model's quiet
-stretches (:meth:`TimedTransitionSystem.quiet`), discovering only each one's
-last state; a lasso's states inside a stretch are read, not discovered, from
-the model's :meth:`~TimedTransitionSystem.timed_trace`, and the replay ticks
-through them.  Reading a whole view expands every state left, in index order,
-which is breadth-first.  :func:`build_kripke` returns the
-graph expanded whole, and :func:`search` reads the whole graph and takes
-each state's discovering edge, the last step of its path, from its edges.
+the states it visits; timed at one duration, a check leaps over a model's
+quiet stretches (:meth:`TimedTransitionSystem.quiet`), discovering only each
+one's last state; a lasso's states inside a stretch are read, not
+discovered, from the model's :meth:`~TimedTransitionSystem.quiet_run`, and
+the replay ticks through them.  Reading a whole view expands every state
+left, in index order, which is breadth-first; timed at one duration, it
+takes a quiet stretch's states from ``quiet_run`` rather than asking each
+one for its moves and tick, and still discovers each at its own turn.
+:func:`build_kripke` returns the graph expanded whole, and :func:`search`
+reads the whole graph and takes each state's discovering edge, the last
+step of its path, from its edges.
 A :class:`Solution` keeps its state's clock numerator and ``scale``, as a
 lasso step does, so a ``Fraction`` is built only where ``elapsed`` is read.
 """
@@ -37,6 +40,8 @@ TICK = "tick"
 STUTTER = "stutter"
 
 MAX_STATES = 1_000_000
+
+edge = tuple.__new__  # edge(KripkeEdge, fields) builds an edge past NamedTuple's __new__
 
 
 @dataclass(frozen=True)
@@ -100,13 +105,16 @@ class Kripke:
     state they are asked about.  The whole views (``len``, ``states``,
     ``texts``, ``clock``, ``index``, ``adjacency``, ``labeling``, ``edges``)
     first expand every state left, in index order; ``labeling`` evaluates
-    every letter on each read.
+    every letter on each read.  Timed at one duration, that expansion fills
+    each quiet stretch from the model's ``quiet_run``, one inner state per
+    breadth-first turn, so indices, merges and the cap are those of asking
+    every state for its moves and tick.
 
     ``time_bound`` None explores time-abstractly, and ``timed`` is False.  A
     state discovered beyond the first ``max_states`` raises :class:`ModelError`;
     the cap counts the states indexed, and a leap indexes one per stretch.
     ``stretch(i)`` reads the texts of the states inside state i's leap from
-    the model's ``timed_trace``, for printing a lasso, and ``ticked(i)`` ticks
+    the model's ``quiet_run``, for printing a lasso, and ``ticked(i)`` ticks
     the model on from state i, for replaying one; neither indexes a state.
     ``system`` is the model explored.
     """
@@ -136,45 +144,64 @@ class Kripke:
         self._index = {(self._texts[0], 0): 0}
         self._expanded = 0  # every state below this one is expanded
         self._leaps: dict[int, Optional[tuple[int, int]]] = {}  # state -> its leap, once asked
+        # a state inside a stretch being filled -> (its states to come, their texts, its own position)
+        self._stash: dict[int, tuple[Iterator, list[str], int]] = {}
         self.props = system.propositions()
         self.initial = 0
 
     def _expand(self, i: int) -> list[KripkeEdge]:
         """Discover state i's successors in edge order, its discrete moves
         and then one tick per duration, and keep and return its out-list."""
-        system = self.system
+        system, find = self.system, self._find
         state = self._states[i]
         now = self._clock[i]
-        # (label, successor, its elapsed numerator, edge duration)
-        moves: list[tuple[str, Any, int, Fraction]] = [
-            (label, succ, now, ZERO) for label, succ in system.discrete_successors(state)
-        ]
+        out = [edge(KripkeEdge, (i, find(succ, now), label, ZERO)) for label, succ in system.discrete_successors(state)]
         for d, step in self._ticks:
             later = now + step
             if self._limit is not None and later >= self._limit:
                 continue
             after = system.timed_successor(state, d)
             if after is not None:
-                moves.append((TICK, after, later, d))
-        out = self._out[i] = self._discover(i, moves) or [KripkeEdge(i, i, STUTTER, ZERO)]
+                out.append(edge(KripkeEdge, (i, find(after, later), TICK, d)))
+        out = self._out[i] = out or [edge(KripkeEdge, (i, i, STUTTER, ZERO))]
         return out
 
-    def _discover(self, i: int, moves: list[tuple[str, Any, int, Fraction]]) -> list[KripkeEdge]:
-        """State i's edges to its moves' successors, in order, indexing each
-        successor not discovered yet."""
-        states, index, serialize, out = self._states, self._index, self.system.serialize, []
-        for label, succ, n, duration in moves:
-            text = serialize(succ)
-            j = index.setdefault((text, n), len(states))
-            if j == len(states):  # first reached by this edge
-                if j >= self._max_states:
-                    raise ModelError(f"state space exceeds {self._max_states} states")
-                states.append(succ)
-                self._texts.append(text)
-                self._clock.append(n)
-                self._out.append(None)
-            out.append(KripkeEdge(i, j, label, duration))
-        return out
+    def _find(self, state: Any, n: int, text: Optional[str] = None) -> int:
+        """The index of ``state``, whose text is ``text`` if given, at clock
+        numerator n, discovering it if it is new."""
+        states = self._states
+        if text is None:
+            text = self.system.serialize(state)
+        j = self._index.setdefault((text, n), len(states))
+        if j == len(states):  # first reached now
+            if j >= self._max_states:
+                raise ModelError(f"state space exceeds {self._max_states} states")
+            states.append(state)
+            self._texts.append(text)
+            self._clock.append(n)
+            self._out.append(None)
+        return j
+
+    def _fill(self, i: int) -> Any:
+        """Expand state i at its breadth-first turn: a state that starts a
+        quiet stretch, and then each state inside it, discovers its one tick
+        successor from the stretch's ``quiet_run``, up to the stretch's end or
+        a successor already discovered; any other state is expanded."""
+        (d, step), = self._ticks
+        now = self._clock[i]
+        run = self._stash.pop(i, None)
+        if run is None:
+            hop = self.system.quiet(self._states[i], d, (self._limit - 1 - now) // step)
+            if not hop:
+                return self._expand(i)
+            states, texts = self.system.quiet_run(self._states[i], d, hop[0])
+            run = iter(states), texts, 0
+        states, texts, m = run
+        n = len(self._states)
+        j = self._find(next(states), now + step, texts[m])
+        self._out[i] = [edge(KripkeEdge, (i, j, TICK, d))]
+        if j == n and m + 1 < len(texts):
+            self._stash[j] = (states, texts, m + 1)
 
     def leap(self, i: int) -> Optional[tuple[int, int]]:
         """``(k, j)`` when a timed structure of one duration ticks from state
@@ -187,17 +214,17 @@ class Kripke:
             (d, step), = self._ticks
             now = self._clock[i]
             hop = self.system.quiet(self._states[i], d, (self._limit - 1 - now) // step)
-            self._leaps[i] = hop and (hop[0], self._discover(i, [(TICK, hop[1], now + hop[0] * step, d)])[0].target)
+            self._leaps[i] = hop and (hop[0], self._find(hop[1], now + hop[0] * step))
         return self._leaps[i]
 
     def stretch(self, i: int) -> list[tuple[str, int]]:
         """The text and clock numerator of each of the k - 1 states inside
         state i's leap, in tick order, read from the model's
-        :meth:`~TimedTransitionSystem.timed_trace` and not indexed."""
+        :meth:`~TimedTransitionSystem.quiet_run` and not indexed."""
         (d, step), = self._ticks
         now = self._clock[i]
-        run = self.system.timed_trace(self._states[i], d, self.leap(i)[0] - 1)
-        return [(text, now + m * step) for m, text in enumerate(chain.from_iterable(texts for texts, _, _ in run)) if m]
+        _, texts = self.system.quiet_run(self._states[i], d, self.leap(i)[0] - 1)
+        return [(text, now + m * step) for m, text in enumerate(texts, 1)]
 
     def ticked(self, i: int) -> Iterator[tuple[Any, int]]:
         """The model state after each tick of state i by the one duration, and
@@ -239,9 +266,10 @@ class Kripke:
     def _whole(self, view: Any) -> Any:
         """``view`` once every state left is expanded, in index order."""
         i = self._expanded
+        expand = self._fill if self._limit is not None and len(self._ticks) == 1 else self._expand
         while i < len(self._states):  # the loop also visits states it discovers
             if self._out[i] is None:
-                self._expand(i)
+                expand(i)
             i += 1
         self._expanded = i
         return view

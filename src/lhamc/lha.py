@@ -21,11 +21,13 @@ of equal enabled labels, for the E jumps out of its location, and each
 variable's texts are one arithmetic progression, rendered by
 :func:`lhamc.core.fraction_texts`; no state is built.  The texts and labels
 are those of :meth:`LhaSystem.timed_successor` called once per tick.
+:meth:`LhaSystem.quiet` ends a stretch at the first blocked tick or jump by
+the same intervals, and :meth:`LhaSystem.quiet_run` uses the same progressions.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -406,39 +408,66 @@ class LhaSystem(TimedTransitionSystem):
             return None
         return LhaState(state.location, after, den)
 
-    def timed_trace(self, state: LhaState, delta: Fraction, count: int) -> list[Segment]:
-        location, nums, den = state.location, state.nums, state.den
-        vector, steps = (0,) * len(nums), max(count, 0)
-        tick = self._tick(location, delta) if steps else None
-        if tick is not None:
-            guard, invariant, vector, step_den = tick
-            grown = lcm(den, step_den)
-            nums = [n * (grown // den) for n in nums]
-            vector = [s * (grown // step_den) for s in vector]
-            den = grown
-            # tick k + 1 is taken while the tick guard holds after k ticks and
-            # the invariant after k + 1: the run is the interval from 0 on
-            # which all those rows hold
-            for rows, at in ((guard, nums), (invariant, list(map(add, nums, vector)))):
-                for row in rows:
-                    lo, hi = _holding(row, at, vector, den, 0, steps)
-                    steps = hi if lo == 0 else 0
-        # a jump is enabled on the interval where its guard rows hold, and its
-        # target's invariant rows after its assignments, which are affine too
-        cuts, spans = {0, steps + 1}, []
+    def _run(self, state: LhaState, delta: Fraction, limit: int) -> tuple | None:
+        """``(nums, vector, den, ticks)``: k ticks of ``delta`` on, the state has
+        numerators ``nums + k * vector`` over ``den``, grown as by :meth:`timed_successor`,
+        and ``ticks``, at most ``limit``, are unblocked; None for a zero duration."""
+        tick = self._tick(state.location, delta)
+        if tick is None:
+            return None
+        guard, invariant, vector, step_den = tick
+        den = lcm(state.den, step_den)
+        nums = [n * (den // state.den) for n in state.nums]
+        vector = [s * (den // step_den) for s in vector]
+        # tick k + 1 is taken while the tick guard holds after k ticks and
+        # the invariant after k + 1: the run is the interval from 0 on
+        # which all those rows hold
+        for rows, at in ((guard, nums), (invariant, list(map(add, nums, vector)))):
+            for row in rows:
+                lo, hi = _holding(row, at, vector, den, 0, limit)
+                limit = hi if lo == 0 else 0
+        return nums, vector, den, limit
+
+    def _spans(self, location: str, nums: list[int], vector: list[int], den: int, end: int) -> Iterator[tuple]:
+        """``(label, lo, hi)`` for each jump enabled after k ticks exactly for
+        k in ``[lo, hi)``, within ``[0, end)``: where its guard rows hold, and
+        its target's invariant rows after its assignments, which are affine too."""
         for label, _, guard, scale, assignments, invariant in self._jumps.get(location, ()):
-            lo, hi = 0, steps + 1
+            lo, hi = 0, end
             for row in guard:
                 lo, hi = _holding(row, nums, vector, den, lo, hi)
             after, after_vector = _assigned(scale, assignments, nums, den), _assigned(scale, assignments, vector, 0)
             for row in invariant:
                 lo, hi = _holding(row, after, after_vector, den * scale, lo, hi)
             if lo < hi:
-                spans.append((label, lo, hi))
-                cuts.update((lo, hi))
-        columns = [fraction_texts(n, s, den, steps + 1) for n, s in zip(nums, vector)]
-        texts = list(map(",".join, zip(repeat(location), *columns)))
-        cuts = sorted(cuts)
+                yield label, lo, hi
+
+    def quiet(self, state: LhaState, delta: Fraction, limit: int) -> tuple[int, LhaState] | None:
+        """The ticks until a jump is enabled or a tick blocks, from the rows'
+        intervals, and the state after them.  The stretch assumes that a
+        state's propositions depend on its location alone."""
+        run = self._run(state, delta, limit) if limit > 1 else None
+        if run is None:
+            return None
+        nums, vector, den, k = run
+        k = min([k] + [lo for _, lo, _ in self._spans(state.location, nums, vector, den, k)])
+        return None if k < 2 else (k, LhaState(state.location, tuple(n + k * s for n, s in zip(nums, vector)), den))
+
+    def quiet_run(self, state: LhaState, delta: Fraction, k: int) -> tuple[Iterable, list[str]]:
+        nums, vector, den, _ = self._run(state, delta, 0)
+        levels = zip(*[range(n + s, n + (k + 1) * s, s) if s else repeat(n, k) for n, s in zip(nums, vector)])
+        columns = [fraction_texts(n + s, s, den, k) for n, s in zip(nums, vector)]
+        return map(LhaState, repeat(state.location), levels, repeat(den)), \
+            list(map(",".join, zip(repeat(state.location), *columns)))
+
+    def timed_trace(self, state: LhaState, delta: Fraction, count: int) -> list[Segment]:
+        run = self._run(state, delta, count) if count > 0 else None
+        if run is None:  # no tick, or a zero duration
+            return super().timed_trace(state, delta, count)
+        nums, vector, den, steps = run
+        spans = list(self._spans(state.location, nums, vector, den, steps + 1))
+        texts = [self.serialize(state)] + self.quiet_run(state, delta, steps)[1]
+        cuts = sorted({0, steps + 1, *(lo for _, lo, _ in spans), *(hi for _, _, hi in spans)})
         # an automaton annotates no state
         return [
             (texts[lo:hi], sorted({label for label, start, end in spans if start <= lo < end}), {})

@@ -19,8 +19,8 @@ leaps as well: a stretch's inner states each have one tick edge and the
 letter of its first state, so they stand as (state, ticks taken) nodes,
 one for one with the nodes of stepping every tick, and the lasso is the
 same.  A lasso's stretch states are not indexed: their texts are read from
-the model's ``timed_trace`` (``Kripke.stretch``), in closed form for a ring,
-and the replay ticks through them; ``max_states`` counts the indexed states,
+the model's ``quiet_run`` (``Kripke.stretch``), in closed form for a ring and
+an automaton, and the replay ticks through them; ``max_states`` counts the indexed states,
 so a lasso returned under a cap replays under it.  The check reads the
 structure one state at a time (``out(s)``, ``holds(s, p)``), and a
 :class:`Kripke` is discovered as it is read, so only the states the check
@@ -276,26 +276,27 @@ def _extract(kripke, blue_path, red_path) -> Counterexample:
     """Assemble the lasso from the blue stack and the red return path.  The
     automaton reads only the source's letter, so the first product successor
     reaching a node comes through the first Kripke edge: its label is used.
-    A leap's inner states are not indexed; their texts are read from the
-    model's run, by ``Kripke.stretch``.  A step keeps the engine's integer
-    clock numerator as it is."""
+    A leap's inner states are not indexed; their steps come all at once, with
+    the leap's first state, from the texts ``Kripke.stretch`` reads from the
+    model.  A step keeps the engine's integer clock numerator as it is."""
     u = red_path[-1]
     j = blue_path.index(u)
     cycle_nodes = blue_path[j:] + red_path[1:-1]  # u ... seed, then back toward u
     prefix_nodes = blue_path[:j]
-    inside = Memo(kripke.stretch)
+    scale = kripke.scale
 
-    def step(v, w) -> CounterexampleStep:
-        s, t = v[0], w[0]
-        if type(s) is tuple:  # (i, m), inside a leap: a tick on
-            text, clock = inside[s[0]][s[1] - 1]
-            return CounterexampleStep(text, clock, TICK, kripke.scale)
-        label = TICK if type(t) is tuple else next(e.label for e in kripke.out(s) if e.target == t)
-        return CounterexampleStep(kripke.text(s), kripke.clock_of(s), label, kripke.scale)
+    def steps(nodes: list, after) -> list[CounterexampleStep]:
+        out = []
+        for (s, _), (t, _) in zip(nodes, nodes[1:] + [after]):
+            if type(s) is tuple:  # (i, m), inside a leap: stepped with i
+                continue
+            label = TICK if type(t) is tuple else next(e.label for e in kripke.out(s) if e.target == t)
+            out.append(CounterexampleStep(kripke.text(s), kripke.clock_of(s), label, scale))
+            if type(t) is tuple:
+                out += [CounterexampleStep(text, clock, TICK, scale) for text, clock in kripke.stretch(s)]
+        return out
 
-    prefix = [step(a, b) for a, b in zip(prefix_nodes, prefix_nodes[1:] + cycle_nodes[:1])]
-    cycle = [step(a, b) for a, b in zip(cycle_nodes, cycle_nodes[1:] + cycle_nodes[:1])]
-    return Counterexample(prefix, cycle)
+    return Counterexample(steps(prefix_nodes, cycle_nodes[0]), steps(cycle_nodes, cycle_nodes[0]))
 
 
 def validate_counterexample(kripke: Kripke, formula: Formula, ce: Counterexample) -> bool:

@@ -23,7 +23,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from math import lcm
 from operator import le
 from typing import Any, Callable, Iterable, Optional, Sequence
@@ -210,10 +210,11 @@ class NResSystem(TimedTransitionSystem):
     its levels (a hose move keeps its parent's levels and low tanks); the
     hose moves, the blocking of a tick and both propositions read them.  One
     tick and the k ticks of a :meth:`quiet` stretch are the same arithmetic,
-    and :meth:`timed_trace` builds a run in closed form from it.  A state's
-    text fills its hose position's template with each tank's level text, read
-    from ``_levels``, a per-instance memo from denominator to numerator to
-    text, so each level is rendered once.
+    and :meth:`quiet_run` builds k ticks in closed form from it, for a
+    stretch and for :meth:`timed_trace`'s run.  A state's text fills its hose
+    position's template with each tank's level text, read from ``_levels``,
+    a per-instance memo from denominator to numerator to text, so each level
+    is rendered once.
     Discrete successors are the hose moves, ordered by numeric target id
     (which refines the generic label/text order when ids reach two digits).
     """
@@ -315,12 +316,10 @@ class NResSystem(TimedTransitionSystem):
         return RingState(pos, tuple(after), den, self._low(after, den))
 
     def timed_trace(self, state: RingState, delta: Fraction, count: int) -> list[Segment]:
-        """The run in closed form.  Its first tick may grow the denominator;
-        j ticks on, a level numerator n is n + j * step, the hose's fill or
-        minus a drain, up to the last state, the only one where a drain may
-        stop at 0 or a tank away from the hose be low.  The first and last
-        states are segments of their own, and those between are cut where
-        ``above_upper`` changes."""
+        """The run in closed form, its texts those of :meth:`quiet_run` up to
+        the first state after which a tank away from the hose is low.  The
+        first and last states are segments of their own, and those between
+        are cut where ``above_upper`` changes."""
         first = self.timed_successor(state, delta) if count > 0 else None
         if first is None or first is state:  # blocked, no tick, or a zero duration
             return super().timed_trace(state, delta, count)
@@ -328,10 +327,7 @@ class NResSystem(TimedTransitionSystem):
         _, fills, drains = self._tick_tables.of(delta)[den]
         k = 0 if first.low and first.low != (pos,) else self._drained(pos, nums, den, drains, count - 1)
         steps = [fills[i] if i == pos else -d for i, d in enumerate(drains)]
-        levels, uppers = self._levels[den], self._bounds[den][1]
-        columns = [map(levels.__getitem__, range(n, n + k * s, s)) if s else repeat(levels[n], k)
-                   for n, s in zip(nums, steps)]
-        texts = list(map(self._texts[pos].__mod__, zip(*columns)))
+        texts, uppers = self.quiet_run(state, delta, k + 1)[1], self._bounds[den][1]
         # n + j * s > u starts or stops holding at j = (u - n) // s + 1, or (u - n + 1) // s + 1 where s < 0
         cuts = sorted({0, k, *(j for n, s, u in zip(nums, steps, uppers) if s
                                for j in [(u - n + (s < 0)) // s + 1] if 0 < j < k)})
@@ -339,6 +335,21 @@ class NResSystem(TimedTransitionSystem):
                                                        if n + lo * s > u]}) for lo, hi in zip(cuts, cuts[1:])]
         last = self._ticked(pos, nums, den, fills, drains, k)
         return super().timed_trace(state, delta, 0) + between + super().timed_trace(last, delta, 0)
+
+    def quiet_run(self, state: RingState, delta: Fraction, k: int) -> tuple[Iterable, list[str]]:
+        """The ticks in closed form.  The first may grow the denominator; j
+        ticks on, a level numerator n is n + j * step, the hose's fill or minus
+        a drain, up to the k-th, the only one where a drain may stop at 0 or
+        a tank away from the hose be low.  The states before it keep
+        ``state``'s low tanks, as in a quiet stretch."""
+        growth, fills, drains = self._tick_tables.of(delta)[state.den]
+        pos, nums, den = state.pos, [n * growth for n in state.nums], state.den * growth
+        steps = [fills[i] if i == pos else -d for i, d in enumerate(drains)]
+        columns = [range(n + s, n + k * s, s) if s else [n] * (k - 1) for n, s in zip(nums, steps)]
+        last, levels = self._ticked(pos, nums, den, fills, drains, k), self._levels[den]
+        texts = list(map(self._texts[pos].__mod__, zip(*[map(levels.__getitem__, c) for c in columns])))
+        inner = map(RingState, repeat(pos), zip(*columns), repeat(den), repeat(state.low))
+        return chain(inner, [last]), texts + [self.serialize(last)]
 
     def prop_holds(self, state: RingState, prop: str) -> bool:
         count = self._low_counts.get(prop)

@@ -5,13 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from lhamc.core import ModelError
+from lhamc.core import ModelError, TimedTransitionSystem
 from lhamc.explore import Kripke, build_kripke, search
-from lhamc.lha import AffineExpr, Assignment, Edge, Lha, LhaSystem, Location, two_reservoir
+from lhamc.lha import AffineConstraint, AffineExpr, Assignment, Edge, Lha, LhaSystem, Location, two_reservoir
 from lhamc.ltl import Counterexample, CounterexampleStep, parse_formula, validate_counterexample
 from lhamc.reservoir import NResSystem, SearchPattern, parse_pattern
 from lhamc.syncprod import Component
 from oracles import whole_kripke
+from test_lha import random_automaton
+from test_on_the_fly import Branches
+import test_reservoir  # the module, so that its test class is not collected here too
 from test_syncprod import Delegate, random_components
 
 F = Fraction
@@ -49,6 +52,22 @@ def resettable_clocks() -> Lha:
         for v in ("x", "y")
     )
     return Lha(("x", "y"), (Location("l0", rates), Location("l1", rates)), edges, "l0", {"x": F(0), "y": F(0)})
+
+
+def late_entries() -> Lha:
+    """A clock that enters location ``in`` at time 0 through the zero-time
+    location ``via``, and again at times 1 to 2 straight from ``out``: a late
+    entry reaches a state of the first entry's quiet stretch in fewer
+    breadth-first steps than the stretch's own ticks do."""
+    x = {"x": F(1)}
+
+    def at(rel, bound):
+        return AffineConstraint(AffineExpr.make({"x": 1}, -bound), rel)
+
+    locations = (Location("out", x), Location("via", x, tick_guard=(at("<", 0),)), Location("in", x))
+    edges = (Edge("out", "via", "early", guard=(at("<=", 0),)), Edge("via", "in", "enter"),
+             Edge("out", "in", "late", guard=(at(">=", 1), at("<=", 2))))
+    return Lha(("x",), locations, edges, "out", {"x": F(0)})
 
 
 def assert_breadth_first_paths(system, increment, time_bound, kripke) -> None:
@@ -372,3 +391,139 @@ class TestMixedDurations:
         assert [k.elapsed(i) for i in range(len(k))] == elapsed
         assert [(e.source, e.target, e.label, e.duration) for e in k.edges] == edges
         assert all(k.index_of(t, e) == i for i, (t, e) in enumerate(zip(texts, elapsed)))
+
+
+class PerState(TimedTransitionSystem):
+    """Forwards only the abstract methods of a model, so that the default
+    ``quiet`` leaps nothing and a whole ``Kripke`` of it fills no stretch."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def initial_state(self):
+        return self.model.initial_state()
+
+    def discrete_successors(self, state):
+        return self.model.discrete_successors(state)
+
+    def timed_successor(self, state, delta):
+        return self.model.timed_successor(state, delta)
+
+    def prop_holds(self, state, prop):
+        return self.model.prop_holds(state, prop)
+
+    def serialize(self, state):
+        return self.model.serialize(state)
+
+
+class Asked:
+    """Delegates to a model, keeping each state it is asked to expand or to
+    leap, and each stretch it is asked to fill, as (state, ticks)."""
+
+    def __init__(self, model):
+        self._model = model
+        self.moves, self.quieted, self.runs = [], [], []
+
+    def __getattr__(self, name):
+        return getattr(self._model, name)
+
+    def discrete_successors(self, state):
+        self.moves.append(state)
+        return self._model.discrete_successors(state)
+
+    def quiet(self, state, delta, limit):
+        self.quieted.append(state)
+        return self._model.quiet(state, delta, limit)
+
+    def quiet_run(self, state, delta, k):
+        self.runs.append((state, k))
+        return self._model.quiet_run(state, delta, k)
+
+
+class TestFill:
+    """A whole ``Kripke`` of one duration fills each quiet stretch from the
+    model's ``quiet_run``; the per-state path, which asks every state for
+    its moves and tick, is the judge: the same texts, clocks, index, out-lists,
+    search solutions and paths, and the same cap."""
+
+    @staticmethod
+    def cases():
+        rng = random.Random(4141)
+        for _ in range(40):
+            system = LhaSystem(random_automaton(rng))
+            for increment in (F(1), F(1, 2), F(1, 3), F(2, 7)):
+                yield "automata", system, increment, F(4)
+        for increment in (F(1), F(1, 2), F(1, 3)):
+            yield "resettable clocks", LhaSystem(resettable_clocks()), increment, F(3)
+        for increment in (F(1), F(1, 2), F(1, 3), F(1, 10), F(2, 7)):
+            yield "late entries", LhaSystem(late_entries()), increment, F(4)
+        for ring in test_reservoir.TestQuietStretch.rings():
+            try:
+                system = test_reservoir.quiet_system(ring)
+            except ModelError:  # a hose below a leak: the ring is rejected
+                continue
+            for increment in (F(1), F(1, 3), F(1, 10)):
+                yield "rings", system, increment, F(6)
+        for _ in range(150):
+            toy = Branches(rng, rng.randint(20, 30))
+            yield "branches", toy, F(1), F(toy.horizon)
+
+    @staticmethod
+    def whole(system, increment, bound):
+        """The whole structure of ``system``, or the cap's error."""
+        kripke = Kripke(system, (increment,), bound, max_states=400)
+        try:
+            len(kripke)
+        except ModelError as err:
+            return str(err)
+        return kripke
+
+    def test_a_filled_structure_is_the_per_state_one(self):
+        seen = Counter()
+        for kind, system, increment, bound in self.cases():
+            asked = Asked(system)
+            filled, per_state = self.whole(asked, increment, bound), self.whole(PerState(system), increment, bound)
+            if isinstance(per_state, str):
+                assert filled == per_state
+                seen["capped"] += 1
+                continue
+            assert (filled.texts, filled.clock, filled.index) == (per_state.texts, per_state.clock, per_state.index)
+            assert filled.adjacency == per_state.adjacency
+            # each stretch discovers its inner states one tick edge at a time, and
+            # stops where a tick reaches a state already discovered
+            first = {}
+            for e in filled.edges:
+                first.setdefault(e.target, e)
+            at = {id(state): i for i, state in enumerate(filled.states)}
+            inner = set()
+            for state, k in asked.runs:
+                i = at[id(state)]
+                for _ in range(k - 1):
+                    (e,) = filled.adjacency[i]
+                    if first[e.target] != e:
+                        seen[kind, "merged"] += 1
+                        seen[kind, "merged before its turn"] += e.target > i
+                        break
+                    i = e.target
+                    inner.add(i)
+                seen[kind, "filled"] += 1
+            # a filled inner state is asked nothing; every other state is asked
+            # for its leap, and for its moves if it has none
+            quieted = [at[id(state)] for state in asked.quieted]
+            assert sorted(quieted) == sorted(set(range(len(filled))) - inner)
+            starts = {at[id(state)] for state, _ in asked.runs}
+            assert sorted(at[id(state)] for state in asked.moves) == sorted(set(quieted) - starts)
+
+            def found(model):
+                solutions = search(model, lambda state: {"text": system.serialize(state)}, bound, increment)
+                return [(s.text, s.clock, s.scale, s.bindings, s.path) for s in solutions]
+
+            solutions = found(system)
+            assert solutions == found(PerState(system))
+            assert all(text == bindings["text"] for text, _, _, bindings, _ in solutions)
+        # the resettable clocks may always jump, so they fill nothing: their runs meet by jumps
+        assert not seen["resettable clocks", "filled"]
+        for kind in ("automata", "rings", "branches"):
+            assert seen[kind, "filled"] > 100, seen
+        assert seen["late entries", "filled"] > 10 and seen["capped"] > 10, seen
+        assert seen["branches", "merged before its turn"] > 10 and seen["late entries", "merged before its turn"] == 5, seen

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -408,6 +409,63 @@ class TestScaledSystem:
         for count in (0, -1):
             assert system.timed_trace(nowhere, 1.0, count) == [(["middle,30,30"], [], {})]
             assert TimedTransitionSystem.timed_trace(system, nowhere, 1.0, count) == [(["middle,30,30"], [], {})]
+
+
+def stepped_stretch(system: LhaSystem, state, delta, limit: int) -> list:
+    """``state`` and the states after it, one tick at a time, while the last
+    has no jump and an unblocked tick, for at most ``limit`` ticks: what
+    :meth:`LhaSystem.quiet` leaps over.  A location fixes the letter."""
+    run = [state]
+    while len(run) <= limit:
+        after = system.timed_successor(run[-1], delta)
+        if after is None or system.discrete_successors(run[-1]):
+            break
+        run.append(after)
+    return run
+
+
+class TestQuietStretch:
+    """``LhaSystem.quiet`` finds a stretch from its rows' intervals and
+    ``quiet_run`` builds the stretch's states in closed form; ticking
+    ``timed_successor`` one step at a time is the judge of both."""
+
+    LIMITS = (0, 1, 2, 3, 7, 300)
+
+    @staticmethod
+    def fields(states) -> list:
+        return [(s.location, s.nums, s.den) for s in states]
+
+    def test_a_leap_ends_where_ticking_one_step_at_a_time_does(self):
+        rng = random.Random(3939)
+        seen = Counter()
+        for _ in range(120):
+            system = LhaSystem(random_automaton(rng))
+            for start in TestScaledSystem().reachable_states(rng, system, 3):
+                for delta in TestScaledSystem.RUN_INCREMENTS[:-1]:
+                    longest = stepped_stretch(system, start, delta, max(self.LIMITS) + 1)
+                    for limit in self.LIMITS:
+                        run = longest[:limit + 1]
+                        k = len(run) - 1
+                        leap = system.quiet(start, delta, limit)
+                        if k < 2:
+                            assert leap is None, (system.serialize(start), delta, limit)
+                            seen["none"] += 1
+                            continue
+                        assert leap is not None and leap[0] == k, (system.serialize(start), delta, limit)
+                        assert self.fields([leap[1]]) == self.fields(run[-1:])
+                        for j in {1, k - 1, k}:
+                            states, texts = system.quiet_run(start, delta, j)
+                            assert self.fields(states) == self.fields(run[1:j + 1])
+                            assert texts == [system.serialize(s) for s in run[1:j + 1]]
+                        # the longest stretch: the limit cut it, or its last state has a jump or a blocked tick
+                        cut = len(longest) > k + 1
+                        assert k == limit or not cut
+                        seen["leap"] += 1
+                        seen["cut"] += cut
+                        seen["jump"] += not cut and bool(system.discrete_successors(run[-1]))
+                        seen["blocked"] += not cut and not system.discrete_successors(run[-1])
+                        seen["grown"] += run[1].den != start.den
+        assert min(seen.values()) > 50 and seen["leap"] > 2000 and seen["grown"] > 300, seen
 
 
 class TestIdentity:

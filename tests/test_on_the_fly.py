@@ -2,7 +2,7 @@
 check expands only the states it reads, and it gives the same verdicts and
 counterexamples as on the structure ``whole_kripke`` expands whole.  A timed
 check is decided one clock layer at a time, expanding only states whose
-automaton states step on and leaping over a ring's quiet stretches, and it
+automaton states step on and leaping over a model's quiet stretches, and it
 runs the nested DFS from the initial state only to build a counterexample;
 its verdicts and counterexamples are those of the nested DFS alone,
 ``reference.nested_model_check``.  A lasso replays through its leaps without
@@ -163,8 +163,9 @@ def random_models(seed: int):
 
 def timed_models(seed: int):
     """(system, durations, time bound) for seeded rings sampled every 1, 1/3
-    and 1/10, an automaton sampled at two durations, and two components with
-    their untimed and timed products, each under a time bound."""
+    and 1/10, an automaton sampled at two durations and one sampled every
+    1/3, which leaps, and two components with their untimed and timed
+    products, each under a time bound."""
     rng = random.Random(seed)
     for increment in (F(1), F(1, 3), F(1, 10)):
         try:
@@ -172,6 +173,7 @@ def timed_models(seed: int):
         except ModelError:  # a hose below a leak: the ring is rejected
             pass
     yield Located(random_automaton(rng)), (F(1), F(1, 2)), F(2)
+    yield Located(random_automaton(rng)), (F(1, 3),), F(2)
     for c in random_components(seed):
         yield c, c.tick_durations(), F(3)
 
@@ -403,9 +405,10 @@ class TestOnTheFly:
 
 
 class TestLeaps:
-    """A timed check of a ring leaps over each quiet stretch, where the ring
-    only drains and fills, to the stretch's last state; its verdicts and
-    counterexamples stay those of the nested search over every tick."""
+    """A timed check of a ring or an automaton leaps over each quiet stretch,
+    where the ring only drains and fills and the automaton has no jump, to the
+    stretch's last state; its verdicts and counterexamples stay those of the
+    nested search over every tick."""
 
     def test_verdicts_and_counterexamples_on_long_ring_runs(self):
         rng = random.Random(3232)
@@ -426,6 +429,33 @@ class TestLeaps:
                     held += ce is None
                     refuted += ce is not None
         assert held > 400 and refuted > 100, (held, refuted)
+
+    def test_verdicts_and_counterexamples_on_automaton_runs(self):
+        # an automaton leaps while no jump is enabled and its ticks are
+        # unblocked, and its letter is its location's
+        rng = random.Random(4343)
+        cases = Counter()
+        for _ in range(40):
+            system = Located(random_automaton(rng))
+            atoms = tuple(sorted(system.propositions()))
+            for increment in (F(1), F(1, 3), F(1, 10)):
+                for _ in range(3):
+                    f = random_formula(rng, atoms, temporal_budget=2)
+                    kripke = Kripke(system, (increment,), F(6), max_states=2000)
+                    try:
+                        ce = model_check(kripke, f)
+                        assert ce == nested_model_check(Kripke(system, (increment,), F(6), max_states=2000), f)
+                    except ModelError:
+                        cases["capped"] += 1
+                        continue
+                    cases["leaps"] += sum(map(bool, kripke._leaps.values()))
+                    if ce is None:
+                        cases["held"] += 1
+                        continue
+                    cases["refuted"] += 1
+                    cases["leapt"] += any(kripke.index_of(s.text, s.clock, s.scale) is None for s in ce.steps())
+                    assert validate_counterexample(kripke, f, ce)
+        assert cases["held"] > 150 and cases["refuted"] > 80 and cases["leapt"] > 40 and cases["leaps"] > 120, cases
 
     @pytest.mark.parametrize("increment, ticks", [(F(1), 4), (F(1, 2), 7)])
     def test_a_leap_passes_on_the_mask_after_each_of_its_ticks(self, increment, ticks):
@@ -519,16 +549,19 @@ class TestLeaps:
                 assert validate_counterexample(kripke, f, ce)
         assert cases["refuted"] > 500 and cases["leapt"] > 450 and cases["merged"] > 120, cases
 
-    def test_only_a_timed_ring_of_one_duration_leaps(self):
+    def test_only_a_timed_structure_of_one_duration_leaps(self):
         ring = quiet_system(tenths_ring())
         assert Kripke(ring, (F(1, 10),), F(40)).leap(0) == (32, 1)  # the initial state and the next 31 are quiet
+        # the automaton's tank 2 drains from 40 to its threshold 15 at 5 a unit: 50 ticks of 1/10
+        automaton = LhaSystem(two_reservoir(10, 5, 5, 15, 15, 30, 40))
+        assert Kripke(automaton, (F(1, 10),), F(20)).leap(0) == (50, 1)
         untimed = Kripke(ring, (F(1, 10),), None)  # its levels grow without bound
         for i in range(100):
             assert untimed.leap(i) is None
             untimed.out(i)
         for kripke in (
             Kripke(ring, (F(1, 10), F(1, 5)), F(4)),
-            Kripke(LhaSystem(two_reservoir(10, 5, 5, 15, 15, 30, 40)), (F(1, 10),), F(20)),
+            Kripke(automaton, (F(1, 10), F(1, 5)), F(4)),
             Kripke(abstract_reservoir(1), (F(1),), F(5)),
             Kripke(ladder(3), (F(1),), F(5)),
         ):

@@ -584,7 +584,8 @@ def stepped_stretch(system: NResSystem, state, delta, limit: int) -> list:
 
 class TestQuietStretch:
     """``quiet`` is one division per tank; stepping ``timed_successor`` one
-    tick at a time is the judge of its length and its end state."""
+    tick at a time is the judge of its length and its end state, and of the
+    states and texts ``quiet_run`` builds for it."""
 
     LIMITS = (0, 1, 2, 3, 7, 300)
 
@@ -627,6 +628,10 @@ class TestQuietStretch:
                         assert leap is not None and leap[0] == k, (system.serialize(state), delta, limit)
                         assert system.serialize(leap[1]) == system.serialize(end)
                         assert (leap[1].den, leap[1].low) == (end.den, end.low)
+                        states, texts = system.quiet_run(state, delta, k)
+                        assert [(s.pos, s.nums, s.den, s.low) for s in states] == \
+                            [(s.pos, s.nums, s.den, s.low) for s in run[1:]]
+                        assert texts == list(map(system.serialize, run[1:]))
                         # the longest stretch: the state after it has other low tanks, or limit cut it
                         cut = len(longest) > k + 1
                         assert cut and k == limit or end.low != state.low
@@ -648,7 +653,7 @@ def flat(segments) -> list:
 
 class TestClosedFormRun:
     """``NResSystem.timed_trace`` computes a run in closed form, and
-    ``Kripke.stretch`` reads a leap's states from it; ticking
+    ``Kripke.stretch`` reads a leap's texts from ``quiet_run``; ticking
     ``timed_successor`` one state at a time, as the default
     ``TimedTransitionSystem.timed_trace`` does, is the judge of both."""
 
