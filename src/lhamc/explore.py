@@ -94,18 +94,17 @@ class Kripke:
     States are indices in discovery order; state 0 is initial and is the only
     one discovered at first.  State i has model state ``states[i]``,
     canonical text ``texts[i]``, elapsed time ``clock[i] / scale``, letter
-    ``labeling[i]`` and out-list ``adjacency[i]``, which is never empty: a
-    deadlocked state has a zero-duration "stutter" self-loop.  ``index`` maps
-    ``(text, clock numerator)`` to i, the explorer's key.
+    ``letter(i)`` and out-list ``adjacency[i]``, which is never empty: a
+    deadlocked state has a zero-duration "stutter" self-loop.  ``index_of``
+    finds i by ``(text, clock numerator)``, the explorer's key.
 
     ``out(i)`` expands state i the first time it is asked for and keeps its
     out-list; ``letter(i)`` and ``holds(i, prop)`` ask the system afresh and
     keep nothing.  The per-state readers (``out``, ``letter``, ``holds``,
-    ``text``, ``elapsed``, ``clock_of``, ``index_of``) expand at most the
-    state they are asked about.  The whole views (``len``, ``states``,
-    ``texts``, ``clock``, ``index``, ``adjacency``, ``labeling``, ``edges``)
-    first expand every state left, in index order; ``labeling`` evaluates
-    every letter on each read.  Timed at one duration, that expansion fills
+    ``text``, ``clock_of``, ``index_of``) expand at most the state they are
+    asked about.  The whole views (``len``, ``states``, ``texts``,
+    ``clock``, ``adjacency``, ``edges``) first expand every state left, in
+    index order.  Timed at one duration, that expansion fills
     each quiet stretch from the model's ``quiet_run``, one inner state per
     breadth-first turn, so indices, merges and the cap are those of asking
     every state for its moves and tick.
@@ -251,9 +250,6 @@ class Kripke:
     def text(self, i: int) -> str:
         return self._texts[i]
 
-    def elapsed(self, i: int) -> Fraction:
-        return Fraction(self._clock[i], self.scale)
-
     def clock_of(self, i: int) -> int:
         return self._clock[i]
 
@@ -277,16 +273,11 @@ class Kripke:
     states = property(lambda self: self._whole(self._states))
     texts = property(lambda self: self._whole(self._texts))
     clock = property(lambda self: self._whole(self._clock))
-    index = property(lambda self: self._whole(self._index))
     adjacency = property(lambda self: self._whole(self._out))
     timed = property(lambda self: self._limit is not None)
 
     def __len__(self) -> int:
         return len(self.states)
-
-    @property
-    def labeling(self) -> list[frozenset[str]]:
-        return [self.letter(i) for i in range(len(self))]
 
     @property
     def edges(self) -> tuple[KripkeEdge, ...]:

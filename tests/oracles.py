@@ -126,7 +126,8 @@ def whole_kripke(system, durations, time_bound, max_states: int = MAX_STATES) ->
     """``Kripke(system, durations, time_bound, max_states)`` with every state
     expanded, in index order, and labeled before it returns."""
     kripke = Kripke(system, durations, time_bound, max_states)
-    kripke.labeling
+    for i in range(len(kripke)):
+        kripke.letter(i)
     return kripke
 
 
@@ -178,7 +179,7 @@ def find_violating_lasso(
     """
     if max_len is None:
         max_len = lasso_budget(len(kripke), formula)
-    labeling = kripke.labeling
+    labeling = [kripke.letter(i) for i in range(len(kripke))]
     seen_traces: set = set()
 
     def walk(path: list[int]) -> Optional[tuple[list[int], list[int]]]:

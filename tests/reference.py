@@ -21,6 +21,11 @@ ticks and propositions as its definition enumerates them, and
 ``rendered_alike`` finds two tuples of states that render alike by rendering
 every tuple.
 
+``kripke_labeling``, ``kripke_index`` and ``kripke_elapsed`` read a
+:class:`~lhamc.explore.Kripke` as only the tests do: every state's letter,
+every state's index by its text and clock numerator, and a state's time as
+a ``Fraction``.
+
 ``nested_model_check`` is the reference for :func:`lhamc.ltl.model_check`:
 the nested depth-first search alone, from the initial product node, on every
 structure, timed or not.  ``indexed_replay`` is the reference for
@@ -462,6 +467,22 @@ def eager_safe_prop(component: Component) -> Component:
 
 
 # the LTL check
+
+
+def kripke_labeling(kripke: Kripke) -> list[frozenset[str]]:
+    """Every state's letter, in index order, once every state is expanded."""
+    return [kripke.letter(i) for i in range(len(kripke))]
+
+
+def kripke_index(kripke: Kripke) -> dict[tuple[str, int], int]:
+    """Every state's index by its text and clock numerator, the explorer's
+    key, once every state is expanded."""
+    return {key: i for i, key in enumerate(zip(kripke.texts, kripke.clock))}
+
+
+def kripke_elapsed(kripke: Kripke, i: int) -> Fraction:
+    """State i's elapsed time."""
+    return Fraction(kripke.clock_of(i), kripke.scale)
 
 
 def nested_model_check(kripke: Kripke, formula: Formula) -> Optional[Counterexample]:

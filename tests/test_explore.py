@@ -12,6 +12,7 @@ from lhamc.ltl import Counterexample, CounterexampleStep, parse_formula, validat
 from lhamc.reservoir import NResSystem, SearchPattern, parse_pattern
 from lhamc.syncprod import Component
 from oracles import whole_kripke
+from reference import kripke_elapsed, kripke_index, kripke_labeling
 from test_lha import random_automaton
 from test_on_the_fly import Branches
 import test_reservoir  # the module, so that its test class is not collected here too
@@ -244,7 +245,7 @@ class TestKripke:
             (4, 5, "move-hose", F(0)),
             (5, 4, "move-hose", F(0)),
         ]
-        assert [sorted(l) for l in k.labeling] == [[], [], [], ["one-down"], ["one-down"], ["one-down"]]
+        assert [sorted(l) for l in kripke_labeling(k)] == [[], [], [], ["one-down"], ["one-down"], ["one-down"]]
         assert k.props == frozenset({"one-down", "macondo"})
 
     def test_deadlocks_get_stutter_loops(self, init2_system):
@@ -259,7 +260,7 @@ class TestKripke:
     def test_index_lookup(self, init2_kripke):
         k = init2_kripke
         for i in range(len(k)):
-            assert k.index_of(k.texts[i], k.elapsed(i)) == i
+            assert k.index_of(k.texts[i], kripke_elapsed(k, i)) == i
         assert k.index_of("nonsense", F(0)) is None
 
     def test_index_of_reads_the_clock_grid(self, init2_system):
@@ -268,7 +269,7 @@ class TestKripke:
         assert k.index_of(k.texts[0], F(1, 3)) is None  # between two ticks
         assert k.index_of(k.texts[0], 0) == 0
         i = k.clock.index(3)
-        assert k.elapsed(i) == F(3, 10)
+        assert kripke_elapsed(k, i) == F(3, 10)
         assert k.index_of(k.texts[i], F(3, 10)) == i
         j = k.clock.index(1)
         assert k.index_of(k.texts[j], F(1, 30)) is None  # its numerator over 10 is 1/3, not 1
@@ -283,10 +284,10 @@ class TestKripke:
         for k in [whole_kripke(system, durations, bound) for system in systems for bound in (F(3), None)]:
             def fraction_lookup(text, elapsed):
                 n = Fraction(elapsed) * k.scale
-                return k.index.get((text, n.numerator)) if n.denominator == 1 else None
+                return kripke_index(k).get((text, n.numerator)) if n.denominator == 1 else None
 
             for i in range(len(k)):
-                text, now = k.texts[rng.randrange(len(k))], k.elapsed(i)
+                text, now = k.texts[rng.randrange(len(k))], kripke_elapsed(k, i)
                 off = F(1, rng.choice([7, 11, 2 * k.scale, 3 * k.scale]))
                 times = [now, now + off, now - off, -now - 1, int(now), rng.randint(-2, 4)]
                 times.append(F(rng.randrange(13), 12))
@@ -330,11 +331,11 @@ class TestKripke:
     def test_a_new_structure_has_discovered_only_the_initial_state(self, init2_system, init2_kripke):
         whole = init2_kripke
         k = Kripke(init2_system, (F(1),), F(5))
-        assert k.text(0) == whole.texts[0] and k.elapsed(0) == 0
+        assert k.text(0) == whole.texts[0] and kripke_elapsed(k, 0) == 0
         assert k.index_of(whole.texts[1], F(1)) is None  # not discovered yet
         assert [e.target for e in k.out(0)] == [1]
         assert k.index_of(whole.texts[1], F(1)) == 1
-        assert k.edges == whole.edges and k.labeling == whole.labeling
+        assert k.edges == whole.edges and kripke_labeling(k) == kripke_labeling(whole)
 
     def test_untimed_component_deadlock(self):
         only = Component(states=("s",), initial="s", rules=(), props={"p": ("s",)})
@@ -388,7 +389,7 @@ class TestMixedDurations:
         k = whole_kripke(system, durations, bound)
         texts, elapsed, edges = fraction_bfs(system, durations, bound)
         assert k.texts == texts
-        assert [k.elapsed(i) for i in range(len(k))] == elapsed
+        assert [kripke_elapsed(k, i) for i in range(len(k))] == elapsed
         assert [(e.source, e.target, e.label, e.duration) for e in k.edges] == edges
         assert all(k.index_of(t, e) == i for i, (t, e) in enumerate(zip(texts, elapsed)))
 
@@ -487,7 +488,7 @@ class TestFill:
                 assert filled == per_state
                 seen["capped"] += 1
                 continue
-            assert (filled.texts, filled.clock, filled.index) == (per_state.texts, per_state.clock, per_state.index)
+            assert (filled.texts, filled.clock) == (per_state.texts, per_state.clock)
             assert filled.adjacency == per_state.adjacency
             # each stretch discovers its inner states one tick edge at a time, and
             # stops where a tick reaches a state already discovered

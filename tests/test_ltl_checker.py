@@ -29,6 +29,7 @@ from oracles import (
     random_formula,
     random_functional_kripke,
 )
+from reference import kripke_labeling
 
 
 def check(kripke, text: str):
@@ -137,7 +138,7 @@ class TestProductSuccessors:
         assert model_check(kripke, formula) is None
         transitions = len(to_buchi(negated_nnf(formula)).transitions)
         props = props_of(formula)
-        assert len(calls) <= transitions * len({letter & props for letter in kripke.labeling})
+        assert len(calls) <= transitions * len({letter & props for letter in kripke_labeling(kripke)})
 
     @staticmethod
     def asked(monkeypatch, text, durations) -> tuple[bool, Counter]:

@@ -32,7 +32,7 @@ from lhamc.reservoir import MOVE_HOSE, PROPOSITIONS, Hose, NResState, Reservoir
 from lhamc.syncprod import abstract_reservoir, component_kripke, rt_sync_product, safe_prop
 from conftest import three_tank_state
 from oracles import counterexample_letters, eval_on_lasso, find_violating_lasso, random_formula, whole_kripke
-from reference import indexed_replay, nested_model_check
+from reference import indexed_replay, kripke_labeling, nested_model_check
 from test_lha import random_automaton
 from test_reservoir import quiet_system, random_ring, tenths_ring
 from test_syncprod import random_components
@@ -247,7 +247,7 @@ class TestAgainstTheExpandedStructure:
             return sorted((k.texts[e.source], k.texts[e.target], e.label, e.duration) for e in k.edges)
 
         assert shape(lazy) == shape(whole)
-        assert dict(zip(lazy.texts, lazy.labeling)) == dict(zip(whole.texts, whole.labeling))
+        assert dict(zip(lazy.texts, kripke_labeling(lazy))) == dict(zip(whole.texts, kripke_labeling(whole)))
         assert all(lazy.index_of(t, F(0)) == i for i, t in enumerate(lazy.texts))
 
 
@@ -495,7 +495,7 @@ class TestLeaps:
     def test_a_held_ring_check_expands_about_its_letter_changes(self, formula):
         # a ring like the benchmark's, 2,037 states over 200 time units
         whole = whole_kripke(quiet_system(tenths_ring()), (F(1, 10),), F(200))
-        letters = whole.labeling
+        letters = kripke_labeling(whole)
         changes = sum(letters[e.source] != letters[e.target] for e in whole.edges)
         moves = sum(e.label == MOVE_HOSE for e in whole.edges)
         assert (len(whole), changes, moves) == (2037, 74, 37)

@@ -2,11 +2,11 @@
 
 Search solutions and lasso steps carry their state's integer clock numerator
 and the structure's scale.  Every reader of a time (``Solution.elapsed``,
-``Step.duration``, ``CounterexampleStep.elapsed``, ``Kripke.elapsed``) must
-give ``Fraction(clock, scale)``, and the CLI text and JSON must print
-``str`` of that ``Fraction``.  A step built by hand from a ``Fraction`` is
-the checker's step, and replay accepts both and never raises on a time off
-the structure's grid.
+``Step.duration``, ``CounterexampleStep.elapsed``) must give
+``Fraction(clock, scale)``, and the CLI text and JSON must print ``str`` of
+that ``Fraction``.  A step built by hand from a ``Fraction`` is the
+checker's step, and replay accepts both and never raises on a time off the
+structure's grid.
 """
 
 import json
@@ -24,6 +24,7 @@ from lhamc.ltl import Counterexample, CounterexampleStep, model_check, parse_for
 from lhamc.reservoir import SearchPattern
 from lhamc.syncprod import component_kripke
 from oracles import random_formula
+from reference import kripke_elapsed
 from test_syncprod import random_components
 
 F = Fraction
@@ -65,13 +66,13 @@ class TestSearchTimes:
         bound = F(rng.randint(2, 9))
         system = load_model(model)
         kripke = build_kripke(system, bound, increment)
-        assert all(kripke.elapsed(i) == F(kripke.clock[i], kripke.scale) for i in range(len(kripke)))
+        assert all(kripke_elapsed(kripke, i) == F(kripke.clock[i], kripke.scale) for i in range(len(kripke)))
         solutions = search(system, SearchPattern().bind(system), bound, increment)
         assert len(solutions) == len(kripke)
         for sol in solutions:
             assert sol.scale == kripke.scale
             i = kripke.index_of(sol.text, sol.clock, sol.scale)
-            assert sol.elapsed == F(sol.clock, sol.scale) == kripke.elapsed(i)
+            assert sol.elapsed == F(sol.clock, sol.scale) == kripke_elapsed(kripke, i)
             clock = 0
             for step in sol.path:
                 j = kripke.index_of(step.text, clock + step.duration * kripke.scale, kripke.scale)
@@ -120,7 +121,7 @@ class TestLassoTimes:
         for step in ce.steps():
             assert step.scale == kripke.scale == whole.scale
             i = whole.index_of(step.text, step.clock, step.scale)
-            assert step.elapsed == F(step.clock, step.scale) == whole.elapsed(i)
+            assert step.elapsed == F(step.clock, step.scale) == kripke_elapsed(whole, i)
         hand = Counterexample(by_hand(ce.prefix), by_hand(ce.cycle))
         assert hand == ce
         for made, found in zip(hand.steps(), ce.steps()):
@@ -150,7 +151,7 @@ class TestLassoTimes:
             for step in ce.steps():
                 assert (step.clock, step.scale) == (0, kripke.scale)
                 i = kripke.index_of(step.text, step.clock, step.scale)
-                assert step.elapsed == F(step.clock, step.scale) == kripke.elapsed(i) == 0
+                assert step.elapsed == F(step.clock, step.scale) == kripke_elapsed(kripke, i) == 0
             hand = Counterexample(by_hand(ce.prefix), by_hand(ce.cycle))
             assert hand == ce
             assert check_json(ce) == check_json(hand) == json.dumps(lasso_doc(ce), indent=2)
